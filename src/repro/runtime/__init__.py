@@ -16,8 +16,9 @@ The synthesis pipeline (:mod:`repro.api`) produces detectors; this package
   from :mod:`repro.runtime.kernel`, selected by ``engine="legacy"/"fused"``
   through :data:`repro.registry.ENGINES`) — the fused kernel collapses each
   fleet step into one block GEMM while staying bit-identical in float64;
-* an event layer (:class:`AlarmEvent`, :class:`InMemorySink`,
-  :class:`JSONLSink`) and the :class:`FleetReport` aggregate;
+* an event layer (:class:`AlarmEvent`, the column-backed
+  :class:`AlarmBatch`, :class:`InMemorySink`, :class:`JSONLSink`) and the
+  :class:`FleetReport` aggregate;
 * the config-driven :func:`run_fleet` entry point (see
   :class:`repro.api.RuntimeConfig`).
 """
@@ -30,7 +31,13 @@ from repro.runtime.batch import (
     BatchThresholdDetector,
     make_batched,
 )
-from repro.runtime.events import AlarmEvent, EventSink, InMemorySink, JSONLSink
+from repro.runtime.events import (
+    AlarmBatch,
+    AlarmEvent,
+    EventSink,
+    InMemorySink,
+    JSONLSink,
+)
 from repro.runtime.fleet import FleetSimulator, FleetTrace, ScheduledAttack, batch_simulate
 from repro.runtime.online import (
     OnlineChiSquare,
@@ -45,6 +52,7 @@ from repro.runtime.engine import run_fleet
 from repro.runtime.kernel import FusedEngine, LegacyEngine
 
 __all__ = [
+    "AlarmBatch",
     "AlarmEvent",
     "BatchChiSquare",
     "BatchCusum",

@@ -3,23 +3,35 @@
 Every alarm a deployed detector raises is an :class:`AlarmEvent` — which
 fleet instance, at which sampling instance, from which detector.  The
 :class:`~repro.runtime.fleet.FleetSimulator` pushes batches of events into
-:class:`EventSink` objects at the end of every step; ship your own sink to
+:class:`EventSink` objects, one batch per (step, detector) in step order,
+replayed once the whole horizon has been stepped; ship your own sink to
 forward alarms to a message bus, a metrics system, or an incident pipeline.
 
-Two sinks ship with the library: :class:`InMemorySink` (collects events in a
-list, with small query helpers for tests and reports) and :class:`JSONLSink`
-(appends one JSON object per event to a file, the standard interchange form
-for offline analysis).
+The sink contract: ``emit`` receives a ``Sequence[AlarmEvent]``.  Fleet
+runs pass an :class:`AlarmBatch` — an immutable sequence over array
+columns whose ``len()`` is O(1) and whose indexing and iteration build the
+:class:`AlarmEvent` objects on demand — while the service passes plain
+lists.  A sink written against ``Sequence[AlarmEvent]`` needs no change:
+iterating either form yields real :class:`AlarmEvent` objects.
+
+Two sinks ship with the library: :class:`InMemorySink` (keeps the batches
+and builds its event list on first read, with small query helpers for tests
+and reports) and :class:`JSONLSink` (appends one JSON object per event to a
+file, the standard interchange form for offline analysis).
 """
 
 from __future__ import annotations
 
 import abc
 import json
+import operator
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.utils.validation import ValidationError
 
@@ -51,12 +63,85 @@ class AlarmEvent:
         return asdict(self)
 
 
+class AlarmBatch(Sequence[AlarmEvent]):
+    """One detector's alarms at one step, held as array columns.
+
+    An immutable ``Sequence[AlarmEvent]``: ``len()`` is O(1), and indexing
+    or iteration builds the :class:`AlarmEvent` objects on demand, so a run
+    whose sinks only count or store batches never pays for per-event
+    objects.  The columns are read-only views into the run's alarm index
+    arrays.
+
+    Attributes
+    ----------
+    detector:
+        Label of the detector that raised every alarm in the batch.
+    instance / step / first:
+        Equal-length columns: fleet instance ids (ascending), the sampling
+        instance of each alarm, and the first-alarm flags.
+    """
+
+    __slots__ = ("detector", "instance", "step", "first")
+
+    def __init__(
+        self,
+        detector: str,
+        instance: np.ndarray,
+        step: np.ndarray,
+        first: np.ndarray,
+    ) -> None:
+        self.detector = detector
+        self.instance = _read_only(instance, np.int64)
+        self.step = _read_only(step, np.int64)
+        self.first = _read_only(first, bool)
+        if not self.instance.shape == self.step.shape == self.first.shape:
+            raise ValidationError("AlarmBatch columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return self.instance.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AlarmBatch(
+                self.detector, self.instance[index], self.step[index], self.first[index]
+            )
+        index = operator.index(index)
+        return AlarmEvent(
+            int(self.instance[index]),
+            int(self.step[index]),
+            self.detector,
+            bool(self.first[index]),
+        )
+
+    def __iter__(self) -> Iterator[AlarmEvent]:
+        return map(
+            AlarmEvent,
+            self.instance.tolist(),
+            self.step.tolist(),
+            repeat(self.detector),
+            self.first.tolist(),
+        )
+
+
+def _read_only(column: np.ndarray, dtype) -> np.ndarray:
+    """A read-only 1-D ``dtype`` view of ``column`` (a copy only to convert)."""
+    view = np.asarray(column, dtype=dtype).view()
+    if view.ndim != 1:
+        raise ValidationError("AlarmBatch columns must be one-dimensional")
+    view.flags.writeable = False
+    return view
+
+
 class EventSink(abc.ABC):
     """Receives alarm-event batches from a running fleet."""
 
     @abc.abstractmethod
     def emit(self, events: Sequence[AlarmEvent]) -> None:
-        """Consume one batch of events (all from the same fleet step)."""
+        """Consume one batch of events (all from the same fleet step).
+
+        ``events`` may be an :class:`AlarmBatch`: ``len(events)`` is O(1)
+        and iterating it builds the events.
+        """
 
     def close(self) -> None:
         """Flush and release any underlying resources."""
@@ -71,6 +156,11 @@ class EventSink(abc.ABC):
 class InMemorySink(EventSink):
     """Collects every event in memory (the default sink for tests and reports).
 
+    ``emit`` only stores the incoming batch and counts it in O(1); the
+    :class:`AlarmEvent` objects are built when :attr:`events` is first read
+    (and again only for batches emitted since), so a run whose events are
+    never read never builds them.
+
     Parameters
     ----------
     maxlen:
@@ -84,20 +174,42 @@ class InMemorySink(EventSink):
         self.maxlen = None if maxlen is None else int(maxlen)
         if self.maxlen is not None and self.maxlen <= 0:
             raise ValidationError("maxlen must be positive (or None for unbounded)")
-        self.events: Sequence[AlarmEvent] = (
+        self._events: list[AlarmEvent] | deque[AlarmEvent] = (
             [] if self.maxlen is None else deque(maxlen=self.maxlen)
         )
+        # Batches emitted since the last read of ``events``, oldest first.
+        self._pending: deque[Sequence[AlarmEvent]] = deque()
+        self._pending_count = 0
         self.evicted = 0
 
+    @property
+    def events(self) -> list[AlarmEvent] | deque[AlarmEvent]:
+        """The retained events, oldest first (a deque when ``maxlen`` is set)."""
+        if self._pending:
+            self._events.extend(chain.from_iterable(self._pending))
+            self._pending.clear()
+            self._pending_count = 0
+        return self._events
+
     def emit(self, events: Sequence[AlarmEvent]) -> None:
+        if not isinstance(events, AlarmBatch):
+            events = list(events)
+        if not events:
+            return
         if self.maxlen is not None:
-            overflow = len(self.events) + len(events) - self.maxlen
+            overflow = len(self) + len(events) - self.maxlen
             if overflow > 0:
                 self.evicted += overflow
-        self.events.extend(events)
+        self._pending.append(events)
+        self._pending_count += len(events)
+        if self.maxlen is not None:
+            # Drop batches the newer ones already push out of the deque.
+            while self._pending_count - len(self._pending[0]) >= self.maxlen:
+                self._pending_count -= len(self._pending.popleft())
 
     def __len__(self) -> int:
-        return len(self.events)
+        held = len(self._events) + self._pending_count
+        return held if self.maxlen is None else min(held, self.maxlen)
 
     def __iter__(self) -> Iterable[AlarmEvent]:
         return iter(self.events)
@@ -187,4 +299,4 @@ def _stripped_lines(path: str | Path) -> list[str]:
         return [line.strip() for line in handle if line.strip()]
 
 
-__all__ = ["AlarmEvent", "EventSink", "InMemorySink", "JSONLSink"]
+__all__ = ["AlarmBatch", "AlarmEvent", "EventSink", "InMemorySink", "JSONLSink"]

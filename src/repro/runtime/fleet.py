@@ -16,20 +16,23 @@ Three layers build on the shared :class:`_BatchStepper`:
 * :class:`ScheduledAttack` — one entry of the fleet's attack schedule: an
   :class:`~repro.attacks.templates.AttackTemplate` injected into a subset of
   the fleet from a given step onward.
-* :class:`FleetSimulator` — the streaming engine: steps the fleet, feeds
-  residues/measurements to the deployed online detectors, pushes
-  :class:`~repro.runtime.events.AlarmEvent` batches into the sinks, and
-  aggregates a :class:`~repro.runtime.report.FleetReport`.
+* :class:`FleetSimulator` — the monitored fleet: draws the streams, lets
+  its engine step the fleet and feed the deployed online detectors, and
+  hands the resulting ``(T, N)`` alarm stacks to
+  :class:`~repro.runtime.report.AlarmTally`, which aggregates a
+  :class:`~repro.runtime.report.FleetReport` and pushes
+  :class:`~repro.runtime.events.AlarmBatch` views into the sinks.
 
 Both entry points accept an ``engine`` name resolved through
-:data:`repro.registry.ENGINES`: ``"legacy"`` (this module's per-step
-pipeline, the default) or ``"fused"`` (the block-fused kernel of
+:data:`repro.registry.ENGINES`: ``"legacy"`` (the per-step pipeline over
+:class:`_BatchStepper`, the default) or ``"fused"`` (the block-fused kernel of
 :mod:`repro.runtime.kernel`, bit-identical in float64 and gated by a
 differential probe).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -43,8 +46,8 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import span
 from repro.registry import ENGINES
 from repro.runtime.batch import BatchDetector, make_batched
-from repro.runtime.events import AlarmEvent, EventSink
-from repro.runtime.report import FleetReport, build_detector_stats
+from repro.runtime.events import EventSink
+from repro.runtime.report import AlarmTally, FleetReport, FleetSteps
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import ValidationError, check_positive
 
@@ -347,14 +350,17 @@ class FleetSimulator:
     attacks:
         The attack schedule (any iterable of :class:`ScheduledAttack`).
     sinks:
-        Event sinks receiving :class:`~repro.runtime.events.AlarmEvent`
-        batches each step.
+        Event sinks receiving one :class:`~repro.runtime.events.AlarmBatch`
+        per (step, detector) with alarms, in step order.  The batches are
+        replayed after the whole horizon has been stepped, so a sink sees
+        nothing while the fleet steps, and a run that fails mid-horizon
+        emits no events.
     seed:
         Seed of the per-instance noise streams and the schedule's subset
         draws.
     record_traces:
         Keep the full :class:`FleetTrace` on :attr:`trace` after :meth:`run`
-        (off by default: a streaming run needs only ``O(N)`` memory).
+        (off by default: the trace arrays are ``O(N T)`` floats per quantity).
     metrics:
         Telemetry wiring.  ``None`` (default) records into the process-wide
         registry from :func:`repro.obs.metrics.get_registry` — which is
@@ -366,14 +372,19 @@ class FleetSimulator:
     scraper:
         Optional scrape subscription: anything with the
         :class:`~repro.obs.export.PeriodicScraper` interface.
-        ``maybe_scrape()`` is called once per fleet step and ``scrape()``
-        once at the end of :meth:`run`, so a scraper keeps an exposition
-        file fresh during long runs — and a
+        After the horizon has been stepped, the alarms are replayed in step
+        order and ``maybe_scrape()`` is called once per step, after that
+        step's alarms are counted; ``scrape()`` follows once at the end of
+        :meth:`run`.  A scraper therefore sees the same progressive
+        ``fleet_alarms_total`` values a step-by-step run would produce, but
+        not when they happened: the replay is a tight loop, so a
+        time-gated scraper fires about once in it, and an exposition file
+        is not refreshed while the fleet steps.  A
         :class:`~repro.obs.watch.HealthWatcher` passed here watches the
-        run's live gauge/counter streams for regressions.
+        run's gauge/counter streams for regressions.
     engine:
         Execution engine name from :data:`repro.registry.ENGINES`:
-        ``"legacy"`` (default, this module's streaming per-step pipeline) or
+        ``"legacy"`` (default, the streaming per-step pipeline) or
         ``"fused"`` (the block-fused kernel, bit-identical in float64).
     engine_options:
         Constructor options for the engine, e.g. ``{"dtype": "float32",
@@ -492,25 +503,31 @@ class FleetSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> FleetReport:
-        """Step the whole fleet through the horizon and aggregate the report."""
+        """Step the whole fleet through the horizon and aggregate the report.
+
+        A run has three parts: :meth:`_prepare` draws the streams, the
+        engine's ``step_fleet`` steps the fleet and returns each detector's
+        ``(T, N)`` alarm stack, and :meth:`_finish` tallies and emits the
+        alarms and builds the report.
+        """
         runner = ENGINES.create(self.engine, **self.engine_options)
-        if self.metrics is False:
-            return runner.run_fleet(self)
-        with span(
-            "fleet.run",
-            system=self.system.name,
-            n_instances=self.n_instances,
-            horizon=self.horizon,
-            engine=self.engine,
-        ):
-            return runner.run_fleet(self)
+        scope = nullcontext()
+        if self.metrics is not False:
+            scope = span(
+                "fleet.run",
+                system=self.system.name,
+                n_instances=self.n_instances,
+                horizon=self.horizon,
+                engine=self.engine,
+            )
+        with scope:
+            run = self._prepare()
+            return self._finish(run, runner.step_fleet(self, run))
 
-    def _run(self) -> FleetReport:
-        """The legacy-engine run body (the fused kernel's bit-for-bit reference)."""
-        plant = self.system.plant
+    def _prepare(self) -> "_RunInputs":
+        """Draw the streams, resolve the schedule, reset the detectors."""
         T, N = self.horizon, self.n_instances
-        n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
-
+        watch = Stopwatch()
         rngs = spawn_rngs(self.seed, N + 1)
         scheduler_rng = ensure_rng(rngs[-1])
         V, W, X0 = self._draw_streams(rngs[:N])
@@ -522,100 +539,62 @@ class FleetSimulator:
             if indices.size and np.any(values):
                 attacked_mask[indices] = True
                 attack_start[indices] = np.minimum(attack_start[indices], entry.start)
+        phases = {"draw": watch.elapsed()}
 
-        stepper = _BatchStepper(self.system, X0, self.xhat0.copy())
         for detector in self.detectors.values():
             detector.reset()
+        if self.metrics is False:
+            registry = None
+        elif isinstance(self.metrics, MetricsRegistry):
+            registry = self.metrics
+        else:
+            registry = get_registry()
+        recorder = self._new_recorder(X0) if self.record_traces else None
+        return _RunInputs(
+            V, W, X0, schedule, attacked_mask, attack_start, recorder, registry, phases
+        )
 
-        first_alarm = {label: np.full(N, -1, dtype=int) for label in self.detectors}
-        first_detection = {label: np.full(N, -1, dtype=int) for label in self.detectors}
-        alarm_counts = {label: 0 for label in self.detectors}
-        benign_alarm_steps = {label: 0 for label in self.detectors}
-        benign_mask = ~attacked_mask
+    def _new_recorder(self, X0: np.ndarray) -> dict[str, np.ndarray]:
+        """Zeroed instance-major trace arrays with the initial states filled in."""
+        plant = self.system.plant
+        T, N = self.horizon, self.n_instances
+        n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
+        recorder = {
+            "states": np.zeros((N, T + 1, n)),
+            "estimates": np.zeros((N, T + 1, n)),
+            "inputs": np.zeros((N, T + 1, p)),
+            "measurements": np.zeros((N, T, m)),
+            "true_outputs": np.zeros((N, T, m)),
+            "residues": np.zeros((N, T, m)),
+            "attacks": np.zeros((N, T, m)),
+        }
+        recorder["states"][:, 0] = X0
+        recorder["estimates"][:, 0] = self.xhat0
+        return recorder
 
-        recorder = None
-        if self.record_traces:
-            recorder = {
-                "states": np.zeros((N, T + 1, n)),
-                "estimates": np.zeros((N, T + 1, n)),
-                "inputs": np.zeros((N, T + 1, p)),
-                "measurements": np.zeros((N, T, m)),
-                "true_outputs": np.zeros((N, T, m)),
-                "residues": np.zeros((N, T, m)),
-                "attacks": np.zeros((N, T, m)),
-            }
-            recorder["states"][:, 0] = stepper.X
-            recorder["estimates"][:, 0] = stepper.Xhat
-            recorder["inputs"][:, 0] = stepper.U
+    def _finish(self, run: "_RunInputs", steps: FleetSteps) -> FleetReport:
+        """Tally and emit the alarm stacks, record metrics, build the report.
 
-        # Instruments are resolved once, outside the loop; ``metrics=False``
-        # removes them entirely (the overhead benchmark's baseline), and the
-        # default disabled registry reduces each surviving call to one
-        # attribute check.  The only per-step call sits on the alarm branch,
-        # which is already off the fast no-alarm path.
-        registry = None
-        alarms_counter = None
-        if self.metrics is not False:
-            registry = (
-                self.metrics
-                if isinstance(self.metrics, MetricsRegistry)
-                else get_registry()
-            )
-            alarms_counter = registry.counter(
+        The report's ``elapsed_seconds`` is the stepping window: the
+        ``recursion``, ``lanes``, ``tally`` and ``emit`` phases together.
+        """
+        T, N = self.horizon, self.n_instances
+        registry = run.registry
+        phases = run.phases
+        for name, seconds in steps.phases.items():
+            phases[name] = phases.get(name, 0.0) + seconds
+        counter = None
+        if registry is not None:
+            counter = registry.counter(
                 "fleet_alarms_total", help="Detector alarms fired during fleet runs."
             )
-
-        started = Stopwatch()
-        for k in range(T):
-            attack_k = None
-            if schedule:
-                attack_k = np.zeros((N, m))
-                for indices, values in schedule:
-                    attack_k[indices] += values[k]
-            y_true, y_attacked, residues = stepper.step(
-                V[:, k], None if W is None else W[:, k], attack_k
-            )
-
-            for label, detector in self.detectors.items():
-                values = residues if detector.consumes == "residues" else y_attacked
-                alarms = detector.step(values)
-                fired = int(np.count_nonzero(alarms))
-                if not fired:
-                    continue
-                alarm_counts[label] += fired
-                if alarms_counter is not None:
-                    alarms_counter.inc(fired, detector=label)
-                benign_alarm_steps[label] += int(np.count_nonzero(alarms & benign_mask))
-                newly = alarms & (first_alarm[label] < 0)
-                first_alarm[label][newly] = k
-                detected = (
-                    alarms
-                    & attacked_mask
-                    & (k >= attack_start)
-                    & (first_detection[label] < 0)
-                )
-                first_detection[label][detected] = k
-                if self.sinks:
-                    events = [
-                        AlarmEvent(int(i), k, label, first=bool(newly[i]))
-                        for i in np.flatnonzero(alarms)
-                    ]
-                    for sink in self.sinks:
-                        sink.emit(events)
-
-            if recorder is not None:
-                recorder["true_outputs"][:, k] = y_true
-                recorder["measurements"][:, k] = y_attacked
-                recorder["residues"][:, k] = residues
-                if attack_k is not None:
-                    recorder["attacks"][:, k] = attack_k
-                recorder["states"][:, k + 1] = stepper.X
-                recorder["estimates"][:, k + 1] = stepper.Xhat
-                recorder["inputs"][:, k + 1] = stepper.U
-
-            if self.scraper is not None:
-                self.scraper.maybe_scrape()
-        elapsed = started.elapsed()
+        watch = Stopwatch()
+        tally = AlarmTally(steps.alarms, run.attacked_mask, run.attack_start, T)
+        phases["tally"] = watch.elapsed()
+        watch = Stopwatch()
+        tally.publish(self.sinks, counter, self.scraper)
+        phases["emit"] = watch.elapsed()
+        elapsed = sum(phases[name] for name in ("recursion", "lanes", "tally", "emit"))
 
         if registry is not None:
             registry.counter(
@@ -636,48 +615,64 @@ class FleetSimulator:
         if self.scraper is not None:
             self.scraper.scrape()
 
-        if recorder is not None:
+        if run.recorder is not None:
             self.trace = FleetTrace(
-                **recorder,
-                process_noise=W if W is not None else np.zeros((N, T, n)),
-                measurement_noise=V,
+                **run.recorder,
+                process_noise=(
+                    run.W
+                    if run.W is not None
+                    else np.zeros((N, T, self.system.plant.n_states))
+                ),
+                measurement_noise=run.V,
                 dt=self.system.dt,
                 metadata={"system": self.system.name},
             )
 
+        metadata = {"system": self.system.name, "seed": self.seed}
+        if steps.engine is not None:
+            metadata["engine"] = steps.engine
+        metadata["attacks"] = [
+            {
+                "label": entry.label or f"attack-{index}",
+                "start": entry.start,
+                "instances": int(indices.size),
+                "template": type(entry.template).__name__,
+            }
+            for index, ((indices, _), entry) in enumerate(zip(run.schedule, self.attacks))
+        ]
+        metadata["phases"] = dict(phases)
         report = FleetReport(
             n_instances=N,
             horizon=T,
-            n_attacked=int(np.sum(attacked_mask)),
+            n_attacked=int(np.sum(run.attacked_mask)),
             elapsed_seconds=elapsed,
-            metadata={
-                "system": self.system.name,
-                "seed": self.seed,
-                "attacks": [
-                    {
-                        "label": entry.label or f"attack-{index}",
-                        "start": entry.start,
-                        "instances": int(indices.size),
-                        "template": type(entry.template).__name__,
-                    }
-                    for index, ((indices, _), entry) in enumerate(
-                        zip(schedule, self.attacks)
-                    )
-                ],
-            },
+            metadata=metadata,
         )
         for label in self.detectors:
-            report.detectors[label] = build_detector_stats(
-                label=label,
-                first_alarm=first_alarm[label],
-                first_detection=first_detection[label],
-                alarm_count=alarm_counts[label],
-                benign_alarm_steps=benign_alarm_steps[label],
-                attacked_mask=attacked_mask,
-                attack_start=attack_start,
-                horizon=T,
-            )
+            report.detectors[label] = tally.stats(label)
         return report
+
+
+@dataclass
+class _RunInputs:
+    """What an engine's ``step_fleet`` reads: one run's drawn inputs.
+
+    ``V``/``W`` are the instance-major ``(N, T, ·)`` noise draws, ``X0``
+    the initial states, ``schedule`` the resolved ``(instance ids, (T, m)
+    values)`` attack entries, ``recorder`` the trace arrays to fill (``None``
+    when traces are off) and ``registry`` the metrics registry (``None``
+    when compiled out).  ``phases`` holds the per-phase seconds so far.
+    """
+
+    V: np.ndarray
+    W: np.ndarray | None
+    X0: np.ndarray
+    schedule: list[tuple[np.ndarray, np.ndarray]]
+    attacked_mask: np.ndarray
+    attack_start: np.ndarray
+    recorder: dict[str, np.ndarray] | None
+    registry: MetricsRegistry | None
+    phases: dict[str, float]
 
 
 __all__ = ["FleetTrace", "ScheduledAttack", "FleetSimulator", "batch_simulate"]

@@ -6,11 +6,17 @@ batch_simulate`, the FAR evaluator and :class:`~repro.serve.service.
 MonitorService` rounds:
 
 * :class:`LegacyEngine` (``engine="legacy"``, the default) — the original
-  per-step ``(N, ·)`` pipeline, streaming and ``O(N)`` in memory.
+  per-step ``(N, ·)`` pipeline.
 * :class:`FusedEngine` (``engine="fused"``) — the fused kernel of
   :mod:`repro.runtime.kernel.core`: one GEMM per step per shard, detector
   lanes over pre-stacked residues, optional ``dtype="float32"`` fast mode
   and ``workers=k`` shard-across-cores execution.
+
+A fleet run is split between the simulator and the engine: the simulator
+draws the inputs, the engine's ``step_fleet(sim, run)`` steps the fleet and
+returns each detector's ``(T, N)`` alarm stack as a
+:class:`~repro.runtime.report.FleetSteps`, and the simulator tallies,
+emits and reports.
 
 Sharding contract: instances are carved into *contiguous index ranges*
 (never interleaved, never by draw order) so every per-instance stream —
@@ -40,10 +46,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.obs.clock import Stopwatch
-from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.registry import ENGINES
 from repro.runtime.batch import BatchDetector
-from repro.runtime.events import AlarmEvent
 from repro.runtime.kernel.core import (
     PROBE_SEED,
     FusedStepper,
@@ -52,8 +56,8 @@ from repro.runtime.kernel.core import (
 )
 from repro.runtime.kernel.lanes import build_lanes
 from repro.runtime.kernel.serve import FusedServicePlan
-from repro.runtime.report import FleetReport, build_detector_stats
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.runtime.report import FleetSteps
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import ValidationError
 
 _DTYPES = {"float64": np.float64, "float32": np.float32}
@@ -231,9 +235,49 @@ class LegacyEngine:
 
     name = "legacy"
 
-    def run_fleet(self, sim) -> FleetReport:
-        """Run a :class:`~repro.runtime.fleet.FleetSimulator` to completion."""
-        return sim._run()
+    def step_fleet(self, sim, run) -> FleetSteps:
+        """Step a :class:`~repro.runtime.fleet.FleetSimulator` run.
+
+        The streaming pipeline: each step advances the fleet one sampling
+        instance and feeds every detector, whose alarms fill one row of its
+        ``(T, N)`` stack.
+        """
+        from repro.runtime.fleet import _BatchStepper
+
+        T, N = sim.horizon, sim.n_instances
+        m = sim.system.plant.n_outputs
+        stepper = _BatchStepper(sim.system, run.X0, sim.xhat0.copy())
+        recorder = run.recorder
+        alarms = {label: np.empty((T, N), dtype=bool) for label in sim.detectors}
+
+        started = Stopwatch()
+        lanes_s = 0.0
+        for k in range(T):
+            attack_k = None
+            if run.schedule:
+                attack_k = np.zeros((N, m))
+                for indices, values in run.schedule:
+                    attack_k[indices] += values[k]
+            y_true, y_attacked, residues = stepper.step(
+                run.V[:, k], None if run.W is None else run.W[:, k], attack_k
+            )
+            if recorder is not None:
+                recorder["true_outputs"][:, k] = y_true
+                recorder["measurements"][:, k] = y_attacked
+                recorder["residues"][:, k] = residues
+                if attack_k is not None:
+                    recorder["attacks"][:, k] = attack_k
+                recorder["states"][:, k + 1] = stepper.X
+                recorder["estimates"][:, k + 1] = stepper.Xhat
+                recorder["inputs"][:, k + 1] = stepper.U
+
+            watch = Stopwatch()
+            for label, detector in sim.detectors.items():
+                values = residues if detector.consumes == "residues" else y_attacked
+                alarms[label][k] = detector.step(values)
+            lanes_s += watch.elapsed()
+        phases = {"recursion": started.elapsed() - lanes_s, "lanes": lanes_s}
+        return FleetSteps(alarms, phases)
 
     def batch_trace(
         self, system, horizon, X0, Xhat0, V, W, A, has_process_noise, has_attack
@@ -463,50 +507,12 @@ class FusedEngine:
                 list(pool.map(run_shard, bounds))
 
     # ------------------------------------------------------------------
-    def run_fleet(self, sim) -> FleetReport:
-        """Fused replica of the legacy fleet run (same report, same events)."""
-        plant = sim.system.plant
+    def step_fleet(self, sim, run) -> FleetSteps:
+        """Fused replica of the legacy stepping (same alarm stacks)."""
         T, N = sim.horizon, sim.n_instances
-        n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
-
-        rngs = spawn_rngs(sim.seed, N + 1)
-        scheduler_rng = ensure_rng(rngs[-1])
-        V, W, X0 = sim._draw_streams(rngs[:N])
-        schedule = sim._resolve_schedule(scheduler_rng)
-
-        attacked_mask = np.zeros(N, dtype=bool)
-        attack_start = np.full(N, T, dtype=int)
-        for (indices, values), entry in zip(schedule, sim.attacks):
-            if indices.size and np.any(values):
-                attacked_mask[indices] = True
-                attack_start[indices] = np.minimum(attack_start[indices], entry.start)
-
-        for detector in sim.detectors.values():
-            detector.reset()
+        m = sim.system.plant.n_outputs
         lanes = build_lanes(sim.detectors)
 
-        first_alarm = {label: np.full(N, -1, dtype=int) for label in sim.detectors}
-        first_detection = {label: np.full(N, -1, dtype=int) for label in sim.detectors}
-        alarm_counts = {label: 0 for label in sim.detectors}
-        benign_alarm_steps = {label: 0 for label in sim.detectors}
-        benign_mask = ~attacked_mask
-
-        recorder = None
-        if sim.record_traces:
-            recorder = {
-                "states": np.zeros((N, T + 1, n)),
-                "estimates": np.zeros((N, T + 1, n)),
-                "inputs": np.zeros((N, T + 1, p)),
-                "measurements": np.zeros((N, T, m)),
-                "true_outputs": np.zeros((N, T, m)),
-                "residues": np.zeros((N, T, m)),
-                "attacks": np.zeros((N, T, m)),
-            }
-            recorder["states"][:, 0] = X0
-            recorder["estimates"][:, 0] = sim.xhat0
-
-        registry = None
-        alarms_counter = None
         fused_ok = probe_fused_equivalence(sim.system, _DTYPES[self.dtype], N)
         workers_eff = max(1, min(self.workers, N))
         shard_stable = True
@@ -516,16 +522,8 @@ class FusedEngine:
             )
             if not shard_stable:
                 workers_eff = 1
-        if sim.metrics is not False:
-            registry = (
-                sim.metrics
-                if isinstance(sim.metrics, MetricsRegistry)
-                else get_registry()
-            )
-            alarms_counter = registry.counter(
-                "fleet_alarms_total", help="Detector alarms fired during fleet runs."
-            )
-            registry.counter(
+        if run.registry is not None:
+            run.registry.counter(
                 "fleet_kernel_runs_total",
                 help="Fused-engine fleet runs by dtype and chosen path.",
             ).inc(
@@ -538,162 +536,45 @@ class FusedEngine:
             lane.consumes != "residues" for lane in lanes.values()
         )
 
-        Vt, Wt, _ = self._transpose_streams(V, W, None)
+        watch = Stopwatch()
+        Vt, Wt, _ = self._transpose_streams(run.V, run.W, None)
+        phases = {"draw": watch.elapsed()}
         started = Stopwatch()
         dt_np = _DTYPES[self.dtype]
         res_stack = np.empty((T, m, N), dtype=dt_np)
         ya_stack = np.empty((T, m, N), dtype=dt_np) if needs_measurements else None
         self._simulate(
             sim.system,
-            X0,
+            run.X0,
             sim.xhat0.copy(),
             Vt,
             Wt,
-            schedule if schedule else None,
+            run.schedule if run.schedule else None,
             None,
             fused_ok=fused_ok,
             workers=workers_eff,
             res_out=res_stack,
             ya_out=ya_stack,
-            recorder=recorder,
+            recorder=run.recorder,
         )
+        phases["recursion"] = started.elapsed()
 
-        lane_alarms = {
+        watch = Stopwatch()
+        alarms = {
             label: lane.alarms(res_stack, ya_stack) for label, lane in lanes.items()
         }
         for lane in lanes.values():
             lane.finalize()
+        phases["lanes"] = watch.elapsed()
 
-        if not sim.sinks and sim.scraper is None:
-            # No step-ordered consumers: fold the whole horizon's bookkeeping
-            # into vectorized reductions (identical counts, first-alarm and
-            # first-detection indices, and final counter values).
-            step_axis = np.arange(T)
-            for label in lanes:
-                alarms = lane_alarms[label]
-                total = int(np.count_nonzero(alarms))
-                if not total:
-                    continue
-                alarm_counts[label] = total
-                if alarms_counter is not None:
-                    alarms_counter.inc(total, detector=label)
-                benign_alarm_steps[label] = int(
-                    np.count_nonzero(alarms & benign_mask[None, :])
-                )
-                any_alarm = alarms.any(axis=0)
-                first_alarm[label][any_alarm] = alarms.argmax(axis=0)[any_alarm]
-                detected = (
-                    alarms
-                    & attacked_mask[None, :]
-                    & (step_axis[:, None] >= attack_start[None, :])
-                )
-                any_detected = detected.any(axis=0)
-                first_detection[label][any_detected] = detected.argmax(axis=0)[
-                    any_detected
-                ]
-        else:
-            for k in range(T):
-                for label in lanes:
-                    alarms = lane_alarms[label][k]
-                    fired = int(np.count_nonzero(alarms))
-                    if not fired:
-                        continue
-                    alarm_counts[label] += fired
-                    if alarms_counter is not None:
-                        alarms_counter.inc(fired, detector=label)
-                    benign_alarm_steps[label] += int(
-                        np.count_nonzero(alarms & benign_mask)
-                    )
-                    newly = alarms & (first_alarm[label] < 0)
-                    first_alarm[label][newly] = k
-                    detected = (
-                        alarms
-                        & attacked_mask
-                        & (k >= attack_start)
-                        & (first_detection[label] < 0)
-                    )
-                    first_detection[label][detected] = k
-                    if sim.sinks:
-                        events = [
-                            AlarmEvent(int(i), k, label, first=bool(newly[i]))
-                            for i in np.flatnonzero(alarms)
-                        ]
-                        for sink in sim.sinks:
-                            sink.emit(events)
-                if sim.scraper is not None:
-                    sim.scraper.maybe_scrape()
-        elapsed = started.elapsed()
-
-        if registry is not None:
-            registry.counter(
-                "fleet_steps_total", help="Instance-steps executed by fleet runs."
-            ).inc(N * T)
-            registry.counter(
-                "fleet_runs_total", help="Completed FleetSimulator.run calls."
-            ).inc()
-            registry.histogram(
-                "fleet_run_seconds", help="Wall time per FleetSimulator.run call."
-            ).observe(elapsed, system=sim.system.name)
-            if elapsed > 0:
-                registry.gauge(
-                    "fleet_throughput_steps_per_s",
-                    help="Instance-steps per second of the last fleet run.",
-                ).set(N * T / elapsed, system=sim.system.name)
-
-        if sim.scraper is not None:
-            sim.scraper.scrape()
-
-        if recorder is not None:
-            from repro.runtime.fleet import FleetTrace
-
-            sim.trace = FleetTrace(
-                **recorder,
-                process_noise=W if W is not None else np.zeros((N, T, n)),
-                measurement_noise=V,
-                dt=sim.system.dt,
-                metadata={"system": sim.system.name},
-            )
-
-        report = FleetReport(
-            n_instances=N,
-            horizon=T,
-            n_attacked=int(np.sum(attacked_mask)),
-            elapsed_seconds=elapsed,
-            metadata={
-                "system": sim.system.name,
-                "seed": sim.seed,
-                "engine": {
-                    "name": self.name,
-                    "dtype": self.dtype,
-                    "workers": workers_eff,
-                    "fused_path": bool(fused_ok),
-                    "shard_stable": bool(shard_stable),
-                },
-                "attacks": [
-                    {
-                        "label": entry.label or f"attack-{index}",
-                        "start": entry.start,
-                        "instances": int(indices.size),
-                        "template": type(entry.template).__name__,
-                    }
-                    for index, ((indices, _), entry) in enumerate(
-                        zip(schedule, sim.attacks)
-                    )
-                ],
-            },
-        )
-        for label in sim.detectors:
-            report.detectors[label] = build_detector_stats(
-                label=label,
-                first_alarm=first_alarm[label],
-                first_detection=first_detection[label],
-                alarm_count=alarm_counts[label],
-                benign_alarm_steps=benign_alarm_steps[label],
-                attacked_mask=attacked_mask,
-                attack_start=attack_start,
-                horizon=T,
-            )
-        return report
+        engine = {
+            "name": self.name,
+            "dtype": self.dtype,
+            "workers": workers_eff,
+            "fused_path": bool(fused_ok),
+            "shard_stable": bool(shard_stable),
+        }
+        return FleetSteps(alarms, phases, engine)
 
     # ------------------------------------------------------------------
     def batch_trace(

@@ -4,14 +4,20 @@ A :class:`FleetReport` summarises one :class:`~repro.runtime.fleet.FleetSimulato
 run: for every deployed detector it reports the detection rate and detection
 latency over the attacked sub-fleet and the (per-instance and per-step) false
 alarm rates over the benign sub-fleet — the online metrics the offline
-``evaluate`` path cannot express.
+``evaluate`` path cannot express.  :class:`AlarmTally` is the alarm
+bookkeeping every fleet engine shares: one vectorized pass over the run's
+``(T, N)`` alarm stacks, and the step-ordered emission of the resulting
+:class:`~repro.runtime.events.AlarmBatch` columns to the sinks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from repro.runtime.events import AlarmBatch, EventSink
 
 
 @dataclass
@@ -203,4 +209,158 @@ def build_detector_stats(
     return stats
 
 
-__all__ = ["DetectorFleetStats", "FleetReport", "build_detector_stats"]
+@dataclass
+class FleetSteps:
+    """What a fleet engine's ``step_fleet`` returns to the simulator.
+
+    Attributes
+    ----------
+    alarms:
+        Label → ``(T, N)`` boolean alarm stack, in detector-bank order.
+    phases:
+        Seconds the engine spent per phase (``recursion``, ``lanes``; time
+        booked under ``draw`` adds to the simulator's own draw time).
+    engine:
+        The report's ``metadata["engine"]`` entry (``None`` to omit it).
+    """
+
+    alarms: dict[str, np.ndarray]
+    phases: dict[str, float]
+    engine: dict | None = None
+
+
+def _first_index(flags: np.ndarray) -> np.ndarray:
+    """Per-column index of the first ``True`` row of ``flags`` (``-1`` if none)."""
+    first = np.full(flags.shape[1], -1, dtype=int)
+    hit = flags.any(axis=0)
+    first[hit] = flags.argmax(axis=0)[hit]
+    return first
+
+
+class AlarmTally:
+    """Alarm bookkeeping of one fleet run, from its ``(T, N)`` alarm stacks.
+
+    One vectorized pass per detector yields what
+    :func:`build_detector_stats` needs — alarm counts, benign alarm-steps,
+    first-alarm and first-detection steps.  :meth:`publish` hands the
+    alarms to sinks, counter and scraper in step order, as
+    :class:`~repro.runtime.events.AlarmBatch` views into one ``nonzero``
+    of each stack (step-major, ascending instances within a step).
+
+    Parameters
+    ----------
+    alarms:
+        Label → ``(T, N)`` boolean alarm stack, in detector-bank order.
+    attacked_mask / attack_start:
+        Which instances were attacked and from which step.
+    horizon:
+        Number of steps ``T``.
+    """
+
+    def __init__(
+        self,
+        alarms: Mapping[str, np.ndarray],
+        attacked_mask: np.ndarray,
+        attack_start: np.ndarray,
+        horizon: int,
+    ) -> None:
+        self.attacked_mask = attacked_mask
+        self.attack_start = attack_start
+        self.horizon = int(horizon)
+        self._alarms = {
+            label: np.asarray(stack, dtype=bool) for label, stack in alarms.items()
+        }
+        n_instances = attacked_mask.size
+        detectable = None
+        self.alarm_counts: dict[str, int] = {}
+        self.benign_alarm_steps: dict[str, int] = {}
+        self.first_alarm: dict[str, np.ndarray] = {}
+        self.first_detection: dict[str, np.ndarray] = {}
+        for label, stack in self._alarms.items():
+            self.alarm_counts[label] = total = int(np.count_nonzero(stack))
+            self.benign_alarm_steps[label] = 0
+            self.first_alarm[label] = np.full(n_instances, -1, dtype=int)
+            self.first_detection[label] = np.full(n_instances, -1, dtype=int)
+            if not total:
+                continue
+            self.benign_alarm_steps[label] = int(
+                np.count_nonzero(stack & ~attacked_mask[None, :])
+            )
+            self.first_alarm[label] = _first_index(stack)
+            if detectable is None:
+                detectable = attacked_mask[None, :] & (
+                    np.arange(self.horizon)[:, None] >= attack_start[None, :]
+                )
+            self.first_detection[label] = _first_index(stack & detectable)
+
+    def stats(self, label: str) -> DetectorFleetStats:
+        """The :class:`DetectorFleetStats` of one detector."""
+        return build_detector_stats(
+            label=label,
+            first_alarm=self.first_alarm[label],
+            first_detection=self.first_detection[label],
+            alarm_count=self.alarm_counts[label],
+            benign_alarm_steps=self.benign_alarm_steps[label],
+            attacked_mask=self.attacked_mask,
+            attack_start=self.attack_start,
+            horizon=self.horizon,
+        )
+
+    def _columns(self, label: str) -> tuple:
+        """The ``(instance, step, first)`` alarm columns and per-step bounds."""
+        stack = self._alarms[label]
+        steps, instances = np.divmod(np.flatnonzero(stack), stack.shape[1])
+        first = steps == self.first_alarm[label][instances]
+        bounds = np.searchsorted(steps, np.arange(self.horizon + 1)).tolist()
+        return instances, steps, first, bounds
+
+    def publish(
+        self,
+        sinks: Sequence[EventSink] = (),
+        counter=None,
+        scraper=None,
+    ) -> None:
+        """Hand the alarms to their consumers in step order.
+
+        For each step, then each detector with at least one alarm at that
+        step: ``counter.inc(count, detector=label)`` and one
+        :class:`~repro.runtime.events.AlarmBatch` to every sink; after each
+        step, ``scraper.maybe_scrape()``.  With neither sinks nor a scraper
+        nothing can observe the order, so each detector's counter takes its
+        total in one increment (the same final value).
+        """
+        if not sinks and scraper is None:
+            if counter is not None:
+                for label, total in self.alarm_counts.items():
+                    if total:
+                        counter.inc(total, detector=label)
+            return
+        columns = [
+            (label, *self._columns(label))
+            for label, total in self.alarm_counts.items()
+            if total
+        ]
+        for k in range(self.horizon):
+            for label, instances, steps, first, bounds in columns:
+                lo, hi = bounds[k], bounds[k + 1]
+                if lo == hi:
+                    continue
+                if counter is not None:
+                    counter.inc(hi - lo, detector=label)
+                if sinks:
+                    batch = AlarmBatch(
+                        label, instances[lo:hi], steps[lo:hi], first[lo:hi]
+                    )
+                    for sink in sinks:
+                        sink.emit(batch)
+            if scraper is not None:
+                scraper.maybe_scrape()
+
+
+__all__ = [
+    "AlarmTally",
+    "DetectorFleetStats",
+    "FleetReport",
+    "FleetSteps",
+    "build_detector_stats",
+]
