@@ -417,6 +417,31 @@ def _normalize_detector_specs(detectors: dict) -> dict:
     return normalized
 
 
+def _check_engine(engine, options) -> tuple[str, dict]:
+    """Build the engine once, so a bad name or option fails at config time.
+
+    Shared by :class:`RuntimeConfig` and :class:`ServiceConfig`.  The
+    constructor's ``TypeError`` (an unknown option, or a value of the wrong
+    type) becomes a :class:`ValidationError` naming the engine and the
+    option; its own ``ValidationError`` (a bad value) passes through.
+    """
+    engine = str(engine)
+    if engine not in ENGINES:
+        raise ValidationError(
+            f"unknown engine {engine!r}; available: {', '.join(ENGINES.available())}"
+        )
+    options = dict(options or {})
+    try:
+        ENGINES.create(engine, **options)
+    except TypeError as error:
+        supported, _ = _constructor_params(ENGINES.get(engine))
+        rejected = sorted(set(options) - supported) or sorted(options)
+        raise ValidationError(
+            f"engine {engine!r} rejects engine_options {rejected}: {error}"
+        ) from error
+    return engine, options
+
+
 @dataclass
 class RuntimeConfig:
     """Declarative description of one fleet-monitoring run (``run_fleet``).
@@ -467,7 +492,8 @@ class RuntimeConfig:
         Registry name (and constructor kwargs) of the fleet execution
         engine: ``"legacy"`` (the per-step reference loop) or ``"fused"``
         (the block-GEMM kernel of :mod:`repro.runtime.kernel`, taking
-        ``dtype`` and ``workers``).
+        ``dtype`` and ``workers``).  The engine is built here, so an unknown
+        or invalid option fails at construction, not inside ``run_fleet``.
     """
 
     n_instances: int = 100
@@ -547,12 +573,7 @@ class RuntimeConfig:
             attacks.append(entry)
         self.attacks = attacks
         self.noise_scale = float(self.noise_scale)
-        self.engine = str(self.engine)
-        if self.engine not in ENGINES:
-            raise ValidationError(
-                f"unknown engine {self.engine!r}; "
-                f"available: {', '.join(ENGINES.available())}"
-            )
+        self.engine, self.engine_options = _check_engine(self.engine, self.engine_options)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -651,9 +672,9 @@ class ServiceConfig:
         The wrapped sinks' overflow policy: ``"block"``, ``"drop-oldest"``
         or ``"drop-newest"``.
     engine / engine_options:
-        Registry name (and constructor kwargs) of the round-evaluation
-        engine: ``"legacy"`` (per-core loop) or ``"fused"`` (vectorized
-        :class:`~repro.runtime.kernel.serve.FusedServicePlan` rounds).
+        Registry name (and constructor kwargs) of the service's engine:
+        ``"legacy"`` or ``"fused"``.  Both step every core once per round;
+        the engine is built here, so bad options fail at construction.
     """
 
     case_study: str | None = None
@@ -716,12 +737,7 @@ class ServiceConfig:
                 f"unknown sink_policy {self.sink_policy!r}; "
                 f"expected one of {_SINK_POLICIES}"
             )
-        self.engine = str(self.engine)
-        if self.engine not in ENGINES:
-            raise ValidationError(
-                f"unknown engine {self.engine!r}; "
-                f"available: {', '.join(ENGINES.available())}"
-            )
+        self.engine, self.engine_options = _check_engine(self.engine, self.engine_options)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -8,12 +8,19 @@ instance).  This package provides:
 * :class:`~repro.detectors.threshold.ThresholdVector` — the threshold
   specification object produced by the synthesis algorithms,
 * :class:`~repro.detectors.residue.ResidueDetector` — the online detector,
+* :func:`~repro.detectors.threshold.residue_norms` — the one residue-norm
+  expression shared by every offline and online detector path,
 * chi-square and CUSUM baseline detectors from the literature,
 * evaluation metrics (false alarm rate, detection rate, detection delay,
   ROC sweeps).
 """
 
-from repro.detectors.threshold import ALARM_TOLERANCE, ThresholdVector, alarm_comparison
+from repro.detectors.threshold import (
+    ALARM_TOLERANCE,
+    ThresholdVector,
+    alarm_comparison,
+    residue_norms,
+)
 from repro.detectors.residue import ResidueDetector, DetectionResult
 from repro.detectors.chi_square import ChiSquareDetector
 from repro.detectors.cusum import CusumDetector
@@ -28,6 +35,7 @@ from repro.detectors.evaluation import (
 __all__ = [
     "ALARM_TOLERANCE",
     "alarm_comparison",
+    "residue_norms",
     "ThresholdVector",
     "ResidueDetector",
     "DetectionResult",

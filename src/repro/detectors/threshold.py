@@ -36,6 +36,33 @@ def alarm_comparison(norms: np.ndarray, thresholds: np.ndarray | float) -> np.nd
     return np.asarray(norms) >= np.asarray(thresholds) - ALARM_TOLERANCE
 
 
+def residue_norms(
+    residues: np.ndarray, norm: float | str, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Norms of residue vectors along the last (channel) axis.
+
+    The one residue-norm expression of the library: offline detectors apply
+    it to a ``(T, m)`` trace, the online cores to an ``(N, m)`` block or a
+    whole ``(T, N, m)`` horizon.  ``weights`` divides each channel first
+    (the normalised residue).  A single channel takes a shortcut that is
+    bit-identical to the reductions it skips — ``|x|`` for the inf- and
+    1-norms, ``sqrt(x*x)`` for the 2-norm.  Multi-channel 1-/2-norms reduce
+    over a C-contiguous channel axis, so a strided view of a block sums in
+    the same order as the contiguous per-step block it came from.
+    """
+    if weights is not None:
+        residues = residues / weights
+    if residues.shape[-1] == 1:
+        channel = residues[..., 0]
+        if norm == 2:
+            squared = channel * channel
+            return np.sqrt(squared, out=squared)
+        return np.abs(channel)
+    if norm == "inf":
+        return np.max(np.abs(residues), axis=-1)
+    return np.linalg.norm(np.ascontiguousarray(residues), ord=norm, axis=-1)
+
+
 @dataclass
 class ThresholdVector:
     """A per-sample residue threshold ``Th``.
@@ -234,17 +261,16 @@ class ThresholdVector:
         return np.concatenate([self.values, extension])
 
     def residue_norms(self, residues: np.ndarray) -> np.ndarray:
-        """Per-sample (weighted) residue norms using this specification's norm."""
+        """Per-sample (weighted) residue norms using this specification's norm.
+
+        ``residues`` is ``(..., m)``; the norm runs over the channel axis.
+        """
         residues = np.atleast_2d(np.asarray(residues, dtype=float))
-        if self.weights is not None:
-            if residues.shape[1] != self.weights.size:
-                raise ValidationError(
-                    f"residues have {residues.shape[1]} channels, weights expect {self.weights.size}"
-                )
-            residues = residues / self.weights
-        if self.norm == "inf":
-            return np.max(np.abs(residues), axis=1)
-        return np.linalg.norm(residues, ord=self.norm, axis=1)
+        if self.weights is not None and residues.shape[-1] != self.weights.size:
+            raise ValidationError(
+                f"residues have {residues.shape[-1]} channels, weights expect {self.weights.size}"
+            )
+        return residue_norms(residues, self.norm, self.weights)
 
     def alarms(self, residues: np.ndarray) -> np.ndarray:
         """Alarm flags ``||z_k|| >= Th[k]`` on a concrete residue sequence."""

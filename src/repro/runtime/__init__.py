@@ -14,8 +14,11 @@ The synthesis pipeline (:mod:`repro.api`) produces detectors; this package
   attack injector (:class:`ScheduledAttack`);
 * pluggable execution engines (:class:`LegacyEngine`, :class:`FusedEngine`
   from :mod:`repro.runtime.kernel`, selected by ``engine="legacy"/"fused"``
-  through :data:`repro.registry.ENGINES`) — the fused kernel collapses each
-  fleet step into one block GEMM while staying bit-identical in float64;
+  through :data:`repro.registry.ENGINES`) — stepper factories for the one
+  stepping loop; the fused stepper collapses each fleet step into one block
+  GEMM while staying bit-identical in float64.  Detectors then run one
+  vectorized pass per core (:meth:`BatchDetector.run`) over the recorded
+  residues;
 * an event layer (:class:`AlarmEvent`, the column-backed
   :class:`AlarmBatch`, :class:`InMemorySink`, :class:`JSONLSink`) and the
   :class:`FleetReport` aggregate;

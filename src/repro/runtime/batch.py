@@ -13,6 +13,13 @@ The cores deliberately reuse the *same* numpy expressions as the offline
 online produces bit-identical alarm sequences to the offline detectors; the
 equivalence is locked in by ``tests/test_runtime_online.py``.
 
+``run(block)`` advances a core over a whole ``(T, N, m)`` horizon at once.
+The threshold and CUSUM cores vectorize it: one call of the detector's own
+norm function over every step, then the comparison (threshold) or the
+serial clamp (CUSUM).  Every other core steps through the block.  Either
+way ``run`` equals the stacked ``step`` calls bit for bit and leaves the
+same state (``tests/test_runtime_detector_pass.py``).
+
 :func:`make_batched` adapts any of the library's offline objects — a
 :class:`~repro.detectors.threshold.ThresholdVector`, a residue / CUSUM /
 chi-square detector, or a plant :class:`~repro.monitors.base.Monitor` — into
@@ -49,15 +56,6 @@ class BatchDetector(abc.ABC):
         monitors).
     n_instances:
         Number of fleet instances stepped in parallel.
-    version:
-        Cache epoch.  Incremented by every operation that changes the core's
-        membership or parameters (:meth:`grow`, :meth:`compact`,
-        :meth:`rebind`) *without* touching surviving per-instance state.
-        Fused execution plans (``repro.runtime.kernel.serve``) key their
-        pre-stacked block matrices on this counter, so a mid-run attach or
-        threshold hot-swap rebuilds the stacks instead of silently applying
-        stale parameters — while detector state, which lives in the core and
-        never in the plan, survives the rebuild bit-for-bit.
     """
 
     consumes: str = "residues"
@@ -65,7 +63,6 @@ class BatchDetector(abc.ABC):
     def __init__(self, n_instances: int):
         self.n_instances = int(check_positive("n_instances", n_instances))
         self._step_index = 0
-        self.version = 0
 
     @property
     def step_index(self) -> int:
@@ -100,7 +97,6 @@ class BatchDetector(abc.ABC):
             raise ValidationError("grow requires a positive instance count")
         self._grow_state(count)
         self.n_instances += count
-        self.version += 1
 
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the batch to the given instance rows.
@@ -120,7 +116,6 @@ class BatchDetector(abc.ABC):
                 raise ValidationError("compact indices must be strictly increasing")
         self._compact_state(keep)
         self.n_instances = int(keep.size)
-        self.version += 1
 
     def _grow_state(self, count: int) -> None:
         """Per-core hook: append ``count`` fresh rows to every state array."""
@@ -148,12 +143,25 @@ class BatchDetector(abc.ABC):
             )
         return values
 
+    def _check_blocks(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        if values.ndim != 3 or values.shape[1] != self.n_instances:
+            raise ValidationError(
+                f"expected a (T, {self.n_instances}, m) block, got shape {values.shape}"
+            )
+        return values
+
     def run(self, values: np.ndarray) -> np.ndarray:
-        """Step through a ``(T, N, m)`` block; returns ``(T, N)`` alarm flags."""
-        values = np.asarray(values, dtype=float)
-        alarms = np.zeros(values.shape[:2], dtype=bool)
+        """Advance through a ``(T, N, m)`` block; returns ``(T, N)`` alarm flags.
+
+        Equal, bit for bit, to stacking ``step(values[k])`` for every ``k``:
+        this base version does exactly that, on a C-contiguous float64 copy
+        of each step (views of any layout or dtype are accepted).
+        """
+        values = self._check_blocks(values)
+        alarms = np.empty(values.shape[:2], dtype=bool)
         for k in range(values.shape[0]):
-            alarms[k] = self.step(values[k])
+            alarms[k] = self.step(np.ascontiguousarray(values[k], dtype=np.float64))
         return alarms
 
 
@@ -183,6 +191,26 @@ class BatchThresholdDetector(BatchDetector):
         self._step_index += 1
         return alarm_comparison(norms, self.threshold.values[index])
 
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """All steps' norms in one call, then one broadcast comparison.
+
+        A lockstep fleet (every instance at the same threshold position)
+        reads one ``(T,)`` timeline; instances attached mid-run read their
+        own ``(T, N)`` timelines.
+        """
+        values = self._check_blocks(values).astype(np.float64, copy=False)
+        norms = self.threshold.residue_norms(values)
+        T = values.shape[0]
+        steps = self._steps
+        last = self.threshold.length - 1
+        if steps.size and np.all(steps == steps[0]):
+            index = np.minimum(steps[0] + np.arange(T), last)[:, None]
+        else:
+            index = np.minimum(steps[None, :] + np.arange(T)[:, None], last)
+        steps += T
+        self._step_index += T
+        return alarm_comparison(norms, self.threshold.values[index])
+
     def reset(self) -> None:
         self._step_index = 0
         self._steps = np.zeros(self.n_instances, dtype=int)
@@ -207,7 +235,6 @@ class BatchThresholdDetector(BatchDetector):
                     "BatchThresholdDetector rebinds to a ThresholdVector"
                 ) from error
         self.threshold = threshold
-        self.version += 1
 
 
 class BatchCusum(BatchDetector):
@@ -224,6 +251,21 @@ class BatchCusum(BatchDetector):
         self._statistic = np.maximum(0.0, self._statistic + norms - self.detector.bias)
         self._step_index += 1
         return self._statistic >= self.detector.threshold
+
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """All steps' norms in one call, then the serial clamp in place."""
+        values = self._check_blocks(values).astype(np.float64, copy=False)
+        norms = self.detector._norms(values)
+        bias, threshold = self.detector.bias, self.detector.threshold
+        statistic = self._statistic
+        alarms = np.empty(norms.shape, dtype=bool)
+        for k in range(norms.shape[0]):
+            np.add(statistic, norms[k], out=statistic)
+            np.subtract(statistic, bias, out=statistic)
+            np.maximum(0.0, statistic, out=statistic)
+            np.greater_equal(statistic, threshold, out=alarms[k])
+        self._step_index += norms.shape[0]
+        return alarms
 
     def reset(self) -> None:
         self._step_index = 0
@@ -244,7 +286,6 @@ class BatchCusum(BatchDetector):
         if not isinstance(detector, CusumDetector):
             raise ValidationError("BatchCusum rebinds to a CusumDetector")
         self.detector = detector
-        self.version += 1
 
 
 class BatchChiSquare(BatchDetector):
@@ -272,7 +313,6 @@ class BatchChiSquare(BatchDetector):
         if not isinstance(detector, ChiSquareDetector):
             raise ValidationError("BatchChiSquare rebinds to a ChiSquareDetector")
         self.detector = detector
-        self.version += 1
 
 
 # ----------------------------------------------------------------------
@@ -489,7 +529,6 @@ class BatchMonitor(BatchDetector):
         replacement.adopt(self._root)
         self.monitor = monitor
         self._root = replacement
-        self.version += 1
 
     @property
     def state(self) -> dict:

@@ -7,7 +7,9 @@ batched numpy, so a fleet of thousands of plant instances steps at the cost
 of a handful of matrix products per sample instead of a Python loop per
 instance.
 
-Three layers build on the shared :class:`_BatchStepper`:
+Three layers; both fleet entry points run the one stepping loop,
+:func:`~repro.runtime.kernel.runner.simulate`, with the stepper their
+engine supplies:
 
 * :func:`batch_simulate` — run ``N`` closed loops to completion and record
   every trajectory (:class:`FleetTrace`); the vectorized replacement for
@@ -16,18 +18,19 @@ Three layers build on the shared :class:`_BatchStepper`:
 * :class:`ScheduledAttack` — one entry of the fleet's attack schedule: an
   :class:`~repro.attacks.templates.AttackTemplate` injected into a subset of
   the fleet from a given step onward.
-* :class:`FleetSimulator` — the monitored fleet: draws the streams, lets
-  its engine step the fleet and feed the deployed online detectors, and
-  hands the resulting ``(T, N)`` alarm stacks to
+* :class:`FleetSimulator` — the monitored fleet: draws the streams, runs the
+  stepping loop into whole-horizon residue/measurement stacks, runs each
+  deployed detector's pass (:meth:`~repro.runtime.batch.BatchDetector.run`)
+  over them, and hands the resulting ``(T, N)`` alarm stacks to
   :class:`~repro.runtime.report.AlarmTally`, which aggregates a
   :class:`~repro.runtime.report.FleetReport` and pushes
   :class:`~repro.runtime.events.AlarmBatch` views into the sinks.
 
-Both entry points accept an ``engine`` name resolved through
-:data:`repro.registry.ENGINES`: ``"legacy"`` (the per-step pipeline over
-:class:`_BatchStepper`, the default) or ``"fused"`` (the block-fused kernel of
-:mod:`repro.runtime.kernel`, bit-identical in float64 and gated by a
-differential probe).
+The ``engine`` name is resolved through :data:`repro.registry.ENGINES`:
+``"legacy"`` (the default) steps with :class:`_BatchStepper`, ``"fused"``
+with the block-fused kernel of :mod:`repro.runtime.kernel` (bit-identical in
+float64 and gated by a differential probe).  :class:`_BatchStepper` is also
+the fused engine's probe fallback.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ from repro.obs.trace import span
 from repro.registry import ENGINES
 from repro.runtime.batch import BatchDetector, make_batched
 from repro.runtime.events import EventSink
-from repro.runtime.report import AlarmTally, FleetReport, FleetSteps
+from repro.runtime.kernel.lanes import build_lanes
+from repro.runtime.kernel.runner import Stepping, new_recorder, simulate, stack_steps
+from repro.runtime.report import AlarmTally, FleetReport
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import ValidationError, check_positive
 
@@ -244,12 +249,26 @@ def batch_simulate(
     V = _check_noise_block(measurement_noise, (N, T, m), "measurement_noise")
     W = _check_noise_block(process_noise, (N, T, n), "process_noise")
     A = _check_noise_block(attacks, (N, T, m), "attacks")
-    has_process_noise = process_noise is not None
-    has_attack = attacks is not None
 
-    runner = ENGINES.create(engine, **dict(engine_options or {}))
-    return runner.batch_trace(
-        system, T, X0, Xhat0, V, W, A, has_process_noise, has_attack
+    stepping = ENGINES.create(engine, **dict(engine_options or {})).stepping(system, N)
+    recorder = new_recorder(plant, X0, Xhat0, T)
+    simulate(
+        system,
+        stepping,
+        X0,
+        Xhat0,
+        stack_steps(V, stepping.dtype),
+        stack_steps(W if process_noise is not None else None, stepping.dtype),
+        stack_steps(A if attacks is not None else None, stepping.dtype),
+        recorder=recorder,
+    )
+    return FleetTrace(
+        **recorder,
+        attacks=A,
+        process_noise=W,
+        measurement_noise=V,
+        dt=system.dt,
+        metadata={"system": system.name},
     )
 
 
@@ -384,7 +403,7 @@ class FleetSimulator:
         run's gauge/counter streams for regressions.
     engine:
         Execution engine name from :data:`repro.registry.ENGINES`:
-        ``"legacy"`` (default, the streaming per-step pipeline) or
+        ``"legacy"`` (default, the per-step reference stepper) or
         ``"fused"`` (the block-fused kernel, bit-identical in float64).
     engine_options:
         Constructor options for the engine, e.g. ``{"dtype": "float32",
@@ -505,10 +524,10 @@ class FleetSimulator:
     def run(self) -> FleetReport:
         """Step the whole fleet through the horizon and aggregate the report.
 
-        A run has three parts: :meth:`_prepare` draws the streams, the
-        engine's ``step_fleet`` steps the fleet and returns each detector's
-        ``(T, N)`` alarm stack, and :meth:`_finish` tallies and emits the
-        alarms and builds the report.
+        A run has three parts: :meth:`_prepare` draws the streams,
+        :meth:`_step` runs the stepping loop with the engine's stepper and
+        each detector's pass over the recorded stacks, and :meth:`_finish`
+        tallies and emits the alarms and builds the report.
         """
         runner = ENGINES.create(self.engine, **self.engine_options)
         scope = nullcontext()
@@ -522,7 +541,8 @@ class FleetSimulator:
             )
         with scope:
             run = self._prepare()
-            return self._finish(run, runner.step_fleet(self, run))
+            stepping = runner.stepping(self.system, self.n_instances, run.registry)
+            return self._finish(run, self._step(run, stepping), stepping.metadata)
 
     def _prepare(self) -> "_RunInputs":
         """Draw the streams, resolve the schedule, reset the detectors."""
@@ -549,30 +569,60 @@ class FleetSimulator:
             registry = self.metrics
         else:
             registry = get_registry()
-        recorder = self._new_recorder(X0) if self.record_traces else None
+        recorder = None
+        if self.record_traces:
+            recorder = new_recorder(self.system.plant, X0, self.xhat0, T, attacks=True)
         return _RunInputs(
             V, W, X0, schedule, attacked_mask, attack_start, recorder, registry, phases
         )
 
-    def _new_recorder(self, X0: np.ndarray) -> dict[str, np.ndarray]:
-        """Zeroed instance-major trace arrays with the initial states filled in."""
-        plant = self.system.plant
+    def _stream_stacks(self, run: "_RunInputs", dtype) -> tuple:
+        """Step-major ``(T, ·, N)`` noise and attack stacks, booked as draw time."""
         T, N = self.horizon, self.n_instances
-        n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
-        recorder = {
-            "states": np.zeros((N, T + 1, n)),
-            "estimates": np.zeros((N, T + 1, n)),
-            "inputs": np.zeros((N, T + 1, p)),
-            "measurements": np.zeros((N, T, m)),
-            "true_outputs": np.zeros((N, T, m)),
-            "residues": np.zeros((N, T, m)),
-            "attacks": np.zeros((N, T, m)),
-        }
-        recorder["states"][:, 0] = X0
-        recorder["estimates"][:, 0] = self.xhat0
-        return recorder
+        watch = Stopwatch()
+        Vt, Wt = stack_steps(run.V, dtype), stack_steps(run.W, dtype)
+        At = None
+        if run.schedule:
+            # Each (step, channel, instance) cell gets the entry-ordered sum.
+            At = np.zeros((T, self.system.plant.n_outputs, N), dtype=dtype)
+            for indices, values in run.schedule:
+                At[:, :, indices] += values[:, :, None]
+        run.phases["draw"] += watch.elapsed()
+        return Vt, Wt, At
 
-    def _finish(self, run: "_RunInputs", steps: FleetSteps) -> FleetReport:
+    def _step(self, run: "_RunInputs", stepping: Stepping) -> dict[str, np.ndarray]:
+        """The stepping loop, then each detector's pass: label → ``(T, N)`` alarms."""
+        T, N = self.horizon, self.n_instances
+        m = self.system.plant.n_outputs
+        lanes = build_lanes(self.detectors)
+        res = np.empty((T, m, N), dtype=stepping.dtype)
+        ya = None
+        if any(lane.consumes != "residues" for lane in lanes.values()):
+            ya = np.empty((T, m, N), dtype=stepping.dtype)
+        # The stream stacks live only through the loop call, so their memory
+        # is free again before the detector pass allocates its norms.
+        stacks = self._stream_stacks(run, stepping.dtype)
+        watch = Stopwatch()
+        simulate(
+            self.system,
+            stepping,
+            run.X0,
+            self.xhat0,
+            *stacks,
+            res_out=res,
+            ya_out=ya,
+            recorder=run.recorder,
+        )
+        run.phases["recursion"] = watch.elapsed()
+        del stacks
+        watch = Stopwatch()
+        alarms = {label: lane.alarms(res, ya) for label, lane in lanes.items()}
+        run.phases["lanes"] = watch.elapsed()
+        return alarms
+
+    def _finish(
+        self, run: "_RunInputs", alarms: dict[str, np.ndarray], engine: dict | None
+    ) -> FleetReport:
         """Tally and emit the alarm stacks, record metrics, build the report.
 
         The report's ``elapsed_seconds`` is the stepping window: the
@@ -581,15 +631,13 @@ class FleetSimulator:
         T, N = self.horizon, self.n_instances
         registry = run.registry
         phases = run.phases
-        for name, seconds in steps.phases.items():
-            phases[name] = phases.get(name, 0.0) + seconds
         counter = None
         if registry is not None:
             counter = registry.counter(
                 "fleet_alarms_total", help="Detector alarms fired during fleet runs."
             )
         watch = Stopwatch()
-        tally = AlarmTally(steps.alarms, run.attacked_mask, run.attack_start, T)
+        tally = AlarmTally(alarms, run.attacked_mask, run.attack_start, T)
         phases["tally"] = watch.elapsed()
         watch = Stopwatch()
         tally.publish(self.sinks, counter, self.scraper)
@@ -629,8 +677,8 @@ class FleetSimulator:
             )
 
         metadata = {"system": self.system.name, "seed": self.seed}
-        if steps.engine is not None:
-            metadata["engine"] = steps.engine
+        if engine is not None:
+            metadata["engine"] = engine
         metadata["attacks"] = [
             {
                 "label": entry.label or f"attack-{index}",
@@ -655,7 +703,7 @@ class FleetSimulator:
 
 @dataclass
 class _RunInputs:
-    """What an engine's ``step_fleet`` reads: one run's drawn inputs.
+    """One run's drawn inputs, as :meth:`FleetSimulator._step` reads them.
 
     ``V``/``W`` are the instance-major ``(N, T, ·)`` noise draws, ``X0``
     the initial states, ``schedule`` the resolved ``(instance ids, (T, m)

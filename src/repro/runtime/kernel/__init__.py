@@ -1,11 +1,11 @@
-"""``repro.runtime.kernel``: the fused fleet execution kernel.
+"""``repro.runtime.kernel``: the fleet stepping loop and its engines.
 
-The opt-in fast path behind ``engine="fused"``: a single block-matrix GEMM
-per fleet step (:mod:`~repro.runtime.kernel.core`), detector lanes folded
-over pre-stacked residues (:mod:`~repro.runtime.kernel.lanes`), contiguous
-shard-across-cores execution and the registered ``legacy``/``fused`` engine
-objects (:mod:`~repro.runtime.kernel.runner`), plus version-keyed fused
-service rounds (:mod:`~repro.runtime.kernel.serve`).
+Engines are stepper factories (:mod:`~repro.runtime.kernel.runner`): the
+registered ``legacy`` engine hands the one stepping loop the legacy stepper,
+the opt-in ``fused`` engine a single block-matrix GEMM per fleet step
+(:mod:`~repro.runtime.kernel.core`), with contiguous shard-across-cores
+execution.  After the loop, each deployed detector runs its one vectorized
+pass over the recorded stacks (:mod:`~repro.runtime.kernel.lanes`).
 
 The float64 fused path is *bit-identical* to the legacy stepper, enforced by
 a per-system differential probe at run time and by the differential test
@@ -18,7 +18,6 @@ the equivalence-gate policy.
 from repro.runtime.kernel.core import FusedStepper, probe_fused_equivalence
 from repro.runtime.kernel.lanes import build_lanes
 from repro.runtime.kernel.runner import FusedEngine, LegacyEngine
-from repro.runtime.kernel.serve import FusedServicePlan
 
 __all__ = [
     "FusedStepper",
@@ -26,5 +25,4 @@ __all__ = [
     "build_lanes",
     "FusedEngine",
     "LegacyEngine",
-    "FusedServicePlan",
 ]

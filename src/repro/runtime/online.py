@@ -61,17 +61,6 @@ class OnlineDetector(abc.ABC):
         return self._core.step_index
 
     @property
-    def version(self) -> int:
-        """Cache epoch of the wrapped core (bumped by every :meth:`rebind`).
-
-        Mirrors :attr:`repro.runtime.batch.BatchDetector.version`, the key
-        fused execution plans use to notice parameter swaps; exposing it here
-        lets callers holding only the online wrapper invalidate their own
-        caches on the same signal.
-        """
-        return self._core.version
-
-    @property
     def state(self) -> dict:
         """Snapshot of the detector state (step counter plus detector-specific state)."""
         return self._core.state

@@ -209,26 +209,6 @@ def build_detector_stats(
     return stats
 
 
-@dataclass
-class FleetSteps:
-    """What a fleet engine's ``step_fleet`` returns to the simulator.
-
-    Attributes
-    ----------
-    alarms:
-        Label → ``(T, N)`` boolean alarm stack, in detector-bank order.
-    phases:
-        Seconds the engine spent per phase (``recursion``, ``lanes``; time
-        booked under ``draw`` adds to the simulator's own draw time).
-    engine:
-        The report's ``metadata["engine"]`` entry (``None`` to omit it).
-    """
-
-    alarms: dict[str, np.ndarray]
-    phases: dict[str, float]
-    engine: dict | None = None
-
-
 def _first_index(flags: np.ndarray) -> np.ndarray:
     """Per-column index of the first ``True`` row of ``flags`` (``-1`` if none)."""
     first = np.full(flags.shape[1], -1, dtype=int)
@@ -361,6 +341,5 @@ __all__ = [
     "AlarmTally",
     "DetectorFleetStats",
     "FleetReport",
-    "FleetSteps",
     "build_detector_stats",
 ]

@@ -182,13 +182,10 @@ class MonitorService:
         CUSUM detectors, one observation per processed round.
     engine / engine_options:
         Name (from :data:`repro.registry.ENGINES`) and constructor options
-        of the round-evaluation engine.  ``"legacy"`` (default) steps every
-        core per round; ``"fused"`` evaluates rounds through a version-keyed
-        :class:`~repro.runtime.kernel.serve.FusedServicePlan` that shares
-        norm computations across the bank.  Alarm decisions, event ordering
-        and per-instance detector state are identical either way — attach/
-        detach/hot-swap bump each core's ``version``, which rebuilds the
-        fused plan without resetting surviving instances.
+        of the engine.  Both engines run the same round — every core steps
+        once (:func:`~repro.runtime.kernel.runner.service_round`) — so
+        alarm decisions, event ordering and per-instance detector state do
+        not depend on the choice; the name is recorded in the service log.
     """
 
     def __init__(

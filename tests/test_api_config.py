@@ -238,3 +238,49 @@ class TestRuntimeConfigExport:
         config = RuntimeConfig(n_instances=5, static_thresholds={"paper": 1.0})
         assert RuntimeConfig.from_json(config.to_json()) == config
         assert callable(run_fleet)
+
+
+class TestEngineOptionsValidation:
+    """Both configs build their engine once, so bad options fail at construction."""
+
+    @pytest.fixture(params=["runtime", "service"])
+    def config_cls(self, request):
+        from repro.api import RuntimeConfig, ServiceConfig
+
+        return RuntimeConfig if request.param == "runtime" else ServiceConfig
+
+    @pytest.mark.parametrize(
+        "engine, options, named",
+        [
+            ("legacy", {"dtype": "float32"}, "dtype"),
+            ("legacy", {"workers": 2}, "workers"),
+            ("fused", {"dtyp": "float32"}, "dtyp"),
+            ("fused", {"dtype": "float64", "wrokers": 2}, "wrokers"),
+            ("fused", {"workers": None}, "workers"),
+        ],
+    )
+    def test_rejected_option_is_a_validation_error_naming_it(
+        self, config_cls, engine, options, named
+    ):
+        with pytest.raises(ValidationError) as raised:
+            config_cls(engine=engine, engine_options=options)
+        message = str(raised.value)
+        assert repr(engine) in message and repr(named) in message
+        assert isinstance(raised.value.__cause__, TypeError)
+
+    def test_bad_values_and_unknown_engines_fail_at_construction(self, config_cls):
+        with pytest.raises(ValidationError):
+            config_cls(engine="no-such-engine")
+        with pytest.raises(ValidationError):
+            config_cls(engine="fused", engine_options={"dtype": "float16"})
+        with pytest.raises(ValidationError):
+            config_cls(engine="fused", engine_options={"workers": 0})
+
+    @pytest.mark.parametrize(
+        "engine, options",
+        [("legacy", {}), ("fused", {}), ("fused", {"dtype": "float32", "workers": 2})],
+    )
+    def test_valid_options_round_trip(self, config_cls, engine, options):
+        config = config_cls(engine=engine, engine_options=options)
+        assert config.engine == engine and config.engine_options == options
+        assert config_cls.from_dict(config.to_dict()) == config

@@ -1,13 +1,17 @@
-"""Differential equivalence layer: fused float64 vs the legacy fleet engine.
+"""Differential equivalence layer: both engine names vs an independent oracle.
 
-This is the gate behind ``engine="fused"``: for every packaged case study,
-every deployed detector family (static threshold, CUSUM, chi-square, plant
-monitors) and both attack modes, a fused float64 run must be *bit-identical*
-(``np.array_equal``, no tolerance) to the legacy engine — traces, alarm
-events (including their order) and report statistics alike.  A seeded
-randomized property test extends the same check to arbitrary stable LTI
-closed loops, including plants with a nonzero feed-through ``D`` (a path no
-packaged case study exercises).
+Both engine names run one stepping loop and one detector pass, so comparing
+them to each other would prove little.  The reference is the per-step loop
+the runtime ran before (``fleet_oracle``/``batch_oracle`` in
+``tests/conftest.py``): one ``_BatchStepper`` step and one ``detector.step``
+per core per sampling instance.  For every packaged case study, every
+deployed detector family (static threshold, CUSUM, chi-square, plant
+monitors) and both attack modes, a legacy run and a fused float64 run must
+each be *bit-identical* (``np.array_equal``, no tolerance) to the oracle —
+traces, alarm events (including their order) and report statistics alike.
+A seeded randomized property test extends the same check to arbitrary
+stable LTI closed loops, including plants with a nonzero feed-through ``D``
+(a path no packaged case study exercises).
 
 The fused engine is allowed to *choose* the legacy stepper per shard when
 its differential probe rejects the BLAS at the run's width — the gate here
@@ -31,6 +35,7 @@ from repro.runtime.fleet import FleetSimulator, ScheduledAttack, batch_simulate
 from repro.runtime.kernel import probe_fused_equivalence
 
 CASE_STUDY_NAMES = ("cruise", "dcmotor", "pendulum", "quadtank", "trajectory", "vsc")
+ENGINE_NAMES = ("legacy", "fused")
 
 TRACE_FIELDS = (
     "states",
@@ -62,64 +67,97 @@ def _detector_bank(problem) -> dict:
     return bank
 
 
-def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11, **options):
-    sink = InMemorySink()
+def _simulator(problem, engine, sink, *, attacked, n_instances, horizon, seed, **options):
     attacks = (
         [ScheduledAttack(BiasAttack(bias=0.4), fraction=0.3, start=horizon // 4)]
         if attacked
         else []
     )
-    simulator = FleetSimulator(
+    return FleetSimulator(
         problem.system,
         n_instances,
         horizon,
         detectors=_detector_bank(problem),
         x0=problem.x0,
         attacks=attacks,
-        sinks=[sink],
+        sinks=[] if sink is None else [sink],
         seed=seed,
         record_traces=True,
         metrics=False,
         engine=engine,
         engine_options=options,
     )
+
+
+def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11, **options):
+    sink = InMemorySink()
+    simulator = _simulator(
+        problem,
+        engine,
+        sink,
+        attacked=attacked,
+        n_instances=n_instances,
+        horizon=horizon,
+        seed=seed,
+        **options,
+    )
     report = simulator.run()
     return report, simulator.trace, list(sink.events)
 
 
-def _assert_bit_identical(legacy, fused):
-    report_l, trace_l, events_l = legacy
-    report_f, trace_f, events_f = fused
+def _oracle(fleet_oracle, problem, *, attacked, n_instances=37, horizon=60, seed=11):
+    simulator = _simulator(
+        problem,
+        "legacy",
+        None,
+        attacked=attacked,
+        n_instances=n_instances,
+        horizon=horizon,
+        seed=seed,
+    )
+    return fleet_oracle(simulator)
+
+
+def _assert_matches_oracle(oracle, run):
+    stats, n_attacked, trace_o, events_o = oracle
+    report, trace, events = run
     for field in TRACE_FIELDS:
-        left, right = getattr(trace_l, field), getattr(trace_f, field)
+        left, right = getattr(trace_o, field), getattr(trace, field)
         assert np.array_equal(left, right), f"trace field {field!r} diverged"
-    assert events_l == events_f, "alarm event streams diverged"
-    assert report_l.n_attacked == report_f.n_attacked
-    assert set(report_l.detectors) == set(report_f.detectors)
-    for label in report_l.detectors:
+    assert events_o == events, "alarm event streams diverged"
+    assert report.n_attacked == n_attacked
+    assert set(report.detectors) == set(stats)
+    for label in stats:
         assert (
-            report_l.detectors[label].to_dict() == report_f.detectors[label].to_dict()
+            report.detectors[label].to_dict() == stats[label]
         ), f"detector stats for {label!r} diverged"
 
 
 class TestCaseStudyEquivalence:
-    """Fused float64 ≡ legacy on every case study and detector family."""
+    """Legacy and fused float64 ≡ the oracle on every case study and detector family."""
 
     @pytest.mark.parametrize("attacked", [False, True], ids=["benign", "attacked"])
     @pytest.mark.parametrize("name", CASE_STUDY_NAMES)
-    def test_fused_float64_is_bit_identical(self, problems, name, attacked):
+    def test_fused_float64_is_bit_identical(self, problems, fleet_oracle, name, attacked):
         problem = problems[name]
-        legacy = _run(problem, "legacy", attacked=attacked)
+        oracle = _oracle(fleet_oracle, problem, attacked=attacked)
         fused = _run(problem, "fused", attacked=attacked, dtype="float64")
-        _assert_bit_identical(legacy, fused)
+        _assert_matches_oracle(oracle, fused)
 
-    def test_single_instance_fleet_pads_without_divergence(self, problems):
+    @pytest.mark.parametrize("attacked", [False, True], ids=["benign", "attacked"])
+    @pytest.mark.parametrize("name", CASE_STUDY_NAMES)
+    def test_legacy_is_bit_identical(self, problems, fleet_oracle, name, attacked):
+        problem = problems[name]
+        oracle = _oracle(fleet_oracle, problem, attacked=attacked)
+        _assert_matches_oracle(oracle, _run(problem, "legacy", attacked=attacked))
+
+    def test_single_instance_fleet_pads_without_divergence(self, problems, fleet_oracle):
         # Width-1 shards ride a zero discard column inside the kernel; the
         # padding must never leak into the observable output.
         problem = problems["dcmotor"]
-        legacy = _run(problem, "legacy", attacked=True, n_instances=1)
-        fused = _run(problem, "fused", attacked=True, n_instances=1, dtype="float64")
-        _assert_bit_identical(legacy, fused)
+        oracle = _oracle(fleet_oracle, problem, attacked=True, n_instances=1)
+        for engine in ENGINE_NAMES:
+            _assert_matches_oracle(oracle, _run(problem, engine, attacked=True, n_instances=1))
 
     def test_engine_metadata_reports_the_chosen_path(self, problems):
         report, _, _ = _run(problems["quadtank"], "fused", attacked=False)
@@ -171,10 +209,10 @@ def _random_closed_loop(rng: np.random.Generator, with_feedthrough: bool):
 
 
 class TestRandomizedSystems:
-    """Seeded property test: fused ≡ legacy on arbitrary stable LTI loops."""
+    """Seeded property test: both engines ≡ the oracle on arbitrary stable LTI loops."""
 
     @pytest.mark.parametrize("case", range(6))
-    def test_random_stable_lti_is_bit_identical(self, case):
+    def test_random_stable_lti_is_bit_identical(self, batch_oracle, case):
         rng = np.random.default_rng(900 + case)
         system = _random_closed_loop(rng, with_feedthrough=case % 2 == 1)
         plant = system.plant
@@ -184,29 +222,46 @@ class TestRandomizedSystems:
         A = rng.standard_normal((N, T, plant.n_outputs)) * 1e-2
         x0 = rng.standard_normal((N, plant.n_states)) * 0.1
 
+        oracle = batch_oracle(system, x0, np.zeros_like(x0), V, W, A)
         kwargs = dict(
             x0=x0, measurement_noise=V, process_noise=W, attacks=A
         )
-        legacy = batch_simulate(system, T, engine="legacy", **kwargs)
-        fused = batch_simulate(system, T, engine="fused", **kwargs)
-        for field in TRACE_FIELDS:
-            assert np.array_equal(
-                getattr(legacy, field), getattr(fused, field)
-            ), f"trace field {field!r} diverged on random system {case}"
+        for engine in ENGINE_NAMES:
+            trace = batch_simulate(system, T, engine=engine, **kwargs)
+            for field, expected in oracle.items():
+                assert np.array_equal(
+                    expected, getattr(trace, field)
+                ), f"trace field {field!r} diverged on random system {case} ({engine})"
+            assert np.array_equal(trace.attacks, A)
 
-    def test_feedthrough_plants_take_the_output_feed_rows(self):
+    def test_feedthrough_plants_take_the_output_feed_rows(self, batch_oracle):
         # No packaged case study has D != 0; make sure the fused kernel's
-        # feed-through block both exists and matches the legacy output feed.
+        # feed-through block both exists and matches the oracle's output feed.
         rng = np.random.default_rng(1234)
         system = _random_closed_loop(rng, with_feedthrough=True)
         assert np.any(system.plant.D)
         N, T = 9, 40
+        n = system.plant.n_states
         V = rng.standard_normal((N, T, system.plant.n_outputs)) * 1e-2
-        legacy = batch_simulate(
-            system, T, measurement_noise=V, engine="legacy", n_instances=N
-        )
-        fused = batch_simulate(
-            system, T, measurement_noise=V, engine="fused", n_instances=N
-        )
-        assert np.array_equal(legacy.measurements, fused.measurements)
-        assert np.array_equal(legacy.residues, fused.residues)
+        oracle = batch_oracle(system, np.zeros((N, n)), np.zeros((N, n)), V)
+        for engine in ENGINE_NAMES:
+            trace = batch_simulate(
+                system, T, measurement_noise=V, engine=engine, n_instances=N
+            )
+            assert np.array_equal(oracle["measurements"], trace.measurements)
+            assert np.array_equal(oracle["residues"], trace.residues)
+
+    def test_single_instance_batch_is_bit_identical(self, batch_oracle):
+        # batch_simulate's width-1 case: the fused engine pads, the legacy
+        # engine runs its lone full-width shard unpadded.
+        rng = np.random.default_rng(77)
+        system = _random_closed_loop(rng, with_feedthrough=True)
+        plant = system.plant
+        T = 30
+        V = rng.standard_normal((1, T, plant.n_outputs)) * 1e-2
+        x0 = rng.standard_normal((1, plant.n_states)) * 0.1
+        oracle = batch_oracle(system, x0, np.zeros_like(x0), V)
+        for engine in ENGINE_NAMES:
+            trace = batch_simulate(system, T, x0=x0, measurement_noise=V, engine=engine)
+            for field, expected in oracle.items():
+                assert np.array_equal(expected, getattr(trace, field)), (field, engine)

@@ -9,7 +9,10 @@ that two ways: shard layouts the BLAS reproduces exactly run sharded
 (verified by :func:`~repro.runtime.kernel.runner.probe_shard_stability`),
 and layouts it would perturb are clamped to a single shard.  These tests
 assert the contract over worker counts {1, 2, 7, N}, so they hold on every
-BLAS regardless of which branch the probe picks.
+BLAS regardless of which branch the probe picks.  In float64 every worker
+count is compared against the independent per-step oracle
+(``fleet_oracle`` in ``tests/conftest.py``); float32 has no oracle, so its
+reference is the unsharded run.
 """
 
 import numpy as np
@@ -41,9 +44,8 @@ def quadtank_problem():
     return CASE_STUDIES.create("quadtank").problem
 
 
-def _run(problem, *, workers, dtype):
-    sink = InMemorySink()
-    simulator = FleetSimulator(
+def _simulator(problem, sink, **engine):
+    return FleetSimulator(
         problem.system,
         N_INSTANCES,
         HORIZON,
@@ -53,41 +55,57 @@ def _run(problem, *, workers, dtype):
         },
         x0=problem.x0,
         attacks=[ScheduledAttack(BiasAttack(bias=0.4), fraction=0.3, start=12)],
-        sinks=[sink],
+        sinks=[] if sink is None else [sink],
         seed=5,
         record_traces=True,
         metrics=False,
+        **engine,
+    )
+
+
+def _run(problem, *, workers, dtype):
+    sink = InMemorySink()
+    simulator = _simulator(
+        problem,
+        sink,
         engine="fused",
         engine_options={"dtype": dtype, "workers": workers},
     )
     report = simulator.run()
-    return report, simulator.trace, list(sink.events)
+    stats = {label: s.to_dict() for label, s in report.detectors.items()}
+    return stats, simulator.trace, list(sink.events), report
+
+
+def _reference(problem, fleet_oracle, dtype):
+    """The float64 oracle, or the unsharded run in float32."""
+    if dtype == "float64":
+        stats, _, trace, events = fleet_oracle(_simulator(problem, None, engine="legacy"))
+        return stats, trace, events
+    return _run(problem, workers=1, dtype=dtype)[:3]
 
 
 class TestWorkerIndependence:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_every_worker_count_matches_unsharded(self, quadtank_problem, dtype):
-        reference = _run(quadtank_problem, workers=1, dtype=dtype)
-        for workers in WORKER_COUNTS[1:]:
-            report, trace, events = _run(quadtank_problem, workers=workers, dtype=dtype)
+    def test_every_worker_count_matches_unsharded(
+        self, quadtank_problem, fleet_oracle, dtype
+    ):
+        ref_stats, ref_trace, ref_events = _reference(quadtank_problem, fleet_oracle, dtype)
+        for workers in WORKER_COUNTS:
+            stats, trace, events, _ = _run(quadtank_problem, workers=workers, dtype=dtype)
             for field in TRACE_FIELDS:
                 assert np.array_equal(
-                    getattr(trace, field), getattr(reference[1], field)
+                    getattr(trace, field), getattr(ref_trace, field)
                 ), f"{field!r} diverged at workers={workers} ({dtype})"
             # Event identity AND order: sharding must not reorder alarms.
-            assert events == reference[2], f"event stream diverged at workers={workers}"
-            for label in reference[0].detectors:
-                assert (
-                    report.detectors[label].to_dict()
-                    == reference[0].detectors[label].to_dict()
-                ), f"stats for {label!r} diverged at workers={workers}"
+            assert events == ref_events, f"event stream diverged at workers={workers}"
+            assert stats == ref_stats, f"stats diverged at workers={workers}"
 
     def test_effective_workers_never_exceed_the_fleet(self, quadtank_problem):
-        report, _, _ = _run(quadtank_problem, workers=500, dtype="float64")
+        report = _run(quadtank_problem, workers=500, dtype="float64")[3]
         assert 1 <= report.metadata["engine"]["workers"] <= N_INSTANCES
 
     def test_metadata_records_shard_stability_verdict(self, quadtank_problem):
-        report, _, _ = _run(quadtank_problem, workers=2, dtype="float64")
+        report = _run(quadtank_problem, workers=2, dtype="float64")[3]
         engine = report.metadata["engine"]
         assert isinstance(engine["shard_stable"], bool)
         if not engine["shard_stable"]:

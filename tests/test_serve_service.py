@@ -371,14 +371,13 @@ class TestBatchObserver:
 
 
 class TestFusedEngineRounds:
-    """The fused round engine against the legacy per-core loop.
+    """Service rounds under both engine names.
 
-    Regression scope: the fused engine caches a version-keyed execution plan
-    over the detector bank, and growing or compacting the bank mid-run (an
-    attach/detach) or hot-swapping thresholds must rebuild that plan without
-    resetting any surviving instance's detector state.  Every test drives the
-    identical scenario through both engines and requires bit-identical alarm
-    streams and counters.
+    Regression scope: growing or compacting the bank mid-run (an
+    attach/detach) or hot-swapping thresholds must never reset any
+    surviving instance's detector state, whichever engine name the service
+    runs under.  Every test drives the identical scenario through both
+    engines and requires bit-identical alarm streams and counters.
     """
 
     def _drive(self, problem, engine, *, swap_at=None, membership_churn=False):
@@ -424,9 +423,8 @@ class TestFusedEngineRounds:
     def test_grow_compact_mid_run_rebuilds_the_plan_without_resets(
         self, dcmotor_problem
     ):
-        # The latent edge this PR fixes: an attach after the fused plan was
-        # built must invalidate it (the cores' version counters bump) while
-        # survivors keep their CUSUM accumulators and threshold positions.
+        # An attach after rounds have run must leave the survivors' CUSUM
+        # accumulators and threshold positions untouched.
         legacy_events, legacy_stats = self._drive(
             dcmotor_problem, "legacy", membership_churn=True
         )
@@ -438,9 +436,8 @@ class TestFusedEngineRounds:
         assert fused_stats == legacy_stats
 
     def test_hot_swap_after_plan_build_takes_effect(self, dcmotor_problem):
-        # The swap lands mid-run, after rounds have cached a fused plan; the
-        # rebind bumps the core's version, so the stale pre-swap parameters
-        # must never be applied to a post-swap round.
+        # The swap lands mid-run; the stale pre-swap parameters must never
+        # be applied to a post-swap round.
         legacy_events, legacy_stats = self._drive(dcmotor_problem, "legacy", swap_at=15)
         fused_events, fused_stats = self._drive(dcmotor_problem, "fused", swap_at=15)
         assert legacy_events, "the scenario must actually raise alarms"
