@@ -10,9 +10,11 @@ The benign population is generated with the vectorized fleet stepper
 (:func:`repro.runtime.fleet.batch_simulate`): all trials advance together in
 batched numpy instead of one Python simulation loop per trial, and detector
 evaluation runs over the stacked ``(N, T, m)`` residue tensor in one pass
-per detector.  Each trial keeps its own noise stream (one spawned RNG per
-trial, drawn in the same order as the historical per-trace loop), so rates
-are identical to the sequential implementation.
+per detector.  The noise comes from one block draw per population
+(:func:`repro.noise.generators.draw_streams`, the call the fleet runtime
+makes), so a FAR population of ``N`` and a fleet of ``N`` built from the
+same seed see the same randomness, and simulating each trial on its own
+from its rows of the blocks gives identical rates.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 from repro.core.problem import SynthesisProblem
 from repro.detectors.threshold import ThresholdVector, alarm_comparison
 from repro.lti.simulate import SimulationTrace
+from repro.noise.generators import draw_streams
 from repro.noise.models import BoundedUniformNoise, NoiseModel
 from repro.runtime.fleet import batch_simulate
-from repro.utils.rng import spawn_rngs
 from repro.utils.validation import ValidationError, check_positive
 
 
@@ -151,39 +153,30 @@ class FalseAlarmEvaluator:
     def benign_traces(self) -> list[SimulationTrace]:
         """The filtered benign population (memoised across evaluate() calls).
 
-        All trials are simulated together through the vectorized fleet
-        stepper; only the per-trial noise *sampling* (one independent RNG per
-        trial, same draw order as the historical sequential loop) and the
-        pfc/mdc filtering remain per trial.
+        The noise is one block draw for the whole population and all trials
+        are simulated together through the vectorized fleet stepper; only
+        the pfc/mdc filtering remains per trial.
         """
         if self._traces is not None:
             return self._traces
         problem = self.problem
         plant = problem.system.plant
-        T, n, m = problem.horizon, plant.n_states, plant.n_outputs
-        count = self.count
-        rngs = spawn_rngs(self.seed, count)
-
-        measurement_noise = np.zeros((count, T, m))
-        process_noise = None
-        draw_process = self.include_process_noise and plant.Q_w is not None
-        if draw_process:
-            process_noise = np.zeros((count, T, n))
-        x0 = np.tile(problem.x0, (count, 1))
-        for i, rng in enumerate(rngs):
-            measurement_noise[i] = self.noise_model.sample(T, rng)
-            if draw_process:
-                process_noise[i] = rng.multivariate_normal(np.zeros(n), plant.Q_w, size=T)
-            if self.initial_state_spread is not None:
-                offset = rng.uniform(-1.0, 1.0, size=self.initial_state_spread.size)
-                x0[i] = problem.x0 + offset * self.initial_state_spread
-
+        T = problem.horizon
+        streams = draw_streams(
+            self.seed,
+            self.count,
+            T,
+            self.noise_model,
+            process_covariance=plant.Q_w if self.include_process_noise else None,
+            x0_spread=self.initial_state_spread,
+        )
+        x0 = problem.x0 if streams.x0_offsets is None else problem.x0 + streams.x0_offsets
         fleet = batch_simulate(
             problem.system,
             T,
             x0=x0,
-            measurement_noise=measurement_noise,
-            process_noise=process_noise,
+            measurement_noise=streams.measurement,
+            process_noise=streams.process,
             engine=self.engine,
             engine_options=self.engine_options,
         )
@@ -191,7 +184,7 @@ class FalseAlarmEvaluator:
         traces: list[SimulationTrace] = []
         self._discarded_pfc = 0
         self._discarded_mdc = 0
-        for i in range(count):
+        for i in range(self.count):
             trace = fleet.instance(i)
             if self.filter_pfc and not problem.pfc_satisfied(trace):
                 self._discarded_pfc += 1

@@ -45,7 +45,9 @@ An experiment unit's content address is the *pair* of two SHA-256 halves
   knobs (``max_rounds``, ``min_threshold``) and the relax stage;
 * the **evaluation key** hashes the fields that only post-process the
   synthesized detector — the FAR population (count/seed/noise scale/...)
-  and the online probe settings.
+  and the online probe settings — plus the noise stream contract's
+  :data:`~repro.utils.rng.STREAM_VERSION`, so FAR and probe rows drawn
+  under another contract are recomputed while synthesis records are reused.
 
 The full row is stored under ``"<synthesis>:<evaluation>"``
 (:func:`unit_store_key`), and the reusable synthesis outcome additionally
@@ -73,6 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.utils.rng import STREAM_VERSION
 from repro.utils.validation import ValidationError
 
 _INDEX_VERSION = 1
@@ -132,7 +135,8 @@ def split_unit_keys(config: dict) -> tuple[str, str]:
             "SYNTHESIS_KEY_FIELDS or EVALUATION_KEY_FIELDS in repro.explore.store"
         )
     synthesis = canonical_config_key({k: config.get(k) for k in SYNTHESIS_KEY_FIELDS})
-    evaluation = canonical_config_key({k: config.get(k) for k in EVALUATION_KEY_FIELDS})
+    evaluation_fields = {k: config.get(k) for k in EVALUATION_KEY_FIELDS}
+    evaluation = canonical_config_key({**evaluation_fields, "streams": STREAM_VERSION})
     return synthesis, evaluation
 
 

@@ -13,7 +13,7 @@ from repro.noise.models import (
     TruncatedGaussianNoise,
     ZeroNoise,
 )
-from repro.noise.generators import noise_matrix, noise_vector_batch
+from repro.noise.generators import Streams, draw_streams, noise_matrix, noise_vector_batch
 
 __all__ = [
     "NoiseModel",
@@ -21,6 +21,8 @@ __all__ = [
     "BoundedUniformNoise",
     "TruncatedGaussianNoise",
     "ZeroNoise",
+    "Streams",
+    "draw_streams",
     "noise_matrix",
     "noise_vector_batch",
 ]

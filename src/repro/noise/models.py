@@ -13,7 +13,12 @@ from repro.utils.validation import ValidationError, check_symmetric
 
 
 class NoiseModel(abc.ABC):
-    """Abstract per-sample noise model over a fixed-dimension vector."""
+    """Abstract per-sample noise model over a fixed-dimension vector.
+
+    A subclass implements :meth:`sample`; :meth:`sample_block` then draws a
+    population row by row.  The built-in models override
+    :meth:`sample_block` with one vectorized call.
+    """
 
     @property
     @abc.abstractmethod
@@ -23,6 +28,20 @@ class NoiseModel(abc.ABC):
     @abc.abstractmethod
     def sample(self, horizon: int, rng=None) -> np.ndarray:
         """Draw a ``(horizon, dimension)`` block of noise samples."""
+
+    def sample_block(self, count: int, horizon: int, rng=None) -> np.ndarray:
+        """Draw ``count`` realisations as one ``(count, horizon, dimension)`` block.
+
+        Row ``i`` is realisation ``i``.  Blocks are prefix-stable: from two
+        equal generators, ``sample_block(k, T)`` is the first ``k`` rows of
+        ``sample_block(N, T)``, so a contiguous range of instances is a
+        slice of the block.
+        """
+        rng = ensure_rng(rng)
+        block = np.empty((int(count), int(horizon), self.dimension))
+        for row in block:
+            row[...] = self.sample(horizon, rng)
+        return block
 
     def sample_one(self, rng=None) -> np.ndarray:
         """Draw a single sample (length ``dimension``)."""
@@ -43,6 +62,9 @@ class ZeroNoise(NoiseModel):
     def sample(self, horizon: int, rng=None) -> np.ndarray:
         return np.zeros((int(horizon), self.size))
 
+    def sample_block(self, count: int, horizon: int, rng=None) -> np.ndarray:
+        return np.zeros((int(count), int(horizon), self.size))
+
 
 @NOISE_MODELS.register("gaussian")
 @dataclass(frozen=True)
@@ -54,16 +76,30 @@ class GaussianNoise(NoiseModel):
     def __post_init__(self) -> None:
         covariance = check_symmetric("covariance", self.covariance)
         object.__setattr__(self, "covariance", covariance)
+        # One factorization per model, F with F^T F = covariance (the SVD
+        # factor numpy's multivariate_normal uses; it handles singular
+        # covariances).
+        _, s, vt = np.linalg.svd(covariance)
+        factor = np.sqrt(s)[:, None] * vt
+        if not np.allclose(factor.T @ factor, covariance, rtol=1e-8, atol=1e-8):
+            raise ValidationError("covariance must be positive semidefinite")
+        object.__setattr__(self, "_factor", factor)
 
     @property
     def dimension(self) -> int:
         return self.covariance.shape[0]
 
     def sample(self, horizon: int, rng=None) -> np.ndarray:
-        rng = ensure_rng(rng)
-        return rng.multivariate_normal(
-            np.zeros(self.dimension), self.covariance, size=int(horizon)
-        )
+        return self.sample_block(1, horizon, rng)[0]
+
+    def sample_block(self, count: int, horizon: int, rng=None) -> np.ndarray:
+        z = ensure_rng(rng).standard_normal((int(count), int(horizon), self.dimension))
+        # z @ F accumulated row by row with elementwise ops, not a BLAS
+        # product: a row's values then do not depend on the block's size.
+        block = z[..., :1] * self._factor[0]
+        for j in range(1, self.dimension):
+            block += z[..., j : j + 1] * self._factor[j]
+        return block
 
     @classmethod
     def from_std(cls, std) -> "GaussianNoise":
@@ -94,9 +130,17 @@ class BoundedUniformNoise(NoiseModel):
         return self.bounds.size
 
     def sample(self, horizon: int, rng=None) -> np.ndarray:
-        rng = ensure_rng(rng)
-        uniform = rng.uniform(-1.0, 1.0, size=(int(horizon), self.dimension))
-        return uniform * self.bounds
+        return self.sample_block(1, horizon, rng)[0]
+
+    def sample_block(self, count: int, horizon: int, rng=None) -> np.ndarray:
+        size = (int(count), int(horizon), self.dimension)
+        # Bit for bit rng.uniform(-1, 1, size) (which computes -1 + 2u) at
+        # about half its cost, and in place: no second block allocation.
+        block = ensure_rng(rng).random(size)
+        block *= 2.0
+        block -= 1.0
+        block *= self.bounds
+        return block
 
 
 @NOISE_MODELS.register("truncated-gaussian")
@@ -127,6 +171,10 @@ class TruncatedGaussianNoise(NoiseModel):
         return self.std.size
 
     def sample(self, horizon: int, rng=None) -> np.ndarray:
-        rng = ensure_rng(rng)
-        raw = rng.normal(0.0, 1.0, size=(int(horizon), self.dimension)) * self.std
-        return np.clip(raw, -self.bounds, self.bounds)
+        return self.sample_block(1, horizon, rng)[0]
+
+    def sample_block(self, count: int, horizon: int, rng=None) -> np.ndarray:
+        size = (int(count), int(horizon), self.dimension)
+        block = ensure_rng(rng).normal(0.0, 1.0, size=size)
+        block *= self.std
+        return np.clip(block, -self.bounds, self.bounds, out=block)

@@ -43,7 +43,8 @@ import numpy as np
 
 from repro.attacks.templates import AttackTemplate
 from repro.lti.simulate import ClosedLoopSystem, SimulationTrace
-from repro.noise.models import GaussianNoise, NoiseModel
+from repro.noise.generators import draw_streams
+from repro.noise.models import GaussianNoise, NoiseModel, ZeroNoise
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import span
@@ -53,7 +54,7 @@ from repro.runtime.events import EventSink
 from repro.runtime.kernel.lanes import build_lanes
 from repro.runtime.kernel.runner import Stepping, new_recorder, simulate, stack_steps
 from repro.runtime.report import AlarmTally, FleetReport
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import spawned_rng
 from repro.utils.validation import ValidationError, check_positive
 
 
@@ -375,8 +376,9 @@ class FleetSimulator:
         nothing while the fleet steps, and a run that fails mid-horizon
         emits no events.
     seed:
-        Seed of the per-instance noise streams and the schedule's subset
-        draws.
+        Seed of the run's noise blocks (the block stream contract of
+        :func:`~repro.noise.generators.draw_streams`) and of the schedule's
+        subset draws.
     record_traces:
         Keep the full :class:`FleetTrace` on :attr:`trace` after :meth:`run`
         (off by default: the trace arrays are ``O(N T)`` floats per quantity).
@@ -481,34 +483,33 @@ class FleetSimulator:
             )
 
     # ------------------------------------------------------------------
-    def _draw_streams(self, rngs) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Per-instance noise and initial-state draws (one stream per instance).
+    def _draw_streams(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """The run's noise blocks and initial states, under the block stream contract.
 
-        Each instance's stream draws measurement noise, then process noise,
-        then its initial-state offset — the same order as the FAR study's
-        benign-trace generation, so fleet runs and FAR populations built from
-        the same seed see the same randomness.
+        One :func:`~repro.noise.generators.draw_streams` call draws the
+        instance-major measurement noise, process noise and initial-state
+        offsets from one generator keyed by the seed — the call the FAR
+        study's benign-trace generation makes, so a fleet of ``N`` and a
+        FAR population of ``N`` built from the same seed see the same
+        randomness.  Returns ``(V, W, X0)``; ``W`` is ``None`` without
+        process noise.
         """
         plant = self.system.plant
-        T, N = self.horizon, self.n_instances
-        n, m = plant.n_states, plant.n_outputs
-        V = np.zeros((N, T, m))
-        W = None
-        draw_process = (
-            self.include_process_noise and plant.Q_w is not None and np.any(plant.Q_w)
+        noise_model = self.noise_model
+        if noise_model is None:
+            noise_model = ZeroNoise(plant.n_outputs)
+        streams = draw_streams(
+            self.seed,
+            self.n_instances,
+            self.horizon,
+            noise_model,
+            process_covariance=plant.Q_w if self.include_process_noise else None,
+            x0_spread=self.x0_spread,
         )
-        if draw_process:
-            W = np.zeros((N, T, n))
         X0 = self._x0_matrix.copy()
-        for i, rng in enumerate(rngs):
-            if self.noise_model is not None:
-                V[i] = self.noise_model.sample(T, rng)
-            if draw_process:
-                W[i] = rng.multivariate_normal(np.zeros(n), plant.Q_w, size=T)
-            if self.x0_spread is not None:
-                offset = rng.uniform(-1.0, 1.0, size=n)
-                X0[i] = X0[i] + offset * self.x0_spread
-        return V, W, X0
+        if streams.x0_offsets is not None:
+            X0 += streams.x0_offsets
+        return streams.measurement, streams.process, X0
 
     def _resolve_schedule(self, rng) -> list[tuple[np.ndarray, np.ndarray]]:
         """Materialise every schedule entry: (instance ids, (T, m) values)."""
@@ -548,10 +549,11 @@ class FleetSimulator:
         """Draw the streams, resolve the schedule, reset the detectors."""
         T, N = self.horizon, self.n_instances
         watch = Stopwatch()
-        rngs = spawn_rngs(self.seed, N + 1)
-        scheduler_rng = ensure_rng(rngs[-1])
-        V, W, X0 = self._draw_streams(rngs[:N])
-        schedule = self._resolve_schedule(scheduler_rng)
+        # The scheduler is the last of N + 1 spawned generators (the layout
+        # of stream contract version 1), so a seed keeps attacking the same
+        # instances.
+        schedule = self._resolve_schedule(spawned_rng(self.seed, N + 1, N))
+        V, W, X0 = self._draw_streams()
 
         attacked_mask = np.zeros(N, dtype=bool)
         attack_start = np.full(N, T, dtype=int)

@@ -21,7 +21,8 @@ afterwards on the recorded stacks, and :func:`service_round` is the one
 Sharding contract: instances are carved into *contiguous index ranges*
 (never interleaved, never by draw order) so every per-instance stream —
 noise, initial states, attacks, recorded traces — is a column slice of the
-same central draw.  Width-1 shards are padded with one zero discard column
+run's one block draw (:func:`repro.noise.generators.draw_streams`, whose
+blocks are prefix-stable: a contiguous range of instances is a slice).  Width-1 shards are padded with one zero discard column
 to keep the BLAS on its GEMM path.  Detector lanes and alarm bookkeeping
 always run full-width on the main thread after the sharded state recursion,
 so alarm event ordering is independent of ``workers`` by construction.
@@ -170,8 +171,9 @@ def simulate(
 ) -> None:
     """The stepping loop: sharded state recursion over the whole horizon.
 
-    Consumes the ``(T, ·, N)`` stacks of :func:`stack_steps` — one *central*
-    draw, so shard boundaries never move the random streams — and writes
+    Consumes the ``(T, ·, N)`` stacks of :func:`stack_steps` — the run's
+    block draw laid out step-major, sliced by column per shard, so shard
+    boundaries never move the random streams — and writes
     the transposed residue/measurement stacks ``res_out``/``ya_out`` and/or
     the instance-major ``recorder`` arrays of :func:`new_recorder`
     (attacks only when the recorder has an ``"attacks"`` entry).

@@ -18,10 +18,12 @@ from repro.estimation.kalman import steady_state_kalman
 from repro.lti.discretize import zoh
 from repro.lti.model import StateSpace
 from repro.lti.simulate import ClosedLoopSystem
+from repro.noise.generators import draw_streams
+from repro.noise.models import ZeroNoise
 from repro.runtime.events import InMemorySink
 from repro.runtime.fleet import FleetTrace, _BatchStepper
 from repro.runtime.report import AlarmTally
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import spawn_rngs
 from repro.systems.dcmotor import build_dcmotor_case_study
 from repro.systems.trajectory import build_trajectory_case_study
 
@@ -139,7 +141,9 @@ def legacy_batch_oracle(system, X0, Xhat0, V, W=None, A=None) -> dict:
 def legacy_fleet_oracle(simulator):
     """Run a (not yet run) ``FleetSimulator`` through the per-step fleet loop.
 
-    Same draws as :meth:`FleetSimulator.run`, then one ``_BatchStepper``
+    Same block draws as :meth:`FleetSimulator.run` (one
+    :func:`~repro.noise.generators.draw_streams` call; the attack scheduler
+    is the last of ``N + 1`` spawned generators), then one ``_BatchStepper``
     step and one ``detector.step`` per deployed core per sampling instance;
     the resulting ``(T, N)`` alarm stacks go through the shared
     :class:`~repro.runtime.report.AlarmTally`.  Returns
@@ -151,9 +155,18 @@ def legacy_fleet_oracle(simulator):
     T, N = sim.horizon, sim.n_instances
     plant = sim.system.plant
     n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
-    rngs = spawn_rngs(sim.seed, N + 1)
-    V, W, X0 = sim._draw_streams(rngs[:N])
-    schedule = sim._resolve_schedule(ensure_rng(rngs[-1]))
+    streams = draw_streams(
+        sim.seed,
+        N,
+        T,
+        ZeroNoise(m) if sim.noise_model is None else sim.noise_model,
+        process_covariance=plant.Q_w if sim.include_process_noise else None,
+        x0_spread=sim.x0_spread,
+    )
+    V, W, X0 = streams.measurement, streams.process, sim.x0.copy()
+    if streams.x0_offsets is not None:
+        X0 += streams.x0_offsets
+    schedule = sim._resolve_schedule(spawn_rngs(sim.seed, N + 1)[-1])
     attacked_mask = np.zeros(N, dtype=bool)
     attack_start = np.full(N, T, dtype=int)
     for (indices, values), entry in zip(schedule, sim.attacks):

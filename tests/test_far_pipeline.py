@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.far import FalseAlarmEvaluator
 from repro.core.pipeline import SynthesisPipeline
+from repro.noise.generators import draw_streams
 from repro.noise.models import BoundedUniformNoise
 from repro.utils.validation import ValidationError
 
@@ -105,18 +106,20 @@ class TestVectorizedAgainstSequentialReference:
 
     @staticmethod
     def sequential_rates(problem, detectors, count, seed, initial_state_spread=None):
-        """The pre-vectorization implementation: one Python simulation per trial."""
-        from repro.utils.rng import spawn_rngs
+        """The pre-vectorization implementation: one Python simulation per trial.
 
+        Its noise is the shared block draw; trial ``i`` takes row ``i``.
+        """
         noise_model = FalseAlarmEvaluator.default_noise_model(problem)
+        streams = draw_streams(
+            seed, count, problem.horizon, noise_model, x0_spread=initial_state_spread
+        )
         kept = []
         discarded_pfc = discarded_mdc = 0
-        for rng in spawn_rngs(seed, count):
-            measurement_noise = noise_model.sample(problem.horizon, rng)
+        for i, measurement_noise in enumerate(streams.measurement):
             x0 = None
             if initial_state_spread is not None:
-                offset = rng.uniform(-1.0, 1.0, size=initial_state_spread.size)
-                x0 = problem.x0 + offset * initial_state_spread
+                x0 = problem.x0 + streams.x0_offsets[i]
             trace = problem.simulate(
                 attack=None, with_noise=False, x0=x0, measurement_noise=measurement_noise
             )
@@ -157,13 +160,9 @@ class TestVectorizedAgainstSequentialReference:
     def test_traces_match_the_sequential_simulator(self, trajectory_problem):
         evaluator = FalseAlarmEvaluator(trajectory_problem, count=10, seed=5, filter_pfc=False)
         traces = evaluator.benign_traces()
-        from repro.utils.rng import spawn_rngs
-
-        noise_model = evaluator.noise_model
-        for trace, rng in zip(traces, spawn_rngs(5, 10)):
-            reference = trajectory_problem.simulate(
-                measurement_noise=noise_model.sample(trajectory_problem.horizon, rng)
-            )
+        streams = draw_streams(5, 10, trajectory_problem.horizon, evaluator.noise_model)
+        for trace, measurement_noise in zip(traces, streams.measurement):
+            reference = trajectory_problem.simulate(measurement_noise=measurement_noise)
             np.testing.assert_allclose(
                 trace.residues, reference.residues, rtol=1e-10, atol=1e-12
             )

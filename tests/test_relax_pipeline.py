@@ -9,7 +9,8 @@ Covers the three tentpole guarantees:
   FAR saturates at 100 % while the relaxed FAR does not;
 * the store's content address splits into a synthesis key and an evaluation
   key, so FAR/noise/probe variations of an already-synthesized point issue
-  zero solver calls.
+  zero solver calls; the evaluation key carries the noise stream contract's
+  version, so rows drawn under an older contract are never served.
 """
 
 import numpy as np
@@ -30,7 +31,9 @@ from repro.core.relaxation import ThresholdRelaxer
 from repro.core.session import SynthesisSession
 from repro.explore import Explorer, SearchSpace
 from repro.explore.store import (
+    EVALUATION_KEY_FIELDS,
     ResultStore,
+    canonical_config_key,
     split_unit_keys,
     synthesis_store_key,
     unit_store_key,
@@ -225,6 +228,58 @@ class TestKeySplit:
             ExperimentUnit("dcmotor", "lp", "stepwise", case_study_options={"horizon": 9}),
         ):
             assert split_unit_keys(variant.to_dict())[0] != split_unit_keys(base)[0]
+
+    #: Both halves of ``KEYED_UNIT``'s address under the per-instance noise
+    #: streams (stream contract version 1).
+    V1_SYNTHESIS_KEY = "de84e254690e13a3fcd5232dbbc1fd33d3a5a704dee0bf55694cd1a587c9c2b0"
+    V1_EVALUATION_KEY = "722aa179b65d9af6bb735f8d31079aa19774bbc4689d28e45d8cf5a29997e8b1"
+    KEYED_UNIT = ExperimentUnit(
+        "dcmotor", "lp", "stepwise", relax={"floor": 0.1},
+        far=FARConfig(count=10, noise_scale=1.0),
+        probe={"n_instances": 4},
+    )
+
+    def test_stream_version_changes_only_the_evaluation_key(self):
+        synthesis, evaluation = split_unit_keys(self.KEYED_UNIT.to_dict())
+        assert synthesis == self.V1_SYNTHESIS_KEY
+        assert evaluation != self.V1_EVALUATION_KEY
+
+    def test_rows_of_an_older_stream_contract_are_recomputed(self, tmp_path, monkeypatch):
+        """A warm store from the old contract: synthesis reused, FAR recomputed."""
+        unit = ExperimentUnit(
+            "dcmotor", "lp", "stepwise",
+            case_study_options={"horizon": 8},
+            max_rounds=100,
+            far=FARConfig(count=10, seed=0, filter_pfc=False, filter_mdc=False),
+        )
+        config = unit.to_dict()
+        fresh = ResultStore(tmp_path / "fresh")
+        ((_, row),) = BatchRunner(store=fresh).run_units([unit])
+        assert row.error is None and row.false_alarm_rate is not None
+
+        # The same records, the full row under its old-contract address and
+        # with a FAR no computation produces.
+        synthesis, _ = split_unit_keys(config)
+        old_evaluation = canonical_config_key({k: config.get(k) for k in EVALUATION_KEY_FIELDS})
+        stale = ResultStore(tmp_path / "stale")
+        stale.put(synthesis_store_key(config), config, fresh.peek(synthesis_store_key(config)))
+        stale_row = fresh.get(unit_store_key(config))
+        stale_row["false_alarm_rate"] = -1.0
+        stale.put(f"{synthesis}:{old_evaluation}", config, stale_row)
+
+        calls = {"n": 0}
+        original = SynthesisSession.solve
+
+        def counted(session, *args, **kwargs):
+            calls["n"] += 1
+            return original(session, *args, **kwargs)
+
+        monkeypatch.setattr(SynthesisSession, "solve", counted)
+        runner = BatchRunner(store=stale)
+        ((_, rerun),) = runner.run_units([unit])
+        assert calls["n"] == 0
+        assert runner.synthesis_reused == 1
+        assert rerun.false_alarm_rate == row.false_alarm_rate
 
     def test_unclassified_fields_fail_loudly(self):
         config = ExperimentUnit("dcmotor", "lp", "static").to_dict()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.results import SolveStatus, SynthesisRecord
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import STREAM_VERSION, block_rng, ensure_rng, spawn_rngs, spawned_rng
 from repro.utils.validation import (
     ValidationError,
     check_finite,
@@ -82,6 +82,19 @@ class TestRng:
         second = [g.normal() for g in spawn_rngs(7, 3)]
         np.testing.assert_allclose(first, second)
         assert len(set(np.round(first, 12))) == 3
+
+    @pytest.mark.parametrize("index", [0, 4, -1])
+    def test_spawned_rng_is_one_of_spawn_rngs(self, index):
+        expected = spawn_rngs(7, 5)[index].integers(0, 2**32, size=4)
+        assert np.array_equal(spawned_rng(7, 5, index).integers(0, 2**32, size=4), expected)
+
+    def test_block_rng_is_keyed_by_seed_and_stream_version(self):
+        a = block_rng(7).random(4)
+        assert np.array_equal(a, block_rng(7).random(4))
+        assert np.array_equal(a, np.random.default_rng([7, STREAM_VERSION]).random(4))
+        assert not np.array_equal(a, ensure_rng(7).random(4))
+        rng = np.random.default_rng(0)
+        assert block_rng(rng) is rng
 
 
 class TestResults:
