@@ -14,11 +14,11 @@ import numpy as np
 from scipy.optimize import linprog
 
 from benchmarks.conftest import run_once
+from tests.synthesis_oracle import PerCallSession, TwoPhaseLPBackend
 
 from repro import StepwiseThresholdSynthesizer, get_case_study, synthesize_attack
 from repro.core import encoding as encoding_module
 from repro.core.session import SynthesisSession
-from repro.falsification.lp_backend import LPAttackBackend
 from repro.smt.linear import LinearExpr
 from repro.smt.simplex import SimplexSolver
 from repro.systems import build_dcmotor_case_study
@@ -49,14 +49,15 @@ def _legacy_stepwise_workload(problem, floor):
 
     Every Algorithm 1 call rebuilds the full ``AttackEncoding`` (horizon
     unrolling + every constraint block) and the LP backend runs the
-    historical feasibility-then-margin two-LP sequence per branch.
+    historical feasibility-then-margin two-LP sequence per branch.  Both
+    halves come from the test-side oracle in ``tests/synthesis_oracle.py``.
     """
-    backend = LPAttackBackend(margin_strategy="two-phase")
+    backend = TwoPhaseLPBackend()
     vulnerability = synthesize_attack(problem, threshold=None, backend=backend)
-    synthesizer = StepwiseThresholdSynthesizer(
-        backend=backend, min_threshold=floor, reuse_session=False
+    synthesizer = StepwiseThresholdSynthesizer(backend=backend, min_threshold=floor)
+    return vulnerability, synthesizer.synthesize(
+        problem, session=PerCallSession(problem, backend=backend)
     )
-    return vulnerability, synthesizer.synthesize(problem)
 
 
 def _session_stepwise_workload(problem, floor):

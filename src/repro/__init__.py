@@ -37,7 +37,7 @@ Subpackages
 ``repro.registry``
     The shared plugin registries behind every string-resolved component name.
 ``repro.core``
-    Algorithms 1-3, the static baseline, FAR evaluation, the legacy pipeline shim.
+    Algorithms 1-3 (one ``SynthesisSession`` path), the static baseline, FAR evaluation.
 ``repro.lti``, ``repro.estimation``, ``repro.control``
     The plant / estimator / controller substrate.
 ``repro.attacks``, ``repro.monitors``, ``repro.detectors``, ``repro.noise``
@@ -75,7 +75,6 @@ from repro.core import (
     StaticThresholdSynthesizer,
     ThresholdRelaxer,
     FalseAlarmEvaluator,
-    SynthesisPipeline,
 )
 from repro.core.synthesis_result import ThresholdSynthesisResult
 from repro.api import (
@@ -262,7 +261,6 @@ __all__ = [
     "ThresholdRelaxer",
     "ThresholdSynthesisResult",
     "FalseAlarmEvaluator",
-    "SynthesisPipeline",
     # detectors / attacks / substrate
     "ThresholdVector",
     "ResidueDetector",

@@ -1,7 +1,6 @@
 """Declarative, JSON-serializable experiment configuration objects.
 
-Three dataclasses replace the kwargs plumbing of the original
-:class:`~repro.core.pipeline.SynthesisPipeline`:
+Three dataclasses describe an experiment as plain data:
 
 * :class:`SynthesisConfig` — which algorithms to run, on which backend, with
   which refinement knobs;
@@ -331,17 +330,12 @@ class FARConfig:
             ]
 
     # ------------------------------------------------------------------
-    def build_evaluator(self, problem, noise_model=None):
-        """Construct the :class:`~repro.core.far.FalseAlarmEvaluator` for ``problem``.
-
-        ``noise_model`` (an instance) overrides the declarative settings; it
-        is the escape hatch the :class:`~repro.core.pipeline.SynthesisPipeline`
-        compat shim uses for caller-supplied model objects.
-        """
+    def build_evaluator(self, problem):
+        """Construct the :class:`~repro.core.far.FalseAlarmEvaluator` for ``problem``."""
         from repro.core.far import FalseAlarmEvaluator
 
-        noise = noise_model
-        if noise is None and self.noise_model is not None:
+        noise = None
+        if self.noise_model is not None:
             noise = NOISE_MODELS.create(self.noise_model, **self.noise_options)
         if noise is None and self.noise_scale != 1.0:
             noise = FalseAlarmEvaluator.default_noise_model(problem, scale=self.noise_scale)

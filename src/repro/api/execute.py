@@ -4,8 +4,6 @@
 paper evaluates — vulnerability check (Algorithm 1 with no residue
 detector), threshold synthesis per algorithm, optional threshold relaxation,
 FAR study — driven by the declarative configs in :mod:`repro.api.config`.
-The legacy :class:`~repro.core.pipeline.SynthesisPipeline` is a thin adapter
-over this function.
 
 One :class:`~repro.core.session.SynthesisSession` is opened per call and
 shared by the vulnerability check, every synthesis algorithm and the
@@ -295,7 +293,6 @@ def run_pipeline(
     far: FARConfig | None = None,
     *,
     backend=None,
-    far_noise_model=None,
     store=None,
     presynthesized: dict | None = None,
 ) -> PipelineReport:
@@ -319,9 +316,6 @@ def run_pipeline(
         Optional backend *instance* overriding ``synthesis.backend`` — the
         programmatic escape hatch for pre-configured or caller-supplied
         solvers.
-    far_noise_model:
-        Optional noise-model *instance* overriding the FAR config's
-        declarative noise settings.
     store:
         Optional content-addressed result store (a path or a
         :class:`repro.explore.store.ResultStore`).  The call is keyed by the
@@ -330,9 +324,9 @@ def run_pipeline(
         histories and attack witnesses are not persisted).  The synthesis
         half (fingerprint + synthesis config only) is additionally stored
         under its own key, so a call differing only in FAR settings reuses
-        the synthesis and recomputes just the study.  Caller-supplied
-        ``backend`` / ``far_noise_model`` *instances* bypass the store —
-        their configuration is not content-addressable.
+        the synthesis and recomputes just the study.  A caller-supplied
+        ``backend`` *instance* bypasses the store — its configuration is not
+        content-addressable.
     presynthesized:
         Optional per-algorithm :func:`synthesis_record` payloads.  Covered
         algorithms skip synthesis and relaxation entirely (their outcome is
@@ -345,7 +339,7 @@ def run_pipeline(
 
     store_key = None
     synthesis_key = None
-    if store is not None and backend is None and far_noise_model is None:
+    if store is not None and backend is None:
         from repro.explore.store import as_store, canonical_config_key, problem_fingerprint
 
         store = as_store(store)
@@ -451,7 +445,7 @@ def run_pipeline(
         if detectors:
             with span("pipeline.far", problem=problem.name):
                 with timed(stage_seconds, stage="far"):
-                    evaluator = far.build_evaluator(problem, noise_model=far_noise_model)
+                    evaluator = far.build_evaluator(problem)
                     report.far_study = evaluator.evaluate(detectors)
 
     if store_key is not None:

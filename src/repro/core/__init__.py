@@ -11,7 +11,8 @@ Module map (paper artefact → implementation):
                                       :func:`repro.core.stepwise.min_area_rectangle`
 * provably-safe static baseline     → :class:`repro.core.static_synthesis.StaticThresholdSynthesizer`
 * FAR study (§IV)                   → :class:`repro.core.far.FalseAlarmEvaluator`
-* end-to-end flow                   → :class:`repro.core.pipeline.SynthesisPipeline`
+
+The end-to-end flow is :func:`repro.api.run_pipeline`.
 """
 
 from repro.core.specs import (
@@ -33,7 +34,6 @@ from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.core.relaxation import ThresholdRelaxer, RelaxationResult
 from repro.core.synthesis_result import ThresholdSynthesisResult
 from repro.core.far import FalseAlarmEvaluator, FalseAlarmStudy
-from repro.core.pipeline import SynthesisPipeline, PipelineReport
 
 __all__ = [
     "StateCondition",
@@ -58,6 +58,4 @@ __all__ = [
     "ThresholdSynthesisResult",
     "FalseAlarmEvaluator",
     "FalseAlarmStudy",
-    "SynthesisPipeline",
-    "PipelineReport",
 ]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.attack_synthesis import synthesize_attack
 from repro.core.problem import SynthesisProblem
 from repro.core.session import SynthesisSession
 from repro.core.synthesis_result import ThresholdSynthesisResult
@@ -59,12 +58,6 @@ class PivotThresholdSynthesizer:
         Floor below which thresholds are never placed (guards against
         degenerate zero thresholds when an attack produces a zero residue at
         the pivot instant).
-    reuse_session:
-        When True (default) all Algorithm 1 rounds run through one
-        :class:`~repro.core.session.SynthesisSession`, so the encoding and
-        backend state are built once per problem; ``False`` keeps the legacy
-        one-encoding-per-call behaviour (results are bit-identical — the flag
-        exists for benchmarking and debugging).
     """
 
     backend: str | object = "lp"
@@ -72,7 +65,6 @@ class PivotThresholdSynthesizer:
     time_budget_per_call: float | None = None
     pivot_rule: str = "max-residue"
     min_threshold: float = 0.0
-    reuse_session: bool = True
     verbose: bool = False
 
     def __post_init__(self) -> None:
@@ -80,24 +72,6 @@ class PivotThresholdSynthesizer:
             raise ValidationError("pivot_rule must be 'max-residue' or 'first-violation'")
 
     # ------------------------------------------------------------------
-    def _open_session(self, problem: SynthesisProblem) -> SynthesisSession | None:
-        return SynthesisSession(problem, backend=self.backend) if self.reuse_session else None
-
-    def _call(
-        self,
-        problem: SynthesisProblem,
-        threshold: ThresholdVector | None,
-        session: SynthesisSession | None,
-    ):
-        if session is None:
-            return synthesize_attack(
-                problem,
-                threshold=threshold,
-                backend=self.backend,
-                time_budget=self.time_budget_per_call,
-            )
-        return session.solve(threshold, time_budget=self.time_budget_per_call)
-
     def _initial_pivot(self, norms: np.ndarray) -> int:
         if self.pivot_rule == "max-residue":
             return int(np.argmax(norms))
@@ -112,16 +86,15 @@ class PivotThresholdSynthesizer:
 
         ``session`` lets a caller (the pipeline, the batch runner) share one
         incremental session across several algorithms; when omitted the loop
-        opens its own (or falls back to per-call encodings when
-        ``reuse_session`` is False).
+        opens its own.
         """
         if session is None:
-            session = self._open_session(problem)
+            session = SynthesisSession(problem, backend=self.backend)
         threshold = problem.fresh_threshold()
         history: list[SynthesisRecord] = []
         total_time = 0.0
 
-        first = self._call(problem, None, session)
+        first = session.solve(None, time_budget=self.time_budget_per_call)
         total_time += first.elapsed
         rounds = 1
         if not first.found:
@@ -151,7 +124,7 @@ class PivotThresholdSynthesizer:
 
         final_status = SolveStatus.UNKNOWN
         while rounds < self.max_rounds:
-            result = self._call(problem, threshold, session)
+            result = session.solve(threshold, time_budget=self.time_budget_per_call)
             total_time += result.elapsed
             rounds += 1
             final_status = result.status

@@ -16,7 +16,7 @@ import numpy as np
 from repro.attacks.fdi import AttackChannelMask, FDIAttack
 from repro.core.specs import PerformanceCriterion
 from repro.core.unroll import ClosedLoopUnrolling
-from repro.detectors.threshold import ThresholdVector
+from repro.detectors.threshold import ThresholdVector, residue_norms
 from repro.lti.simulate import (
     ClosedLoopSystem,
     SimulationOptions,
@@ -59,7 +59,8 @@ class SynthesisProblem:
         into numerically robust constraints; also guarantees progress of the
         synthesis loops.
     residue_norm:
-        Norm used by the detector (``"inf"`` keeps the encoding affine).
+        Norm used by the detector: ``1``, ``2`` or ``"inf"`` (``"inf"``
+        keeps the encoding affine).
     residue_weights:
         Optional per-channel residue scaling (normalised residues): the
         detector compares ``norm(z_k / weights)`` against the threshold.
@@ -98,6 +99,10 @@ class SynthesisProblem:
                 raise ValidationError(f"residue_weights must have length {m}")
             if np.any(self.residue_weights <= 0):
                 raise ValidationError("residue_weights must be strictly positive")
+        if self.residue_norm not in (1, 2, "inf"):
+            raise ValidationError(
+                f"residue_norm must be 1, 2 or 'inf', got {self.residue_norm!r}"
+            )
         if self.strictness < 0:
             raise ValidationError("strictness must be non-negative")
         required = self.pfc.required_horizon()
@@ -211,9 +216,8 @@ class SynthesisProblem:
 
     def residue_norms(self, residues: np.ndarray) -> np.ndarray:
         """Residue norms under the problem's detector norm and channel weights."""
-        residues = np.atleast_2d(np.asarray(residues, dtype=float))
-        if self.residue_weights is not None:
-            residues = residues / self.residue_weights
-        if self.residue_norm == "inf":
-            return np.max(np.abs(residues), axis=1)
-        return np.linalg.norm(residues, ord=self.residue_norm, axis=1)
+        return residue_norms(
+            np.atleast_2d(np.asarray(residues, dtype=float)),
+            self.residue_norm,
+            self.residue_weights,
+        )

@@ -42,12 +42,6 @@ class StaticThresholdSynthesizer:
         Optional starting upper bound for the search; when omitted it is
         taken from the maximal residue of the unconstrained attack (times a
         safety factor), which is always an unsafe value if any attack exists.
-    reuse_session:
-        When True (default) all Algorithm 1 probes run through one
-        :class:`~repro.core.session.SynthesisSession`, so the encoding and
-        backend state are built once per problem; ``False`` keeps the legacy
-        one-encoding-per-call behaviour (results are bit-identical — the flag
-        exists for benchmarking and debugging).
     """
 
     backend: str | object = "lp"
@@ -55,38 +49,19 @@ class StaticThresholdSynthesizer:
     max_rounds: int = 60
     initial_upper: float | None = None
     time_budget_per_call: float | None = None
-    reuse_session: bool = True
 
     def __post_init__(self) -> None:
         self.tolerance = check_positive("tolerance", self.tolerance)
 
     # ------------------------------------------------------------------
-    def _open_session(self, problem: SynthesisProblem) -> SynthesisSession | None:
-        return SynthesisSession(problem, backend=self.backend) if self.reuse_session else None
-
-    def _call(
-        self,
-        problem: SynthesisProblem,
-        threshold: ThresholdVector | None,
-        session: SynthesisSession | None,
-    ):
-        if session is None:
-            return synthesize_attack(
-                problem,
-                threshold=threshold,
-                backend=self.backend,
-                time_budget=self.time_budget_per_call,
-            )
-        return session.solve(threshold, time_budget=self.time_budget_per_call)
-
     def _is_safe(
         self,
         problem: SynthesisProblem,
         value: float,
-        session: SynthesisSession | None,
+        session: SynthesisSession,
     ) -> tuple[bool, SolveStatus, float]:
         threshold = problem.static_threshold(value)
-        result = self._call(problem, threshold, session)
+        result = session.solve(threshold, time_budget=self.time_budget_per_call)
         return (not result.found), result.status, result.elapsed
 
     # ------------------------------------------------------------------
@@ -97,15 +72,14 @@ class StaticThresholdSynthesizer:
 
         ``session`` lets a caller (the pipeline, the batch runner) share one
         incremental session across several algorithms; when omitted the
-        bisection opens its own (or falls back to per-call encodings when
-        ``reuse_session`` is False).
+        bisection opens its own.
         """
         if session is None:
-            session = self._open_session(problem)
+            session = SynthesisSession(problem, backend=self.backend)
         history: list[SynthesisRecord] = []
         total_time = 0.0
 
-        unconstrained = self._call(problem, None, session)
+        unconstrained = session.solve(None, time_budget=self.time_budget_per_call)
         total_time += unconstrained.elapsed
         rounds = 1
         if not unconstrained.found:

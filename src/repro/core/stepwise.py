@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.attack_synthesis import synthesize_attack
 from repro.core.problem import SynthesisProblem
 from repro.core.session import SynthesisSession
 from repro.core.synthesis_result import ThresholdSynthesisResult
@@ -97,12 +96,6 @@ class StepwiseThresholdSynthesizer:
     step_rule:
         ``"min-area"`` (paper-style greedy) or ``"fixed-width"`` (ablation:
         cut at the earliest undetected instant instead of the cheapest one).
-    reuse_session:
-        When True (default) all Algorithm 1 rounds run through one
-        :class:`~repro.core.session.SynthesisSession`, so the encoding and
-        backend state are built once per problem; ``False`` keeps the legacy
-        one-encoding-per-call behaviour (results are bit-identical — the flag
-        exists for benchmarking and debugging).
     """
 
     backend: str | object = "lp"
@@ -110,27 +103,7 @@ class StepwiseThresholdSynthesizer:
     time_budget_per_call: float | None = None
     min_threshold: float = 0.0
     step_rule: str = "min-area"
-    reuse_session: bool = True
     verbose: bool = False
-
-    # ------------------------------------------------------------------
-    def _open_session(self, problem: SynthesisProblem) -> SynthesisSession | None:
-        return SynthesisSession(problem, backend=self.backend) if self.reuse_session else None
-
-    def _call(
-        self,
-        problem: SynthesisProblem,
-        threshold: ThresholdVector | None,
-        session: SynthesisSession | None,
-    ):
-        if session is None:
-            return synthesize_attack(
-                problem,
-                threshold=threshold,
-                backend=self.backend,
-                time_budget=self.time_budget_per_call,
-            )
-        return session.solve(threshold, time_budget=self.time_budget_per_call)
 
     # ------------------------------------------------------------------
     def synthesize(
@@ -140,17 +113,16 @@ class StepwiseThresholdSynthesizer:
 
         ``session`` lets a caller (the pipeline, the batch runner) share one
         incremental session across several algorithms; when omitted the loop
-        opens its own (or falls back to per-call encodings when
-        ``reuse_session`` is False).
+        opens its own.
         """
         if session is None:
-            session = self._open_session(problem)
+            session = SynthesisSession(problem, backend=self.backend)
         horizon = problem.horizon
         threshold = problem.fresh_threshold()
         history: list[SynthesisRecord] = []
         total_time = 0.0
 
-        first = self._call(problem, None, session)
+        first = session.solve(None, time_budget=self.time_budget_per_call)
         total_time += first.elapsed
         rounds = 1
         if not first.found:
@@ -184,7 +156,7 @@ class StepwiseThresholdSynthesizer:
 
         # ----- Phase 1: extend the staircase to cover the whole horizon -----
         while last_filled < horizon - 1 and rounds < self.max_rounds:
-            result = self._call(problem, threshold, session)
+            result = session.solve(threshold, time_budget=self.time_budget_per_call)
             total_time += result.elapsed
             rounds += 1
             final_status = result.status
@@ -220,7 +192,7 @@ class StepwiseThresholdSynthesizer:
 
         # ----- Phase 2: carve steps down until no attack remains -----------
         while final_status is not SolveStatus.UNSAT and rounds < self.max_rounds:
-            result = self._call(problem, threshold, session)
+            result = session.solve(threshold, time_budget=self.time_budget_per_call)
             total_time += result.elapsed
             rounds += 1
             final_status = result.status

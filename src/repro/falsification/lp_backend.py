@@ -23,16 +23,13 @@ refined against such attacks drop by the largest possible amount per round,
 which is what makes Algorithms 2 and 3 converge in a practical number of
 rounds.
 
-Two solve strategies compute that identical answer:
-
-* ``margin_strategy="single-lp"`` (default) solves the stealth-margin LP
-  directly — its feasible set projects exactly onto the feasibility LP's
-  (fix ``s = 0``), so branch infeasibility and the returned maximum-margin
-  vertex coincide with the historical sequence; any unusual solver status
-  falls back to that sequence verbatim.
-* ``margin_strategy="two-phase"`` is the historical
-  feasibility-then-margin sequence, kept as the reference implementation for
-  the equivalence benchmarks.
+Each branch solves the stealth-margin LP first.  Its feasible set projects
+exactly onto the feasibility LP's (fix ``s = 0``), so branch infeasibility
+and the returned maximum-margin vertex coincide with the historical
+feasibility-then-margin sequence at one LP per SAT round instead of two.
+That sequence remains the fallback: it runs when ``margin_mode="none"``,
+when the round has no stealth rows, and on an unusual solver status or a
+tolerance miss of the margin LP.
 
 Incrementality: :meth:`LPAttackBackend.open_session` returns a session that
 assembles the static (monitor) rows, the variable bounds and the stealth row
@@ -215,16 +212,12 @@ class LPAttackBackend(AttackBackend):
         method: str = "highs",
         tolerance: float = 1e-9,
         margin_mode: str = "max-stealth-margin",
-        margin_strategy: str = "single-lp",
     ):
         if margin_mode not in {"max-stealth-margin", "none"}:
             raise ValidationError("margin_mode must be 'max-stealth-margin' or 'none'")
-        if margin_strategy not in {"single-lp", "two-phase"}:
-            raise ValidationError("margin_strategy must be 'single-lp' or 'two-phase'")
         self.method = method
         self.tolerance = float(tolerance)
         self.margin_mode = margin_mode
-        self.margin_strategy = margin_strategy
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -300,11 +293,7 @@ class LPAttackBackend(AttackBackend):
     ) -> np.ndarray | None:
         """Feasibility (+ optional margin maximisation) for one violation branch."""
         n = A_ub.shape[1]
-        if (
-            self.margin_strategy == "two-phase"
-            or self.margin_mode == "none"
-            or n_stealth == 0
-        ):
+        if self.margin_mode == "none" or n_stealth == 0:
             return self._feasibility_then_margin(
                 A_ub, b_ub, n_stealth, bounds, branch, A_margin=A_margin
             )
@@ -323,7 +312,7 @@ class LPAttackBackend(AttackBackend):
             if float(branch.row @ candidate) + branch.constant <= self.tolerance:
                 return candidate
         # Unusual solver status (or tolerance miss): replicate the historical
-        # sequence verbatim so answers stay bit-identical with two-phase.
+        # sequence verbatim so answers stay bit-identical with it.
         return self._feasibility_then_margin(
             A_ub, b_ub, n_stealth, bounds, branch, A_margin=A_margin
         )

@@ -1,8 +1,8 @@
 """Shared plugin registries for every pluggable component of the library.
 
 Historically each extension point had its own ad-hoc name table (the backend
-dict in :mod:`repro.falsification.registry`, the algorithm tuple in
-:mod:`repro.core.pipeline`, the hard-wired ``build_*_case_study`` imports).
+dict in :mod:`repro.falsification.registry`, a hard-coded algorithm tuple,
+the hard-wired ``build_*_case_study`` imports).
 This module replaces them with one mechanism: a :class:`Registry` per
 component kind, populated by ``@register`` decorators at class/function
 definition time, with dynamic error messages and introspection helpers.

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.api import ExperimentSpec, FARConfig, PipelineReport, SynthesisConfig, run_pipeline
-from repro.core.pipeline import SynthesisPipeline
 from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.noise.models import BoundedUniformNoise
@@ -98,12 +97,6 @@ class TestFARConfig:
         assert isinstance(evaluator.noise_model, BoundedUniformNoise)
         assert evaluator.count == 10
 
-    def test_build_evaluator_instance_override_wins(self, trajectory_problem):
-        override = BoundedUniformNoise(bounds=[0.02])
-        config = FARConfig(count=5, noise_model="zero", noise_options={"size": 1})
-        evaluator = config.build_evaluator(trajectory_problem, noise_model=override)
-        assert evaluator.noise_model is override
-
 
 class TestRunPipeline:
     def test_full_run_on_trajectory(self, trajectory_problem):
@@ -134,46 +127,6 @@ class TestRunPipeline:
         # The LP instance was used (an SMT run on this problem also works but
         # the shared-instance path must not rebuild from the config name).
         assert report.synthesis["static"].converged
-
-
-class TestSynthesisPipelineCompatShim:
-    def test_old_constructor_still_runs(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning):
-            pipeline = SynthesisPipeline(
-                problem=trajectory_problem,
-                algorithms=("pivot", "static"),
-                far_count=30,
-                min_threshold=0.005,
-            )
-        report = pipeline.run()
-        assert report.is_vulnerable
-        assert set(report.synthesis) == {"pivot", "static"}
-        assert report.far_study is not None
-
-    def test_old_constructor_rejects_unknown_algorithm(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValidationError):
-            SynthesisPipeline(problem=trajectory_problem, algorithms=("magic",))
-
-    def test_to_configs_translation(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning):
-            pipeline = SynthesisPipeline(
-                problem=trajectory_problem,
-                algorithms=("static",),
-                far_count=40,
-                seed=7,
-                max_rounds=20,
-                far_initial_state_spread=[0.05, 0.0],
-            )
-        synthesis, far = pipeline.to_configs()
-        assert synthesis.algorithms == ("static",)
-        assert synthesis.max_rounds == 20
-        assert far == FARConfig(count=40, seed=7, initial_state_spread=[0.05, 0.0])
-
-    def test_far_disabled_maps_to_no_config(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning):
-            pipeline = SynthesisPipeline(problem=trajectory_problem, far_count=0)
-        _, far = pipeline.to_configs()
-        assert far is None
 
 
 class TestExperimentSpec:

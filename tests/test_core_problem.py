@@ -7,9 +7,26 @@ import pytest
 from repro.attacks.fdi import FDIAttack
 from repro.core.problem import SynthesisProblem
 from repro.core.specs import ReachSetCriterion
+from repro.lti.model import StateSpace
+from repro.lti.simulate import ClosedLoopSystem
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.range_monitor import RangeMonitor
 from repro.utils.validation import ValidationError
+
+
+def _problem_with_outputs(m, residue_norm="inf", residue_weights=None):
+    """A two-state problem measured on ``m`` channels (for norm checks only)."""
+    plant = StateSpace(
+        A=0.5 * np.eye(2), B=np.array([[0.0], [1.0]]), C=np.ones((m, 2)), dt=0.1
+    )
+    system = ClosedLoopSystem(plant=plant, K=np.zeros((1, 2)), L=np.zeros((2, m)))
+    return SynthesisProblem(
+        system=system,
+        pfc=ReachSetCriterion(x_des=[0.0, 0.0], epsilon=0.1),
+        horizon=5,
+        residue_norm=residue_norm,
+        residue_weights=residue_weights,
+    )
 
 
 class TestConstruction:
@@ -108,6 +125,24 @@ class TestVerdicts:
         )
         norms = problem.residue_norms(np.array([[1.0], [0.25]]))
         np.testing.assert_allclose(norms, [2.0, 0.5])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("norm", [1, 2, "inf"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_residue_norms_match_reference_expression(self, m, norm, weighted):
+        weights = np.linspace(0.5, 2.0, m) if weighted else None
+        problem = _problem_with_outputs(m, residue_norm=norm, residue_weights=weights)
+        residues = np.random.default_rng(m).normal(size=(7, m))
+        scaled = residues / weights if weighted else residues
+        if norm == "inf":
+            expected = np.max(np.abs(scaled), axis=1)
+        else:
+            expected = np.linalg.norm(scaled, ord=norm, axis=1)
+        np.testing.assert_array_equal(problem.residue_norms(residues), expected)
+
+    def test_rejects_unknown_residue_norm(self):
+        with pytest.raises(ValidationError, match="residue_norm"):
+            _problem_with_outputs(2, residue_norm=3)
 
 
 class TestHelpers:

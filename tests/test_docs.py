@@ -18,7 +18,16 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
 
 #: Packages whose modules and classes are documentation-gated.
-DOCUMENTED_PACKAGES = ("explore", "lint", "obs", "runtime", "serve")
+DOCUMENTED_PACKAGES = (
+    "api",
+    "core",
+    "explore",
+    "falsification",
+    "lint",
+    "obs",
+    "runtime",
+    "serve",
+)
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = re.compile(r"^[a-z][a-z0-9+.-]*:")  # http:, https:, mailto:, ...

@@ -1,10 +1,9 @@
-"""Tests for the FAR evaluator and the end-to-end pipeline."""
+"""Tests for the FAR evaluator."""
 
 import numpy as np
 import pytest
 
 from repro.core.far import FalseAlarmEvaluator
-from repro.core.pipeline import SynthesisPipeline
 from repro.noise.generators import draw_streams
 from repro.noise.models import BoundedUniformNoise
 from repro.utils.validation import ValidationError
@@ -166,35 +165,3 @@ class TestVectorizedAgainstSequentialReference:
             np.testing.assert_allclose(
                 trace.residues, reference.residues, rtol=1e-10, atol=1e-12
             )
-
-
-class TestPipeline:
-    """The deprecated shim must keep working — and keep warning."""
-
-    def test_full_run_on_trajectory(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning):
-            pipeline = SynthesisPipeline(
-                problem=trajectory_problem,
-                algorithms=("pivot", "stepwise", "static"),
-                far_count=50,
-                min_threshold=0.005,
-            )
-        report = pipeline.run()
-        assert report.is_vulnerable
-        assert set(report.synthesis) == {"pivot", "stepwise", "static"}
-        assert report.far_study is not None
-        rows = report.summary_rows()
-        assert len(rows) == 3
-        assert all("false_alarm_rate" in row for row in rows)
-
-    def test_far_can_be_disabled(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning):
-            pipeline = SynthesisPipeline(
-                problem=trajectory_problem, algorithms=("static",), far_count=0
-            )
-        report = pipeline.run()
-        assert report.far_study is None
-
-    def test_unknown_algorithm_rejected(self, trajectory_problem):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValidationError):
-            SynthesisPipeline(problem=trajectory_problem, algorithms=("magic",))

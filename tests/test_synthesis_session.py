@@ -2,14 +2,16 @@
 
 The contract under test: a :class:`~repro.core.session.SynthesisSession`
 builds the encoding once per problem and serves per-round solves whose
-results are bit-identical to the legacy one-encoding-per-call path, across
-backends and synthesis algorithms.
+results are bit-identical to the one-encoding-per-call reference
+(:class:`synthesis_oracle.PerCallSession`), across backends, synthesis
+algorithms and the relaxation pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from synthesis_oracle import PerCallSession, TwoPhaseLPBackend
 
 from repro.api import SynthesisConfig, run_pipeline
 from repro.core import encoding as encoding_module
@@ -90,69 +92,79 @@ class TestSessionSolve:
         assert session.solve(None).found
 
 
+def _synthesis_pass(cls):
+    """Prepare ``cls(backend).synthesize`` as a function of the session."""
+
+    def prepare(problem, backend):
+        synthesizer = cls(backend=backend)
+        return lambda session: synthesizer.synthesize(problem, session=session)
+
+    return prepare
+
+
+def _relaxation_pass(problem, backend):
+    """Prepare the relaxation of a stepwise vector as a function of the session."""
+    raw = StepwiseThresholdSynthesizer(backend=backend).synthesize(problem).threshold
+    relaxer = ThresholdRelaxer(backend=backend)
+    return lambda session: relaxer.relax(
+        problem, raw, verify_input=True, session=session
+    )
+
+
 class TestSessionEquivalenceAcrossSynthesizers:
-    """reuse_session=True and the legacy per-call path must agree exactly."""
+    """The session path and the per-call oracle must agree exactly."""
 
     @pytest.mark.parametrize(
-        "factory",
+        "problem_fixture, backend, prepare",
         [
-            lambda backend, reuse: PivotThresholdSynthesizer(
-                backend=backend, reuse_session=reuse
-            ),
-            lambda backend, reuse: StepwiseThresholdSynthesizer(
-                backend=backend, reuse_session=reuse
-            ),
-            lambda backend, reuse: StaticThresholdSynthesizer(
-                backend=backend, reuse_session=reuse
-            ),
+            ("trajectory_problem", "lp", _synthesis_pass(PivotThresholdSynthesizer)),
+            ("trajectory_problem", "lp", _synthesis_pass(StepwiseThresholdSynthesizer)),
+            ("trajectory_problem", "lp", _synthesis_pass(StaticThresholdSynthesizer)),
+            ("small_dcmotor_problem", "smt", _synthesis_pass(PivotThresholdSynthesizer)),
+            ("small_dcmotor_problem", "smt", _synthesis_pass(StepwiseThresholdSynthesizer)),
+            ("small_dcmotor_problem", "smt", _synthesis_pass(StaticThresholdSynthesizer)),
+            ("trajectory_problem", "lp", _relaxation_pass),
         ],
-        ids=["pivot", "stepwise", "static"],
+        ids=[
+            "pivot",
+            "stepwise",
+            "static",
+            "smt-pivot",
+            "smt-stepwise",
+            "smt-static",
+            "relax",
+        ],
     )
-    def test_identical_results_and_single_build(self, trajectory_problem, factory):
+    def test_identical_results_and_single_build(
+        self, request, problem_fixture, backend, prepare
+    ):
+        problem = request.getfixturevalue(problem_fixture)
+        run = prepare(problem, backend)
         legacy, legacy_builds = build_delta(
-            lambda: factory("lp", False).synthesize(trajectory_problem)
+            lambda: run(PerCallSession(problem, backend=backend))
         )
-        incremental, session_builds = build_delta(
-            lambda: factory("lp", True).synthesize(trajectory_problem)
-        )
+        incremental, session_builds = build_delta(lambda: run(None))
         np.testing.assert_array_equal(
             legacy.threshold.values, incremental.threshold.values
         )
         assert legacy.rounds == incremental.rounds
-        assert legacy.status == incremental.status
-        assert legacy.converged == incremental.converged
+        for verdict in ("status", "converged", "certified", "raised_instants"):
+            assert getattr(legacy, verdict, None) == getattr(incremental, verdict, None)
         assert session_builds == 1
         assert legacy_builds == legacy.rounds
 
     def test_two_phase_margin_strategy_matches_single_lp(self, trajectory_problem):
-        single = StepwiseThresholdSynthesizer(
-            backend=LPAttackBackend(margin_strategy="single-lp")
-        ).synthesize(trajectory_problem)
+        single = StepwiseThresholdSynthesizer(backend=LPAttackBackend()).synthesize(
+            trajectory_problem
+        )
         two_phase = StepwiseThresholdSynthesizer(
-            backend=LPAttackBackend(margin_strategy="two-phase")
+            backend=TwoPhaseLPBackend()
         ).synthesize(trajectory_problem)
         np.testing.assert_array_equal(
             single.threshold.values, two_phase.threshold.values
         )
         assert single.rounds == two_phase.rounds
         assert single.status == two_phase.status
-
-    def test_unknown_margin_strategy_rejected(self):
-        with pytest.raises(ValidationError):
-            LPAttackBackend(margin_strategy="warp-drive")
-
-    def test_smt_session_matches_per_call(self, small_dcmotor_problem):
-        shared = StepwiseThresholdSynthesizer(backend="smt").synthesize(
-            small_dcmotor_problem
-        )
-        per_call = StepwiseThresholdSynthesizer(
-            backend="smt", reuse_session=False
-        ).synthesize(small_dcmotor_problem)
-        np.testing.assert_array_equal(
-            shared.threshold.values, per_call.threshold.values
-        )
-        assert shared.rounds == per_call.rounds
-        assert shared.status == per_call.status
 
     def test_injected_session_is_used(self, trajectory_problem):
         session = SynthesisSession(trajectory_problem, backend="lp")
