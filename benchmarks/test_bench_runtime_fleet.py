@@ -9,9 +9,11 @@ Three measurements back the runtime subsystem:
   (``test_fleet_end_to_end_floor``).  Each record carries the whole-call
   throughput (``end_to_end_throughput``) and the report's phase split as
   flat ``phase_<name>_s`` keys;
-* fused vs legacy before/after — both engines on the same attacked fleet
-  workload, asserting identical float64 detector statistics and recording
-  both throughputs in one benchmark record;
+* fused vs legacy before/after — the library's fused engine against the
+  per-step reference stepper (the test-side ``LegacyEngine`` of
+  ``tests/engine_oracle.py``, registered for the measurement only) on the
+  same attacked fleet workload, asserting identical float64 detector
+  statistics and recording both throughputs in one benchmark record;
 * FAR vectorization before/after — the batched benign-population generation
   of :class:`~repro.core.far.FalseAlarmEvaluator` against the historical
   one-Python-simulation-per-trial loop, asserting *identical* rates and a
@@ -25,6 +27,8 @@ import time
 import numpy as np
 
 from benchmarks.conftest import run_once
+from tests.engine_oracle import legacy_engine
+
 from repro import (
     FalseAlarmEvaluator,
     RuntimeConfig,
@@ -37,7 +41,7 @@ from repro.noise.generators import draw_streams
 
 
 def _fleet_config(
-    n_instances: int = 1000, horizon: int = 200, engine: str = "legacy"
+    n_instances: int = 1000, horizon: int = 200, engine: str = "fused"
 ) -> RuntimeConfig:
     return RuntimeConfig(
         n_instances=n_instances,
@@ -105,11 +109,11 @@ def test_fleet_throughput_floor(benchmark):
     the ROADMAP's scaling work builds on.  The workload is the benign
     FAR-calibration regime — static threshold + CUSUM over a 4000-instance
     DC-motor fleet, no attacks — where the batched stepper amortizes its
-    fixed per-step Python cost over the instance axis (the legacy engine
-    measures ~16M here; the fused block-GEMM engine ~35M; best-of-3 guards
+    fixed per-step Python cost over the instance axis (the reference stepper
+    measures ~16M here; the fused block-GEMM kernel ~35M; best-of-3 guards
     against scheduler noise).  The run asserts the fused GEMM path was
-    actually taken, so a probe downgrade to the legacy stepper cannot pass
-    silently at legacy speed.
+    actually taken, so a probe downgrade to the reference stepper cannot
+    pass silently at its speed.
     """
     problem = get_case_study("dcmotor").problem
     config = _benign_config()
@@ -130,7 +134,7 @@ def test_fleet_throughput_floor(benchmark):
     # Wall-clock gates only bind in real benchmark runs; the CI smoke job
     # (--benchmark-disable) runs on shared machines where they'd flake.
     if not benchmark.disabled:
-        assert engine["fused_path"], "probe downgraded the fused engine to legacy"
+        assert engine["fused_path"], "probe downgraded the fused engine to the reference"
         assert best > 30_000_000
 
 
@@ -169,15 +173,18 @@ def test_fused_vs_legacy_before_after(benchmark):
     """Fused vs legacy on the attacked fleet workload: identical stats, one record.
 
     Both engines run the exact same 4000-instance attacked deployment; the
-    float64 detector statistics must be identical (the equivalence contract,
-    exercised at benchmark scale), and both throughputs plus the ratio land
-    in this benchmark's record so ``repro.obs.watch`` tracks the speedup
-    over time.  The attacked workload is heavier than the floor's benign one
-    (attack injection and detection bookkeeping are on the hot path), so its
-    absolute numbers sit below the floor's.
+    legacy side is the reference stepper, registered as ``"legacy"`` for
+    this measurement only.  The float64 detector statistics must be
+    identical (the equivalence contract, exercised at benchmark scale), and
+    both throughputs plus the ratio land in this benchmark's record so
+    ``repro.obs.watch`` tracks the speedup over time.  The attacked workload
+    is heavier than the floor's benign one (attack injection and detection
+    bookkeeping are on the hot path), so its absolute numbers sit below the
+    floor's.
     """
     problem = get_case_study("dcmotor").problem
-    legacy = run_fleet(_fleet_config(n_instances=4000, engine="legacy"), problem)
+    with legacy_engine():
+        legacy = run_fleet(_fleet_config(n_instances=4000, engine="legacy"), problem)
     fused = run_once(
         benchmark,
         lambda: run_fleet(_fleet_config(n_instances=4000, engine="fused"), problem),

@@ -414,10 +414,10 @@ def _normalize_detector_specs(detectors: dict) -> dict:
 def _check_engine(engine, options) -> tuple[str, dict]:
     """Build the engine once, so a bad name or option fails at config time.
 
-    Shared by :class:`RuntimeConfig` and :class:`ServiceConfig`.  The
-    constructor's ``TypeError`` (an unknown option, or a value of the wrong
-    type) becomes a :class:`ValidationError` naming the engine and the
-    option; its own ``ValidationError`` (a bad value) passes through.
+    Called by :class:`RuntimeConfig`.  The constructor's ``TypeError`` (an
+    unknown option, or a value of the wrong type) becomes a
+    :class:`ValidationError` naming the engine and the option; its own
+    ``ValidationError`` (a bad value) passes through.
     """
     engine = str(engine)
     if engine not in ENGINES:
@@ -484,10 +484,10 @@ class RuntimeConfig:
         scales with ``N * horizon``; off by default).
     engine / engine_options:
         Registry name (and constructor kwargs) of the fleet execution
-        engine: ``"legacy"`` (the per-step reference loop) or ``"fused"``
-        (the block-GEMM kernel of :mod:`repro.runtime.kernel`, taking
-        ``dtype`` and ``workers``).  The engine is built here, so an unknown
-        or invalid option fails at construction, not inside ``run_fleet``.
+        engine: ``"fused"`` (the block-GEMM kernel of
+        :mod:`repro.runtime.kernel`, taking ``dtype`` and ``workers``).  The
+        engine is built here, so an unknown or invalid option fails at
+        construction, not inside ``run_fleet``.
     """
 
     n_instances: int = 100
@@ -507,7 +507,7 @@ class RuntimeConfig:
     seed: int | None = 0
     events_path: str | None = None
     record_traces: bool = False
-    engine: str = "legacy"
+    engine: str = "fused"
     engine_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -665,10 +665,6 @@ class ServiceConfig:
     sink_policy:
         The wrapped sinks' overflow policy: ``"block"``, ``"drop-oldest"``
         or ``"drop-newest"``.
-    engine / engine_options:
-        Registry name (and constructor kwargs) of the service's engine:
-        ``"legacy"`` or ``"fused"``.  Both step every core once per round;
-        the engine is built here, so bad options fail at construction.
     """
 
     case_study: str | None = None
@@ -685,8 +681,6 @@ class ServiceConfig:
     flush_every: int = 1
     sink_capacity: int | None = None
     sink_policy: str = "block"
-    engine: str = "legacy"
-    engine_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.case_study is not None:
@@ -731,7 +725,6 @@ class ServiceConfig:
                 f"unknown sink_policy {self.sink_policy!r}; "
                 f"expected one of {_SINK_POLICIES}"
             )
-        self.engine, self.engine_options = _check_engine(self.engine, self.engine_options)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -754,8 +747,6 @@ class ServiceConfig:
             "flush_every": self.flush_every,
             "sink_capacity": self.sink_capacity,
             "sink_policy": self.sink_policy,
-            "engine": self.engine,
-            "engine_options": dict(self.engine_options),
         }
 
     @classmethod

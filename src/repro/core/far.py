@@ -90,11 +90,6 @@ class FalseAlarmEvaluator:
         value, producing the realistic early innovation transient of a system
         whose operating point is only approximately known.  ``None`` keeps
         the nominal initial state for every trial.
-    engine / engine_options:
-        Execution engine for the benign-population simulation, resolved
-        through :data:`repro.registry.ENGINES` (``"legacy"`` or ``"fused"``).
-        The fused float64 engine is gated to stay bit-identical, so rates
-        match the legacy engine exactly.
     """
 
     def __init__(
@@ -107,8 +102,6 @@ class FalseAlarmEvaluator:
         filter_pfc: bool = True,
         filter_mdc: bool = True,
         initial_state_spread: np.ndarray | None = None,
-        engine: str = "legacy",
-        engine_options: dict | None = None,
     ):
         self.problem = problem
         self.count = int(check_positive("count", count))
@@ -133,8 +126,6 @@ class FalseAlarmEvaluator:
                 f"the plant's {problem.n_outputs} outputs"
             )
         self.noise_model = noise_model
-        self.engine = str(engine)
-        self.engine_options = dict(engine_options or {})
         self._traces: list[SimulationTrace] | None = None
         self._residue_stack: np.ndarray | None = None
 
@@ -177,8 +168,6 @@ class FalseAlarmEvaluator:
             x0=x0,
             measurement_noise=streams.measurement,
             process_noise=streams.process,
-            engine=self.engine,
-            engine_options=self.engine_options,
         )
 
         traces: list[SimulationTrace] = []

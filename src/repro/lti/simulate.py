@@ -217,10 +217,12 @@ class SimulationTrace:
         return self.residues.shape[0]
 
     def residue_norms(self, order: float | str = 2) -> np.ndarray:
-        """Per-sample residue norms ``||z_k||`` (Euclidean by default)."""
-        if order == "inf":
-            return np.max(np.abs(self.residues), axis=1)
-        return np.linalg.norm(self.residues, ord=order, axis=1)
+        """Per-sample residue norms ``||z_k||`` of order 1, 2 (default) or ``"inf"``."""
+        from repro.detectors.threshold import residue_norms  # imports this module
+
+        if order not in (1, 2, "inf"):
+            raise ValidationError(f"residue norm order must be 1, 2 or 'inf', got {order!r}")
+        return residue_norms(self.residues, order)
 
     def state_deviation(self, x_reference: np.ndarray) -> np.ndarray:
         """Per-sample Euclidean distance of the plant state from ``x_reference``."""

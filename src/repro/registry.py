@@ -24,7 +24,7 @@ registry            built-in names                                 registered ob
 ``ATTACK_TEMPLATES``  ``none``, ``bias``, ``ramp``, ``surge``,     parametric attack template
                     ``geometric``, ``replay``
 ``SAMPLERS``        ``grid``, ``adaptive-bisection``               design-space sampler
-``ENGINES``         ``legacy``, ``fused``                          fleet execution engine
+``ENGINES``         ``fused``                                      fleet execution engine
 ==================  =============================================  =========================
 
 Downstream users extend any of them::

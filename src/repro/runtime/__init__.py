@@ -12,13 +12,14 @@ The synthesis pipeline (:mod:`repro.api`) produces detectors; this package
 * the :class:`FleetSimulator` — N closed-loop instances advanced step by
   step in batched numpy, with per-instance noise streams and a scheduled
   attack injector (:class:`ScheduledAttack`);
-* pluggable execution engines (:class:`LegacyEngine`, :class:`FusedEngine`
-  from :mod:`repro.runtime.kernel`, selected by ``engine="legacy"/"fused"``
-  through :data:`repro.registry.ENGINES`) — stepper factories for the one
-  stepping loop; the fused stepper collapses each fleet step into one block
-  GEMM while staying bit-identical in float64.  Detectors then run one
-  vectorized pass per core (:meth:`BatchDetector.run`) over the recorded
-  residues;
+* one execution engine (:class:`FusedEngine` from
+  :mod:`repro.runtime.kernel`, ``engine="fused"`` in
+  :data:`repro.registry.ENGINES`) — the stepper factory of the one stepping
+  loop; the fused stepper collapses each fleet step into one block GEMM
+  while staying bit-identical in float64 to the reference stepper, which
+  is its probe fallback and the test suite's oracle.  Detectors then run
+  one vectorized pass per core (:meth:`BatchDetector.run`) over the
+  recorded residues;
 * an event layer (:class:`AlarmEvent`, the column-backed
   :class:`AlarmBatch`, :class:`InMemorySink`, :class:`JSONLSink`) and the
   :class:`FleetReport` aggregate;
@@ -52,7 +53,7 @@ from repro.runtime.online import (
 )
 from repro.runtime.report import DetectorFleetStats, FleetReport
 from repro.runtime.engine import run_fleet
-from repro.runtime.kernel import FusedEngine, LegacyEngine
+from repro.runtime.kernel import FusedEngine
 
 __all__ = [
     "AlarmBatch",
@@ -69,7 +70,6 @@ __all__ = [
     "FleetTrace",
     "FusedEngine",
     "InMemorySink",
-    "LegacyEngine",
     "JSONLSink",
     "OnlineChiSquare",
     "OnlineCusum",

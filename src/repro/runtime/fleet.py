@@ -26,11 +26,10 @@ engine supplies:
   :class:`~repro.runtime.report.FleetReport` and pushes
   :class:`~repro.runtime.events.AlarmBatch` views into the sinks.
 
-The ``engine`` name is resolved through :data:`repro.registry.ENGINES`:
-``"legacy"`` (the default) steps with :class:`_BatchStepper`, ``"fused"``
-with the block-fused kernel of :mod:`repro.runtime.kernel` (bit-identical in
-float64 and gated by a differential probe).  :class:`_BatchStepper` is also
-the fused engine's probe fallback.
+Both step with the one engine, ``"fused"``: the block-fused kernel of
+:mod:`repro.runtime.kernel`, bit-identical in float64 to the reference
+stepper (:class:`~repro.runtime.kernel.runner._BatchStepper`) and gated by
+a differential probe that falls back to it.
 """
 
 from __future__ import annotations
@@ -52,59 +51,10 @@ from repro.registry import ENGINES
 from repro.runtime.batch import BatchDetector, make_batched
 from repro.runtime.events import EventSink
 from repro.runtime.kernel.lanes import build_lanes
-from repro.runtime.kernel.runner import Stepping, new_recorder, simulate, stack_steps
+from repro.runtime.kernel.runner import FusedEngine, Stepping, new_recorder, simulate, stack_steps
 from repro.runtime.report import AlarmTally, FleetReport
 from repro.utils.rng import spawned_rng
 from repro.utils.validation import ValidationError, check_positive
-
-
-class _BatchStepper:
-    """Advances ``N`` instances of one closed loop with batched numpy.
-
-    Implements exactly the update order of
-    :func:`~repro.lti.simulate.simulate_closed_loop` (the paper's
-    Algorithm 1 trace semantics), with every quantity carrying a leading
-    instance axis.
-    """
-
-    def __init__(self, system: ClosedLoopSystem, x0: np.ndarray, xhat0: np.ndarray):
-        plant = system.plant
-        self.system = system
-        self.n_instances = x0.shape[0]
-        self._A_T = plant.A.T.copy()
-        self._B_T = plant.B.T.copy()
-        self._C_T = plant.C.T.copy()
-        self._D_T = plant.D.T.copy()
-        self._L_T = system.L.T.copy()
-        self._K_T = system.K.T.copy()
-        self._feedforward = system.feedforward @ system.reference
-        self.X = np.array(x0, dtype=float)
-        self.Xhat = np.array(xhat0, dtype=float)
-        self.U = np.zeros((self.n_instances, plant.n_inputs))
-
-    def step(
-        self,
-        measurement_noise: np.ndarray,
-        process_noise: np.ndarray | None,
-        attack: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One closed-loop iteration for the whole fleet.
-
-        Returns ``(y_true, y_attacked, residues)``, each ``(N, m)``; the
-        internal plant/estimator/input state advances to the next sample.
-        """
-        output_feed = self.U @ self._D_T
-        y_true = self.X @ self._C_T + output_feed + measurement_noise
-        y_attacked = y_true if attack is None else y_true + attack
-        residues = y_attacked - (self.Xhat @ self._C_T + output_feed)
-
-        input_feed = self.U @ self._B_T
-        self.X = self.X @ self._A_T + input_feed
-        if process_noise is not None:
-            self.X += process_noise
-        self.Xhat = self.Xhat @ self._A_T + input_feed + residues @ self._L_T
-        self.U = -(self.Xhat @ self._K_T) + self._feedforward
-        return y_true, y_attacked, residues
 
 
 def _as_instance_states(values: np.ndarray | None, n_instances: int, n: int, label: str) -> np.ndarray:
@@ -195,8 +145,6 @@ def batch_simulate(
     process_noise: np.ndarray | None = None,
     attacks: np.ndarray | None = None,
     n_instances: int | None = None,
-    engine: str = "legacy",
-    engine_options: Mapping[str, object] | None = None,
 ) -> FleetTrace:
     """Simulate ``N`` instances of one closed loop in batched numpy.
 
@@ -215,10 +163,6 @@ def batch_simulate(
         / ``(N, T, m)``; ``None`` means zero.
     n_instances:
         Fleet size; only needed when every per-instance argument is ``None``.
-    engine / engine_options:
-        Execution engine name from :data:`repro.registry.ENGINES` plus its
-        constructor options (e.g. ``engine="fused"``,
-        ``engine_options={"dtype": "float32", "workers": 4}``).
 
     Returns
     -------
@@ -251,7 +195,7 @@ def batch_simulate(
     W = _check_noise_block(process_noise, (N, T, n), "process_noise")
     A = _check_noise_block(attacks, (N, T, m), "attacks")
 
-    stepping = ENGINES.create(engine, **dict(engine_options or {})).stepping(system, N)
+    stepping = FusedEngine().stepping(system, N)
     recorder = new_recorder(plant, X0, Xhat0, T)
     simulate(
         system,
@@ -404,13 +348,12 @@ class FleetSimulator:
         :class:`~repro.obs.watch.HealthWatcher` passed here watches the
         run's gauge/counter streams for regressions.
     engine:
-        Execution engine name from :data:`repro.registry.ENGINES`:
-        ``"legacy"`` (default, the per-step reference stepper) or
-        ``"fused"`` (the block-fused kernel, bit-identical in float64).
+        Execution engine name from :data:`repro.registry.ENGINES`; the one
+        built-in engine is ``"fused"`` (the block-fused kernel,
+        bit-identical in float64).
     engine_options:
         Constructor options for the engine, e.g. ``{"dtype": "float32",
-        "workers": 4}`` for the fused kernel.  Validated when :meth:`run`
-        resolves the engine.
+        "workers": 4}``.  Validated when :meth:`run` resolves the engine.
     """
 
     def __init__(
@@ -431,7 +374,7 @@ class FleetSimulator:
         record_traces: bool = False,
         metrics: MetricsRegistry | None | bool = None,
         scraper=None,
-        engine: str = "legacy",
+        engine: str = "fused",
         engine_options: Mapping[str, object] | None = None,
     ):
         self.system = system
@@ -623,7 +566,7 @@ class FleetSimulator:
         return alarms
 
     def _finish(
-        self, run: "_RunInputs", alarms: dict[str, np.ndarray], engine: dict | None
+        self, run: "_RunInputs", alarms: dict[str, np.ndarray], engine: dict
     ) -> FleetReport:
         """Tally and emit the alarm stacks, record metrics, build the report.
 
@@ -678,9 +621,7 @@ class FleetSimulator:
                 metadata={"system": self.system.name},
             )
 
-        metadata = {"system": self.system.name, "seed": self.seed}
-        if engine is not None:
-            metadata["engine"] = engine
+        metadata = {"system": self.system.name, "seed": self.seed, "engine": engine}
         metadata["attacks"] = [
             {
                 "label": entry.label or f"attack-{index}",

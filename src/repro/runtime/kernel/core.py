@@ -1,7 +1,8 @@
 """Fused closed-loop stepper: one block matmul per fleet step.
 
-The legacy :class:`~repro.runtime.fleet._BatchStepper` advances ``N``
-instances with ~8 separate ``(N, ·)`` matrix products per sampling instance.
+The reference :class:`~repro.runtime.kernel.runner._BatchStepper` advances
+``N`` instances with ~8 separate ``(N, ·)`` matrix products per sampling
+instance.
 This module pre-assembles the per-``(system, estimator, controller)`` update
 into a single block matrix ``Mq`` over the stacked state ``Z = [X; Xhat; U]``
 (transposed, ``(s, N)`` with ``s = 2n + p``), so each step is **one**
@@ -16,17 +17,18 @@ into a single block matrix ``Mq`` over the stacked state ``Z = [X; Xhat; U]``
                              2m+2n..+n B U
                              [+m]      D U        (only when D is nonzero)
 
-The elementwise tail replicates the legacy update order operation for
+The elementwise tail replicates the reference update order operation for
 operation (same associations, same in-place accumulations), so whenever the
-BLAS GEMM reproduces the legacy products bit for bit in this orientation the
-float64 fused step is *bit-identical* to the legacy stepper.  Whether that
-holds for a concrete ``(system, BLAS)`` pair is decided empirically at run
-time by :func:`probe_fused_equivalence` — a cached differential warm-up on
-synthetic data — and runs fall back to the legacy stepper when it fails.
+BLAS GEMM reproduces the reference products bit for bit in this orientation
+the float64 fused step is *bit-identical* to the reference stepper.  Whether
+that holds for a concrete ``(system, BLAS)`` pair is decided empirically at
+run time by :func:`probe_fused_equivalence` — a cached differential warm-up
+on synthetic data — and runs fall back to the reference stepper when it
+fails.
 Partition stability across worker shards is probed separately by
 :func:`repro.runtime.kernel.runner.probe_shard_stability`.
 
-Signed-zero caveat: when ``D == 0`` the legacy stepper still adds an exactly
+Signed-zero caveat: when ``D == 0`` the reference stepper still adds an exactly
 zero feed-through array, which can flip ``-0.0`` to ``+0.0``; the fused step
 skips that add.  The two paths therefore agree under ``np.array_equal``
 (value equality, the gate used everywhere) but may differ in the *sign* of
@@ -43,9 +45,13 @@ from repro.utils.rng import ensure_rng
 #: Fixed seed of the synthetic differential probe (data-independent verdict).
 PROBE_SEED = 20260808
 
-#: Probe horizon: a handful of steps is enough to surface a kernel-dispatch
-#: mismatch, and the (cached) probe cost stays negligible against real runs.
+#: Probe horizon: a handful of steps is enough to check the elementwise
+#: tail and the stepping order, and the (cached) probe cost stays negligible
+#: against real runs.
 PROBE_HORIZON = 8
+
+#: Random operands per product of :func:`_products_agree`.
+PROBE_DRAWS = 8
 
 _PROBE_CACHE: dict[tuple, bool] = {}
 
@@ -187,9 +193,54 @@ def _system_key(system: ClosedLoopSystem, dtype) -> tuple:
     return tuple(parts)
 
 
+def _balanced(rng, matrix: np.ndarray, cols: int) -> np.ndarray:
+    """A random ``(k, cols)`` operand whose terms ``matrix[i, l] z[l]`` share one magnitude.
+
+    Summation kernels that round differently (GEMV against GEMM, FMA against
+    a rounded product) then differ on most entries; on plain normal data a
+    dominant term can hide the difference.
+    """
+    scale = np.max(np.abs(matrix), axis=0)
+    scale[scale == 0] = 1.0
+    z = rng.uniform(-1.0, 1.0, (matrix.shape[1], cols))
+    z += np.sign(z)  # magnitudes in [1, 2), either sign
+    return z / scale[:, None]
+
+
+def _products_agree(system: ClosedLoopSystem, fused: "FusedStepper", N: int) -> bool:
+    """Each product of the fused step against the reference's orientation, bitwise."""
+    plant, n, cols = system.plant, system.plant.n_states, fused.n_columns
+    rows = [(0, plant.C, 0), (fused._m, plant.C, n), (fused._ax0, plant.A, 0)]
+    rows += [(fused._axh0, plant.A, n), (fused._bu0, plant.B, 2 * n)]
+    if fused._has_of:
+        rows.append((fused._of0, plant.D, 2 * n))
+    states, inputs = np.vstack([plant.C, plant.A]), np.vstack([plant.B, plant.D])
+    rng = ensure_rng(PROBE_SEED)
+
+    def agree(matrix, operand, product) -> bool:
+        reference = np.ascontiguousarray(operand[:, :N].T) @ matrix.T.copy()
+        return np.array_equal(reference, product[:, :N].T)
+
+    for _ in range(PROBE_DRAWS):
+        parts = [_balanced(rng, states, cols), _balanced(rng, states, cols)]
+        Z = np.vstack(parts + [_balanced(rng, inputs, cols)])
+        P = fused._Mq @ Z
+        if not all(agree(M, Z[c : c + M.shape[1]], P[r : r + M.shape[0]]) for r, M, c in rows):
+            return False
+        for matrix, fused_matrix in ((system.L, fused._L), (system.K, fused._K)):
+            operand = _balanced(rng, matrix, cols)
+            product = np.matmul(fused_matrix, operand, out=np.empty((len(matrix), cols)))
+            if not agree(matrix, operand, product):
+                return False
+    return True
+
+
 def _probe(system: ClosedLoopSystem, n_instances: int, horizon: int) -> bool:
-    """Differential warm-up: fused full-width vs legacy stepper, bitwise."""
-    from repro.runtime.fleet import _BatchStepper
+    """Differential warm-up: fused vs the reference stepper, bitwise.
+
+    Each product on balanced operands first, then a short synthetic run.
+    """
+    from repro.runtime.kernel.runner import _BatchStepper
 
     plant = system.plant
     n, m = plant.n_states, plant.n_outputs
@@ -210,19 +261,18 @@ def _probe(system: ClosedLoopSystem, n_instances: int, horizon: int) -> bool:
         out[:, :N] = block.T
         return out
 
-    legacy = _BatchStepper(system, X0.copy(), Xhat0.copy())
+    reference = _BatchStepper(system, X0.T, Xhat0.T)
     fused = FusedStepper(system, carve(X0), carve(Xhat0))
+    if not _products_agree(system, fused, N):
+        return False
     for k in range(T):
-        y1, ya1, r1 = legacy.step(V[k], W[k], None)
-        y2, ya2, r2 = fused.step(carve(V[k]), carve(W[k]), None)
-        if not (
-            np.array_equal(y1, y2[:, :N].T)
-            and np.array_equal(ya1, ya2[:, :N].T)
-            and np.array_equal(r1, r2[:, :N].T)
-            and np.array_equal(legacy.X, fused.X[:, :N].T)
-            and np.array_equal(legacy.Xhat, fused.Xhat[:, :N].T)
-            and np.array_equal(legacy.U, fused.U[:, :N].T)
-        ):
+        outputs = reference.step(V[k].T, W[k].T, None)
+        fused_outputs = fused.step(carve(V[k]), carve(W[k]), None)
+        pairs = zip(
+            (*outputs, reference.X, reference.Xhat, reference.U),
+            (*fused_outputs, fused.X, fused.Xhat, fused.U),
+        )
+        if not all(np.array_equal(left, right[:, :N]) for left, right in pairs):
             return False
     return True
 
@@ -232,18 +282,19 @@ def probe_fused_equivalence(
 ) -> bool:
     """Decide (and cache) whether the fused float64 path is safe for ``system``.
 
-    The fused step is algebraically identical to the legacy stepper, but
+    The fused step is algebraically identical to the reference stepper, but
     bit-identity additionally requires the BLAS GEMM to produce the exact
     same floats in the fused (transposed, block-stacked) orientation.  That
     is a property of the installed BLAS, the concrete matrix shapes *and the
     fleet width* (kernel dispatch can differ per operand width), so it is
-    checked *empirically* at the actual width: a short synthetic run (fixed
-    seed, data-independent of the real fleet, ``n_instances`` columns wide)
-    compares the fused stepper against the legacy stepper with
-    ``np.array_equal`` on every step's outputs and states.
+    checked *empirically* at the actual width on synthetic data (fixed seed,
+    ``n_instances`` columns wide): each product of the fused step against
+    the reference's on balanced operands (:func:`_balanced`), then a short
+    run of both steppers, ``np.array_equal`` on every step's outputs and
+    states.
 
     Returns ``True`` when every probed quantity matched; the fused engine
-    then uses the fused stepper, otherwise it falls back to the legacy
+    then uses the fused stepper, otherwise it falls back to the reference
     stepper (still bit-identical).  ``float32`` always returns ``True``: the
     fast mode has no bit-identity contract — the fused kernel *defines* that
     path.  Verdicts are cached per ``(system matrices, dtype, width)``.

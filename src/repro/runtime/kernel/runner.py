@@ -1,22 +1,19 @@
-"""Fleet execution engines (``legacy``, ``fused``) and the one stepping loop.
+"""The fleet execution engine (``fused``) and the one stepping loop.
 
-An engine is a stepper factory.  Given ``(system, N)``, its ``stepping``
-method returns a :class:`Stepping`: the transposed-orientation stepper
-class, the dtype, the worker count and the report metadata.
-
-* :class:`LegacyEngine` (``engine="legacy"``, the default) — the original
-  per-step ``(N, ·)`` stepper behind the transposed interface, float64, one
-  worker, no metadata.
-* :class:`FusedEngine` (``engine="fused"``) — the fused kernel of
-  :mod:`repro.runtime.kernel.core`: one GEMM per step per shard, optional
-  ``dtype="float32"`` fast mode and ``workers=k`` shard-across-cores
-  execution.
+The engine is a stepper factory.  Given ``(system, N)``,
+:meth:`FusedEngine.stepping` returns a :class:`Stepping`: the
+transposed-orientation stepper class, the dtype, the worker count and the
+report metadata.  The stepper is the fused kernel of
+:mod:`repro.runtime.kernel.core` (one GEMM per step per shard, optional
+``dtype="float32"`` fast mode and ``workers=k`` shard-across-cores
+execution), or :class:`_BatchStepper`, the reference stepper, when the
+differential probe rejects the BLAS.
 
 :func:`simulate` is the only stepping loop: :class:`~repro.runtime.fleet.
 FleetSimulator`, :func:`~repro.runtime.fleet.batch_simulate` and the shard
 probe all run it.  It carves, pads, shards and records; detectors run
 afterwards on the recorded stacks, and :func:`service_round` is the one
-:class:`~repro.serve.service.MonitorService` round of both engines.
+:class:`~repro.serve.service.MonitorService` round.
 
 Sharding contract: instances are carved into *contiguous index ranges*
 (never interleaved, never by draw order) so every per-instance stream —
@@ -35,7 +32,8 @@ the BLAS cooperates, by construction when it does not.
 
 Equivalence gate: each fused float64 run first consults
 :func:`~repro.runtime.kernel.core.probe_fused_equivalence`; a failed probe
-hands the loop the legacy stepper instead — bit-identical output either way.
+hands the loop :class:`_BatchStepper` instead — bit-identical output either
+way.
 """
 
 from __future__ import annotations
@@ -73,24 +71,40 @@ def _shard_bounds(n_instances: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
-class _LegacyShard:
-    """The legacy stepper behind the transposed (fused) interface.
+class _BatchStepper:
+    """The reference stepper: the fused probe's reference and its fallback.
 
-    Always computes in float64; ``dtype`` is accepted for the stepper
-    signature only (the fused engine falls back to it in float64 alone).
+    The update order of :func:`~repro.lti.simulate.simulate_closed_loop`
+    (Algorithm 1's trace semantics) in instance-major ``(w, ·)`` products:
+    the plant half here, the estimator half a
+    :class:`~repro.serve.observer.BatchObserver`.  Transposed interface as
+    the fused stepper; always float64 (``dtype`` fills the signature only).
     """
 
     def __init__(self, system, x0_t, xhat0_t, dtype=np.float64):
-        from repro.runtime.fleet import _BatchStepper
+        # Imported here: repro.serve imports the runtime package.
+        from repro.serve.observer import BatchObserver
 
-        self._stepper = _BatchStepper(system, x0_t.T.copy(), xhat0_t.T.copy())
+        plant = system.plant
+        self._A_T = plant.A.T.copy()
+        self._C_T = plant.C.T.copy()
+        self._B_T = plant.B.T.copy()
+        self._D_T = plant.D.T.copy()
+        self._X = np.array(x0_t.T, dtype=float, order="C")
+        self.observer = BatchObserver(system)
+        self.observer.Xhat = np.array(xhat0_t.T, dtype=float, order="C")
+        self.observer.U = np.zeros((self._X.shape[0], plant.n_inputs))
 
     def step(self, vk, wk, att, res_out=None):
-        y, ya, res = self._stepper.step(
-            vk.T,
-            None if wk is None else wk.T,
-            None if att is None else att.T,
-        )
+        """One closed-loop iteration: ``(y_true, y_attacked, residues)``, ``(m, w)``."""
+        output_feed = self.observer.U @ self._D_T
+        input_feed = self.observer.U @ self._B_T
+        y = self._X @ self._C_T + output_feed + vk.T
+        ya = y if att is None else y + att.T
+        self._X = self._X @ self._A_T + input_feed
+        if wk is not None:
+            self._X += wk.T
+        res = self.observer.advance(ya, output_feed, input_feed)
         if res_out is None:
             return y.T, ya.T, res.T
         np.copyto(res_out, res.T)
@@ -98,15 +112,15 @@ class _LegacyShard:
 
     @property
     def X(self):
-        return self._stepper.X.T
+        return self._X.T
 
     @property
     def Xhat(self):
-        return self._stepper.Xhat.T
+        return self.observer.Xhat.T
 
     @property
     def U(self):
-        return self._stepper.U.T
+        return self.observer.U.T
 
 
 class Stepping(NamedTuple):
@@ -114,13 +128,13 @@ class Stepping(NamedTuple):
 
     ``stepper`` is a transposed-orientation stepper class called as
     ``stepper(system, x0_t, xhat0_t, dtype)``; ``metadata`` becomes the
-    report's ``metadata["engine"]`` (``None`` omits it).
+    report's ``metadata["engine"]``.
     """
 
     stepper: type
     dtype: type
     workers: int
-    metadata: dict | None
+    metadata: dict
 
 
 def stack_steps(block: np.ndarray | None, dtype) -> np.ndarray | None:
@@ -188,8 +202,8 @@ def simulate(
         width = hi - lo
         # Width-1 shards ride a zero discard column: keeps the BLAS on its
         # (partition-invariant) GEMM path instead of GEMV.  A single
-        # full-fleet legacy shard IS the reference computation: no pad.
-        pad = width == 1 and (sharded or stepping.stepper is not _LegacyShard)
+        # full-fleet reference shard IS the reference computation: no pad.
+        pad = width == 1 and (sharded or stepping.stepper is not _BatchStepper)
         cols = 2 if pad else width
 
         def carve(block_t):
@@ -257,7 +271,7 @@ def _probe_shards(
     W = rng.standard_normal((N, T, n))
     dt_np = _DTYPES[dtype]
     Vt, Wt = stack_steps(V, dt_np), stack_steps(W, dt_np)
-    stepper = FusedStepper if fused_ok else _LegacyShard
+    stepper = FusedStepper if fused_ok else _BatchStepper
 
     def run(n_workers: int) -> list[np.ndarray]:
         res = np.empty((T, m, N), dtype=dt_np)
@@ -278,7 +292,7 @@ def probe_shard_stability(
     A BLAS GEMM may pick different kernels (and different accumulation
     orders) for different operand widths, so carving the fleet into
     per-worker column blocks can perturb low-order bits relative to the
-    unsharded run — for the fused *and* for the legacy-fallback stepper.
+    unsharded run — for the fused *and* for the fallback stepper.
     Because the dispatch depends on the concrete widths, this probe runs the
     stepping loop at the *actual* fleet width and worker layout (width-1
     padding included) on synthetic data and compares every recorded
@@ -316,30 +330,14 @@ def service_round(
     }
 
 
-@ENGINES.register("legacy")
-class LegacyEngine:
-    """The reference engine (the default): the legacy stepper, float64.
-
-    Its runs carry no ``metadata["engine"]`` entry; its stepper is the
-    bit-for-bit reference every fused run is gated against.
-    """
-
-    name = "legacy"
-    service_round = staticmethod(service_round)
-
-    def stepping(self, system, n_instances: int, registry=None) -> Stepping:
-        """The legacy stepper, float64, one worker, no metadata."""
-        return Stepping(_LegacyShard, np.float64, 1, None)
-
-
 @ENGINES.register("fused")
 class FusedEngine:
-    """The fused fleet kernel (``engine="fused"``): opt-in fast path.
+    """The fleet engine: the fused kernel, probe-gated against the reference.
 
     Parameters
     ----------
     dtype:
-        ``"float64"`` (default) — gated bit-identical to the legacy engine —
+        ``"float64"`` (default) — gated bit-identical to :class:`_BatchStepper` —
         or ``"float32"`` — the fast mode, with no bit-identity contract (see
         ``docs/runtime-kernel.md`` for the documented accuracy envelope).
     workers:
@@ -393,13 +391,12 @@ class FusedEngine:
             "fused_path": bool(fused_ok),
             "shard_stable": bool(shard_stable),
         }
-        stepper = FusedStepper if fused_ok else _LegacyShard
+        stepper = FusedStepper if fused_ok else _BatchStepper
         return Stepping(stepper, _DTYPES[self.dtype], workers, metadata)
 
 
 __all__ = [
     "FusedEngine",
-    "LegacyEngine",
     "Stepping",
     "new_recorder",
     "probe_shard_stability",

@@ -4,8 +4,8 @@ A :class:`FleetReport` summarises one :class:`~repro.runtime.fleet.FleetSimulato
 run: for every deployed detector it reports the detection rate and detection
 latency over the attacked sub-fleet and the (per-instance and per-step) false
 alarm rates over the benign sub-fleet — the online metrics the offline
-``evaluate`` path cannot express.  :class:`AlarmTally` is the alarm
-bookkeeping every fleet engine shares: one vectorized pass over the run's
+``evaluate`` path cannot express.  :class:`AlarmTally` is the fleet's alarm
+bookkeeping: one vectorized pass over the run's
 ``(T, N)`` alarm stacks, and the step-ordered emission of the resulting
 :class:`~repro.runtime.events.AlarmBatch` columns to the sinks.
 """

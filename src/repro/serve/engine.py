@@ -86,8 +86,6 @@ def run_service(
         metadata={"config": config.to_dict(), "problem": problem.name},
         metrics=metrics,
         scraper=scraper,
-        engine=config.engine,
-        engine_options=config.engine_options,
     )
 
 

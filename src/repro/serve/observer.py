@@ -4,15 +4,17 @@ A deployed monitoring service receives raw sensor measurements from real
 plant instances — it does not simulate the plant.  The residue detectors,
 however, consume Kalman innovations.  :class:`BatchObserver` closes that gap
 by running the estimator half of the closed loop for every attached
-instance, with exactly the update order (and therefore exactly the floats)
-of the fleet simulator's :class:`~repro.runtime.fleet._BatchStepper`::
+instance::
 
     z_k    = y_k - (C xhat_k + D u_k)
     xhat'  = A xhat_k + B u_k + L z_k
     u'     = -K xhat' + N r
 
-so a service fed a fleet run's recorded measurement stream reproduces that
-run's residues bit-for-bit (locked in by ``tests/test_serve_service.py``).
+This is the library's one batched copy of that update: the reference fleet
+stepper (:class:`~repro.runtime.kernel.runner._BatchStepper`) runs the plant
+half and :meth:`BatchObserver.advance` for this half, so a service fed a
+fleet run's recorded measurements reproduces that run's residues bit for bit
+(``tests/test_serve_service.py``, ``tests/test_runtime_kernel_property.py``).
 
 All state is ``(N, ...)`` and supports the same :meth:`grow` /
 :meth:`compact` membership hooks as the detector cores, so instances can
@@ -68,7 +70,7 @@ class BatchObserver:
         """Consume one ``(N, m)`` measurement block, return the ``(N, m)`` residues.
 
         Advances every instance's estimator and control input to the next
-        sample, mirroring the fleet stepper's expressions term for term.
+        sample.
         """
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
         if measurements.shape[0] != self.n_instances:
@@ -76,9 +78,16 @@ class BatchObserver:
                 f"expected a block of {self.n_instances} instances, "
                 f"got {measurements.shape[0]}"
             )
-        output_feed = self.U @ self._D_T
+        return self.advance(measurements, self.U @ self._D_T, self.U @ self._B_T)
+
+    def advance(
+        self, measurements: np.ndarray, output_feed: np.ndarray, input_feed: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`step` given this step's feeds ``U D^T`` and ``U B^T``.
+
+        The reference fleet stepper shares the feeds with its plant half.
+        """
         residues = measurements - (self.Xhat @ self._C_T + output_feed)
-        input_feed = self.U @ self._B_T
         self.Xhat = self.Xhat @ self._A_T + input_feed + residues @ self._L_T
         self.U = -(self.Xhat @ self._K_T) + self._feedforward
         return residues

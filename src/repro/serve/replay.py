@@ -125,6 +125,10 @@ def _rebuild_service(
     # Replay controls drain timing itself and must not re-log to disk.
     config_data["auto_drain"] = False
     config_data["log_path"] = None
+    # Logs recorded while ServiceConfig still chose an engine carry these;
+    # every engine ran the same round, so they select nothing.
+    config_data.pop("engine", None)
+    config_data.pop("engine_options", None)
     config = ServiceConfig.from_dict(config_data)
     return run_service(config, problem=problem, sinks=sinks, detectors=detectors)
 

@@ -34,6 +34,7 @@ Residues come from one of two sources: ``"observer"`` mode runs a
 from __future__ import annotations
 
 import copy
+import math
 import threading
 from typing import Mapping, Sequence
 
@@ -180,12 +181,11 @@ class MonitorService:
         ``metrics`` registry self-monitors the live gauge/counter-rate
         streams (ingest rate, members, round cost) with the repo's own
         CUSUM detectors, one observation per processed round.
-    engine / engine_options:
-        Name (from :data:`repro.registry.ENGINES`) and constructor options
-        of the engine.  Both engines run the same round — every core steps
-        once (:func:`~repro.runtime.kernel.runner.service_round`) — so
-        alarm decisions, event ordering and per-instance detector state do
-        not depend on the choice; the name is recorded in the service log.
+    engine:
+        Name of the engine (from :data:`repro.registry.ENGINES`) whose
+        round the service runs: every core steps once
+        (:func:`~repro.runtime.kernel.runner.service_round`).  The name is
+        recorded in the service log.
     """
 
     def __init__(
@@ -203,8 +203,7 @@ class MonitorService:
         metadata: dict | None = None,
         metrics: MetricsRegistry | None = None,
         scraper=None,
-        engine: str = "legacy",
-        engine_options: Mapping[str, object] | None = None,
+        engine: str = "fused",
     ):
         if residue_source not in RESIDUE_SOURCES:
             raise ValidationError(
@@ -227,8 +226,7 @@ class MonitorService:
         self.log = log if log is not None else ServiceLog()
         self.metadata = dict(metadata or {})
         self.engine = str(engine)
-        self.engine_options = dict(engine_options or {})
-        self._engine = ENGINES.create(self.engine, **self.engine_options)
+        self._engine = ENGINES.create(self.engine)
 
         # Cores cannot be built empty (n_instances is validated positive), so
         # materialise each with one placeholder row and compact it away.
@@ -271,6 +269,10 @@ class MonitorService:
         )
         self._c_dropped = self.metrics.counter(
             "serve_samples_dropped_total", help="Samples dropped by overflow policy."
+        )
+        self._c_nonfinite = self.metrics.counter(
+            "service_nonfinite_samples_total",
+            help="Samples rejected for a NaN or infinite value.",
         )
         self._c_rounds = self.metrics.counter(
             "serve_rounds_total", help="Lockstep rounds processed."
@@ -406,11 +408,14 @@ class MonitorService:
         Returns True when the sample entered the instance's ring buffer.
         ``residue`` is required in ``"ingest"`` mode when any deployed
         detector consumes residues, and rejected in ``"observer"`` mode (the
-        observer computes residues itself).  Under the ``"drop-newest"``
-        overflow policy a sample arriving at a full buffer is counted dropped
-        and False is returned; ``"drop-oldest"`` evicts the oldest pending
-        sample instead; ``"error"`` raises.  Only samples that enter a buffer
-        are logged, which is what makes recorded logs replayable.
+        observer computes residues itself).  A NaN or infinite value raises,
+        counted in ``service_nonfinite_samples_total``, before the sample
+        reaches the ring, the log or the observer.  Under the
+        ``"drop-newest"`` overflow policy a sample arriving at a full buffer
+        is counted dropped and False is returned; ``"drop-oldest"`` evicts
+        the oldest pending sample instead; ``"error"`` raises.  Only samples
+        that enter a buffer are logged, which is what makes recorded logs
+        replayable.
         """
         with self._lock:
             row = self._rows.get(int(instance_id))
@@ -422,6 +427,8 @@ class MonitorService:
                     f"measurement has {measurement.size} channels, "
                     f"the plant has {self._n_outputs} outputs"
                 )
+            values = [float(v) for v in measurement]
+            data = {"measurement": values}
             if self.residue_source == "observer":
                 if residue is not None:
                     raise ValidationError(
@@ -443,7 +450,15 @@ class MonitorService:
                         f"residue has {residue.size} channels, "
                         f"the plant has {self._n_outputs} outputs"
                     )
+                data["residue"] = [float(v) for v in residue]
+                values = values + data["residue"]
                 sample = np.concatenate([measurement, residue])
+            # The floats the log entry holds anyway: cheaper than np.isfinite.
+            if not all(map(math.isfinite, values)):
+                self._c_nonfinite.inc()
+                raise ValidationError(
+                    f"instance {instance_id} sent a non-finite sample {data}"
+                )
 
             ring = self._rings[row]
             if ring.is_full:
@@ -461,9 +476,6 @@ class MonitorService:
                 self._ready += 1
             ring.push(sample)
             self._c_ingested.inc()
-            data = {"measurement": [float(v) for v in measurement]}
-            if self.residue_source == "ingest":
-                data["residue"] = [float(v) for v in sample[self._n_outputs :]]
             self.log.append("measurement", instance=int(instance_id), data=data)
             if self.auto_drain:
                 self._drain_locked(None)

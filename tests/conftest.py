@@ -4,8 +4,8 @@ The fixtures centralise the small plants and closed loops used across many
 test modules so individual tests stay focused on behaviour, not setup.  The
 ``fleet_oracle`` and ``batch_oracle`` fixtures are the independent
 references of the runtime equivalence layer: the per-step fleet loops the
-runtime ran before both engine names shared one stepping loop and one
-detector pass.
+runtime ran before it had one stepping loop and one detector pass, stepping
+the reference stepper (``_BatchStepper``) in instance-major layout.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from repro.lti.simulate import ClosedLoopSystem
 from repro.noise.generators import draw_streams
 from repro.noise.models import ZeroNoise
 from repro.runtime.events import InMemorySink
-from repro.runtime.fleet import FleetTrace, _BatchStepper
+from repro.runtime.fleet import FleetTrace
+from repro.runtime.kernel.runner import _BatchStepper
 from repro.runtime.report import AlarmTally
 from repro.utils.rng import spawn_rngs
 from repro.systems.dcmotor import build_dcmotor_case_study
@@ -101,6 +102,12 @@ def stable_random_plant() -> StateSpace:
 # ----------------------------------------------------------------------
 # Runtime oracles: per-step loops, independent of the shared stepping loop
 # ----------------------------------------------------------------------
+def _step(stepper, V, W, A):
+    """One reference step on instance-major ``(N, ·)`` blocks (``None`` = absent)."""
+    outputs = stepper.step(V.T, None if W is None else W.T, None if A is None else A.T)
+    return tuple(block.T for block in outputs)
+
+
 def legacy_batch_oracle(system, X0, Xhat0, V, W=None, A=None) -> dict:
     """The per-step ``batch_simulate`` recording loop over ``_BatchStepper``.
 
@@ -111,7 +118,7 @@ def legacy_batch_oracle(system, X0, Xhat0, V, W=None, A=None) -> dict:
     plant = system.plant
     N, T = V.shape[0], V.shape[1]
     n, m, p = plant.n_states, plant.n_outputs, plant.n_inputs
-    stepper = _BatchStepper(system, X0, Xhat0)
+    stepper = _BatchStepper(system, X0.T, Xhat0.T)
     out = {
         "states": np.zeros((N, T + 1, n)),
         "estimates": np.zeros((N, T + 1, n)),
@@ -120,11 +127,12 @@ def legacy_batch_oracle(system, X0, Xhat0, V, W=None, A=None) -> dict:
         "true_outputs": np.zeros((N, T, m)),
         "residues": np.zeros((N, T, m)),
     }
-    out["states"][:, 0] = stepper.X
-    out["estimates"][:, 0] = stepper.Xhat
-    out["inputs"][:, 0] = stepper.U
+    out["states"][:, 0] = stepper.X.T
+    out["estimates"][:, 0] = stepper.Xhat.T
+    out["inputs"][:, 0] = stepper.U.T
     for k in range(T):
-        y_true, y_attacked, residues = stepper.step(
+        y_true, y_attacked, residues = _step(
+            stepper,
             V[:, k],
             None if W is None else W[:, k],
             None if A is None else A[:, k],
@@ -132,9 +140,9 @@ def legacy_batch_oracle(system, X0, Xhat0, V, W=None, A=None) -> dict:
         out["true_outputs"][:, k] = y_true
         out["measurements"][:, k] = y_attacked
         out["residues"][:, k] = residues
-        out["states"][:, k + 1] = stepper.X
-        out["estimates"][:, k + 1] = stepper.Xhat
-        out["inputs"][:, k + 1] = stepper.U
+        out["states"][:, k + 1] = stepper.X.T
+        out["estimates"][:, k + 1] = stepper.Xhat.T
+        out["inputs"][:, k + 1] = stepper.U.T
     return out
 
 
@@ -176,7 +184,7 @@ def legacy_fleet_oracle(simulator):
     for detector in sim.detectors.values():
         detector.reset()
 
-    stepper = _BatchStepper(sim.system, X0, sim.xhat0.copy())
+    stepper = _BatchStepper(sim.system, X0.T, sim.xhat0.T)
     recorded = {
         "states": np.zeros((N, T + 1, n)),
         "estimates": np.zeros((N, T + 1, n)),
@@ -195,17 +203,17 @@ def legacy_fleet_oracle(simulator):
             attack_k = np.zeros((N, m))
             for indices, values in schedule:
                 attack_k[indices] += values[k]
-        y_true, y_attacked, residues = stepper.step(
-            V[:, k], None if W is None else W[:, k], attack_k
+        y_true, y_attacked, residues = _step(
+            stepper, V[:, k], None if W is None else W[:, k], attack_k
         )
         recorded["true_outputs"][:, k] = y_true
         recorded["measurements"][:, k] = y_attacked
         recorded["residues"][:, k] = residues
         if attack_k is not None:
             recorded["attacks"][:, k] = attack_k
-        recorded["states"][:, k + 1] = stepper.X
-        recorded["estimates"][:, k + 1] = stepper.Xhat
-        recorded["inputs"][:, k + 1] = stepper.U
+        recorded["states"][:, k + 1] = stepper.X.T
+        recorded["estimates"][:, k + 1] = stepper.Xhat.T
+        recorded["inputs"][:, k + 1] = stepper.U.T
         for label, detector in sim.detectors.items():
             values = residues if detector.consumes == "residues" else y_attacked
             alarms[label][k] = detector.step(values)

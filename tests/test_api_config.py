@@ -194,46 +194,45 @@ class TestRuntimeConfigExport:
 
 
 class TestEngineOptionsValidation:
-    """Both configs build their engine once, so bad options fail at construction."""
-
-    @pytest.fixture(params=["runtime", "service"])
-    def config_cls(self, request):
-        from repro.api import RuntimeConfig, ServiceConfig
-
-        return RuntimeConfig if request.param == "runtime" else ServiceConfig
+    """RuntimeConfig builds its engine once, so bad options fail at construction."""
 
     @pytest.mark.parametrize(
-        "engine, options, named",
+        "options, named",
         [
-            ("legacy", {"dtype": "float32"}, "dtype"),
-            ("legacy", {"workers": 2}, "workers"),
-            ("fused", {"dtyp": "float32"}, "dtyp"),
-            ("fused", {"dtype": "float64", "wrokers": 2}, "wrokers"),
-            ("fused", {"workers": None}, "workers"),
+            ({"dtyp": "float32"}, "dtyp"),
+            ({"dtype": "float64", "wrokers": 2}, "wrokers"),
+            ({"workers": None}, "workers"),
         ],
     )
-    def test_rejected_option_is_a_validation_error_naming_it(
-        self, config_cls, engine, options, named
-    ):
+    def test_rejected_option_is_a_validation_error_naming_it(self, options, named):
+        from repro.api import RuntimeConfig
+
         with pytest.raises(ValidationError) as raised:
-            config_cls(engine=engine, engine_options=options)
+            RuntimeConfig(engine_options=options)
         message = str(raised.value)
-        assert repr(engine) in message and repr(named) in message
+        assert repr("fused") in message and repr(named) in message
         assert isinstance(raised.value.__cause__, TypeError)
 
-    def test_bad_values_and_unknown_engines_fail_at_construction(self, config_cls):
-        with pytest.raises(ValidationError):
-            config_cls(engine="no-such-engine")
-        with pytest.raises(ValidationError):
-            config_cls(engine="fused", engine_options={"dtype": "float16"})
-        with pytest.raises(ValidationError):
-            config_cls(engine="fused", engine_options={"workers": 0})
+    def test_bad_values_and_unknown_engines_fail_at_construction(self):
+        from repro.api import RuntimeConfig
 
-    @pytest.mark.parametrize(
-        "engine, options",
-        [("legacy", {}), ("fused", {}), ("fused", {"dtype": "float32", "workers": 2})],
-    )
-    def test_valid_options_round_trip(self, config_cls, engine, options):
-        config = config_cls(engine=engine, engine_options=options)
-        assert config.engine == engine and config.engine_options == options
-        assert config_cls.from_dict(config.to_dict()) == config
+        with pytest.raises(ValidationError):
+            RuntimeConfig(engine="legacy")
+        with pytest.raises(ValidationError):
+            RuntimeConfig(engine_options={"dtype": "float16"})
+        with pytest.raises(ValidationError):
+            RuntimeConfig(engine_options={"workers": 0})
+
+    @pytest.mark.parametrize("options", [{}, {"dtype": "float32", "workers": 2}])
+    def test_valid_options_round_trip(self, options):
+        from repro.api import RuntimeConfig
+
+        config = RuntimeConfig(engine_options=options)
+        assert config.engine == "fused" and config.engine_options == options
+        assert RuntimeConfig.from_dict(config.to_dict()) == config
+
+    def test_service_config_has_no_engine(self):
+        from repro.api import ServiceConfig
+
+        with pytest.raises(ValidationError):
+            ServiceConfig.from_dict({"engine": "fused"})

@@ -6,6 +6,7 @@ import pytest
 from repro.lti.simulate import (
     ClosedLoopSystem,
     SimulationOptions,
+    SimulationTrace,
     simulate_closed_loop,
 )
 from repro.utils.validation import ValidationError
@@ -137,6 +138,34 @@ class TestTraceHelpers:
         norms_inf = trace.residue_norms("inf")
         assert norms_two.shape == (10,)
         np.testing.assert_allclose(norms_two, norms_inf)  # single output channel
+
+    @pytest.mark.parametrize("order", [1, 2, "inf"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_residue_norms_match_the_old_expression(self, m, order):
+        rng = np.random.default_rng(m)
+        residues = rng.normal(size=(9, m))
+        trace = SimulationTrace(
+            states=np.zeros((10, 1)),
+            estimates=np.zeros((10, 1)),
+            inputs=np.zeros((10, 1)),
+            measurements=residues,
+            true_outputs=residues,
+            residues=residues,
+            attacks=np.zeros_like(residues),
+            process_noise=np.zeros((9, 1)),
+            measurement_noise=np.zeros_like(residues),
+        )
+        if order == "inf":
+            expected = np.max(np.abs(residues), axis=1)
+        else:
+            expected = np.linalg.norm(residues, ord=order, axis=1)
+        np.testing.assert_array_equal(trace.residue_norms(order), expected)
+
+    @pytest.mark.parametrize("order", [3, 0, np.inf, "fro"])
+    def test_residue_norms_reject_other_orders(self, simple_closed_loop, order):
+        trace = simulate_closed_loop(simple_closed_loop, SimulationOptions(horizon=3))
+        with pytest.raises(ValidationError, match="residue norm order"):
+            trace.residue_norms(order)
 
     def test_state_deviation(self, simple_closed_loop):
         trace = simulate_closed_loop(simple_closed_loop, SimulationOptions(horizon=10, x0=[1.0, 0.0]))

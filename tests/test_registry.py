@@ -1,5 +1,8 @@
 """Tests for the shared plugin registries (repro.registry)."""
 
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -61,6 +64,13 @@ class TestBuiltinRegistrations:
             "geometric",
             "replay",
         }
+
+    def test_fused_is_the_only_engine_in_a_fresh_process(self):
+        code = "import repro; print(repro.available_engines())"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "['fused']"
 
     def test_resolved_objects_are_the_public_classes(self):
         assert BACKENDS.get("lp") is LPAttackBackend

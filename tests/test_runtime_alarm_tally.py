@@ -1,10 +1,10 @@
 """Alarm bookkeeping: the shared vectorized tally against a step-ordered oracle.
 
-Both fleet engines hand their ``(T, N)`` alarm stacks to
+The fleet simulator hands its ``(T, N)`` alarm stacks to
 :class:`~repro.runtime.report.AlarmTally`, which derives every count and
 first index in one vectorized pass and emits column-backed
 :class:`~repro.runtime.events.AlarmBatch` views.  The reference here is the
-step-ordered loop the engines ran before — kept verbatim as
+step-ordered loop the fleet ran before — kept verbatim as
 :func:`step_ordered_oracle` — and the properties check the tally against it
 on random stacks, attack masks, starts and sink retention caps: counts,
 first indices, benign alarm-steps and the full event stream (order,
@@ -29,7 +29,7 @@ from repro.utils.validation import ValidationError
 
 
 def step_ordered_oracle(alarm_stacks, attacked_mask, attack_start, sinks=(), counter=None):
-    """The per-step bookkeeping loop both fleet engines used to run.
+    """The per-step bookkeeping loop the fleet engines used to run.
 
     Builds one eager ``list[AlarmEvent]`` per (step, detector) with at least
     one alarm and emits it to every sink; returns the per-detector counts,

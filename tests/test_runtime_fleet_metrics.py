@@ -2,8 +2,7 @@
 
 Alarm bookkeeping runs once over the whole horizon's alarm stacks, then
 replays the alarms in step order to the sinks, the ``fleet_alarms_total``
-counter and the scraper.  These tests pin what an observer sees on both
-engines:
+counter and the scraper.  These tests pin what an observer sees:
 
 * a scraper's ``maybe_scrape`` calls — one per step — see the counter grow
   by exactly that step's alarms, detector by detector;
@@ -26,7 +25,6 @@ from repro.registry import CASE_STUDIES
 from repro.runtime.events import InMemorySink
 from repro.runtime.fleet import FleetSimulator, ScheduledAttack
 
-ENGINES = ("legacy", "fused")
 PHASES = ("draw", "recursion", "lanes", "tally", "emit")
 #: Families whose values are wall-clock measurements, not counts.
 TIMED_FAMILIES = {"fleet_run_seconds", "fleet_throughput_steps_per_s"}
@@ -57,7 +55,7 @@ class RecordingScraper:
         self.final = self._alarms()
 
 
-def _simulator(problem, engine, *, registry, scraper=None, sinks=(), horizon=40):
+def _simulator(problem, *, registry, scraper=None, sinks=(), horizon=40):
     return FleetSimulator(
         problem.system,
         60,
@@ -71,7 +69,6 @@ def _simulator(problem, engine, *, registry, scraper=None, sinks=(), horizon=40)
         seed=5,
         metrics=registry,
         scraper=scraper,
-        engine=engine,
     )
 
 
@@ -83,49 +80,50 @@ def _counts_snapshot(registry: MetricsRegistry) -> dict:
     return snapshot
 
 
+def _progression(events, horizon, labels) -> list[dict[str, float]]:
+    """Running per-detector alarm totals after each step, as a scraper sees them."""
+    per_step = Counter((event.step, event.detector) for event in events)
+    expected, running = [], Counter()
+    for k in range(horizon):
+        for label in labels:
+            running[label] += per_step[(k, label)]
+        expected.append({label: float(n) for label, n in running.items() if n})
+    return expected
+
+
 class TestScraperSeesProgressiveAlarmCounts:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_each_scrape_adds_exactly_that_steps_alarms(self, problem, engine):
+    def test_each_scrape_adds_exactly_that_steps_alarms(self, problem):
         registry = MetricsRegistry()
         scraper = RecordingScraper(registry)
         sink = InMemorySink()
         report = _simulator(
-            problem, engine, registry=registry, scraper=scraper, sinks=[sink]
+            problem, registry=registry, scraper=scraper, sinks=[sink]
         ).run()
 
-        per_step = Counter((event.step, event.detector) for event in sink.events)
-        assert per_step, "the scenario must raise alarms"
-        expected, running = [], Counter()
-        for k in range(report.horizon):
-            for label in report.detectors:
-                running[label] += per_step[(k, label)]
-            expected.append({label: float(n) for label, n in running.items() if n})
+        assert sink.events, "the scenario must raise alarms"
+        expected = _progression(sink.events, report.horizon, report.detectors)
         assert scraper.seen == expected
         assert scraper.final == expected[-1] == {
             label: float(stats.alarm_count) for label, stats in report.detectors.items()
         }
 
-    def test_engines_scrape_identical_progressions(self, problem):
-        seen = {}
-        for engine in ENGINES:
-            registry = MetricsRegistry()
-            scraper = RecordingScraper(registry)
-            _simulator(problem, engine, registry=registry, scraper=scraper).run()
-            seen[engine] = scraper.seen
-        assert seen["legacy"] == seen["fused"]
+    def test_scrape_progression_matches_the_oracle(self, problem, fleet_oracle):
+        registry = MetricsRegistry()
+        scraper = RecordingScraper(registry)
+        simulator = _simulator(problem, registry=registry, scraper=scraper)
+        _, _, _, events = fleet_oracle(simulator)
+        simulator.run()
+        assert scraper.seen == _progression(events, simulator.horizon, simulator.detectors)
 
 
 class TestFinalSnapshot:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_snapshot_is_independent_of_scraper_and_sinks(self, problem, engine):
+    def test_snapshot_is_independent_of_scraper_and_sinks(self, problem):
         snapshots = []
         for with_scraper in (False, True):
             for sinks in ((), (InMemorySink(),)):
                 registry = MetricsRegistry()
                 scraper = RecordingScraper(registry) if with_scraper else None
-                _simulator(
-                    problem, engine, registry=registry, scraper=scraper, sinks=sinks
-                ).run()
+                _simulator(problem, registry=registry, scraper=scraper, sinks=sinks).run()
                 snapshots.append(_counts_snapshot(registry))
         assert all(snapshot == snapshots[0] for snapshot in snapshots)
         alarms = snapshots[0]["counters"]["fleet_alarms_total"]["values"]
@@ -133,12 +131,10 @@ class TestFinalSnapshot:
 
 
 class TestPhaseLedger:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("with_sink", [False, True], ids=["no-sink", "sink"])
-    def test_phases_are_recorded_and_fit_in_the_call(self, problem, engine, with_sink):
+    def test_phases_are_recorded_and_fit_in_the_call(self, problem, with_sink):
         simulator = _simulator(
             problem,
-            engine,
             registry=False,
             sinks=[InMemorySink()] if with_sink else [],
             horizon=60,

@@ -1,21 +1,21 @@
-"""Differential equivalence layer: both engine names vs an independent oracle.
+"""Differential equivalence layer: the fused engine vs an independent oracle.
 
-Both engine names run one stepping loop and one detector pass, so comparing
-them to each other would prove little.  The reference is the per-step loop
-the runtime ran before (``fleet_oracle``/``batch_oracle`` in
+The reference is the per-step loop the runtime ran before it had one
+stepping loop and one detector pass (``fleet_oracle``/``batch_oracle`` in
 ``tests/conftest.py``): one ``_BatchStepper`` step and one ``detector.step``
 per core per sampling instance.  For every packaged case study, every
 deployed detector family (static threshold, CUSUM, chi-square, plant
-monitors) and both attack modes, a legacy run and a fused float64 run must
-each be *bit-identical* (``np.array_equal``, no tolerance) to the oracle —
+monitors) and both attack modes, a fused float64 run — on the fused kernel
+and, with the probe forced to reject it, on the reference-stepper fallback
+— must be *bit-identical* (``np.array_equal``, no tolerance) to the oracle:
 traces, alarm events (including their order) and report statistics alike.
-A seeded randomized property test extends the same check to arbitrary
+``tests/test_runtime_kernel_property.py`` extends the check to generated
 stable LTI closed loops, including plants with a nonzero feed-through ``D``
 (a path no packaged case study exercises).
 
-The fused engine is allowed to *choose* the legacy stepper per shard when
-its differential probe rejects the BLAS at the run's width — the gate here
-is about observable output, not about which kernel ran.  A separate guard
+The engine is allowed to *choose* the reference stepper per shard when its
+differential probe rejects the BLAS at the run's width — the gate here is
+about observable output, not about which kernel ran.  A separate guard
 asserts that the fused kernel path is genuinely exercised on this host, so
 a silently always-falling-back build cannot pass the suite vacuously.
 """
@@ -32,10 +32,9 @@ from repro.registry import CASE_STUDIES
 from repro.runtime.engine import _innovation_covariance
 from repro.runtime.events import InMemorySink
 from repro.runtime.fleet import FleetSimulator, ScheduledAttack, batch_simulate
-from repro.runtime.kernel import probe_fused_equivalence
+from repro.runtime.kernel import probe_fused_equivalence, runner
 
 CASE_STUDY_NAMES = ("cruise", "dcmotor", "pendulum", "quadtank", "trajectory", "vsc")
-ENGINE_NAMES = ("legacy", "fused")
 
 TRACE_FIELDS = (
     "states",
@@ -67,7 +66,7 @@ def _detector_bank(problem) -> dict:
     return bank
 
 
-def _simulator(problem, engine, sink, *, attacked, n_instances, horizon, seed, **options):
+def _simulator(problem, sink, *, attacked, n_instances, horizon, seed, **options):
     attacks = (
         [ScheduledAttack(BiasAttack(bias=0.4), fraction=0.3, start=horizon // 4)]
         if attacked
@@ -84,16 +83,14 @@ def _simulator(problem, engine, sink, *, attacked, n_instances, horizon, seed, *
         seed=seed,
         record_traces=True,
         metrics=False,
-        engine=engine,
         engine_options=options,
     )
 
 
-def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11, **options):
+def _run(problem, *, attacked, n_instances=37, horizon=60, seed=11, **options):
     sink = InMemorySink()
     simulator = _simulator(
         problem,
-        engine,
         sink,
         attacked=attacked,
         n_instances=n_instances,
@@ -108,7 +105,6 @@ def _run(problem, engine, *, attacked, n_instances=37, horizon=60, seed=11, **op
 def _oracle(fleet_oracle, problem, *, attacked, n_instances=37, horizon=60, seed=11):
     simulator = _simulator(
         problem,
-        "legacy",
         None,
         attacked=attacked,
         n_instances=n_instances,
@@ -133,34 +129,49 @@ def _assert_matches_oracle(oracle, run):
         ), f"detector stats for {label!r} diverged"
 
 
+@pytest.fixture
+def reference_fallback(monkeypatch):
+    """Make every fused probe reject the BLAS, so runs take the fallback."""
+    monkeypatch.setattr(runner, "probe_fused_equivalence", lambda *args: False)
+
+
 class TestCaseStudyEquivalence:
-    """Legacy and fused float64 ≡ the oracle on every case study and detector family."""
+    """Fused float64, kernel and fallback alike, ≡ the oracle on every case study."""
 
     @pytest.mark.parametrize("attacked", [False, True], ids=["benign", "attacked"])
     @pytest.mark.parametrize("name", CASE_STUDY_NAMES)
     def test_fused_float64_is_bit_identical(self, problems, fleet_oracle, name, attacked):
         problem = problems[name]
         oracle = _oracle(fleet_oracle, problem, attacked=attacked)
-        fused = _run(problem, "fused", attacked=attacked, dtype="float64")
+        fused = _run(problem, attacked=attacked, dtype="float64")
         _assert_matches_oracle(oracle, fused)
 
     @pytest.mark.parametrize("attacked", [False, True], ids=["benign", "attacked"])
     @pytest.mark.parametrize("name", CASE_STUDY_NAMES)
-    def test_legacy_is_bit_identical(self, problems, fleet_oracle, name, attacked):
+    def test_probe_fallback_is_bit_identical(
+        self, problems, fleet_oracle, reference_fallback, name, attacked
+    ):
         problem = problems[name]
         oracle = _oracle(fleet_oracle, problem, attacked=attacked)
-        _assert_matches_oracle(oracle, _run(problem, "legacy", attacked=attacked))
+        report, trace, events = _run(problem, attacked=attacked)
+        assert report.metadata["engine"]["fused_path"] is False
+        _assert_matches_oracle(oracle, (report, trace, events))
 
-    def test_single_instance_fleet_pads_without_divergence(self, problems, fleet_oracle):
+    @pytest.mark.parametrize("fallback", [False, True], ids=["kernel", "fallback"])
+    def test_single_instance_fleet_pads_without_divergence(
+        self, problems, fleet_oracle, monkeypatch, fallback
+    ):
         # Width-1 shards ride a zero discard column inside the kernel; the
-        # padding must never leak into the observable output.
+        # padding must never leak into the observable output.  The fallback
+        # runs its lone full-width shard unpadded.
+        if fallback:
+            monkeypatch.setattr(runner, "probe_fused_equivalence", lambda *args: False)
         problem = problems["dcmotor"]
         oracle = _oracle(fleet_oracle, problem, attacked=True, n_instances=1)
-        for engine in ENGINE_NAMES:
-            _assert_matches_oracle(oracle, _run(problem, engine, attacked=True, n_instances=1))
+        _assert_matches_oracle(oracle, _run(problem, attacked=True, n_instances=1))
 
     def test_engine_metadata_reports_the_chosen_path(self, problems):
-        report, _, _ = _run(problems["quadtank"], "fused", attacked=False)
+        report, _, _ = _run(problems["quadtank"], attacked=False)
         engine = report.metadata["engine"]
         assert engine["name"] == "fused"
         assert engine["dtype"] == "float64"
@@ -169,7 +180,7 @@ class TestCaseStudyEquivalence:
 
     def test_fused_kernel_path_is_exercised_on_this_host(self, problems):
         # The equivalence cells above pass even if every probe rejects the
-        # BLAS (the engine then runs legacy shards).  Guard against that
+        # BLAS (the engine then runs reference shards).  Guard against that
         # vacuous pass: at least one case study must take the fused GEMM
         # path at at least one of the widths this suite uses.
         verdicts = [
@@ -209,30 +220,10 @@ def _random_closed_loop(rng: np.random.Generator, with_feedthrough: bool):
 
 
 class TestRandomizedSystems:
-    """Seeded property test: both engines ≡ the oracle on arbitrary stable LTI loops."""
+    """``batch_simulate`` ≡ the per-step batch oracle on seeded random loops.
 
-    @pytest.mark.parametrize("case", range(6))
-    def test_random_stable_lti_is_bit_identical(self, batch_oracle, case):
-        rng = np.random.default_rng(900 + case)
-        system = _random_closed_loop(rng, with_feedthrough=case % 2 == 1)
-        plant = system.plant
-        N, T = int(rng.integers(3, 24)), 50
-        V = rng.standard_normal((N, T, plant.n_outputs)) * 1e-2
-        W = rng.standard_normal((N, T, plant.n_states)) * 1e-3
-        A = rng.standard_normal((N, T, plant.n_outputs)) * 1e-2
-        x0 = rng.standard_normal((N, plant.n_states)) * 0.1
-
-        oracle = batch_oracle(system, x0, np.zeros_like(x0), V, W, A)
-        kwargs = dict(
-            x0=x0, measurement_noise=V, process_noise=W, attacks=A
-        )
-        for engine in ENGINE_NAMES:
-            trace = batch_simulate(system, T, engine=engine, **kwargs)
-            for field, expected in oracle.items():
-                assert np.array_equal(
-                    expected, getattr(trace, field)
-                ), f"trace field {field!r} diverged on random system {case} ({engine})"
-            assert np.array_equal(trace.attacks, A)
+    The generated sweep lives in ``tests/test_runtime_kernel_property.py``.
+    """
 
     def test_feedthrough_plants_take_the_output_feed_rows(self, batch_oracle):
         # No packaged case study has D != 0; make sure the fused kernel's
@@ -244,16 +235,12 @@ class TestRandomizedSystems:
         n = system.plant.n_states
         V = rng.standard_normal((N, T, system.plant.n_outputs)) * 1e-2
         oracle = batch_oracle(system, np.zeros((N, n)), np.zeros((N, n)), V)
-        for engine in ENGINE_NAMES:
-            trace = batch_simulate(
-                system, T, measurement_noise=V, engine=engine, n_instances=N
-            )
-            assert np.array_equal(oracle["measurements"], trace.measurements)
-            assert np.array_equal(oracle["residues"], trace.residues)
+        trace = batch_simulate(system, T, measurement_noise=V, n_instances=N)
+        assert np.array_equal(oracle["measurements"], trace.measurements)
+        assert np.array_equal(oracle["residues"], trace.residues)
 
     def test_single_instance_batch_is_bit_identical(self, batch_oracle):
-        # batch_simulate's width-1 case: the fused engine pads, the legacy
-        # engine runs its lone full-width shard unpadded.
+        # batch_simulate's width-1 case: the fused kernel pads.
         rng = np.random.default_rng(77)
         system = _random_closed_loop(rng, with_feedthrough=True)
         plant = system.plant
@@ -261,7 +248,6 @@ class TestRandomizedSystems:
         V = rng.standard_normal((1, T, plant.n_outputs)) * 1e-2
         x0 = rng.standard_normal((1, plant.n_states)) * 0.1
         oracle = batch_oracle(system, x0, np.zeros_like(x0), V)
-        for engine in ENGINE_NAMES:
-            trace = batch_simulate(system, T, x0=x0, measurement_noise=V, engine=engine)
-            for field, expected in oracle.items():
-                assert np.array_equal(expected, getattr(trace, field)), (field, engine)
+        trace = batch_simulate(system, T, x0=x0, measurement_noise=V)
+        for field, expected in oracle.items():
+            assert np.array_equal(expected, getattr(trace, field)), field

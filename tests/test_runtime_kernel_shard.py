@@ -66,10 +66,7 @@ def _simulator(problem, sink, **engine):
 def _run(problem, *, workers, dtype):
     sink = InMemorySink()
     simulator = _simulator(
-        problem,
-        sink,
-        engine="fused",
-        engine_options={"dtype": dtype, "workers": workers},
+        problem, sink, engine_options={"dtype": dtype, "workers": workers}
     )
     report = simulator.run()
     stats = {label: s.to_dict() for label, s in report.detectors.items()}
@@ -79,7 +76,7 @@ def _run(problem, *, workers, dtype):
 def _reference(problem, fleet_oracle, dtype):
     """The float64 oracle, or the unsharded run in float32."""
     if dtype == "float64":
-        stats, _, trace, events = fleet_oracle(_simulator(problem, None, engine="legacy"))
+        stats, _, trace, events = fleet_oracle(_simulator(problem, None))
         return stats, trace, events
     return _run(problem, workers=1, dtype=dtype)[:3]
 

@@ -102,6 +102,31 @@ class TestReplay:
         result = replay(path)
         assert result.matches and result.recorded
 
+    def test_logs_recorded_with_an_engine_choice_still_replay(self, tmp_path):
+        # Logs written while ServiceConfig still carried an engine name keep
+        # it in their start config; replay drops the two keys.
+        path = tmp_path / "service.jsonl"
+        config = ServiceConfig(
+            case_study="dcmotor", static_thresholds={"static": 0.5}, log_path=str(path)
+        )
+        sink = InMemorySink()
+        service = run_service(config, sinks=[sink])
+        from repro import get_case_study
+
+        _drive(service, get_case_study("dcmotor").problem)
+        service.close()
+        lines = path.read_text().splitlines()
+        start = json.loads(lines[0])
+        assert start["kind"] == "start"
+        start["data"]["metadata"]["config"].update(engine="legacy", engine_options={})
+        lines[0] = json.dumps(start)
+        path.write_text("\n".join(lines) + "\n")
+
+        result = replay(path)
+        assert sink.events, "the scenario must raise alarms"
+        assert result.matches
+        assert result.replayed == list(sink.events)
+
     def test_replay_reproduces_drop_oldest_evictions(self, dcmotor_problem):
         config = ServiceConfig(
             static_thresholds={"static": 0.5},

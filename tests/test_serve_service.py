@@ -8,8 +8,9 @@ from repro.detectors.cusum import CusumDetector
 from repro.detectors.threshold import ThresholdVector
 from repro.registry import ATTACK_TEMPLATES
 from repro.runtime.engine import _innovation_covariance
-from repro.runtime.events import InMemorySink
+from repro.runtime.events import AlarmEvent, InMemorySink
 from repro.runtime.fleet import FleetSimulator, ScheduledAttack
+from repro.runtime.online import make_online
 from repro.serve import BatchObserver, MonitorService, RingBuffer
 from repro.utils.validation import ValidationError
 
@@ -370,94 +371,172 @@ class TestBatchObserver:
         assert observer.n_instances == 2
 
 
-class TestFusedEngineRounds:
-    """Service rounds under both engine names.
+def _churn_script(m, *, swap_at=None, membership_churn=False, seed=23):
+    """A service scenario: attach/detach/swap/round actions over 40 rounds."""
+    rng = np.random.default_rng(seed)
+    ids = list(range(6))
+    script = [("attach", i) for i in ids]
+    next_id = len(ids)
+    for k in range(40):
+        if membership_churn and k == 12:
+            script.append(("attach", next_id))
+            ids.append(next_id)
+            next_id += 1
+        if membership_churn and k == 28:
+            script.append(("detach", ids.pop(3)))
+        if swap_at is not None and k == swap_at:
+            script.append(("swap", CusumDetector(bias=0.05, threshold=0.6, norm=2)))
+        script.append(
+            ("round", [(i, rng.normal(size=m), rng.normal(size=m) * 0.4) for i in ids])
+        )
+    return script
+
+
+def _per_instance_reference(bank, script):
+    """The scenario's alarm stream from one width-1 online detector per instance.
+
+    Each attached instance gets its own :func:`~repro.runtime.online.make_online`
+    wrapper per label; a round steps every member's wrappers label by label
+    in attach order — the event order of a service round.  Nothing here
+    grows, compacts or rebinds a shared batch, so the service's
+    membership bookkeeping is checked against per-instance state.
+    """
+    members: dict[int, dict] = {}
+    steps: dict[int, int] = {}
+    alarmed: dict[int, set] = {}
+    events = []
+    for action, payload in script:
+        if action == "attach":
+            members[payload] = {label: make_online(obj) for label, obj in bank.items()}
+            steps[payload], alarmed[payload] = 0, set()
+        elif action == "detach":
+            del members[payload]
+        elif action == "swap":
+            for detectors in members.values():
+                detectors["cusum"].rebind(payload)
+        else:
+            residues = {instance: residue for instance, _, residue in payload}
+            for label in bank:
+                for instance, detectors in members.items():
+                    if detectors[label].step(residues[instance]):
+                        first = label not in alarmed[instance]
+                        alarmed[instance].add(label)
+                        events.append(AlarmEvent(instance, steps[instance], label, first))
+            for instance in members:
+                steps[instance] += 1
+    return events
+
+
+class TestServiceRoundsMatchPerInstanceDetectors:
+    """Service rounds against the per-instance reference.
 
     Regression scope: growing or compacting the bank mid-run (an
     attach/detach) or hot-swapping thresholds must never reset any
-    surviving instance's detector state, whichever engine name the service
-    runs under.  Every test drives the identical scenario through both
-    engines and requires bit-identical alarm streams and counters.
+    surviving instance's detector state.  Every test drives one scenario
+    through the service and through :func:`_per_instance_reference` and
+    requires identical alarm streams.
     """
 
-    def _drive(self, problem, engine, *, swap_at=None, membership_churn=False):
+    def _compare(self, problem, **scenario):
         bank = {
             "static": problem.static_threshold(0.4),
             "cusum": CusumDetector(bias=0.1, threshold=1.0, norm=2),
         }
+        script = _churn_script(problem.system.plant.n_outputs, **scenario)
         sink = InMemorySink()
         service = MonitorService(
-            problem.system,
-            bank,
-            residue_source="ingest",
-            sinks=[sink],
-            engine=engine,
+            problem.system, bank, residue_source="ingest", sinks=[sink]
         )
-        ids = [service.attach() for _ in range(6)]
-        rng = np.random.default_rng(23)
-        m = problem.system.plant.n_outputs
-        for k in range(40):
-            if membership_churn and k == 12:
-                ids.append(service.attach())
-            if membership_churn and k == 28:
-                service.detach(ids.pop(3))
-            if swap_at is not None and k == swap_at:
-                service.swap_thresholds(
-                    {"cusum": CusumDetector(bias=0.05, threshold=0.6, norm=2)}
-                )
-            for i in ids:
-                service.ingest(
-                    i, rng.normal(size=m), residue=rng.normal(size=m) * 0.4
-                )
-        stats = service.stats()
+        for action, payload in script:
+            if action == "attach":
+                assert service.attach() == payload
+            elif action == "detach":
+                service.detach(payload)
+            elif action == "swap":
+                service.swap_thresholds({"cusum": payload})
+            else:
+                for instance, measurement, residue in payload:
+                    service.ingest(instance, measurement, residue=residue)
         service.close()
-        return list(sink.events), stats
+        expected = _per_instance_reference(bank, script)
+        assert expected, "the scenario must actually raise alarms"
+        assert list(sink.events) == expected
+        assert service.alarms_emitted == len(expected)
 
-    def test_fused_rounds_match_legacy_bit_for_bit(self, dcmotor_problem):
-        legacy_events, legacy_stats = self._drive(dcmotor_problem, "legacy")
-        fused_events, fused_stats = self._drive(dcmotor_problem, "fused")
-        assert legacy_events, "the scenario must actually raise alarms"
-        assert fused_events == legacy_events
-        assert fused_stats == legacy_stats
+    def test_rounds_match_per_instance_detectors(self, dcmotor_problem):
+        self._compare(dcmotor_problem)
 
-    def test_grow_compact_mid_run_rebuilds_the_plan_without_resets(
-        self, dcmotor_problem
-    ):
+    def test_grow_compact_mid_run_keeps_survivor_state(self, dcmotor_problem):
         # An attach after rounds have run must leave the survivors' CUSUM
         # accumulators and threshold positions untouched.
-        legacy_events, legacy_stats = self._drive(
-            dcmotor_problem, "legacy", membership_churn=True
-        )
-        fused_events, fused_stats = self._drive(
-            dcmotor_problem, "fused", membership_churn=True
-        )
-        assert legacy_events, "the scenario must actually raise alarms"
-        assert fused_events == legacy_events
-        assert fused_stats == legacy_stats
+        self._compare(dcmotor_problem, membership_churn=True)
 
-    def test_hot_swap_after_plan_build_takes_effect(self, dcmotor_problem):
+    def test_hot_swap_mid_run_takes_effect(self, dcmotor_problem):
         # The swap lands mid-run; the stale pre-swap parameters must never
         # be applied to a post-swap round.
-        legacy_events, legacy_stats = self._drive(dcmotor_problem, "legacy", swap_at=15)
-        fused_events, fused_stats = self._drive(dcmotor_problem, "fused", swap_at=15)
-        assert legacy_events, "the scenario must actually raise alarms"
-        assert fused_events == legacy_events
-        assert fused_stats == legacy_stats
+        self._compare(dcmotor_problem, swap_at=15)
 
-    def test_config_round_trip_carries_the_engine(self, dcmotor_problem):
+    def test_service_runs_the_fused_engine_by_default(self, dcmotor_problem):
         from repro.api.config import ServiceConfig
         from repro.serve.engine import run_service
 
-        config = ServiceConfig(
-            static_thresholds={"static": 0.4},
-            include_mdc=False,
-            engine="fused",
-            engine_options={},
-        )
-        rebuilt = ServiceConfig.from_dict(config.to_dict())
-        assert rebuilt.engine == "fused"
-        service = run_service(rebuilt, dcmotor_problem)
+        config = ServiceConfig(static_thresholds={"static": 0.4}, include_mdc=False)
+        assert "engine" not in config.to_dict()
+        service = run_service(config, dcmotor_problem)
         assert service.engine == "fused"
         start = service.log.events[0]
         assert start.data["engine"] == "fused"
         service.close()
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite sample fails loudly instead of silencing an instance."""
+
+    def test_nan_sample_is_rejected_and_detection_continues(self, dcmotor_problem):
+        # Let through, the NaN poisons the instance's state estimate for good
+        # and its detector goes quiet (9 alarms over 100 rounds against its
+        # twin's 99).
+        sink = InMemorySink()
+        service = MonitorService(
+            dcmotor_problem.system,
+            {"static": dcmotor_problem.static_threshold(0.1)},
+            sinks=[sink],
+        )
+        ids = [service.attach(), service.attach()]
+        m = dcmotor_problem.system.plant.n_outputs
+        sample = np.full(m, 0.5)
+        poisoned = sample.copy()
+        poisoned[0] = np.nan
+        for k in range(100):
+            if k == 10:
+                with pytest.raises(ValidationError, match="non-finite"):
+                    service.ingest(ids[0], poisoned)
+                assert service.pending()[ids[0]] == 0
+            for instance in ids:
+                service.ingest(instance, sample)
+        counts = {instance: 0 for instance in ids}
+        for event in sink.events:
+            counts[event.instance] += 1
+        assert counts[ids[0]] == counts[ids[1]] > 0
+        assert service.rounds_processed == 100
+        assert service.metrics.get("service_nonfinite_samples_total").total() == 1
+        logged = [e for e in service.log.events if e.kind == "measurement"]
+        assert len(logged) == 200
+        assert all(np.isfinite(e.data["measurement"]).all() for e in logged)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_ingest_mode_rejects_non_finite_residues(self, dcmotor_problem, bad):
+        service = MonitorService(
+            dcmotor_problem.system,
+            {"static": dcmotor_problem.static_threshold(0.1)},
+            residue_source="ingest",
+        )
+        service.attach()
+        m = dcmotor_problem.system.plant.n_outputs
+        residue = np.zeros(m)
+        residue[-1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            service.ingest(0, np.zeros(m), residue=residue)
+        assert service.samples_ingested == 0 and service.pending() == {0: 0}
+        assert service.metrics.get("service_nonfinite_samples_total").total() == 1
+        assert [e.kind for e in service.log.events] == ["start", "attach"]
