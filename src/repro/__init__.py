@@ -47,7 +47,7 @@ Subpackages
 ``repro.systems``
     Ready-made case studies (VSC, trajectory tracking, DC motor, ...).
 ``repro.runtime``
-    The streaming fleet-monitoring engine: online detector wrappers,
+    The streaming fleet-monitoring engine: the ``OnlineDetector`` wrapper,
     the vectorized ``FleetSimulator`` with scheduled attacks, alarm-event
     sinks, and the ``run_fleet`` deployment entry point.
 ``repro.serve``
@@ -122,13 +122,9 @@ from repro.runtime import (
     FleetTrace,
     InMemorySink,
     JSONLSink,
-    OnlineChiSquare,
-    OnlineCusum,
-    OnlineMonitor,
-    OnlineResidueDetector,
+    OnlineDetector,
     ScheduledAttack,
     batch_simulate,
-    make_online,
 )
 from repro.registry import (
     Registry,
@@ -210,12 +206,8 @@ __all__ = [
     "AlarmEvent",
     "InMemorySink",
     "JSONLSink",
-    "OnlineResidueDetector",
-    "OnlineCusum",
-    "OnlineChiSquare",
-    "OnlineMonitor",
+    "OnlineDetector",
     "batch_simulate",
-    "make_online",
     # always-on serving
     "ServiceConfig",
     "run_service",

@@ -119,30 +119,14 @@ class PipelineReport:
 # ----------------------------------------------------------------------
 # Lossy JSON payloads for the content-addressed store.
 # ----------------------------------------------------------------------
-def _threshold_payload(threshold) -> dict | None:
-    if threshold is None:
-        return None
-    return {
-        "values": [float(v) for v in threshold.values],
-        "norm": threshold.norm,
-        "weights": None
-        if threshold.weights is None
-        else [float(w) for w in threshold.weights],
-    }
-
-
 def _threshold_from_payload(stored: dict | None):
     from repro.detectors.threshold import ThresholdVector
 
     if stored is None:
         return None
-    norm = stored["norm"]
-    return ThresholdVector(
-        values=stored["values"],
-        norm=norm if norm == "inf" else int(norm),
-        weights=stored["weights"],
-        metadata={"from_store": True},
-    )
+    threshold = ThresholdVector.from_dict(stored)
+    threshold.metadata["from_store"] = True
+    return threshold
 
 
 def _vulnerability_payload(vulnerability: AttackSynthesisResult) -> dict:
@@ -166,7 +150,7 @@ def _vulnerability_from_payload(payload: dict) -> AttackSynthesisResult:
 
 def _synthesis_payload(result: ThresholdSynthesisResult) -> dict:
     return {
-        "threshold": _threshold_payload(result.threshold),
+        "threshold": None if result.threshold is None else result.threshold.to_dict(),
         "rounds": result.rounds,
         "converged": result.converged,
         "status": result.status.value,
@@ -194,7 +178,7 @@ def _relaxation_payload(result: RelaxationResult | None) -> dict | None:
     if result is None:
         return None
     return {
-        "threshold": _threshold_payload(result.threshold),
+        "threshold": None if result.threshold is None else result.threshold.to_dict(),
         "raised_instants": list(result.raised_instants),
         "floored_instants": list(result.floored_instants),
         "rounds": result.rounds,

@@ -322,9 +322,10 @@ def _run_probe(problem, probe: dict, threshold, scalar: float) -> dict:
     if detector_name in ("online-residue", "residue"):
         detector = threshold
     elif detector_name in ("online-cusum", "cusum"):
-        from repro.runtime.online import OnlineCusum
+        from repro.detectors.cusum import CusumDetector
+        from repro.runtime.online import OnlineDetector
 
-        detector = OnlineCusum(bias=scalar, threshold=scalar, norm=threshold.norm)
+        detector = OnlineDetector(CusumDetector(bias=scalar, threshold=scalar, norm=threshold.norm))
     else:
         raise ValidationError(
             f"probe detector {detector_name!r} cannot be deployed from a "

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.problem import SynthesisProblem
-from repro.detectors.threshold import ThresholdVector, alarm_comparison
+from repro.detectors.threshold import ThresholdVector
 from repro.lti.simulate import SimulationTrace
 from repro.noise.generators import draw_streams
 from repro.noise.models import BoundedUniformNoise, NoiseModel
@@ -213,15 +213,12 @@ class FalseAlarmEvaluator:
                 "every benign trace was filtered out; reduce the noise bounds or "
                 "disable the filters"
             )
-        # One vectorized pass per detector over the stacked residue tensor:
-        # per-trace norms and threshold comparisons ride the flattened
-        # (kept * T, m) axis, which is row-for-row the per-trace computation.
+        # One vectorized pass per detector over the stacked (kept, T, m)
+        # residue tensor: the detector predicate runs over the leading trace
+        # axis, row for row the per-trace computation.
         residues = self._residues()
-        kept, horizon, m = residues.shape
         for label, threshold in detectors.items():
-            norms = threshold.residue_norms(residues.reshape(-1, m)).reshape(kept, horizon)
-            alarms = alarm_comparison(norms, threshold.effective(horizon))
-            study.rates[label] = float(np.mean(np.any(alarms, axis=1)))
+            study.rates[label] = float(np.mean(np.any(threshold.alarms(residues), axis=1)))
         return study
 
     def evaluate_single(self, threshold: ThresholdVector, label: str = "detector") -> float:

@@ -9,7 +9,8 @@ instance).  This package provides:
   specification object produced by the synthesis algorithms,
 * :class:`~repro.detectors.residue.ResidueDetector` — the online detector,
 * :func:`~repro.detectors.threshold.residue_norms` — the one residue-norm
-  expression shared by every offline and online detector path,
+  expression shared by every offline and online detector path, and the
+  place where each of them rejects a non-finite residue,
 * chi-square and CUSUM baseline detectors from the literature,
 * evaluation metrics (false alarm rate, detection rate, detection delay,
   ROC sweeps).

@@ -17,9 +17,15 @@ from scipy import stats
 
 from repro.detectors.residue import DetectionResult
 from repro.registry import DETECTORS
-from repro.utils.validation import ValidationError, check_probability, check_symmetric
+from repro.utils.validation import (
+    ValidationError,
+    check_finite,
+    check_probability,
+    check_symmetric,
+)
 
 
+@DETECTORS.register("online-chi-square")
 @DETECTORS.register("chi-square")
 @dataclass
 class ChiSquareDetector:
@@ -67,9 +73,24 @@ class ChiSquareDetector:
         threshold = float(stats.chi2.ppf(1.0 - false_alarm_probability, df=degrees))
         return cls(innovation_cov=innovation_cov, threshold=threshold)
 
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ChiSquareDetector":
+        """Rebuild a detector from its :meth:`to_dict` form (extra keys are ignored)."""
+        return cls(
+            innovation_cov=np.asarray(payload["innovation_cov"], dtype=float),
+            threshold=payload["threshold"],
+        )
+
+    def to_dict(self) -> dict:
+        """The plain-data (JSON) form: innovation covariance and threshold."""
+        return {
+            "innovation_cov": np.asarray(self.innovation_cov, dtype=float).tolist(),
+            "threshold": float(self.threshold),
+        }
+
     def statistics(self, residues: np.ndarray) -> np.ndarray:
-        """Per-sample chi-square statistics ``g_k``."""
-        residues = np.atleast_2d(np.asarray(residues, dtype=float))
+        """Per-sample chi-square statistics ``g_k``; a non-finite residue raises."""
+        residues = check_finite("residues", np.atleast_2d(np.asarray(residues, dtype=float)))
         return np.einsum("ki,ij,kj->k", residues, self._inverse, residues)
 
     def evaluate(self, residues: np.ndarray) -> DetectionResult:

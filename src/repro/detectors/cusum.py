@@ -21,6 +21,7 @@ from repro.registry import DETECTORS
 from repro.utils.validation import ValidationError, check_positive
 
 
+@DETECTORS.register("online-cusum")
 @DETECTORS.register("cusum")
 @dataclass
 class CusumDetector:
@@ -46,6 +47,15 @@ class CusumDetector:
         self.threshold = check_positive("threshold", self.threshold)
         if self.norm not in (1, 2, "inf"):
             raise ValidationError("norm must be 1, 2 or 'inf'")
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "CusumDetector":
+        """Rebuild a detector from its :meth:`to_dict` form (extra keys are ignored)."""
+        return cls(bias=payload["bias"], threshold=payload["threshold"], norm=payload["norm"])
+
+    def to_dict(self) -> dict:
+        """The plain-data (JSON) form: bias, threshold and norm."""
+        return {"bias": float(self.bias), "threshold": float(self.threshold), "norm": self.norm}
 
     def _norms(self, residues: np.ndarray) -> np.ndarray:
         residues = np.atleast_2d(np.asarray(residues, dtype=float))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.detectors.threshold import ThresholdVector, alarm_comparison
+from repro.detectors.threshold import ThresholdVector
 from repro.lti.simulate import SimulationTrace
 from repro.registry import DETECTORS
 
@@ -52,6 +52,7 @@ class DetectionResult:
         return int(np.sum(self.alarms))
 
 
+@DETECTORS.register("online-residue")
 @DETECTORS.register("residue")
 @dataclass
 class ResidueDetector:
@@ -60,10 +61,15 @@ class ResidueDetector:
     Parameters
     ----------
     threshold:
-        The threshold specification (static or variable).
+        The threshold specification (static or variable); a plain array of
+        per-sample thresholds is also accepted.
     """
 
     threshold: ThresholdVector
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.threshold, ThresholdVector):
+            self.threshold = ThresholdVector(np.asarray(self.threshold, dtype=float))
 
     @classmethod
     def static(cls, value: float, length: int, norm: float | str = "inf") -> "ResidueDetector":
@@ -72,10 +78,7 @@ class ResidueDetector:
 
     def evaluate(self, residues: np.ndarray) -> DetectionResult:
         """Run the detector over a ``(T, m)`` residue sequence."""
-        residues = np.atleast_2d(np.asarray(residues, dtype=float))
-        norms = self.threshold.residue_norms(residues)
-        thresholds = self.threshold.effective(norms.shape[0])
-        alarms = alarm_comparison(norms, thresholds)
+        norms, thresholds, alarms = self.threshold.compare(residues)
         return DetectionResult(alarms=alarms, norms=norms, thresholds=thresholds)
 
     def evaluate_trace(self, trace: SimulationTrace) -> DetectionResult:

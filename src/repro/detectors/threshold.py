@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.validation import ValidationError, check_positive
+from repro.utils.validation import ValidationError, check_finite, check_positive
 
 #: Comparison slack of the alarm predicate ``||z_k|| >= Th[k]``.  The solver
 #: encodings place residues *exactly* on the threshold boundary (up to LP/SMT
@@ -49,18 +49,30 @@ def residue_norms(
     1-norms, ``sqrt(x*x)`` for the 2-norm.  Multi-channel 1-/2-norms reduce
     over a C-contiguous channel axis, so a strided view of a block sums in
     the same order as the contiguous per-step block it came from.
+
+    Every residue-detector form meets here, so this is where a NaN or
+    infinite residue raises :class:`ValidationError` instead of silently
+    resetting or freezing a detector's state.  The screen is one reduction
+    over the norms, the cheapest pass over a fleet's ``(T, N)`` horizon: a
+    non-finite residue always gives a non-finite norm.  Only a non-finite
+    norm pays for the exact test on the residues themselves, because a huge
+    finite residue can also overflow its norm to infinity.
     """
-    if weights is not None:
-        residues = residues / weights
-    if residues.shape[-1] == 1:
-        channel = residues[..., 0]
+    scaled = residues if weights is None else residues / weights
+    if scaled.shape[-1] == 1:
+        channel = scaled[..., 0]
         if norm == 2:
             squared = channel * channel
-            return np.sqrt(squared, out=squared)
-        return np.abs(channel)
-    if norm == "inf":
-        return np.max(np.abs(residues), axis=-1)
-    return np.linalg.norm(np.ascontiguousarray(residues), ord=norm, axis=-1)
+            norms = np.sqrt(squared, out=squared)
+        else:
+            norms = np.abs(channel)
+    elif norm == "inf":
+        norms = np.max(np.abs(scaled), axis=-1)
+    else:
+        norms = np.linalg.norm(np.ascontiguousarray(scaled), ord=norm, axis=-1)
+    if norms.size and not np.isfinite(norms.max()):
+        check_finite("residues", residues)
+    return norms
 
 
 @dataclass
@@ -109,6 +121,25 @@ class ThresholdVector:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ThresholdVector":
+        """Rebuild a vector from its :meth:`to_dict` form (extra keys are ignored)."""
+        norm = payload["norm"]
+        weights = payload.get("weights")
+        return cls(
+            np.asarray(payload["values"], dtype=float),
+            norm=norm if norm == "inf" else int(norm),
+            weights=None if weights is None else np.asarray(weights, dtype=float),
+        )
+
+    def to_dict(self) -> dict:  # repro: noqa REP005 — metadata is provenance, not detector math
+        """The plain-data (JSON) form: values, norm and weights; metadata is dropped."""
+        return {
+            "values": [float(v) for v in self.values],
+            "norm": self.norm,
+            "weights": None if self.weights is None else [float(w) for w in self.weights],
+        }
+
     @classmethod
     def unset(
         cls, length: int, norm: float | str = "inf", weights: np.ndarray | None = None
@@ -272,11 +303,20 @@ class ThresholdVector:
             )
         return residue_norms(residues, self.norm, self.weights)
 
-    def alarms(self, residues: np.ndarray) -> np.ndarray:
-        """Alarm flags ``||z_k|| >= Th[k]`` on a concrete residue sequence."""
+    def compare(self, residues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The detector predicate: ``(norms, thresholds, alarms)`` of a residue sequence.
+
+        ``residues`` is ``(..., T, m)``: one ``(T, m)`` trace or a stack of
+        them.  ``norms`` and ``alarms`` are ``(..., T)``; ``thresholds`` is
+        the ``(T,)`` :meth:`effective` vector every trace is compared with.
+        """
         norms = self.residue_norms(residues)
-        thresholds = self.effective(norms.shape[0])
-        return alarm_comparison(norms, thresholds)
+        thresholds = self.effective(norms.shape[-1])
+        return norms, thresholds, alarm_comparison(norms, thresholds)
+
+    def alarms(self, residues: np.ndarray) -> np.ndarray:
+        """Alarm flags ``||z_k|| >= Th[k]`` on a ``(..., T, m)`` residue sequence."""
+        return self.compare(residues)[2]
 
     def admits(self, residues: np.ndarray) -> bool:
         """True when the residue sequence stays strictly below the thresholds everywhere."""

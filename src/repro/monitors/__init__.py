@@ -5,7 +5,9 @@ and gradient monitors on individual sensors, relation monitors between
 redundant sensors, all wrapped by a dead-zone counter so that only sustained
 violations raise an alarm.  Each monitor can both
 
-* evaluate concrete measurement traces (for simulation and FAR studies), and
+* evaluate concrete measurement traces (for simulation and FAR studies)
+  and fleets online, through one check written over a row axis
+  (:meth:`~repro.monitors.base.Monitor.check`), and
 * describe itself as affine conditions over measurement symbols (consumed by
   the formal attack-synthesis encodings).
 """

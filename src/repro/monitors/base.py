@@ -110,13 +110,59 @@ class MonitorReport:
 
 
 class Monitor(abc.ABC):
-    """Base class for measurement sanity monitors."""
+    """Base class for measurement sanity monitors.
+
+    A monitor defines its check once, in :meth:`check`, over a row axis:
+    offline :meth:`satisfied` passes a trace's samples as rows, the fleet's
+    :class:`~repro.runtime.batch.BatchMonitor` passes its instances.  A
+    monitor that defines only :meth:`satisfied` still works online: the
+    default :meth:`check` evaluates it on a two-sample window per row.  The
+    dead-zone and composite combinators forward both methods, so such a
+    member is still evaluated on the whole trace offline.
+    """
 
     name: str = "monitor"
 
-    @abc.abstractmethod
+    def check(
+        self,
+        current: np.ndarray,
+        previous: np.ndarray | None,
+        dt: float,
+        valid: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Per-row "check passes" for the ``(R, m)`` samples ``current``.
+
+        Row ``i`` of ``previous`` is the sample before row ``i`` of
+        ``current``; ``previous`` is ``None`` when no row has one, and
+        ``valid`` flags the rows of ``previous`` that do (``None``: all).  A
+        row without an earlier sample is checked like the first sample of a
+        trace.
+
+        This default evaluates :meth:`satisfied` on a two-sample window per
+        row, exact for any monitor with at most one sample of lookback.
+        """
+        if type(self).satisfied is Monitor.satisfied:
+            raise NotImplementedError(f"{type(self).__name__} defines neither check nor satisfied")
+        result = np.zeros(current.shape[0], dtype=bool)
+        for i in range(current.shape[0]):
+            if previous is None or (valid is not None and not valid[i]):
+                window = current[i : i + 1]
+            else:
+                window = np.vstack([previous[i], current[i]])
+            result[i] = bool(self.satisfied(window, dt)[-1])
+        return result
+
     def satisfied(self, measurements: np.ndarray, dt: float) -> np.ndarray:
-        """Boolean array of per-sample check results on a ``(T, m)`` trace."""
+        """Boolean array of per-sample check results on a ``(T, m)`` trace.
+
+        The trace's samples are the rows of :meth:`check`; the sample before
+        each is its previous row (the first sample has none).
+        """
+        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
+        previous = np.concatenate((measurements[:1], measurements[:-1]))
+        valid = np.ones(measurements.shape[0], dtype=bool)
+        valid[:1] = False
+        return self.check(measurements, previous, dt, valid)
 
     @abc.abstractmethod
     def conditions_at(self, k: int, dt: float) -> list[LinearCondition]:

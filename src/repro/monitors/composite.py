@@ -34,6 +34,12 @@ class CompositeMonitor(Monitor):
     def __len__(self) -> int:
         return len(self.monitors)
 
+    def check(self, current, previous, dt, valid=None) -> np.ndarray:
+        result = np.ones(current.shape[0], dtype=bool)
+        for monitor in self.monitors:
+            result &= monitor.check(current, previous, dt, valid)
+        return result
+
     def satisfied(self, measurements: np.ndarray, dt: float) -> np.ndarray:
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
         horizon = measurements.shape[0]

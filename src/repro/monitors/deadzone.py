@@ -41,6 +41,10 @@ class DeadZoneMonitor(Monitor):
         if not self.name or self.name == "deadzone":
             self.name = f"deadzone({self.inner.name})"
 
+    def check(self, current, previous, dt, valid=None) -> np.ndarray:
+        """Per-row result of the *inner* check (dead zone does not change it)."""
+        return self.inner.check(current, previous, dt, valid)
+
     def satisfied(self, measurements: np.ndarray, dt: float) -> np.ndarray:
         """Per-sample result of the *inner* check (dead zone does not change it)."""
         return self.inner.satisfied(measurements, dt)

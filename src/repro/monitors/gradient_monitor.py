@@ -29,14 +29,14 @@ class GradientMonitor(Monitor):
         self.channel = int(self.channel)
         self.max_rate = check_positive("max_rate", self.max_rate)
 
-    def satisfied(self, measurements: np.ndarray, dt: float) -> np.ndarray:
-        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-        values = measurements[:, self.channel]
-        result = np.ones(values.shape[0], dtype=bool)
-        if values.shape[0] > 1:
-            rates = np.abs(np.diff(values)) / float(dt)
-            result[1:] = rates <= self.max_rate + 1e-12
-        return result
+    def check(self, current, previous, dt, valid=None) -> np.ndarray:
+        if previous is None:
+            return np.ones(current.shape[0], dtype=bool)
+        rates = np.abs(current[:, self.channel] - previous[:, self.channel]) / float(dt)
+        satisfied = rates <= self.max_rate + 1e-12
+        if valid is not None:
+            satisfied |= ~valid
+        return satisfied
 
     def conditions_at(self, k: int, dt: float) -> list[LinearCondition]:
         if k == 0:

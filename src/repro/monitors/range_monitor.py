@@ -38,9 +38,8 @@ class RangeMonitor(Monitor):
         magnitude = abs(float(magnitude))
         return cls(channel=channel, low=-magnitude, high=magnitude, name=name)
 
-    def satisfied(self, measurements: np.ndarray, dt: float) -> np.ndarray:
-        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-        values = measurements[:, self.channel]
+    def check(self, current, previous, dt, valid=None) -> np.ndarray:
+        values = current[:, self.channel]
         return (values >= self.low - 1e-12) & (values <= self.high + 1e-12)
 
     def conditions_at(self, k: int, dt: float) -> list[LinearCondition]:

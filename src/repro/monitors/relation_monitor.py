@@ -44,8 +44,8 @@ class RelationMonitor(Monitor):
             - self.offset
         )
 
-    def satisfied(self, measurements: np.ndarray, dt: float) -> np.ndarray:
-        return np.abs(self.mismatch(measurements)) <= self.allowed_diff + 1e-12
+    def check(self, current, previous, dt, valid=None) -> np.ndarray:
+        return np.abs(self.mismatch(current)) <= self.allowed_diff + 1e-12
 
     def conditions_at(self, k: int, dt: float) -> list[LinearCondition]:
         return [

@@ -16,9 +16,9 @@ classic self-adaptive MAPE-K monitoring shape):
   CUSUM bias/threshold parameters, the same profile-then-threshold shape
   the paper uses on benign residue streams;
 * :mod:`repro.obs.watch.detect` — :class:`SeriesWatcher` adapters around
-  the existing :class:`~repro.runtime.online.OnlineCusum` core (no new
-  detector math) emitting typed :class:`RegressionEvent` alarms into the
-  existing :class:`~repro.runtime.events.EventSink` layer, with a
+  the existing :class:`~repro.runtime.online.OnlineDetector` over a CUSUM
+  detector (no new detector math) emitting typed :class:`RegressionEvent`
+  alarms into the existing :class:`~repro.runtime.events.EventSink` layer, with a
   dead-zone-style consecutive-alarm confirmation;
 * :mod:`repro.obs.watch.service` — :class:`HealthWatcher` applies the same
   detectors to live :class:`~repro.obs.metrics.MetricsRegistry` snapshots

@@ -9,7 +9,7 @@ relative/absolute floors so a near-constant series doesn't produce a
 degenerate scale) is the noise unit.  Subsequent samples are normalized to
 ``(value - median) / scale`` and oriented so the *bad* direction is
 positive, which lets every series share one dimensionless
-:class:`~repro.runtime.online.OnlineCusum` parameterization:
+:class:`~repro.detectors.cusum.CusumDetector` parameterization:
 ``bias = bias_mads`` and ``threshold = threshold_mads``, both in noise
 units.
 

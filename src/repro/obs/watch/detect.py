@@ -2,8 +2,9 @@
 
 :class:`SeriesWatcher` streams one scalar series (a benchmark metric
 trajectory or a live gauge/counter-rate) through one
-:class:`~repro.runtime.online.OnlineCusum` instance — the exact detector
-core the serving layer deploys on plant residues.  The first
+:class:`~repro.runtime.online.OnlineDetector` over a
+:class:`~repro.detectors.cusum.CusumDetector` — the exact detector core the
+serving layer deploys on plant residues.  The first
 ``policy.window`` samples freeze the benign baseline
 (:func:`~repro.obs.watch.baseline.estimate_baseline`); each later sample's
 oriented normalized deviation is rectified at zero (only bad-direction
@@ -25,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.detectors.cusum import CusumDetector
 from repro.obs.watch.baseline import Baseline, WatchPolicy, estimate_baseline
 from repro.runtime.events import AlarmEvent, EventSink
-from repro.runtime.online import OnlineCusum
+from repro.runtime.online import OnlineDetector
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class SeriesWatcher:
         self.baseline = baseline
         self.events: list[RegressionEvent] = []
         self.index = -1
-        self._cusum: Optional[OnlineCusum] = None
+        self._cusum: Optional[OnlineDetector] = None
         self._warmup: list[float] = []
         self._last_zero = -1
         self._run_length = 0
@@ -138,8 +140,8 @@ class SeriesWatcher:
 
     def _arm(self, baseline: Baseline) -> None:
         self.baseline = baseline
-        self._cusum = OnlineCusum(
-            bias=self.policy.bias_mads, threshold=self.policy.threshold_mads
+        self._cusum = OnlineDetector(
+            CusumDetector(bias=self.policy.bias_mads, threshold=self.policy.threshold_mads)
         )
         self._last_zero = self.index
 
@@ -181,7 +183,7 @@ class SeriesWatcher:
         assert self.baseline is not None
         deviation = self.baseline.deviation(value, self.orientation)
         alarm = self._cusum.step([max(0.0, deviation)])
-        if self._cusum.statistic == 0.0:
+        if self._cusum.state["statistic"][0] == 0.0:
             self._last_zero = self.index
         if not alarm:
             self._run_length = 0

@@ -14,9 +14,9 @@ registry            built-in names                                 registered ob
 ==================  =============================================  =========================
 ``BACKENDS``        ``lp``, ``smt``, ``optimizer``                 attack-synthesis backend
 ``SYNTHESIZERS``    ``pivot``, ``stepwise``, ``static``            threshold synthesizer
-``DETECTORS``       ``residue``, ``chi-square``, ``cusum``,        residue detector
-                    ``online-residue``, ``online-chi-square``,     (offline and online forms)
-                    ``online-cusum``
+``DETECTORS``       ``residue``, ``chi-square``, ``cusum``,        residue detector (the
+                    ``online-residue``, ``online-chi-square``,     ``online-*`` names resolve
+                    ``online-cusum``                               to the same classes)
 ``NOISE_MODELS``    ``zero``, ``gaussian``, ``bounded-uniform``,   noise model
                     ``truncated-gaussian``
 ``CASE_STUDIES``    ``vsc``, ``trajectory``, ``dcmotor``,          case-study builder
@@ -167,7 +167,6 @@ DETECTORS = Registry(
         "repro.detectors.residue",
         "repro.detectors.chi_square",
         "repro.detectors.cusum",
-        "repro.runtime.online",
     ),
 )
 NOISE_MODELS = Registry("noise model", ("repro.noise.models",))

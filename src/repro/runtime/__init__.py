@@ -3,12 +3,13 @@
 The synthesis pipeline (:mod:`repro.api`) produces detectors; this package
 *operates* them.  It provides:
 
-* online stateful wrappers (:class:`OnlineResidueDetector`,
-  :class:`OnlineCusum`, :class:`OnlineChiSquare`, :class:`OnlineMonitor`)
-  with a ``step(y_k) -> alarm`` API, trace-equivalent to the offline
-  ``evaluate`` paths;
-* their fleet-wide vectorized cores (:mod:`repro.runtime.batch`), all state
-  shaped ``(N, ...)``;
+* one online stateful wrapper, :class:`OnlineDetector`, with a
+  ``step(y_k) -> alarm`` API for any detector or plant monitor,
+  trace-equivalent to the offline ``evaluate`` paths (the registry's
+  ``online-*`` detector names resolve to the offline classes);
+* the fleet-wide vectorized cores it wraps (:mod:`repro.runtime.batch`),
+  all state shaped ``(N, ...)``, built by the one dispatch
+  :func:`make_batched`;
 * the :class:`FleetSimulator` — N closed-loop instances advanced step by
   step in batched numpy, with per-instance noise streams and a scheduled
   attack injector (:class:`ScheduledAttack`);
@@ -43,14 +44,7 @@ from repro.runtime.events import (
     JSONLSink,
 )
 from repro.runtime.fleet import FleetSimulator, FleetTrace, ScheduledAttack, batch_simulate
-from repro.runtime.online import (
-    OnlineChiSquare,
-    OnlineCusum,
-    OnlineDetector,
-    OnlineMonitor,
-    OnlineResidueDetector,
-    make_online,
-)
+from repro.runtime.online import OnlineDetector
 from repro.runtime.report import DetectorFleetStats, FleetReport
 from repro.runtime.engine import run_fleet
 from repro.runtime.kernel import FusedEngine
@@ -71,14 +65,9 @@ __all__ = [
     "FusedEngine",
     "InMemorySink",
     "JSONLSink",
-    "OnlineChiSquare",
-    "OnlineCusum",
     "OnlineDetector",
-    "OnlineMonitor",
-    "OnlineResidueDetector",
     "ScheduledAttack",
     "batch_simulate",
     "make_batched",
-    "make_online",
     "run_fleet",
 ]

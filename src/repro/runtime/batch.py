@@ -7,11 +7,16 @@ internal state — step counters, CUSUM accumulators, dead-zone run lengths,
 previous-measurement buffers — is shaped ``(N, ...)`` so a whole fleet steps
 in a handful of numpy operations.
 
-The cores deliberately reuse the *same* numpy expressions as the offline
-``evaluate`` paths (e.g. :meth:`ThresholdVector.residue_norms` applied to an
-``(N, m)`` block instead of a ``(T, m)`` trace), so a single instance stepped
-online produces bit-identical alarm sequences to the offline detectors; the
-equivalence is locked in by ``tests/test_runtime_online.py``.
+The cores call the detector classes' own expressions rather than copies
+of them: :func:`~repro.detectors.threshold.residue_norms` applied to an
+``(N, m)`` block instead of a ``(T, m)`` trace, and each monitor's
+:meth:`~repro.monitors.base.Monitor.check` over the fleet's instances
+instead of a trace's samples.  A single instance stepped online therefore
+produces bit-identical alarm sequences to the offline detectors; the
+equivalence is locked in by ``tests/test_runtime_online.py`` and
+``tests/test_detector_forms_property.py``.  Only the stateful recurrences —
+the CUSUM accumulator and the dead-zone run length — have a numpy form here
+next to the offline Python loop.
 
 ``run(block)`` advances a core over a whole ``(T, N, m)`` horizon at once.
 The threshold and CUSUM cores vectorize it: one call of the detector's own
@@ -20,10 +25,10 @@ serial clamp (CUSUM).  Every other core steps through the block.  Either
 way ``run`` equals the stacked ``step`` calls bit for bit and leaves the
 same state (``tests/test_runtime_detector_pass.py``).
 
-:func:`make_batched` adapts any of the library's offline objects — a
+:func:`make_batched` is the one dispatch that adapts an object — a
 :class:`~repro.detectors.threshold.ThresholdVector`, a residue / CUSUM /
-chi-square detector, or a plant :class:`~repro.monitors.base.Monitor` — into
-the matching core.
+chi-square detector, a plant :class:`~repro.monitors.base.Monitor`, or an
+:class:`~repro.runtime.online.OnlineDetector` — into the matching core.
 """
 
 from __future__ import annotations
@@ -39,9 +44,6 @@ from repro.detectors.threshold import ThresholdVector, alarm_comparison
 from repro.monitors.base import Monitor
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.deadzone import DeadZoneMonitor
-from repro.monitors.gradient_monitor import GradientMonitor
-from repro.monitors.range_monitor import RangeMonitor
-from repro.monitors.relation_monitor import RelationMonitor
 from repro.utils.validation import ValidationError, check_positive
 
 
@@ -123,12 +125,14 @@ class BatchDetector(abc.ABC):
     def _compact_state(self, keep: np.ndarray) -> None:
         """Per-core hook: slice every state array down to the ``keep`` rows."""
 
-    def rebind(self, obj) -> None:
+    def rebind(self, obj) -> object:
         """Hot-swap the detector's parameters without resetting any state.
 
         Used by :meth:`repro.serve.service.MonitorService.swap_thresholds`
-        to deploy re-synthesized thresholds into a running fleet.  Cores
-        without swappable parameters raise.
+        to deploy re-synthesized thresholds into a running fleet.  Returns
+        the parameter object now bound (a plain threshold array comes back
+        as a :class:`ThresholdVector`).  Cores without swappable parameters
+        raise.
         """
         raise ValidationError(
             f"{type(self).__name__} does not support hot rebinding"
@@ -225,7 +229,7 @@ class BatchThresholdDetector(BatchDetector):
     def _compact_state(self, keep: np.ndarray) -> None:
         self._steps = self._steps[keep]
 
-    def rebind(self, threshold) -> None:
+    def rebind(self, threshold) -> ThresholdVector:
         """Swap in a new :class:`ThresholdVector`; per-instance steps are kept."""
         if not isinstance(threshold, ThresholdVector):
             try:
@@ -235,6 +239,7 @@ class BatchThresholdDetector(BatchDetector):
                     "BatchThresholdDetector rebinds to a ThresholdVector"
                 ) from error
         self.threshold = threshold
+        return threshold
 
 
 class BatchCusum(BatchDetector):
@@ -253,19 +258,24 @@ class BatchCusum(BatchDetector):
         return self._statistic >= self.detector.threshold
 
     def run(self, values: np.ndarray) -> np.ndarray:
-        """All steps' norms in one call, then the serial clamp in place."""
+        """All steps' norms in one call, then the serial clamp in place.
+
+        The clamp overwrites each step's row of norms with that step's
+        statistic, so one comparison over the ``(T, N)`` array gives every
+        alarm.
+        """
         values = self._check_blocks(values).astype(np.float64, copy=False)
-        norms = self.detector._norms(values)
-        bias, threshold = self.detector.bias, self.detector.threshold
-        statistic = self._statistic
-        alarms = np.empty(norms.shape, dtype=bool)
-        for k in range(norms.shape[0]):
-            np.add(statistic, norms[k], out=statistic)
-            np.subtract(statistic, bias, out=statistic)
-            np.maximum(0.0, statistic, out=statistic)
-            np.greater_equal(statistic, threshold, out=alarms[k])
-        self._step_index += norms.shape[0]
-        return alarms
+        statistics = self.detector._norms(values)
+        bias = self.detector.bias
+        previous = self._statistic
+        for row in statistics:
+            np.add(previous, row, out=row)
+            np.subtract(row, bias, out=row)
+            np.maximum(0.0, row, out=row)
+            previous = row
+        self._statistic = previous.copy()
+        self._step_index += statistics.shape[0]
+        return statistics >= self.detector.threshold
 
     def reset(self) -> None:
         self._step_index = 0
@@ -281,11 +291,12 @@ class BatchCusum(BatchDetector):
     def _compact_state(self, keep: np.ndarray) -> None:
         self._statistic = self._statistic[keep]
 
-    def rebind(self, detector) -> None:
+    def rebind(self, detector) -> CusumDetector:
         """Swap bias/threshold (a :class:`CusumDetector`); accumulators are kept."""
         if not isinstance(detector, CusumDetector):
             raise ValidationError("BatchCusum rebinds to a CusumDetector")
         self.detector = detector
+        return detector
 
 
 class BatchChiSquare(BatchDetector):
@@ -308,73 +319,17 @@ class BatchChiSquare(BatchDetector):
     def state(self) -> dict:
         return {"step": self._step_index}
 
-    def rebind(self, detector) -> None:
+    def rebind(self, detector) -> ChiSquareDetector:
         """Swap in a new :class:`ChiSquareDetector` (covariance and/or threshold)."""
         if not isinstance(detector, ChiSquareDetector):
             raise ValidationError("BatchChiSquare rebinds to a ChiSquareDetector")
         self.detector = detector
+        return detector
 
 
 # ----------------------------------------------------------------------
 # Plant monitors
 # ----------------------------------------------------------------------
-def _batch_satisfied(
-    monitor: Monitor,
-    previous: np.ndarray | None,
-    current: np.ndarray,
-    dt: float,
-    valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-instance "check passes at this sample" for one monitor.
-
-    Mirrors the per-sample expressions of each monitor's offline
-    ``satisfied`` (including the 1e-12 comparison slack) over the instance
-    axis.  Monitors outside the built-in hierarchy fall back to evaluating
-    their own ``satisfied`` on a two-sample window per instance, which stays
-    correct for any monitor with at most one sample of lookback.
-
-    ``valid`` flags which rows of ``previous`` hold a real earlier sample;
-    instances attached mid-run have none yet, and behave like an instance at
-    its first sample (gradient checks pass).  ``None`` means every row is
-    valid, matching the closed-batch path.
-    """
-    if isinstance(monitor, RangeMonitor):
-        values = current[:, monitor.channel]
-        return (values >= monitor.low - 1e-12) & (values <= monitor.high + 1e-12)
-    if isinstance(monitor, RelationMonitor):
-        mismatch = (
-            current[:, monitor.channel_a]
-            - monitor.gain * current[:, monitor.channel_b]
-            - monitor.offset
-        )
-        return np.abs(mismatch) <= monitor.allowed_diff + 1e-12
-    if isinstance(monitor, GradientMonitor):
-        if previous is None:
-            return np.ones(current.shape[0], dtype=bool)
-        rates = np.abs(current[:, monitor.channel] - previous[:, monitor.channel]) / float(dt)
-        satisfied = rates <= monitor.max_rate + 1e-12
-        if valid is not None:
-            satisfied |= ~valid
-        return satisfied
-    if isinstance(monitor, DeadZoneMonitor):
-        return _batch_satisfied(monitor.inner, previous, current, dt, valid)
-    if isinstance(monitor, CompositeMonitor):
-        result = np.ones(current.shape[0], dtype=bool)
-        for member in monitor.monitors:
-            result &= _batch_satisfied(member, previous, current, dt, valid)
-        return result
-    # Generic fallback: per-instance two-sample window (slow path).
-    result = np.zeros(current.shape[0], dtype=bool)
-    for i in range(current.shape[0]):
-        has_previous = previous is not None and (valid is None or bool(valid[i]))
-        if not has_previous:
-            window = current[i : i + 1]
-        else:
-            window = np.vstack([previous[i], current[i]])
-        result[i] = bool(monitor.satisfied(window, dt)[-1])
-    return result
-
-
 class _MonitorNode:
     """Per-monitor alarm state within a :class:`BatchMonitor` tree."""
 
@@ -399,10 +354,10 @@ class _MonitorNode:
                 result |= child.alarms(previous, current, dt, valid)
             return result
         if isinstance(self.monitor, DeadZoneMonitor):
-            violated = ~_batch_satisfied(self.monitor.inner, previous, current, dt, valid)
+            violated = ~self.monitor.inner.check(current, previous, dt, valid)
             self.run_length = np.where(violated, self.run_length + 1, 0)
             return self.run_length >= self.monitor.dead_zone_samples
-        return ~_batch_satisfied(self.monitor, previous, current, dt, valid)
+        return ~self.monitor.check(current, previous, dt, valid)
 
     def reset(self) -> None:
         if isinstance(self.monitor, DeadZoneMonitor):
@@ -521,7 +476,7 @@ class BatchMonitor(BatchDetector):
         if self._previous is not None:
             self._previous = self._previous[keep]
 
-    def rebind(self, monitor) -> None:
+    def rebind(self, monitor) -> Monitor:
         """Swap in a structurally matching :class:`Monitor`; run-lengths are kept."""
         if not isinstance(monitor, Monitor):
             raise ValidationError("BatchMonitor rebinds to a Monitor")
@@ -529,6 +484,7 @@ class BatchMonitor(BatchDetector):
         replacement.adopt(self._root)
         self.monitor = monitor
         self._root = replacement
+        return monitor
 
     @property
     def state(self) -> dict:
@@ -543,20 +499,23 @@ class BatchMonitor(BatchDetector):
 def make_batched(obj, n_instances: int, dt: float | None = None) -> BatchDetector:
     """Adapt any detector-shaped object into a fleet-wide :class:`BatchDetector`.
 
-    Accepts an existing :class:`BatchDetector` (instance count must match), a
-    scalar online wrapper from :mod:`repro.runtime.online` (re-batched via its
-    ``as_batch``), a :class:`ThresholdVector` or any of the offline detector
-    classes, or a plant :class:`Monitor` (requires ``dt``).
+    The one dispatch from an object to a core.  Accepts an existing
+    :class:`BatchDetector` (instance count must match), a
+    :class:`~repro.runtime.online.OnlineDetector` (re-batched from the
+    object it holds, with fresh state), a :class:`ThresholdVector` or any of
+    the offline detector classes, or a plant :class:`Monitor` (requires
+    ``dt``).
     """
+    from repro.runtime.online import OnlineDetector  # imports this module
+
     if isinstance(obj, BatchDetector):
         if obj.n_instances != n_instances:
             raise ValidationError(
                 f"batched detector is sized for {obj.n_instances} instances, fleet has {n_instances}"
             )
         return obj
-    as_batch = getattr(obj, "as_batch", None)
-    if as_batch is not None:
-        return as_batch(n_instances)
+    if isinstance(obj, OnlineDetector):
+        return make_batched(obj.detector, n_instances, obj.dt)
     if isinstance(obj, ThresholdVector):
         return BatchThresholdDetector(obj, n_instances)
     if isinstance(obj, ResidueDetector):

@@ -298,8 +298,8 @@ class FleetSimulator:
         Label → detector mapping.  Values may be anything
         :func:`~repro.runtime.batch.make_batched` accepts: synthesized
         :class:`~repro.detectors.threshold.ThresholdVector` objects, offline
-        residue / CUSUM / chi-square detectors, plant monitors, or online
-        wrappers.
+        residue / CUSUM / chi-square detectors, plant monitors, or
+        :class:`~repro.runtime.online.OnlineDetector` objects.
     noise_model:
         Per-instance measurement-noise model; ``None`` draws Gaussian noise
         from the plant's ``R_v`` (zeros when the plant is noiseless).

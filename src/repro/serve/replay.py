@@ -24,41 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.detectors.chi_square import ChiSquareDetector
-from repro.detectors.cusum import CusumDetector
-from repro.detectors.threshold import ThresholdVector
 from repro.runtime.events import AlarmEvent, EventSink, InMemorySink
 from repro.serve.log import ServiceEvent, ServiceLog
-from repro.serve.service import MonitorService
+from repro.serve.service import SWAP_KINDS, MonitorService
 from repro.utils.validation import ValidationError
-
-
-def _swap_object(payload: dict):
-    """Rebuild the swap parameter object a logged ``"swap"`` payload describes."""
-    kind = payload.get("detector_kind")
-    if payload.get("replayable") is False:
-        raise ValidationError(
-            f"swap event on {payload.get('label')!r} ({kind}) is not replayable: "
-            "monitor swaps have no plain-data form; replay up to the swap or "
-            "re-run with threshold/CUSUM/chi-square swaps only"
-        )
-    if kind == "threshold":
-        weights = payload.get("weights")
-        return ThresholdVector(
-            np.asarray(payload["values"], dtype=float),
-            norm=payload["norm"],
-            weights=None if weights is None else np.asarray(weights, dtype=float),
-        )
-    if kind == "cusum":
-        return CusumDetector(
-            bias=payload["bias"], threshold=payload["threshold"], norm=payload["norm"]
-        )
-    if kind == "chi-square":
-        return ChiSquareDetector(
-            innovation_cov=np.asarray(payload["innovation_cov"], dtype=float),
-            threshold=payload["threshold"],
-        )
-    raise ValidationError(f"unknown swap payload kind {kind!r}")
 
 
 @dataclass
@@ -187,9 +156,17 @@ def replay(
         elif event.kind == "detach":
             service.detach(event.instance)
         elif event.kind == "swap":
-            payload = dict(event.data)
-            label = payload.pop("label")
-            service.swap_thresholds({label: _swap_object({**payload, "label": label})})
+            payload = event.data
+            kind = payload.get("detector_kind")
+            if payload.get("replayable") is False:
+                raise ValidationError(
+                    f"swap event on {payload['label']!r} ({kind}) is not replayable: "
+                    "monitor swaps have no plain-data form; replay up to the swap or "
+                    "re-run with threshold/CUSUM/chi-square swaps only"
+                )
+            if kind not in SWAP_KINDS:
+                raise ValidationError(f"unknown swap payload kind {kind!r}")
+            service.swap_thresholds({payload["label"]: SWAP_KINDS[kind].from_dict(payload)})
         elif event.kind == "measurement":
             residue = event.data.get("residue")
             service.ingest(

@@ -44,15 +44,7 @@ from repro.detectors.chi_square import ChiSquareDetector
 from repro.detectors.cusum import CusumDetector
 from repro.detectors.threshold import ThresholdVector
 from repro.lti.simulate import ClosedLoopSystem
-from repro.monitors.base import Monitor
-from repro.runtime.batch import (
-    BatchChiSquare,
-    BatchCusum,
-    BatchDetector,
-    BatchMonitor,
-    BatchThresholdDetector,
-    make_batched,
-)
+from repro.runtime.batch import BatchDetector, make_batched
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry
 from repro.registry import ENGINES
@@ -69,61 +61,34 @@ OVERFLOW_POLICIES = ("drop-oldest", "drop-newest", "error")
 RESIDUE_SOURCES = ("observer", "ingest")
 
 
-def _swap_payload(label: str, core: BatchDetector, obj) -> tuple[object, dict]:
-    """Coerce a hot-swap request into the core's parameter type plus a log payload.
+#: Plain-data kinds of the hot-swappable detector parameters: a logged
+#: ``"swap"`` event carries the kind as ``detector_kind`` next to the
+#: parameter object's ``to_dict()``; replay rebuilds it with ``from_dict``.
+SWAP_KINDS = {
+    "threshold": ThresholdVector,
+    "cusum": CusumDetector,
+    "chi-square": ChiSquareDetector,
+}
 
-    Returns ``(bound, payload)`` where ``bound`` is what ``core.rebind``
-    accepts and ``payload`` is a JSON-compatible description from which
+
+def _swap_payload(label: str, core: BatchDetector, obj) -> tuple[object, dict]:
+    """Dry-run a hot-swap request on a copy of the core; return what it binds plus a log payload.
+
+    Returns ``(bound, payload)`` where ``bound`` is the parameter object
+    ``core.rebind`` binds (validated, including monitor structure checks)
+    and ``payload`` is a JSON-compatible description from which
     :func:`~repro.serve.replay.replay` can rebuild ``bound``.  Monitor swaps
     carry ``"replayable": False`` — a :class:`~repro.monitors.base.Monitor`
     tree has no canonical plain-data form.
     """
-    if isinstance(core, BatchThresholdDetector):
-        if not isinstance(obj, ThresholdVector):
-            obj = ThresholdVector(np.asarray(obj, dtype=float))
-        weights = None if obj.weights is None else [float(w) for w in obj.weights]
-        payload = {
-            "detector_kind": "threshold",
-            "values": [float(v) for v in obj.values],
-            "norm": obj.norm,
-            "weights": weights,
-        }
-        return obj, payload
-    if isinstance(core, BatchCusum):
-        if not isinstance(obj, CusumDetector):
-            raise ValidationError(
-                f"swapping {label!r} (a CUSUM core) requires a CusumDetector, "
-                f"got {type(obj).__name__}"
-            )
-        payload = {
-            "detector_kind": "cusum",
-            "bias": float(obj.bias),
-            "threshold": float(obj.threshold),
-            "norm": obj.norm,
-        }
-        return obj, payload
-    if isinstance(core, BatchChiSquare):
-        if not isinstance(obj, ChiSquareDetector):
-            raise ValidationError(
-                f"swapping {label!r} (a chi-square core) requires a ChiSquareDetector, "
-                f"got {type(obj).__name__}"
-            )
-        payload = {
-            "detector_kind": "chi-square",
-            "innovation_cov": np.asarray(obj.innovation_cov, dtype=float).tolist(),
-            "threshold": float(obj.threshold),
-        }
-        return obj, payload
-    if isinstance(core, BatchMonitor):
-        if not isinstance(obj, Monitor):
-            raise ValidationError(
-                f"swapping {label!r} (a monitor core) requires a Monitor, "
-                f"got {type(obj).__name__}"
-            )
-        return obj, {"detector_kind": "monitor", "replayable": False}
-    raise ValidationError(
-        f"detector {label!r} ({type(core).__name__}) does not support hot swapping"
-    )
+    try:
+        bound = copy.deepcopy(core).rebind(obj)
+    except ValidationError as error:
+        raise ValidationError(f"cannot swap {label!r}: {error}") from error
+    for kind, cls in SWAP_KINDS.items():
+        if isinstance(bound, cls):
+            return bound, {"detector_kind": kind, **bound.to_dict()}
+    return bound, {"detector_kind": "monitor", "replayable": False}
 
 
 class MonitorService:
@@ -575,10 +540,9 @@ class MonitorService:
                         f"no detector labelled {label!r} is deployed "
                         f"(deployed: {', '.join(self.detectors)})"
                     )
-                bound, payload = _swap_payload(label, core, obj)
                 # Dry-run on a copy: rebind-time validation (e.g. monitor
                 # structure checks) fails here, before anything is applied.
-                copy.deepcopy(core).rebind(bound)
+                bound, payload = _swap_payload(label, core, obj)
                 prepared.append((label, core, bound, payload))
             for label, core, bound, payload in prepared:
                 core.rebind(bound)

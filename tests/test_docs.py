@@ -2,8 +2,9 @@
 
 Mirrors the CI docs job locally (which runs ruff's pydocstyle D100/D101
 rules and this file): every module and class in the documented subsystems
-(``repro.explore``, ``repro.lint``, ``repro.obs``, ``repro.runtime``,
-``repro.serve``) carries a docstring, the headline
+(``repro.api``, ``repro.core``, ``repro.detectors``, ``repro.explore``,
+``repro.falsification``, ``repro.lint``, ``repro.monitors``, ``repro.obs``,
+``repro.runtime``, ``repro.serve``) carries a docstring, the headline
 classes of this PR document their semantics, and every relative link and
 anchor in ``README.md`` / ``docs/*.md`` resolves.
 """
@@ -21,9 +22,11 @@ SRC = REPO_ROOT / "src" / "repro"
 DOCUMENTED_PACKAGES = (
     "api",
     "core",
+    "detectors",
     "explore",
     "falsification",
     "lint",
+    "monitors",
     "obs",
     "runtime",
     "serve",

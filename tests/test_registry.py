@@ -78,8 +78,11 @@ class TestBuiltinRegistrations:
         assert SYNTHESIZERS.get("stepwise") is repro.StepwiseThresholdSynthesizer
         assert SYNTHESIZERS.get("static") is repro.StaticThresholdSynthesizer
         assert DETECTORS.get("cusum") is repro.CusumDetector
-        assert DETECTORS.get("online-cusum") is repro.OnlineCusum
-        assert DETECTORS.get("online-residue") is repro.OnlineResidueDetector
+        # The online-* names stay for stored configs; they resolve to the
+        # offline classes, which every deployment path turns into a core.
+        assert DETECTORS.get("online-cusum") is repro.CusumDetector
+        assert DETECTORS.get("online-residue") is repro.ResidueDetector
+        assert DETECTORS.get("online-chi-square") is repro.ChiSquareDetector
         assert CASE_STUDIES.get("vsc") is repro.build_vsc_case_study
 
     def test_classical_baselines_listed_and_constructible(self):

@@ -400,6 +400,41 @@ class TestRunFleet:
         )
         assert set(report.detectors) == {"cusum"}
 
+    def test_online_detector_names_deploy_the_offline_detectors(self, dcmotor_problem):
+        # Stored configs and probe addresses keep the online-* names; they
+        # resolve to the offline classes and deploy the same cores.
+        def stats(prefix: str) -> dict:
+            horizon = dcmotor_problem.horizon
+            config = RuntimeConfig(
+                n_instances=40,
+                include_mdc=False,
+                detectors={
+                    "residue": {
+                        "name": prefix + "residue",
+                        "options": {"threshold": [0.05] * horizon},
+                    },
+                    "cusum": {
+                        "name": prefix + "cusum",
+                        "options": {"bias": 0.01, "threshold": 0.05},
+                    },
+                    "chi2": {
+                        "name": prefix + "chi-square",
+                        "options": {"false_alarm_probability": 1e-3},
+                    },
+                },
+                attacks=[
+                    {"template": "bias", "options": {"bias": 0.3}, "fraction": 0.25, "start": 4}
+                ],
+                seed=3,
+            )
+            report = run_fleet(config, dcmotor_problem)
+            return {label: report.stats(label).to_dict() for label in report.detectors}
+
+        offline = stats("")
+        assert set(offline) == {"residue", "cusum", "chi2"}
+        assert all(entry["alarm_count"] > 0 for entry in offline.values())
+        assert stats("online-") == offline
+
     def test_synthesis_deploys_the_synthesized_threshold(self, dcmotor_problem):
         from repro.api import SynthesisConfig
 

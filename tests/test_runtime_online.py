@@ -18,14 +18,14 @@ from repro.detectors.threshold import ThresholdVector
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.deadzone import DeadZoneMonitor
 from repro.monitors.range_monitor import RangeMonitor
-from repro.runtime.batch import make_batched
-from repro.runtime.online import (
-    OnlineChiSquare,
-    OnlineCusum,
-    OnlineMonitor,
-    OnlineResidueDetector,
-    make_online,
+from repro.runtime.batch import (
+    BatchChiSquare,
+    BatchCusum,
+    BatchMonitor,
+    BatchThresholdDetector,
+    make_batched,
 )
+from repro.runtime.online import OnlineDetector
 from repro.utils.validation import ValidationError
 
 
@@ -61,7 +61,7 @@ class TestResidueDetectorEquivalence:
     def test_static_threshold_bit_identical(self, dcmotor_problem, vsc_case):
         for problem in problems(dcmotor_problem, vsc_case):
             detector = ResidueDetector(problem.static_threshold(0.02))
-            online = OnlineResidueDetector(detector.threshold)
+            online = OnlineDetector(detector.threshold)
             for trace in shared_traces(problem):
                 offline = detector.evaluate(trace.residues).alarms
                 assert np.array_equal(online.run(trace.residues), offline)
@@ -75,7 +75,7 @@ class TestResidueDetectorEquivalence:
             for index, value in enumerate(values):
                 threshold.set_value(index, value)
             detector = ResidueDetector(threshold)
-            online = OnlineResidueDetector(threshold)
+            online = OnlineDetector(threshold)
             for trace in shared_traces(problem):
                 offline = detector.evaluate(trace.residues).alarms
                 assert np.array_equal(online.run(trace.residues), offline)
@@ -83,7 +83,7 @@ class TestResidueDetectorEquivalence:
     def test_threshold_shorter_than_trace_holds_last_value(self):
         threshold = ThresholdVector(np.array([0.5, 0.2]))
         detector = ResidueDetector(threshold)
-        online = OnlineResidueDetector(threshold)
+        online = OnlineDetector(threshold)
         residues = np.array([[0.1], [0.1], [0.3], [0.1], [0.25]])
         assert np.array_equal(online.run(residues), detector.evaluate(residues).alarms)
 
@@ -93,17 +93,17 @@ class TestCusumEquivalence:
     def test_bit_identical(self, dcmotor_problem, vsc_case, norm):
         for problem in problems(dcmotor_problem, vsc_case):
             detector = CusumDetector(bias=0.01, threshold=0.05, norm=norm)
-            online = OnlineCusum.from_detector(detector)
+            online = OnlineDetector(detector)
             for trace in shared_traces(problem):
                 offline = detector.evaluate(trace.residues).alarms
                 assert np.array_equal(online.run(trace.residues), offline)
 
     def test_statistic_matches_offline(self, dcmotor_problem):
         detector = CusumDetector(bias=0.005, threshold=1.0)
-        online = OnlineCusum.from_detector(detector)
+        online = OnlineDetector(detector)
         trace = shared_traces(dcmotor_problem, count=1)[0]
         online.run(trace.residues)
-        assert online.statistic == detector.statistics(trace.residues)[-1]
+        assert online.state["statistic"][0] == detector.statistics(trace.residues)[-1]
 
 
 class TestChiSquareEquivalence:
@@ -113,7 +113,7 @@ class TestChiSquareEquivalence:
             detector = ChiSquareDetector.from_false_alarm_probability(
                 np.eye(m) * 1e-4, 0.05
             )
-            online = OnlineChiSquare.from_detector(detector)
+            online = OnlineDetector(detector)
             for trace in shared_traces(problem):
                 offline = detector.evaluate(trace.residues).alarms
                 assert np.array_equal(online.run(trace.residues), offline)
@@ -127,7 +127,7 @@ class TestMonitorEquivalence:
         # Exercise attacked traces too: monitors react to the forged
         # measurements, not the residues.
         for monitor in members:
-            online = OnlineMonitor(monitor, dt)
+            online = OnlineDetector(monitor, dt)
             for trace in shared_traces(problem):
                 offline = monitor.alarms(trace.measurements, dt)
                 assert np.array_equal(online.run(trace.measurements), offline)
@@ -135,7 +135,7 @@ class TestMonitorEquivalence:
     def test_deadzone_run_counter_spans_steps(self):
         inner = RangeMonitor.symmetric(0, 0.1)
         monitor = DeadZoneMonitor(inner=inner, dead_zone_samples=3)
-        online = OnlineMonitor(monitor, dt=1.0)
+        online = OnlineDetector(monitor, dt=1.0)
         measurements = np.array([[0.5], [0.5], [0.05], [0.5], [0.5], [0.5], [0.5]])
         offline = monitor.alarms(measurements, 1.0)
         assert np.array_equal(online.run(measurements), offline)
@@ -159,7 +159,7 @@ class TestMonitorEquivalence:
 
         problem = vsc_case.problem
         monitor = EveryOtherMonitor()
-        online = OnlineMonitor(monitor, problem.dt)
+        online = OnlineDetector(monitor, problem.dt)
         trace = shared_traces(problem, count=1)[0]
         offline = monitor.alarms(trace.measurements, problem.dt)
         assert np.array_equal(online.run(trace.measurements), offline)
@@ -167,7 +167,7 @@ class TestMonitorEquivalence:
 
 class TestOnlineAPI:
     def test_step_reset_state(self, dcmotor_problem):
-        online = OnlineResidueDetector(dcmotor_problem.static_threshold(0.01))
+        online = OnlineDetector(dcmotor_problem.static_threshold(0.01))
         trace = shared_traces(dcmotor_problem, count=1)[0]
         first = bool(online.step(trace.residues[0]))
         assert isinstance(first, bool)
@@ -177,31 +177,44 @@ class TestOnlineAPI:
         assert online.step_index == 0
 
     def test_cusum_state_snapshot_is_a_copy(self):
-        online = OnlineCusum(bias=0.01, threshold=1.0)
+        online = OnlineDetector(CusumDetector(bias=0.01, threshold=1.0))
         online.step([0.5])
         snapshot = online.state
         snapshot["statistic"][0] = 123.0
-        assert online.statistic != 123.0
+        assert online.state["statistic"][0] != 123.0
 
-    def test_make_online_dispatch(self, dcmotor_problem):
+    def test_online_detector_dispatch(self, dcmotor_problem):
+        # One wrapper, every kind: the core is the one make_batched builds.
         threshold = dcmotor_problem.static_threshold(0.1)
-        assert isinstance(make_online(threshold), OnlineResidueDetector)
-        assert isinstance(make_online(ResidueDetector(threshold)), OnlineResidueDetector)
-        assert isinstance(make_online(CusumDetector(bias=0.1, threshold=1.0)), OnlineCusum)
         chi = ChiSquareDetector(innovation_cov=np.eye(1), threshold=5.0)
-        assert isinstance(make_online(chi), OnlineChiSquare)
         monitor = RangeMonitor.symmetric(0, 1.0)
-        assert isinstance(make_online(monitor, dt=0.1), OnlineMonitor)
-        online = make_online(threshold)
-        assert make_online(online) is online
+        expected = {
+            BatchThresholdDetector: (threshold, ResidueDetector(threshold)),
+            BatchCusum: (CusumDetector(bias=0.1, threshold=1.0),),
+            BatchChiSquare: (chi,),
+            BatchMonitor: (monitor,),
+        }
+        for core_type, objects in expected.items():
+            for obj in objects:
+                online = OnlineDetector(obj, dt=0.1)
+                assert type(online._core) is core_type
+                assert online.detector is obj
+        # Wrapping an online detector re-batches the object it holds, with
+        # fresh state, like make_batched does for a fleet.
+        online = OnlineDetector(CusumDetector(bias=0.1, threshold=1.0))
+        online.step([5.0])
+        rewrapped = OnlineDetector(online)
+        assert type(rewrapped._core) is BatchCusum
+        assert rewrapped.step_index == 0 and rewrapped.state["statistic"][0] == 0.0
+        assert make_batched(online, 3).n_instances == 3
 
-    def test_make_online_monitor_needs_dt(self):
+    def test_online_detector_monitor_needs_dt(self):
         with pytest.raises(ValidationError):
-            make_online(RangeMonitor.symmetric(0, 1.0))
+            OnlineDetector(RangeMonitor.symmetric(0, 1.0))
 
-    def test_make_online_rejects_unknown_objects(self):
+    def test_online_detector_rejects_unknown_objects(self):
         with pytest.raises(ValidationError):
-            make_online(object())
+            OnlineDetector(object())
 
 
 class TestBatchedCores:
@@ -220,7 +233,7 @@ class TestBatchedCores:
             core = make_batched(obj, residues.shape[0], dt=problem.dt)
             feed = residues if core.consumes == "residues" else measurements
             batched = core.run(np.swapaxes(feed, 0, 1))  # (T, N)
-            online = make_online(obj, dt=problem.dt)
+            online = OnlineDetector(obj, dt=problem.dt)
             for i, trace in enumerate(traces):
                 scalar = online.run(feed[i])
                 assert np.array_equal(batched[:, i], scalar), label
@@ -297,29 +310,29 @@ class TestRebind:
 
     def test_threshold_rebind_keeps_position(self, dcmotor_problem):
         T = dcmotor_problem.horizon
-        online = OnlineResidueDetector(ThresholdVector(np.full(T, 10.0)))
+        online = OnlineDetector(ThresholdVector(np.full(T, 10.0)))
         for _ in range(4):
             assert not online.step([1.0])
         values = np.full(T, 10.0)
         values[4:] = 0.01
         online.rebind(ThresholdVector(values))
         assert online.step([1.0])  # compares against position 4, not 0
-        assert online.threshold.values[4] == 0.01
+        assert online.detector.values[4] == 0.01
 
     def test_cusum_rebind_keeps_accumulator(self):
-        online = OnlineCusum(bias=0.1, threshold=100.0)
+        online = OnlineDetector(CusumDetector(bias=0.1, threshold=100.0))
         for _ in range(5):
             online.step([1.0])
-        accumulated = online.statistic
+        accumulated = online.state["statistic"][0]
         assert accumulated > 0
         online.rebind(CusumDetector(bias=0.5, threshold=100.0))
-        assert online.statistic == accumulated
+        assert online.state["statistic"][0] == accumulated
         assert online.detector.bias == 0.5
         with pytest.raises(ValidationError):
             online.rebind("not a detector")
 
     def test_chi_square_rebind_swaps_detector(self):
-        online = OnlineChiSquare(innovation_cov=np.eye(1), threshold=100.0)
+        online = OnlineDetector(ChiSquareDetector(innovation_cov=np.eye(1), threshold=100.0))
         online.step([1.0])
         replacement = ChiSquareDetector(innovation_cov=np.eye(1), threshold=1e-6)
         online.rebind(replacement)
@@ -332,7 +345,7 @@ class TestRebind:
         monitor = DeadZoneMonitor(
             inner=RangeMonitor.symmetric(0, 0.1), dead_zone_samples=3
         )
-        online = OnlineMonitor(monitor, dt=1.0)
+        online = OnlineDetector(monitor, dt=1.0)
         online.step([0.5])
         online.step([0.5])
         # Structurally identical monitor with a wider range: the dead-zone
@@ -349,3 +362,58 @@ class TestRebind:
         core = make_batched(dcmotor_problem.static_threshold(0.5), 1)
         with pytest.raises(ValidationError):
             core.rebind(CusumDetector(bias=0.1, threshold=1.0))
+
+
+class TestNonFiniteResidues:
+    """Every residue-detector form raises on a NaN or infinite residue.
+
+    Before the shared guard the forms disagreed: on a constant 0.3 residue
+    with one NaN at step 3, offline CUSUM (Python ``max(0.0, nan)`` resets
+    the accumulator) alarmed at steps 2 and 6-11, while the online and
+    batched cores (``np.maximum`` propagates the NaN) alarmed at step 2 and
+    then never again.
+    """
+
+    @staticmethod
+    def _residues(bad: float, m: int = 1) -> np.ndarray:
+        residues = np.full((12, m), 0.3)
+        residues[3, 0] = bad
+        return residues
+
+    def _assert_every_form_raises(self, detector, residues):
+        forms = [
+            lambda: detector.evaluate(residues),
+            lambda: OnlineDetector(detector).run(residues),
+            lambda: make_batched(detector, 1).run(residues[:, None, :]),
+        ]
+        for form in forms:
+            with pytest.raises(ValidationError, match="finite"):
+                form()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cusum(self, bad):
+        detector = CusumDetector(bias=0.1, threshold=0.5)
+        self._assert_every_form_raises(detector, self._residues(bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_threshold(self, bad):
+        threshold = ThresholdVector(np.full(12, 0.5), norm=2, weights=np.array([1.0, 2.0]))
+        residues = self._residues(bad, m=2)
+        self._assert_every_form_raises(ResidueDetector(threshold), residues)
+        with pytest.raises(ValidationError, match="finite"):
+            threshold.alarms(residues)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_chi_square(self, bad):
+        detector = ChiSquareDetector(innovation_cov=np.eye(2), threshold=5.0)
+        self._assert_every_form_raises(detector, self._residues(bad, m=2))
+
+    def test_finite_residues_still_alarm(self):
+        # The guard rejects only non-finite input: the scenario without the
+        # NaN alarms from step 2 on in every form.
+        detector = CusumDetector(bias=0.1, threshold=0.5)
+        residues = self._residues(0.3)
+        expected = [k >= 2 for k in range(12)]
+        assert detector.evaluate(residues).alarms.tolist() == expected
+        assert OnlineDetector(detector).run(residues).tolist() == expected
+        assert make_batched(detector, 1).run(residues[:, None, :])[:, 0].tolist() == expected

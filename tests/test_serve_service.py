@@ -10,7 +10,7 @@ from repro.registry import ATTACK_TEMPLATES
 from repro.runtime.engine import _innovation_covariance
 from repro.runtime.events import AlarmEvent, InMemorySink
 from repro.runtime.fleet import FleetSimulator, ScheduledAttack
-from repro.runtime.online import make_online
+from repro.runtime.online import OnlineDetector
 from repro.serve import BatchObserver, MonitorService, RingBuffer
 from repro.utils.validation import ValidationError
 
@@ -395,9 +395,10 @@ def _churn_script(m, *, swap_at=None, membership_churn=False, seed=23):
 def _per_instance_reference(bank, script):
     """The scenario's alarm stream from one width-1 online detector per instance.
 
-    Each attached instance gets its own :func:`~repro.runtime.online.make_online`
-    wrapper per label; a round steps every member's wrappers label by label
-    in attach order — the event order of a service round.  Nothing here
+    Each attached instance gets its own
+    :class:`~repro.runtime.online.OnlineDetector` per label; a round steps
+    every member's detectors label by label in attach order — the event
+    order of a service round.  Nothing here
     grows, compacts or rebinds a shared batch, so the service's
     membership bookkeeping is checked against per-instance state.
     """
@@ -407,7 +408,7 @@ def _per_instance_reference(bank, script):
     events = []
     for action, payload in script:
         if action == "attach":
-            members[payload] = {label: make_online(obj) for label, obj in bank.items()}
+            members[payload] = {label: OnlineDetector(obj) for label, obj in bank.items()}
             steps[payload], alarmed[payload] = 0, set()
         elif action == "detach":
             del members[payload]
