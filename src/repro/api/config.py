@@ -411,29 +411,14 @@ def _normalize_detector_specs(detectors: dict) -> dict:
     return normalized
 
 
-def _check_engine(engine, options) -> tuple[str, dict]:
-    """Build the engine once, so a bad name or option fails at config time.
-
-    Called by :class:`RuntimeConfig`.  The constructor's ``TypeError`` (an
-    unknown option, or a value of the wrong type) becomes a
-    :class:`ValidationError` naming the engine and the option; its own
-    ``ValidationError`` (a bad value) passes through.
-    """
+def _check_engine(engine) -> str:
+    """An unknown engine name fails at config time (:class:`RuntimeConfig`)."""
     engine = str(engine)
     if engine not in ENGINES:
         raise ValidationError(
             f"unknown engine {engine!r}; available: {', '.join(ENGINES.available())}"
         )
-    options = dict(options or {})
-    try:
-        ENGINES.create(engine, **options)
-    except TypeError as error:
-        supported, _ = _constructor_params(ENGINES.get(engine))
-        rejected = sorted(set(options) - supported) or sorted(options)
-        raise ValidationError(
-            f"engine {engine!r} rejects engine_options {rejected}: {error}"
-        ) from error
-    return engine, options
+    return engine
 
 
 @dataclass
@@ -482,12 +467,10 @@ class RuntimeConfig:
     record_traces:
         Keep the full fleet trajectories on the report metadata (memory
         scales with ``N * horizon``; off by default).
-    engine / engine_options:
-        Registry name (and constructor kwargs) of the fleet execution
-        engine: ``"fused"`` (the block-GEMM kernel of
-        :mod:`repro.runtime.kernel`, taking ``dtype`` and ``workers``).  The
-        engine is built here, so an unknown or invalid option fails at
-        construction, not inside ``run_fleet``.
+    engine:
+        Registry name of the fleet execution engine: ``"fused"`` (the
+        float64 block-GEMM kernel of :mod:`repro.runtime.kernel`).  An
+        unknown name fails at construction, not inside ``run_fleet``.
     """
 
     n_instances: int = 100
@@ -508,7 +491,6 @@ class RuntimeConfig:
     events_path: str | None = None
     record_traces: bool = False
     engine: str = "fused"
-    engine_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.n_instances = int(self.n_instances)
@@ -567,7 +549,7 @@ class RuntimeConfig:
             attacks.append(entry)
         self.attacks = attacks
         self.noise_scale = float(self.noise_scale)
-        self.engine, self.engine_options = _check_engine(self.engine, self.engine_options)
+        self.engine = _check_engine(self.engine)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -596,7 +578,6 @@ class RuntimeConfig:
             "events_path": self.events_path,
             "record_traces": self.record_traces,
             "engine": self.engine,
-            "engine_options": dict(self.engine_options),
         }
 
     @classmethod

@@ -16,8 +16,8 @@ The synthesis pipeline (:mod:`repro.api`) produces detectors; this package
 * one execution engine (:class:`FusedEngine` from
   :mod:`repro.runtime.kernel`, ``engine="fused"`` in
   :data:`repro.registry.ENGINES`) — the stepper factory of the one stepping
-  loop; the fused stepper collapses each fleet step into one block GEMM
-  while staying bit-identical in float64 to the reference stepper, which
+  loop; the fused stepper collapses each fleet step into one float64 block
+  GEMM while staying bit-identical to the reference stepper, which
   is its probe fallback and the test suite's oracle.  Detectors then run
   one vectorized pass per core (:meth:`BatchDetector.run`) over the
   recorded residues;

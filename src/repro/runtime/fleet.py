@@ -26,8 +26,8 @@ engine supplies:
   :class:`~repro.runtime.report.FleetReport` and pushes
   :class:`~repro.runtime.events.AlarmBatch` views into the sinks.
 
-Both step with the one engine, ``"fused"``: the block-fused kernel of
-:mod:`repro.runtime.kernel`, bit-identical in float64 to the reference
+Both step with the one engine, ``"fused"``: the float64 block-fused kernel
+of :mod:`repro.runtime.kernel`, on one thread, bit-identical to the reference
 stepper (:class:`~repro.runtime.kernel.runner._BatchStepper`) and gated by
 a differential probe that falls back to it.
 """
@@ -195,16 +195,15 @@ def batch_simulate(
     W = _check_noise_block(process_noise, (N, T, n), "process_noise")
     A = _check_noise_block(attacks, (N, T, m), "attacks")
 
-    stepping = FusedEngine().stepping(system, N)
     recorder = new_recorder(plant, X0, Xhat0, T)
     simulate(
         system,
-        stepping,
+        FusedEngine().stepping(system, N),
         X0,
         Xhat0,
-        stack_steps(V, stepping.dtype),
-        stack_steps(W if process_noise is not None else None, stepping.dtype),
-        stack_steps(A if attacks is not None else None, stepping.dtype),
+        stack_steps(V),
+        stack_steps(W if process_noise is not None else None),
+        stack_steps(A if attacks is not None else None),
         recorder=recorder,
     )
     return FleetTrace(
@@ -350,10 +349,7 @@ class FleetSimulator:
     engine:
         Execution engine name from :data:`repro.registry.ENGINES`; the one
         built-in engine is ``"fused"`` (the block-fused kernel,
-        bit-identical in float64).
-    engine_options:
-        Constructor options for the engine, e.g. ``{"dtype": "float32",
-        "workers": 4}``.  Validated when :meth:`run` resolves the engine.
+        bit-identical to the reference stepper).
     """
 
     def __init__(
@@ -375,13 +371,11 @@ class FleetSimulator:
         metrics: MetricsRegistry | None | bool = None,
         scraper=None,
         engine: str = "fused",
-        engine_options: Mapping[str, object] | None = None,
     ):
         self.system = system
         self.metrics = metrics
         self.scraper = scraper
         self.engine = str(engine)
-        self.engine_options = dict(engine_options or {})
         self.n_instances = int(check_positive("n_instances", n_instances))
         self.horizon = int(check_positive("horizon", horizon))
         self.include_process_noise = bool(include_process_noise)
@@ -473,7 +467,7 @@ class FleetSimulator:
         each detector's pass over the recorded stacks, and :meth:`_finish`
         tallies and emits the alarms and builds the report.
         """
-        runner = ENGINES.create(self.engine, **self.engine_options)
+        runner = ENGINES.create(self.engine)
         scope = nullcontext()
         if self.metrics is not False:
             scope = span(
@@ -521,15 +515,15 @@ class FleetSimulator:
             V, W, X0, schedule, attacked_mask, attack_start, recorder, registry, phases
         )
 
-    def _stream_stacks(self, run: "_RunInputs", dtype) -> tuple:
+    def _stream_stacks(self, run: "_RunInputs") -> tuple:
         """Step-major ``(T, ·, N)`` noise and attack stacks, booked as draw time."""
         T, N = self.horizon, self.n_instances
         watch = Stopwatch()
-        Vt, Wt = stack_steps(run.V, dtype), stack_steps(run.W, dtype)
+        Vt, Wt = stack_steps(run.V), stack_steps(run.W)
         At = None
         if run.schedule:
             # Each (step, channel, instance) cell gets the entry-ordered sum.
-            At = np.zeros((T, self.system.plant.n_outputs, N), dtype=dtype)
+            At = np.zeros((T, self.system.plant.n_outputs, N))
             for indices, values in run.schedule:
                 At[:, :, indices] += values[:, :, None]
         run.phases["draw"] += watch.elapsed()
@@ -540,13 +534,13 @@ class FleetSimulator:
         T, N = self.horizon, self.n_instances
         m = self.system.plant.n_outputs
         lanes = build_lanes(self.detectors)
-        res = np.empty((T, m, N), dtype=stepping.dtype)
+        res = np.empty((T, m, N))
         ya = None
         if any(lane.consumes != "residues" for lane in lanes.values()):
-            ya = np.empty((T, m, N), dtype=stepping.dtype)
+            ya = np.empty((T, m, N))
         # The stream stacks live only through the loop call, so their memory
         # is free again before the detector pass allocates its norms.
-        stacks = self._stream_stacks(run, stepping.dtype)
+        stacks = self._stream_stacks(run)
         watch = Stopwatch()
         simulate(
             self.system,

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-import numpy as np
-
 from repro.registry import ENGINES
 from repro.runtime.kernel.runner import Stepping, _BatchStepper
 
 
 class LegacyEngine:
-    """The reference stepper, float64, one worker."""
+    """The reference stepper for every run."""
 
     name = "legacy"
 
     def stepping(self, system, n_instances: int, registry=None) -> Stepping:
         """The reference stepper for every run."""
-        return Stepping(_BatchStepper, np.float64, 1, {"name": self.name})
+        return Stepping(_BatchStepper, {"name": self.name})
 
 
 @contextmanager

@@ -6,16 +6,22 @@ Each detector and monitor class holds its math once; the runtime forms —
 property test generates detectors of every kind (threshold vectors with the
 1-, 2- or inf-norm, with or without channel weights, shorter or longer than
 the trace; CUSUM and chi-square detectors; monitor trees nesting Range,
-Relation and Gradient checks under DeadZone and Composite nodes) and finite
+Relation and Gradient checks under DeadZone and Composite nodes) and
 traces, and checks under ``np.array_equal`` that the offline
 ``evaluate``/``alarms``, ``OnlineDetector.run``, the trace's column of a
 fleet core's ``run``, stacked ``step`` calls, and an instance attached to a
 running fleet mid-run (``grow``) all raise the same alarms.
+
+Residue traces are finite (every residue form rejects a NaN or infinite
+residue).  Monitor traces may hold NaN and ±inf samples: a non-finite
+measurement on a channel a Range, Relation or Gradient check reads is a
+violation of that check, never a silent pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +40,7 @@ from repro.runtime.online import OnlineDetector
 
 DT = 0.1
 NORMS = (1, 2, "inf")
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 _unit = st.floats(0.05, 2.0)
 
@@ -93,7 +100,12 @@ def _monitors(m: int):
 
 @st.composite
 def scenarios(draw):
-    """A detector, a fleet of finite traces, the trace under test and an attach step."""
+    """A detector, a fleet of traces, the trace under test, an attach step, poison.
+
+    ``poison`` (monitors only) lists non-finite samples to plant: ``(True,
+    i, value)`` in the trace under test, ``(False, i, value)`` anywhere in
+    the fleet.
+    """
     m = draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 20))
     detector = draw(
@@ -103,7 +115,11 @@ def scenarios(draw):
     column = draw(st.integers(0, width - 1))
     attach = draw(st.integers(0, horizon))
     seed = draw(st.integers(0, 2**32 - 1))
-    return detector, m, horizon, width, column, attach, seed
+    poison = []
+    if isinstance(detector, Monitor):
+        sample = st.tuples(st.booleans(), st.integers(0, 2**16), st.sampled_from(NON_FINITE))
+        poison = draw(st.lists(sample, max_size=4))
+    return detector, m, horizon, width, column, attach, seed, poison
 
 
 def _offline(detector, trace: np.ndarray) -> np.ndarray:
@@ -116,16 +132,52 @@ def _offline(detector, trace: np.ndarray) -> np.ndarray:
     return detector.evaluate(trace).alarms
 
 
+def _leaves(monitor: Monitor):
+    if isinstance(monitor, DeadZoneMonitor):
+        yield from _leaves(monitor.inner)
+    elif isinstance(monitor, CompositeMonitor):
+        for member in monitor.monitors:
+            yield from _leaves(member)
+    else:
+        yield monitor
+
+
+def _assert_non_finite_is_a_violation(monitor: Monitor, trace: np.ndarray) -> None:
+    bad = ~np.isfinite(trace)
+    for leaf in _leaves(monitor):
+        if isinstance(leaf, RangeMonitor):
+            hit = bad[:, leaf.channel]
+        elif isinstance(leaf, RelationMonitor):
+            hit = bad[:, leaf.channel_a] | bad[:, leaf.channel_b]
+        else:
+            # A gradient reads the sample and the one before; the first
+            # sample has none and is vacuously satisfied.
+            hit = bad[:, leaf.channel] | np.concatenate(([False], bad[:-1, leaf.channel]))
+            hit[0] = False
+        assert not np.any(leaf.satisfied(trace, DT)[hit]), f"{leaf} passed a non-finite sample"
+
+
+# ``inf - inf`` in a relation or gradient check is NaN (a violation); numpy
+# warns about it on the way.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_every_form_raises_the_offline_alarms(scenario):
-    detector, m, horizon, width, column, attach, seed = scenario
+    detector, m, horizon, width, column, attach, seed, poison = scenario
     rng = np.random.default_rng(seed)
     fleet = rng.standard_normal((attach + horizon, width, m))
+    for in_trace, index, value in poison:
+        if in_trace:
+            step, channel = divmod(index, m)
+            fleet[attach + step % horizon, column, channel] = value
+        else:
+            fleet.reshape(-1)[index % fleet.size] = value
     trace = fleet[attach : attach + horizon, column]
 
     expected = _offline(detector, trace)
     assert expected.shape == (horizon,)
+    if isinstance(detector, Monitor):
+        _assert_non_finite_is_a_violation(detector, trace)
     assert np.array_equal(OnlineDetector(detector, DT).run(trace), expected)
 
     # The trace's column of one fleet pass, and of stacked per-step calls.

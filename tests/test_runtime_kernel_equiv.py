@@ -13,7 +13,7 @@ traces, alarm events (including their order) and report statistics alike.
 stable LTI closed loops, including plants with a nonzero feed-through ``D``
 (a path no packaged case study exercises).
 
-The engine is allowed to *choose* the reference stepper per shard when its
+The engine is allowed to *choose* the reference stepper when its
 differential probe rejects the BLAS at the run's width — the gate here is
 about observable output, not about which kernel ran.  A separate guard
 asserts that the fused kernel path is genuinely exercised on this host, so
@@ -66,7 +66,7 @@ def _detector_bank(problem) -> dict:
     return bank
 
 
-def _simulator(problem, sink, *, attacked, n_instances, horizon, seed, **options):
+def _simulator(problem, sink, *, attacked, n_instances, horizon, seed):
     attacks = (
         [ScheduledAttack(BiasAttack(bias=0.4), fraction=0.3, start=horizon // 4)]
         if attacked
@@ -83,11 +83,10 @@ def _simulator(problem, sink, *, attacked, n_instances, horizon, seed, **options
         seed=seed,
         record_traces=True,
         metrics=False,
-        engine_options=options,
     )
 
 
-def _run(problem, *, attacked, n_instances=37, horizon=60, seed=11, **options):
+def _run(problem, *, attacked, n_instances=37, horizon=60, seed=11):
     sink = InMemorySink()
     simulator = _simulator(
         problem,
@@ -96,7 +95,6 @@ def _run(problem, *, attacked, n_instances=37, horizon=60, seed=11, **options):
         n_instances=n_instances,
         horizon=horizon,
         seed=seed,
-        **options,
     )
     report = simulator.run()
     return report, simulator.trace, list(sink.events)
@@ -143,7 +141,7 @@ class TestCaseStudyEquivalence:
     def test_fused_float64_is_bit_identical(self, problems, fleet_oracle, name, attacked):
         problem = problems[name]
         oracle = _oracle(fleet_oracle, problem, attacked=attacked)
-        fused = _run(problem, attacked=attacked, dtype="float64")
+        fused = _run(problem, attacked=attacked)
         _assert_matches_oracle(oracle, fused)
 
     @pytest.mark.parametrize("attacked", [False, True], ids=["benign", "attacked"])
@@ -161,9 +159,9 @@ class TestCaseStudyEquivalence:
     def test_single_instance_fleet_pads_without_divergence(
         self, problems, fleet_oracle, monkeypatch, fallback
     ):
-        # Width-1 shards ride a zero discard column inside the kernel; the
+        # A lone instance rides a zero discard column inside the kernel; the
         # padding must never leak into the observable output.  The fallback
-        # runs its lone full-width shard unpadded.
+        # runs it unpadded.
         if fallback:
             monkeypatch.setattr(runner, "probe_fused_equivalence", lambda *args: False)
         problem = problems["dcmotor"]
@@ -173,18 +171,17 @@ class TestCaseStudyEquivalence:
     def test_engine_metadata_reports_the_chosen_path(self, problems):
         report, _, _ = _run(problems["quadtank"], attacked=False)
         engine = report.metadata["engine"]
+        assert set(engine) == {"name", "fused_path"}
         assert engine["name"] == "fused"
-        assert engine["dtype"] == "float64"
-        assert engine["workers"] == 1
         assert isinstance(engine["fused_path"], bool)
 
     def test_fused_kernel_path_is_exercised_on_this_host(self, problems):
         # The equivalence cells above pass even if every probe rejects the
-        # BLAS (the engine then runs reference shards).  Guard against that
+        # BLAS (the engine then runs the reference stepper).  Guard against that
         # vacuous pass: at least one case study must take the fused GEMM
         # path at at least one of the widths this suite uses.
         verdicts = [
-            probe_fused_equivalence(problem.system, np.float64, width)
+            probe_fused_equivalence(problem.system, width)
             for problem in problems.values()
             for width in (37, 64)
         ]

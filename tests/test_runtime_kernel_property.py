@@ -2,7 +2,7 @@
 
 Hypothesis generates small stable closed loops — with and without a
 feed-through ``D``, process noise and attacks — at fleet widths 1–64 (width
-1 is the fused kernel's padded shard) and horizons 1–60.  On each,
+1 rides the fused kernel's zero discard column) and horizons 1–60.  On each,
 ``batch_simulate`` must equal the per-step ``legacy_batch_oracle`` of
 ``tests/conftest.py`` under ``np.array_equal``, and a
 :class:`~repro.serve.observer.BatchObserver` fed the oracle's measurements
