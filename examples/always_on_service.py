@@ -10,7 +10,8 @@ case study:
   :class:`~repro.ServiceConfig` (static threshold + CUSUM + the plant's
   own monitors), logging every event to a replayable JSONL file,
 * attach a small fleet and stream noisy measurements through the
-  per-instance ring buffers — detection advances in lockstep rounds,
+  service's ring buffer (one row per instance) — detection advances in
+  lockstep rounds,
 * inject a sensor bias into one instance mid-stream and watch it alarm,
 * attach a late-joining instance and detach another while the service
   runs (nobody else's detector state moves),

@@ -9,7 +9,6 @@ used as an aggressive baseline controller in the examples.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from repro.lti.model import StateSpace
 from repro.utils.linalg import controllability_matrix, is_controllable
@@ -66,6 +65,8 @@ def place_poles_gain(plant: StateSpace, poles) -> np.ndarray:
         )
     if plant.n_inputs == 1:
         return ackermann_gain(plant.A, plant.B, poles)
+    from scipy import signal  # imports scipy.stats: paid only by multi-input designs
+
     result = signal.place_poles(plant.A, plant.B, poles)
     return result.gain_matrix
 
@@ -86,5 +87,7 @@ def deadbeat_gain(plant: StateSpace) -> np.ndarray:
     # Keep poles conjugate-closed for odd n by forcing one real pole.
     poles = np.asarray(sorted(poles, key=lambda z: z.real), dtype=complex)
     poles[0] = radius
+    from scipy import signal  # imports scipy.stats: paid only by multi-input designs
+
     result = signal.place_poles(plant.A, plant.B, poles)
     return result.gain_matrix

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.detectors.residue import DetectionResult
 from repro.registry import DETECTORS
@@ -70,6 +69,8 @@ class ChiSquareDetector:
             raise ValidationError("false_alarm_probability must be strictly inside (0, 1)")
         innovation_cov = check_symmetric("innovation_cov", innovation_cov)
         degrees = innovation_cov.shape[0]
+        from scipy import stats  # ~0.5 s to import: paid only by this constructor
+
         threshold = float(stats.chi2.ppf(1.0 - false_alarm_probability, df=degrees))
         return cls(innovation_cov=innovation_cov, threshold=threshold)
 

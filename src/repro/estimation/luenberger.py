@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from repro.lti.model import StateSpace
 from repro.utils.linalg import is_observable
@@ -30,6 +29,8 @@ def luenberger_gain(plant: StateSpace, poles) -> np.ndarray:
         )
     if not is_observable(plant.A, plant.C):
         raise ValidationError("plant is not observable; cannot place observer poles")
+    from scipy import signal  # imports scipy.stats: paid only by pole placement
+
     result = signal.place_poles(plant.A.T, plant.C.T, poles)
     return result.gain_matrix.T
 

@@ -32,7 +32,10 @@ class GradientMonitor(Monitor):
     def check(self, current, previous, dt, valid=None) -> np.ndarray:
         if previous is None:
             return np.ones(current.shape[0], dtype=bool)
-        rates = np.abs(current[:, self.channel] - previous[:, self.channel]) / float(dt)
+        # ``inf - inf`` is NaN and fails the comparison: a violation, without
+        # numpy's warning.
+        with np.errstate(invalid="ignore"):
+            rates = np.abs(current[:, self.channel] - previous[:, self.channel]) / float(dt)
         satisfied = rates <= self.max_rate + 1e-12
         if valid is not None:
             satisfied |= ~valid

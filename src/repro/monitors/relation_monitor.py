@@ -45,7 +45,10 @@ class RelationMonitor(Monitor):
         )
 
     def check(self, current, previous, dt, valid=None) -> np.ndarray:
-        return np.abs(self.mismatch(current)) <= self.allowed_diff + 1e-12
+        # A non-finite channel makes the mismatch NaN (``inf - inf``), which
+        # fails the comparison: a violation, without numpy's warning.
+        with np.errstate(invalid="ignore"):
+            return np.abs(self.mismatch(current)) <= self.allowed_diff + 1e-12
 
     def conditions_at(self, k: int, dt: float) -> list[LinearCondition]:
         return [

@@ -86,7 +86,7 @@ class Counter(_Instrument):
             return
         if amount < 0:
             raise ValidationError(f"counter {self.name!r} cannot decrease (got {amount})")
-        key = _label_key(labels)
+        key = _label_key(labels) if labels else ()
         self._values[key] = self._values.get(key, 0.0) + float(amount)
 
     def value(self, **labels) -> float:

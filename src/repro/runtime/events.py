@@ -4,15 +4,18 @@ Every alarm a deployed detector raises is an :class:`AlarmEvent` — which
 fleet instance, at which sampling instance, from which detector.  The
 :class:`~repro.runtime.fleet.FleetSimulator` pushes batches of events into
 :class:`EventSink` objects, one batch per (step, detector) in step order,
-replayed once the whole horizon has been stepped; ship your own sink to
-forward alarms to a message bus, a metrics system, or an incident pipeline.
+replayed once the whole horizon has been stepped; the
+:class:`~repro.serve.service.MonitorService` pushes one batch per detector
+as each lockstep round completes.  Ship your own sink to forward alarms to
+a message bus, a metrics system, or an incident pipeline.
 
-The sink contract: ``emit`` receives a ``Sequence[AlarmEvent]``.  Fleet
-runs pass an :class:`AlarmBatch` — an immutable sequence over array
-columns whose ``len()`` is O(1) and whose indexing and iteration build the
-:class:`AlarmEvent` objects on demand — while the service passes plain
-lists.  A sink written against ``Sequence[AlarmEvent]`` needs no change:
-iterating either form yields real :class:`AlarmEvent` objects.
+The sink contract: ``emit`` receives a ``Sequence[AlarmEvent]``.  Both
+fleet runs and the service pass an :class:`AlarmBatch` — an immutable
+sequence over array columns whose ``len()`` is O(1) and whose indexing and
+iteration build the :class:`AlarmEvent` objects on demand.  A sink written
+against ``Sequence[AlarmEvent]`` needs no change: iterating a batch yields
+real :class:`AlarmEvent` objects, and a plain list of events is accepted
+by every shipped sink too.
 
 Two sinks ship with the library: :class:`InMemorySink` (keeps the batches
 and builds its event list on first read, with small query helpers for tests

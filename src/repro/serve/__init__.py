@@ -4,12 +4,13 @@ Where :mod:`repro.runtime` *simulates* a monitored fleet to a fixed horizon,
 :mod:`repro.serve` *operates* one indefinitely:
 
 * :class:`~repro.serve.service.MonitorService` — the service itself:
-  per-instance ring-buffer ingest draining lockstep rounds through the
-  batched detector cores, ``attach``/``detach`` while running, and atomic
+  ring-buffer ingest draining lockstep rounds through the batched
+  detector cores, ``attach``/``detach`` while running, and atomic
   ``swap_thresholds`` that preserves per-instance detector state;
 * :class:`~repro.serve.observer.BatchObserver` — computes residues from raw
   measurements with the fleet simulator's exact estimator arithmetic;
-* :class:`~repro.serve.ring.RingBuffer` — the fixed-capacity ingest queue;
+* :class:`~repro.serve.ring.RingBuffer` — the fixed-capacity ingest queue,
+  one row per attached instance;
 * :class:`~repro.serve.backpressure.BufferedSink` — bounded, policy-driven
   buffering in front of slow alarm consumers;
 * :class:`~repro.serve.log.ServiceLog` / :func:`~repro.serve.replay.replay`

@@ -17,7 +17,7 @@ a truncated trailing line is dropped, interior corruption raises.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterator
 
@@ -36,9 +36,22 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ServiceEvent:
+_KINDS = frozenset(EVENT_KINDS)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _KINDS:
+        raise ValidationError(
+            f"unknown service event kind {kind!r}; expected one of {EVENT_KINDS}"
+        )
+
+
+class ServiceEvent(namedtuple("ServiceEvent", "seq kind instance step data")):
     """One entry of the service's ordered event stream.
+
+    An immutable tuple of its five fields, so the log stores each entry as
+    one tuple and :meth:`ServiceLog.append` builds it without a per-field
+    Python constructor.
 
     Attributes
     ----------
@@ -51,20 +64,14 @@ class ServiceEvent:
     step:
         The instance's local sample index, where meaningful (alarms).
     data:
-        Kind-specific payload (JSON-compatible).
+        Kind-specific payload (JSON-compatible); ``{}`` when omitted.
     """
 
-    seq: int
-    kind: str
-    instance: int | None = None
-    step: int | None = None
-    data: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValidationError(
-                f"unknown service event kind {self.kind!r}; expected one of {EVENT_KINDS}"
-            )
+    def __new__(cls, seq, kind, instance=None, step=None, data=None):
+        _check_kind(kind)
+        return super().__new__(cls, seq, kind, instance, step, {} if data is None else data)
 
     def to_dict(self) -> dict:
         """Plain-data representation (JSON-compatible)."""
@@ -86,6 +93,9 @@ class ServiceEvent:
             step=None if data.get("step") is None else int(data["step"]),
             data=dict(data.get("data", {})),
         )
+
+
+_tuple_new = tuple.__new__
 
 
 class ServiceLog:
@@ -127,12 +137,11 @@ class ServiceLog:
         data: dict | None = None,
     ) -> ServiceEvent:
         """Record one event; assigns the next sequence number and returns it."""
-        event = ServiceEvent(
-            seq=len(self.events),
-            kind=kind,
-            instance=instance,
-            step=step,
-            data={} if data is None else dict(data),
+        _check_kind(kind)
+        # The fields are already checked: build the tuple without __new__.
+        event = _tuple_new(
+            ServiceEvent,
+            (len(self.events), kind, instance, step, {} if data is None else dict(data)),
         )
         self.events.append(event)
         if self.path is not None:

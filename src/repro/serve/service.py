@@ -5,14 +5,15 @@
 to a fixed horizon; the service instead runs indefinitely against streams it
 does not control:
 
-* each attached plant instance pushes measurement samples through its own
-  fixed-size :class:`~repro.serve.ring.RingBuffer` (absorbing producer
-  asynchrony, with an explicit overflow policy);
+* each attached plant instance pushes measurement samples into its own row
+  of the service's fixed-capacity :class:`~repro.serve.ring.RingBuffer`
+  (absorbing producer asynchrony, with an explicit overflow policy);
 * whenever every attached instance has at least one pending sample, the
   service drains one *lockstep round* — one ``(N, m)`` block — through the
   shared batched detector cores of :mod:`repro.runtime.batch`, so serving
   reuses exactly the vectorized step whose alarms are proven
-  trace-equivalent to the offline evaluators;
+  trace-equivalent to the offline evaluators, and hands each detector's
+  alarms to the sinks as one :class:`~repro.runtime.events.AlarmBatch`;
 * instances may :meth:`~MonitorService.attach` and
   :meth:`~MonitorService.detach` while the service runs: the batch state
   grows/compacts row-wise and every other instance's detector state
@@ -48,7 +49,7 @@ from repro.runtime.batch import BatchDetector, make_batched
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry
 from repro.registry import ENGINES
-from repro.runtime.events import AlarmEvent, EventSink
+from repro.runtime.events import AlarmBatch, EventSink
 from repro.serve.log import ServiceLog
 from repro.serve.observer import BatchObserver
 from repro.serve.ring import RingBuffer
@@ -107,7 +108,7 @@ class MonitorService:
         with a :class:`~repro.serve.observer.BatchObserver`; ``"ingest"``
         expects the producer to supply residues alongside measurements.
     ring_capacity:
-        Pending samples each instance's ring buffer holds.
+        Pending samples the ring buffer holds per instance.
     overflow:
         Ring-buffer overflow policy, one of :data:`OVERFLOW_POLICIES`.
     auto_drain:
@@ -215,9 +216,8 @@ class MonitorService:
         self._lock = threading.RLock()
         self._ids: list[int] = []  # row -> instance id, in attach order
         self._rows: dict[int, int] = {}  # instance id -> row
-        self._rings: list[RingBuffer] = []
-        self._ready = 0  # rings with >= 1 pending sample (lockstep readiness)
-        self._local_steps: list[int] = []  # row -> samples consumed so far
+        self._ring = RingBuffer(self.ring_capacity, self._sample_width)
+        self._local_steps = np.zeros(0, dtype=np.int64)  # row -> samples consumed
         self._alarmed: dict[str, np.ndarray] = {
             label: np.zeros(0, dtype=bool) for label in self.detectors
         }
@@ -312,8 +312,8 @@ class MonitorService:
                 self._observer.grow(1, xhat0)
             self._rows[instance_id] = len(self._ids)
             self._ids.append(instance_id)
-            self._rings.append(RingBuffer(self.ring_capacity, self._sample_width))
-            self._local_steps.append(0)
+            self._ring.grow(1)
+            self._local_steps = np.append(self._local_steps, 0)
             for label in self._alarmed:
                 self._alarmed[label] = np.append(self._alarmed[label], False)
             self._c_attach.inc()
@@ -345,12 +345,10 @@ class MonitorService:
                 core.compact(keep)
             if self._observer is not None:
                 self._observer.compact(keep)
-            pending = len(self._rings[row])
-            if pending:
-                self._ready -= 1
+            pending = self._ring.pending()[row]
+            self._ring.compact(keep)
+            self._local_steps = self._local_steps[keep]
             del self._ids[row]
-            del self._rings[row]
-            del self._local_steps[row]
             self._rows = {identity: r for r, identity in enumerate(self._ids)}
             for label in self._alarmed:
                 self._alarmed[label] = self._alarmed[label][keep]
@@ -383,18 +381,19 @@ class MonitorService:
         replayable.
         """
         with self._lock:
-            row = self._rows.get(int(instance_id))
+            instance_id = int(instance_id)
+            row = self._rows.get(instance_id)
             if row is None:
                 raise ValidationError(f"instance {instance_id} is not attached")
-            measurement = np.asarray(measurement, dtype=float).reshape(-1)
+            measurement = np.asarray(measurement, dtype=float).ravel()
             if measurement.size != self._n_outputs:
                 raise ValidationError(
                     f"measurement has {measurement.size} channels, "
                     f"the plant has {self._n_outputs} outputs"
                 )
-            values = [float(v) for v in measurement]
+            values = measurement.tolist()
             data = {"measurement": values}
-            if self.residue_source == "observer":
+            if self._observer is not None:
                 if residue is not None:
                     raise ValidationError(
                         "residues are computed by the observer; "
@@ -409,13 +408,13 @@ class MonitorService:
                             "measurement while residue-consuming detectors are deployed"
                         )
                     residue = np.zeros(self._n_outputs)
-                residue = np.asarray(residue, dtype=float).reshape(-1)
+                residue = np.asarray(residue, dtype=float).ravel()
                 if residue.size != self._n_outputs:
                     raise ValidationError(
                         f"residue has {residue.size} channels, "
                         f"the plant has {self._n_outputs} outputs"
                     )
-                data["residue"] = [float(v) for v in residue]
+                data["residue"] = residue.tolist()
                 values = values + data["residue"]
                 sample = np.concatenate([measurement, residue])
             # The floats the log entry holds anyway: cheaper than np.isfinite.
@@ -425,8 +424,8 @@ class MonitorService:
                     f"instance {instance_id} sent a non-finite sample {data}"
                 )
 
-            ring = self._rings[row]
-            if ring.is_full:
+            ring = self._ring
+            if not ring.push(row, sample):
                 if self.overflow == "error":
                     raise ValidationError(
                         f"instance {instance_id}'s ring buffer is full "
@@ -435,21 +434,19 @@ class MonitorService:
                 if self.overflow == "drop-newest":
                     self._c_dropped.inc(policy="drop-newest")
                     return False
-                ring.drop_oldest()
+                ring.drop_oldest(row)
                 self._c_dropped.inc(policy="drop-oldest")
-            if not len(ring):
-                self._ready += 1
-            ring.push(sample)
+                ring.push(row, sample)
             self._c_ingested.inc()
-            self.log.append("measurement", instance=int(instance_id), data=data)
-            if self.auto_drain:
+            self.log.append("measurement", instance=instance_id, data=data)
+            if self.auto_drain and ring.ready == len(self._ids):
                 self._drain_locked(None)
             return True
 
     def pending(self) -> dict[int, int]:
         """Pending (buffered, not yet drained) sample counts per instance id."""
         with self._lock:
-            return {identity: len(ring) for identity, ring in zip(self._ids, self._rings)}
+            return dict(zip(self._ids, self._ring.pending()))
 
     def drain(self, max_rounds: int | None = None) -> int:
         """Process complete lockstep rounds; returns how many were drained.
@@ -462,10 +459,10 @@ class MonitorService:
             return self._drain_locked(max_rounds)
 
     def _drain_locked(self, max_rounds: int | None) -> int:
-        # The readiness counter makes the lockstep check O(1) per ingest —
-        # a per-call scan of all rings would make every round O(N^2).
+        # The ring's readiness counter makes the lockstep check O(1) per
+        # ingest — a per-call scan of all rows would make every round O(N^2).
         rounds = 0
-        while self._ids and self._ready == len(self._ids):
+        while self._ids and self._ring.ready == len(self._ids):
             if max_rounds is not None and rounds >= max_rounds:
                 break
             self._process_round()
@@ -473,41 +470,38 @@ class MonitorService:
         return rounds
 
     def _process_round(self) -> None:
-        """Pop one sample per instance and step every detector once."""
+        """Pop one sample per instance, step every detector once, emit its alarms."""
         round_watch = Stopwatch()
         self.log.append("round", data={"members": list(self._ids)})
-        block = np.stack([ring.pop() for ring in self._rings])
-        self._ready -= sum(1 for ring in self._rings if not len(ring))
+        block = self._ring.pop_round()
         measurements = block[:, : self._n_outputs]
         if self._observer is not None:
             residues = self._observer.step(measurements)
         else:
             residues = block[:, self._n_outputs :]
-        steps = list(self._local_steps)
         round_alarms = self._engine.service_round(self.detectors, residues, measurements)
-        for label in self.detectors:
-            alarms = round_alarms[label]
-            if not np.any(alarms):
+        for label, alarms in round_alarms.items():
+            rows = np.flatnonzero(alarms)
+            if not rows.size:
                 continue
             alarmed = self._alarmed[label]
-            newly = alarms & ~alarmed
-            self._alarmed[label] = alarmed | alarms
-            events = [
-                AlarmEvent(self._ids[r], steps[r], label, first=bool(newly[r]))
-                for r in np.flatnonzero(alarms)
-            ]
+            batch = AlarmBatch(
+                label, np.array(self._ids)[rows], self._local_steps[rows], ~alarmed[rows]
+            )
+            alarmed[rows] = True
             for sink in self.sinks:
-                sink.emit(events)
-            for event in events:
+                sink.emit(batch)
+            for instance, step, first in zip(
+                batch.instance.tolist(), batch.step.tolist(), batch.first.tolist()
+            ):
                 self.log.append(
                     "alarm",
-                    instance=event.instance,
-                    step=event.step,
-                    data={"detector": label, "first": event.first},
+                    instance=instance,
+                    step=step,
+                    data={"detector": label, "first": first},
                 )
-            self._c_alarms.inc(len(events), detector=label)
-        for row in range(len(self._local_steps)):
-            self._local_steps[row] += 1
+            self._c_alarms.inc(len(batch), detector=label)
+        self._local_steps += 1
         self._c_rounds.inc()
         self._h_round.observe(round_watch.elapsed())
         if self.scraper is not None:
@@ -595,10 +589,7 @@ class MonitorService:
             self._update_derived()
             return {
                 "members": list(self._ids),
-                "pending": {
-                    identity: len(ring)
-                    for identity, ring in zip(self._ids, self._rings)
-                },
+                "pending": dict(zip(self._ids, self._ring.pending())),
                 "samples_ingested": self.samples_ingested,
                 "samples_dropped": self.samples_dropped,
                 "rounds_processed": self.rounds_processed,

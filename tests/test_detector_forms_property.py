@@ -21,7 +21,6 @@ violation of that check, never a silent pass.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,9 +156,6 @@ def _assert_non_finite_is_a_violation(monitor: Monitor, trace: np.ndarray) -> No
         assert not np.any(leaf.satisfied(trace, DT)[hit]), f"{leaf} passed a non-finite sample"
 
 
-# ``inf - inf`` in a relation or gradient check is NaN (a violation); numpy
-# warns about it on the way.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_every_form_raises_the_offline_alarms(scenario):

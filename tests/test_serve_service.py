@@ -1,7 +1,11 @@
 """Tests for the always-on monitoring service: ingest, membership, hot swap."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detectors.chi_square import ChiSquareDetector
 from repro.detectors.cusum import CusumDetector
@@ -17,42 +21,101 @@ from repro.utils.validation import ValidationError
 
 class TestRingBuffer:
     def test_fifo_order_and_wraparound(self):
-        ring = RingBuffer(3, 2)
+        ring = RingBuffer(3, 2, rows=1)
         for value in range(3):
-            assert ring.push([value, value])
-        assert ring.is_full and not ring.push([9, 9])
-        np.testing.assert_array_equal(ring.pop(), [0, 0])
-        assert ring.push([3, 3])
+            assert ring.push(0, [value, value])
+        assert not ring.push(0, [9, 9])  # full: refused, nothing stored
+        np.testing.assert_array_equal(ring.pop_round(), [[0, 0]])
+        assert ring.push(0, [3, 3])
         for expected in (1, 2, 3):
-            np.testing.assert_array_equal(ring.pop(), [expected, expected])
-        assert len(ring) == 0
+            np.testing.assert_array_equal(ring.pop_round(), [[expected, expected]])
+        assert ring.pending() == [0] and ring.ready == 0
 
     def test_drop_oldest_makes_room(self):
-        ring = RingBuffer(2, 1)
-        ring.push([1.0])
-        ring.push([2.0])
-        ring.drop_oldest()
-        ring.push([3.0])
-        np.testing.assert_array_equal(ring.pop(), [2.0])
-        np.testing.assert_array_equal(ring.pop(), [3.0])
+        ring = RingBuffer(2, 1, rows=1)
+        ring.push(0, [1.0])
+        ring.push(0, [2.0])
+        ring.drop_oldest(0)
+        ring.push(0, [3.0])
+        np.testing.assert_array_equal(ring.pop_round(), [[2.0]])
+        np.testing.assert_array_equal(ring.pop_round(), [[3.0]])
 
     def test_width_and_empty_validation(self):
-        ring = RingBuffer(2, 2)
+        ring = RingBuffer(2, 2, rows=2)
         with pytest.raises(ValidationError):
-            ring.push([1.0])
+            ring.push(0, [1.0])
         with pytest.raises(ValidationError):
-            ring.pop()
+            ring.pop_round()
+        ring.push(0, [1.0, 2.0])
         with pytest.raises(ValidationError):
-            ring.peek()
+            ring.pop_round()  # row 1 has nothing pending
+        assert ring.pending() == [1, 0]
 
-    def test_peek_and_clear(self):
+    def test_pending_grow_and_compact(self):
         ring = RingBuffer(4, 1)
-        ring.push([5.0])
-        ring.push([6.0])
-        np.testing.assert_array_equal(ring.peek(), [5.0])
-        assert len(ring) == 2
-        assert ring.clear() == 2
-        assert len(ring) == 0
+        ring.grow(3)
+        ring.push(0, [5.0])
+        ring.push(0, [6.0])
+        ring.push(2, [7.0])
+        assert ring.pending() == [2, 0, 1] and ring.ready == 2
+        ring.compact([0, 2])
+        assert ring.pending() == [2, 1] and ring.ready == 2
+        ring.push(1, [8.0])  # the kept row's write cursor moved with it
+        np.testing.assert_array_equal(ring.pop_round(), [[5.0], [7.0]])
+        np.testing.assert_array_equal(ring.pop_round(), [[6.0], [8.0]])
+        assert ring.pending() == [0, 0] and ring.ready == 0
+
+
+_ring_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 7), st.floats(-1e3, 1e3)),
+        st.tuples(st.just("drop"), st.integers(0, 7)),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("grow"), st.integers(1, 2)),
+        st.tuples(st.just("compact"), st.lists(st.booleans(), min_size=8, max_size=8)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 4), rows=st.integers(0, 3), ops=_ring_ops)
+def test_ring_matches_per_row_deques(capacity, rows, ops):
+    """Push / drop / pop-round sequences against one ``deque`` per row."""
+    ring = RingBuffer(capacity, 2, rows=rows)
+    model = [deque() for _ in range(rows)]
+    for op in ops:
+        if op[0] in ("push", "drop") and not model:
+            continue
+        if op[0] == "push":
+            row = op[1] % len(model)
+            sample = [op[2], -op[2]]
+            accepted = len(model[row]) < capacity
+            assert ring.push(row, sample) == accepted
+            if accepted:
+                model[row].append(sample)
+        elif op[0] == "drop":
+            row = op[1] % len(model)
+            ring.drop_oldest(row)
+            if model[row]:
+                model[row].popleft()
+        elif op[0] == "pop":
+            if all(model):
+                expected = np.array([queue.popleft() for queue in model]).reshape(-1, 2)
+                np.testing.assert_array_equal(ring.pop_round(), expected)
+            else:
+                with pytest.raises(ValidationError):
+                    ring.pop_round()
+        elif op[0] == "grow":
+            ring.grow(op[1])
+            model.extend(deque() for _ in range(op[1]))
+        else:
+            keep = [row for row, kept in enumerate(op[1][: len(model)]) if kept]
+            ring.compact(keep)
+            model = [model[row] for row in keep]
+        assert ring.pending() == [len(queue) for queue in model]
+        assert ring.rows == len(model)
+        assert ring.ready == sum(1 for queue in model if queue)
 
 
 class TestMembership:

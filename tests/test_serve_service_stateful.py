@@ -3,11 +3,13 @@
 A hypothesis :class:`~hypothesis.stateful.RuleBasedStateMachine` drives a
 dcmotor :class:`~repro.serve.service.MonitorService` built through
 :func:`~repro.run_service` (a static threshold and a CUSUM detector, manual
-draining, a three-sample ring so drop-oldest evictions happen) through
+draining, a one- or two-sample ring under a generated overflow policy, so
+evictions, refused samples and full-ring errors all happen) through
 generated interleavings of ``attach``, ``detach``, ``ingest`` (one
 member's sample, or one for every member), ``swap_thresholds`` and
-``drain``, plus non-finite samples that ``ingest`` must reject.  At teardown, :func:`~repro.replay` of the service's own log
-must reproduce the alarm sequence the service emitted, event for event.
+``drain``, plus non-finite samples that ``ingest`` must reject.  At
+teardown, :func:`~repro.replay` of the service's own log must reproduce the
+alarm sequence the service emitted, event for event.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro import ServiceConfig, get_case_study, replay, run_service
 from repro.detectors.cusum import CusumDetector
 from repro.detectors.threshold import ThresholdVector
 from repro.runtime.events import InMemorySink
+from repro.serve import OVERFLOW_POLICIES
 from repro.utils.validation import ValidationError
 
 PROBLEM = get_case_study("dcmotor").problem
@@ -34,22 +37,39 @@ _samples = st.lists(st.floats(-2.0, 2.0), min_size=M, max_size=M)
 class ServiceOperations(RuleBasedStateMachine):
     """Random service operations; the log must replay to the same alarms."""
 
-    def __init__(self):
-        super().__init__()
+    @initialize(
+        capacity=st.integers(1, 2),
+        overflow=st.sampled_from(OVERFLOW_POLICIES),
+        count=st.integers(1, MAX_MEMBERS),
+    )
+    def start_service(self, capacity, overflow, count):
         config = ServiceConfig(
             static_thresholds={"static": 0.5},
             detectors={"cusum": {"name": "cusum", "options": {"bias": 0.2, "threshold": 1.0}}},
             include_mdc=False,
-            ring_capacity=3,
+            ring_capacity=capacity,
+            overflow=overflow,
             auto_drain=False,
         )
         self.sink = InMemorySink()
         self.service = run_service(config, problem=PROBLEM, sinks=[self.sink])
-
-    @initialize(count=st.integers(1, MAX_MEMBERS))
-    def attach_initial_members(self, count):
         for _ in range(count):
             self.service.attach()
+
+    def _ingest(self, member, sample):
+        """Ingest one sample, checking the overflow policy on a full ring."""
+        service = self.service
+        full = service.pending()[member] >= service.ring_capacity
+        logged, dropped = len(service.log), service.samples_dropped
+        if full and service.overflow == "error":
+            with pytest.raises(ValidationError):
+                service.ingest(member, sample)
+            assert len(service.log) == logged
+            return
+        accepted = service.ingest(member, sample)
+        assert accepted == (not full or service.overflow == "drop-oldest")
+        assert len(service.log) == logged + accepted
+        assert service.samples_dropped == dropped + full
 
     @precondition(lambda self: self.service.n_members < MAX_MEMBERS)
     @rule(xhat0=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
@@ -66,14 +86,14 @@ class ServiceOperations(RuleBasedStateMachine):
     @rule(pick=st.integers(0, MAX_MEMBERS - 1), sample=_samples)
     def ingest(self, pick, sample):
         members = self.service.members
-        self.service.ingest(members[pick % len(members)], np.array(sample))
+        self._ingest(members[pick % len(members)], np.array(sample))
 
     @precondition(lambda self: self.service.n_members > 0)
     @rule(samples=st.lists(_samples, min_size=MAX_MEMBERS, max_size=MAX_MEMBERS))
     def ingest_every_member(self, samples):
         # One sample per member completes a lockstep round.
         for member, sample in zip(self.service.members, samples):
-            self.service.ingest(member, np.array(sample))
+            self._ingest(member, np.array(sample))
 
     @precondition(lambda self: self.service.n_members > 0)
     @rule(pick=st.integers(0, MAX_MEMBERS - 1), value=st.sampled_from([np.nan, np.inf, -np.inf]))
