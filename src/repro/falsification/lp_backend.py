@@ -50,7 +50,6 @@ from collections import OrderedDict
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.core.encoding import AttackEncoding
 from repro.detectors.threshold import ThresholdVector
@@ -238,6 +237,8 @@ class LPAttackBackend(AttackBackend):
         * other base rows:   ``row·theta     <= b``
         * branch row:        ``row·theta     <= b``   (violation kept)
         """
+        from scipy.optimize import linprog
+
         n = A_ub.shape[1]
         if A_margin is None:
             A_margin = self._with_margin_column(A_ub, n_stealth)
@@ -256,6 +257,8 @@ class LPAttackBackend(AttackBackend):
         self, A_ub, b_ub, n_stealth: int, bounds: list, branch, A_margin=None
     ) -> np.ndarray | None:
         """The historical two-phase sequence: feasibility LP, then margin LP."""
+        from scipy.optimize import linprog
+
         n = A_ub.shape[1]
         feasibility = linprog(
             c=branch.row,

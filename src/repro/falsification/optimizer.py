@@ -25,7 +25,6 @@ from __future__ import annotations
 from repro.obs.clock import Stopwatch
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.encoding import AttackEncoding
 from repro.falsification.base import AttackBackend, BackendAnswer
@@ -77,6 +76,8 @@ class OptimizationFalsifier(AttackBackend):
         return float(np.max(bound_array))
 
     def solve(self, encoding: AttackEncoding, time_budget: float | None = None) -> BackendAnswer:
+        from scipy import optimize
+
         start = Stopwatch()
         branches = encoding.violation_branches()
         if not branches:

@@ -9,6 +9,16 @@ acted on, :func:`~repro.serve.replay.replay` can re-run a recorded log and
 reproduce the original alarm sequence bit for bit — including the timing of
 drains relative to membership changes, which ``"round"`` events pin down.
 
+In memory the log is columnar.  A measurement entry, one per ingested
+sample and nearly all of a long run's entries, keeps its floats in one flat
+``array("d")``, its instance id in an int64 array and its kind and width in
+one code byte, so logging a sample leaves no Python object behind for the
+cyclic garbage collector to walk again and again.  The rare events (start,
+attach, detach, swap, round, alarm) and any measurement payload the columns
+cannot hold exactly are kept whole as :class:`ServiceEvent` tuples.
+:attr:`ServiceLog.events` rebuilds the full stream on first read and caches
+it until the next append.
+
 The on-disk form is JSON Lines, one :class:`ServiceEvent` per line, with the
 same crash-recovery contract as :meth:`repro.runtime.events.JSONLSink.read`:
 a truncated trailing line is dropped, interior corruption raises.
@@ -17,7 +27,9 @@ a truncated trailing line is dropped, interior corruption raises.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import namedtuple
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Iterator
 
@@ -49,9 +61,8 @@ def _check_kind(kind: str) -> None:
 class ServiceEvent(namedtuple("ServiceEvent", "seq kind instance step data")):
     """One entry of the service's ordered event stream.
 
-    An immutable tuple of its five fields, so the log stores each entry as
-    one tuple and :meth:`ServiceLog.append` builds it without a per-field
-    Python constructor.
+    An immutable tuple of its five fields, so :meth:`ServiceLog.append`
+    builds it without a per-field Python constructor.
 
     Attributes
     ----------
@@ -97,6 +108,85 @@ class ServiceEvent(namedtuple("ServiceEvent", "seq kind instance step data")):
 
 _tuple_new = tuple.__new__
 
+# Entry codes, one byte per event.  0: the event is kept whole in the tuple
+# list.  1 + w: a measurement of w floats held in the columns.  128 + w: a
+# measurement of w floats followed by a residue of w floats.  The widths
+# place every column entry in the flat float column, so no offsets are
+# stored.
+_WHOLE = 0
+_RESIDUE = 128
+_MAX_WIDTH = 126
+_INSTANCE_MAX = 2**63 - 1  # the instance column is int64; -1 stands for None
+
+
+def _column_code(data: dict) -> int:
+    """The entry code of a measurement payload; ``_WHOLE`` when the columns cannot hold it exactly.
+
+    The columns hold a ``"measurement"`` list of floats, optionally followed
+    by a ``"residue"`` list of floats of the same width.  Anything else —
+    extra keys, ints, bools, tuples, other widths — is kept whole, so the
+    rebuilt event equals the appended one and serializes to the same JSON.
+    """
+    measurement = data.get("measurement")
+    if type(measurement) is not list or len(measurement) > _MAX_WIDTH:
+        return _WHOLE
+    width = len(measurement)
+    if len(data) == 1:
+        code = 1 + width
+    else:
+        residue = data.get("residue")
+        if (
+            len(data) != 2
+            or type(residue) is not list
+            or len(residue) != width
+            or next(iter(data)) != "measurement"
+        ):
+            return _WHOLE
+        for value in residue:
+            if type(value) is not float:
+                return _WHOLE
+        code = _RESIDUE + width
+    for value in measurement:
+        if type(value) is not float:
+            return _WHOLE
+    return code
+
+
+class EventView(Sequence):
+    """Read-only sequence of a log's events, in stream order.
+
+    Compares equal to any list or tuple of the same events, as the plain
+    event list it stands in for did; slicing returns a list.
+    """
+
+    __slots__ = ("_events",)
+
+    def __init__(self, events: tuple):
+        self._events = events
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._events[index])
+        return self._events[index]
+
+    def __iter__(self) -> Iterator[ServiceEvent]:
+        return iter(self._events)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventView):
+            return self._events == other._events
+        if isinstance(other, (list, tuple)):
+            return self._events == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventView({list(self._events)!r})"
+
 
 class ServiceLog:
     """Ordered event stream of one service run, kept in memory and/or on disk.
@@ -118,15 +208,53 @@ class ServiceLog:
         self.flush_every = int(flush_every)
         if self.flush_every < 0:
             raise ValidationError("flush_every must be non-negative")
-        self.events: list[ServiceEvent] = []
+        self._codes = bytearray()  # one entry code per event
+        self._whole: list[ServiceEvent] = []  # the events kept whole, in order
+        self._instances = array("q")  # one per column entry
+        self._floats = array("d")  # the column entries' floats, back to back
+        self._view: EventView | None = None
         self._handle = None
         self._since_flush = 0
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._codes)
 
     def __iter__(self) -> Iterator[ServiceEvent]:
         return iter(self.events)
+
+    @property
+    def events(self) -> EventView:
+        """Every logged event in stream order, built on first read after an append."""
+        if self._view is None:
+            self._view = EventView(self._rebuild())
+        return self._view
+
+    def _rebuild(self) -> tuple:
+        floats = self._floats.tolist()
+        instances = iter(self._instances.tolist())
+        whole = iter(self._whole)
+        events = []
+        start = 0
+        for seq, code in enumerate(self._codes):
+            if code == _WHOLE:
+                events.append(next(whole))
+                continue
+            if code < _RESIDUE:
+                end = start + code - 1
+                data = {"measurement": floats[start:end]}
+            else:
+                cut = start + code - _RESIDUE
+                end = cut + code - _RESIDUE
+                data = {"measurement": floats[start:cut], "residue": floats[cut:end]}
+            start = end
+            instance = next(instances)
+            events.append(
+                _tuple_new(
+                    ServiceEvent,
+                    (seq, "measurement", None if instance < 0 else instance, None, data),
+                )
+            )
+        return tuple(events)
 
     def append(
         self,
@@ -136,14 +264,36 @@ class ServiceLog:
         step: int | None = None,
         data: dict | None = None,
     ) -> ServiceEvent:
-        """Record one event; assigns the next sequence number and returns it."""
-        _check_kind(kind)
-        # The fields are already checked: build the tuple without __new__.
-        event = _tuple_new(
-            ServiceEvent,
-            (len(self.events), kind, instance, step, {} if data is None else dict(data)),
+        """Record one event; assigns the next sequence number and returns it.
+
+        A measurement the columns hold has its floats copied into them; the
+        returned event carries the caller's ``data`` dict itself.  Every other
+        event is stored with a copy of ``data``.
+        """
+        seq = len(self._codes)
+        code = (
+            _column_code(data)
+            if kind == "measurement"
+            and step is None
+            and type(data) is dict
+            and (instance is None or type(instance) is int and 0 <= instance <= _INSTANCE_MAX)
+            else _WHOLE
         )
-        self.events.append(event)
+        # The fields are checked: build the tuple without __new__.
+        if code == _WHOLE:
+            _check_kind(kind)
+            event = _tuple_new(
+                ServiceEvent, (seq, kind, instance, step, {} if data is None else dict(data))
+            )
+            self._whole.append(event)
+        else:
+            self._floats.fromlist(data["measurement"])
+            if code >= _RESIDUE:
+                self._floats.fromlist(data["residue"])
+            self._instances.append(-1 if instance is None else instance)
+            event = _tuple_new(ServiceEvent, (seq, kind, instance, None, data))
+        self._codes.append(code)
+        self._view = None
         if self.path is not None:
             if self._handle is None:
                 self._handle = self.path.open("a", encoding="utf-8")
@@ -185,4 +335,4 @@ class ServiceLog:
         return events
 
 
-__all__ = ["EVENT_KINDS", "ServiceEvent", "ServiceLog"]
+__all__ = ["EVENT_KINDS", "EventView", "ServiceEvent", "ServiceLog"]

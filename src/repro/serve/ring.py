@@ -68,14 +68,19 @@ class RingBuffer:
         return list(self._count)
 
     def push(self, row: int, sample) -> bool:
-        """Append one vector to ``row``; returns ``False`` (storing nothing) when full."""
-        count = self._count[row]
-        if count >= self.capacity:
-            return False
+        """Append one vector to ``row``; returns ``False`` (storing nothing) when full.
+
+        A vector of the wrong width raises even on a full row, so a caller
+        that answers ``False`` by dropping the oldest vector never evicts a
+        valid one for a sample it would then refuse.
+        """
         if len(sample) != self.width:
             raise ValidationError(
                 f"sample has {len(sample)} channels, the stream expects {self.width}"
             )
+        count = self._count[row]
+        if count >= self.capacity:
+            return False
         slot = self._tail[row]
         self._data[row, slot] = sample
         self._tail[row] = slot + 1 if slot + 1 < self.capacity else 0

@@ -4,15 +4,26 @@ import subprocess
 import sys
 
 
-def test_import_leaves_scipy_stats_and_signal_unloaded():
-    # scipy.stats alone took over half of ``import repro``; it (and
-    # scipy.signal, which imports it) load on first use: the chi-square
-    # threshold from a false-alarm probability, multi-input pole placement.
+def _loaded_after_import(modules: tuple[str, ...]) -> str:
+    """The subset of ``modules`` a fresh ``import repro`` leaves in ``sys.modules``."""
     code = (
         "import sys, repro; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_and_signal_unloaded():
+    # scipy.stats alone took over half of ``import repro``; it (and
+    # scipy.signal, which imports it) load on first use: the chi-square
+    # threshold from a false-alarm probability, multi-input pole placement.
+    assert _loaded_after_import(("scipy.stats", "scipy.signal")) == "[]"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize loads on the first LP or optimizer solve, so the fleet
+    # and serve entry points, which solve nothing, never pay for it.
+    assert _loaded_after_import(("scipy.optimize",)) == "[]"

@@ -1,14 +1,17 @@
 """Tests for the service event log and the deterministic replay driver."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import ServiceConfig, replay, run_service
 from repro.detectors.threshold import ThresholdVector
 from repro.runtime.events import InMemorySink
-from repro.serve import MonitorService, ServiceEvent, ServiceLog
+from repro.serve import EVENT_KINDS, MonitorService, ServiceEvent, ServiceLog
 from repro.utils.validation import ValidationError
 
 
@@ -58,6 +61,110 @@ class TestServiceLog:
     def test_negative_flush_every_rejected(self):
         with pytest.raises(ValidationError):
             ServiceLog(flush_every=-1)
+
+    def test_events_view_is_read_only_and_cached_until_the_next_append(self):
+        log = ServiceLog()
+        log.append("measurement", instance=0, data={"measurement": [0.5]})
+        view = log.events
+        assert log.events is view
+        with pytest.raises(TypeError):
+            view[0] = None
+        log.append("round")
+        assert log.events is not view and len(log.events) == 2 and len(view) == 1
+
+    def test_logged_measurements_leave_no_tracked_objects(self):
+        # Each logged sample used to keep its event tuple, data dict and
+        # float list alive, about 3000 objects for the cyclic collector to
+        # walk per 1000 samples.  The columns hold floats, not objects.
+        log = ServiceLog()
+        log.append("start")
+        gc.collect()
+        before = len(gc.get_objects())
+        for k in range(1000):
+            log.append(
+                "measurement",
+                instance=k % 10,
+                data={"measurement": [float(k)], "residue": [0.5]},
+            )
+            log.append("measurement", instance=k % 10, data={"measurement": [1.0, 2.0]})
+        gc.collect()
+        assert len(gc.get_objects()) - before < 50
+
+
+_finite = st.floats(allow_nan=False)
+_json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), _finite, st.text(max_size=4)
+)
+_json_payload = st.dictionaries(
+    st.text(max_size=6), st.one_of(_json_scalar, st.lists(_json_scalar, max_size=3)), max_size=3
+)
+_instance = st.one_of(st.none(), st.integers(0, 2**63 - 1), st.integers(-5, -1), st.just(2**64))
+
+
+@st.composite
+def _measurement_payload(draw):
+    """Column-shaped payloads, and near misses the columns must not take."""
+    width = draw(st.integers(0, 4))
+    floats = st.lists(_finite, min_size=width, max_size=width)
+    shape = draw(
+        st.sampled_from(
+            ["plain", "residue", "residue first", "other width", "extra key", "non-float", "wide"]
+        )
+    )
+    if shape == "plain":
+        return {"measurement": draw(floats)}
+    if shape == "residue":
+        return {"measurement": draw(floats), "residue": draw(floats)}
+    if shape == "residue first":
+        return {"residue": draw(floats), "measurement": draw(floats)}
+    if shape == "other width":
+        return {"measurement": draw(floats), "residue": draw(floats) + [1.0]}
+    if shape == "extra key":
+        return {"measurement": draw(floats), draw(st.text(max_size=3)): draw(_json_scalar)}
+    if shape == "non-float":
+        values = draw(st.lists(st.one_of(_finite, _json_scalar), min_size=1, max_size=4))
+        return {"measurement": values}
+    return {"measurement": [0.25] * 200}
+
+
+_appends = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("measurement"),
+            _instance,
+            st.one_of(st.none(), st.integers(0, 9)),
+            st.one_of(_measurement_payload(), st.none()),
+        ),
+        st.tuples(
+            st.sampled_from([kind for kind in EVENT_KINDS if kind != "measurement"]),
+            st.one_of(st.none(), st.integers(0, 99)),
+            st.one_of(st.none(), st.integers(0, 99)),
+            st.one_of(_json_payload, st.none()),
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(appends=_appends)
+def test_columnar_log_round_trips_every_event_shape(appends, tmp_path_factory):
+    """The rebuilt events, the JSONL lines and the read-back file all agree."""
+    path = tmp_path_factory.mktemp("log") / "service.jsonl"
+    with ServiceLog(path) as log:
+        returned = [
+            log.append(kind, instance=instance, step=step, data=data)
+            for kind, instance, step, data in appends
+        ]
+    assert len(log) == len(returned)
+    assert log.events == returned and list(log) == returned
+    assert [event.seq for event in log.events] == list(range(len(returned)))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(event.to_dict()) for event in log.events]
+    assert ServiceLog.read(path) == log.events
 
 
 def _drive(service, problem, steps=15, seed=0):

@@ -51,6 +51,16 @@ class TestRingBuffer:
             ring.pop_round()  # row 1 has nothing pending
         assert ring.pending() == [1, 0]
 
+    def test_wrong_width_raises_on_a_full_row(self):
+        # Width comes before fullness: a full row answering False would send
+        # a drop-oldest caller to evict a valid sample before the error.
+        ring = RingBuffer(1, 2, rows=1)
+        assert ring.push(0, [1.0, 2.0])
+        with pytest.raises(ValidationError):
+            ring.push(0, [3.0])
+        assert ring.pending() == [1]
+        np.testing.assert_array_equal(ring.pop_round(), [[1.0, 2.0]])
+
     def test_pending_grow_and_compact(self):
         ring = RingBuffer(4, 1)
         ring.grow(3)
