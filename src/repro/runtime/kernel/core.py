@@ -107,7 +107,13 @@ class FusedStepper:
         self.Xhat = Z[n : 2 * n]
         self.U = Z[2 * n :]
 
-        self._P = np.empty((q, w))
+        P = self._P = np.empty((q, w))
+        # Fixed row views of P: the step reads its blocks without slicing.
+        self._Cx, self._Cxhat = P[0:m], P[m : 2 * m]
+        self._Ax = P[self._ax0 : self._ax0 + n]
+        self._Axhat = P[self._axh0 : self._axh0 + n]
+        self._Bu = P[self._bu0 : self._bu0 + n]
+        self._Du = P[self._of0 : self._of0 + m] if self._has_of else None
         self._y = np.empty((m, w))
         self._ya = np.empty((m, w))
         self._yhat = np.empty((m, w)) if self._has_of else None
@@ -130,36 +136,47 @@ class FusedStepper:
         ``(m, w)`` block) lets callers receive the residues without a copy;
         the same values land there as in the internal buffer.
         """
-        m, n = self._m, self._n
-        P = self._P
+        y = self._y
         res = self._res if res_out is None else res_out
-        np.matmul(self._Mq, self._Z, out=P)
+        np.matmul(self._Mq, self._Z, out=self._P)
         if self._has_of:
-            of = P[self._of0 : self._of0 + m]
-            np.add(P[0:m], of, out=self._y)
-            self._y += measurement_noise
+            np.add(self._Cx, self._Du, out=y)
+            y += measurement_noise
         else:
-            np.add(P[0:m], measurement_noise, out=self._y)
+            np.add(self._Cx, measurement_noise, out=y)
         if attack is not None:
-            np.add(self._y, attack, out=self._ya)
-            ya = self._ya
+            ya = np.add(y, attack, out=self._ya)
         else:
-            ya = self._y
+            ya = y
         if self._has_of:
-            np.add(P[m : 2 * m], of, out=self._yhat)
+            np.add(self._Cxhat, self._Du, out=self._yhat)
             np.subtract(ya, self._yhat, out=res)
         else:
-            np.subtract(ya, P[m : 2 * m], out=res)
+            np.subtract(ya, self._Cxhat, out=res)
 
-        np.add(P[self._ax0 : self._ax0 + n], P[self._bu0 : self._bu0 + n], out=self.X)
+        np.add(self._Ax, self._Bu, out=self.X)
         if process_noise is not None:
             self.X += process_noise
-        np.matmul(self._L, res, out=self._resL)
-        np.add(P[self._axh0 : self._axh0 + n], P[self._bu0 : self._bu0 + n], out=self.Xhat)
+        gain_product(self._L, res, self._resL)
+        np.add(self._Axhat, self._Bu, out=self.Xhat)
         self.Xhat += self._resL
-        np.matmul(self._K, self.Xhat, out=self._KX)
+        gain_product(self._K, self.Xhat, self._KX)
         np.subtract(self._ff, self._KX, out=self.U)
         return self._y, ya, res
+
+
+def gain_product(matrix: np.ndarray, operand: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``matrix @ operand`` into ``out``, the estimator and controller gain products.
+
+    With an inner dimension of one (a single-output plant's observer gain,
+    a single-state controller) every entry is one rounded product, the same
+    float any GEMM returns, so a broadcast multiply computes it, several
+    times cheaper than numpy's matmul on such a ``(k, 1) @ (1, w)`` shape.
+    The probe checks the products through this function too.
+    """
+    if matrix.shape[1] == 1:
+        return np.multiply(matrix, operand, out=out)
+    return np.matmul(matrix, operand, out=out)
 
 
 def _system_key(system: ClosedLoopSystem) -> tuple:
@@ -218,7 +235,7 @@ def _products_agree(system: ClosedLoopSystem, fused: "FusedStepper", N: int) -> 
             return False
         for matrix, fused_matrix in ((system.L, fused._L), (system.K, fused._K)):
             operand = _balanced(rng, matrix, cols)
-            product = np.matmul(fused_matrix, operand, out=np.empty((len(matrix), cols)))
+            product = gain_product(fused_matrix, operand, np.empty((len(matrix), cols)))
             if not agree(matrix, operand, product):
                 return False
     return True
@@ -292,4 +309,4 @@ def probe_fused_equivalence(system: ClosedLoopSystem, n_instances: int = 64) -> 
     return cached
 
 
-__all__ = ["FusedStepper", "probe_fused_equivalence", "PROBE_SEED"]
+__all__ = ["FusedStepper", "gain_product", "probe_fused_equivalence", "PROBE_SEED"]

@@ -33,6 +33,7 @@ from repro.runtime.engine import _innovation_covariance
 from repro.runtime.events import InMemorySink
 from repro.runtime.fleet import FleetSimulator, ScheduledAttack, batch_simulate
 from repro.runtime.kernel import probe_fused_equivalence, runner
+from repro.runtime.kernel.core import gain_product
 
 CASE_STUDY_NAMES = ("cruise", "dcmotor", "pendulum", "quadtank", "trajectory", "vsc")
 
@@ -189,6 +190,23 @@ class TestCaseStudyEquivalence:
             "no (case study, width) pair passed the fused probe on this host; "
             "the differential suite would not be exercising the fused kernel"
         )
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (4, 1), (1, 2), (3, 2)])
+def test_gain_product_equals_matmul(shape):
+    # An inner dimension of one (a single-output plant's observer gain) is
+    # taken as a broadcast multiply: every entry is one rounded product, so
+    # it must equal the matmul value for value, non-finite entries included.
+    rng = np.random.default_rng(5)
+    matrix = rng.standard_normal(shape)
+    operand = rng.standard_normal((shape[1], 257))
+    operand[0, :4] = [np.inf, -np.inf, np.nan, 0.0]
+    out = np.empty((shape[0], 257))
+    product = gain_product(matrix, operand, out)
+    assert product is out
+    with np.errstate(invalid="ignore"):
+        expected = np.matmul(matrix, operand)
+    assert np.array_equal(product, expected, equal_nan=True)
 
 
 def _random_closed_loop(rng: np.random.Generator, with_feedthrough: bool):
