@@ -19,9 +19,10 @@ engine supplies:
   :class:`~repro.attacks.templates.AttackTemplate` injected into a subset of
   the fleet from a given step onward.
 * :class:`FleetSimulator` — the monitored fleet: draws the streams, runs the
-  stepping loop into whole-horizon residue/measurement stacks, runs each
-  deployed detector's pass (:meth:`~repro.runtime.batch.BatchDetector.run`)
-  over them, and hands the resulting ``(T, N)`` alarm stacks to
+  stepping loop, which steps the horizon in blocks and runs each deployed
+  detector's pass (:meth:`~repro.runtime.batch.BatchDetector.run`) over
+  every block's residues or measurements, and hands the resulting
+  ``(T, N)`` alarm stacks to
   :class:`~repro.runtime.report.AlarmTally`, which aggregates a
   :class:`~repro.runtime.report.FleetReport` and pushes
   :class:`~repro.runtime.events.AlarmBatch` views into the sinks.
@@ -51,7 +52,7 @@ from repro.registry import ENGINES
 from repro.runtime.batch import BatchDetector, make_batched
 from repro.runtime.events import EventSink
 from repro.runtime.kernel.lanes import build_lanes
-from repro.runtime.kernel.runner import FusedEngine, Stepping, new_recorder, simulate, stack_steps
+from repro.runtime.kernel.runner import FusedEngine, Stepping, new_recorder, simulate
 from repro.runtime.report import AlarmTally, FleetReport
 from repro.utils.rng import spawned_rng
 from repro.utils.validation import ValidationError, check_positive
@@ -201,9 +202,9 @@ def batch_simulate(
         FusedEngine().stepping(system, N),
         X0,
         Xhat0,
-        stack_steps(V),
-        stack_steps(W if process_noise is not None else None),
-        stack_steps(A if attacks is not None else None),
+        V,
+        W if process_noise is not None else None,
+        A if attacks is not None else None,
         recorder=recorder,
     )
     return FleetTrace(
@@ -464,7 +465,7 @@ class FleetSimulator:
 
         A run has three parts: :meth:`_prepare` draws the streams,
         :meth:`_step` runs the stepping loop with the engine's stepper and
-        each detector's pass over the recorded stacks, and :meth:`_finish`
+        each detector's pass block by block, and :meth:`_finish`
         tallies and emits the alarms and builds the report.
         """
         runner = ENGINES.create(self.engine)
@@ -515,49 +516,20 @@ class FleetSimulator:
             V, W, X0, schedule, attacked_mask, attack_start, recorder, registry, phases
         )
 
-    def _stream_stacks(self, run: "_RunInputs") -> tuple:
-        """Step-major ``(T, ·, N)`` noise and attack stacks, booked as draw time."""
-        T, N = self.horizon, self.n_instances
-        watch = Stopwatch()
-        Vt, Wt = stack_steps(run.V), stack_steps(run.W)
-        At = None
-        if run.schedule:
-            # Each (step, channel, instance) cell gets the entry-ordered sum.
-            At = np.zeros((T, self.system.plant.n_outputs, N))
-            for indices, values in run.schedule:
-                At[:, :, indices] += values[:, :, None]
-        run.phases["draw"] += watch.elapsed()
-        return Vt, Wt, At
-
     def _step(self, run: "_RunInputs", stepping: Stepping) -> dict[str, np.ndarray]:
-        """The stepping loop, then each detector's pass: label → ``(T, N)`` alarms."""
-        T, N = self.horizon, self.n_instances
-        m = self.system.plant.n_outputs
-        lanes = build_lanes(self.detectors)
-        res = np.empty((T, m, N))
-        ya = None
-        if any(lane.consumes != "residues" for lane in lanes.values()):
-            ya = np.empty((T, m, N))
-        # The stream stacks live only through the loop call, so their memory
-        # is free again before the detector pass allocates its norms.
-        stacks = self._stream_stacks(run)
-        watch = Stopwatch()
-        simulate(
+        """The stepping loop with each detector's lane: label → ``(T, N)`` alarms."""
+        return simulate(
             self.system,
             stepping,
             run.X0,
             self.xhat0,
-            *stacks,
-            res_out=res,
-            ya_out=ya,
+            run.V,
+            run.W,
+            run.schedule or None,
+            lanes=build_lanes(self.detectors),
             recorder=run.recorder,
+            phases=run.phases,
         )
-        run.phases["recursion"] = watch.elapsed()
-        del stacks
-        watch = Stopwatch()
-        alarms = {label: lane.alarms(res, ya) for label, lane in lanes.items()}
-        run.phases["lanes"] = watch.elapsed()
-        return alarms
 
     def _finish(
         self, run: "_RunInputs", alarms: dict[str, np.ndarray], engine: dict
@@ -577,6 +549,7 @@ class FleetSimulator:
             )
         watch = Stopwatch()
         tally = AlarmTally(alarms, run.attacked_mask, run.attack_start, T)
+        stats = {label: tally.stats(label) for label in self.detectors}
         phases["tally"] = watch.elapsed()
         watch = Stopwatch()
         tally.publish(self.sinks, counter, self.scraper)
@@ -633,8 +606,7 @@ class FleetSimulator:
             elapsed_seconds=elapsed,
             metadata=metadata,
         )
-        for label in self.detectors:
-            report.detectors[label] = tally.stats(label)
+        report.detectors.update(stats)
         return report
 
 

@@ -3,8 +3,9 @@
 The ``fused`` engine is a stepper factory (:mod:`~repro.runtime.kernel.runner`):
 it hands the one stepping loop a single float64 block-matrix GEMM per fleet
 step (:mod:`~repro.runtime.kernel.core`), over the whole fleet on one
-thread.  After the loop, each deployed detector runs its one vectorized
-pass over the recorded stacks (:mod:`~repro.runtime.kernel.lanes`).
+thread.  The loop steps the horizon in blocks, and after each block every
+deployed detector runs its vectorized pass over the block's residues
+(:mod:`~repro.runtime.kernel.lanes`).
 
 The fused path is *bit-identical* to the reference stepper
 (``runner._BatchStepper``, its fallback when a per-system differential probe

@@ -1,9 +1,11 @@
-"""Detector lanes: the fleet detector bank run over whole-horizon stacks.
+"""Detector lanes: the fleet detector bank run block by block.
 
-The fleet loop records the horizon's residues (and, when a plant monitor
-needs them, measurements) as transposed ``(T, m, N)`` stacks.  A lane picks
-the stack its core consumes and hands a ``(T, N, m)`` view of it to the
-core's one detector pass, :meth:`~repro.runtime.batch.BatchDetector.run`.
+The fleet loop keeps each block's residues (and, when a plant monitor
+needs them, measurements) as transposed ``(b, m, N)`` stacks.  A lane picks
+the stack its core consumes and hands a ``(b, N, m)`` view of it to the
+core's detector pass, :meth:`~repro.runtime.batch.BatchDetector.run`, which
+resumes from the core's own state, so consecutive blocks chain into the
+whole horizon.
 
 Exactness contract: ``run`` uses the detector's own norm function
 (:func:`~repro.detectors.threshold.residue_norms`) and advances the core's
@@ -32,7 +34,7 @@ class DetectorLane:
         return self.core.consumes
 
     def alarms(self, res: np.ndarray, measurements: np.ndarray | None) -> np.ndarray:
-        """``(T, N)`` alarm flags over the whole horizon."""
+        """``(b, N)`` alarm flags over the ``b`` steps of the stacks."""
         stack = res if self.core.consumes == "residues" else measurements
         return self.core.run(stack.transpose(0, 2, 1))
 

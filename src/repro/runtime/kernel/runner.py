@@ -9,9 +9,11 @@ stepper, when the differential probe rejects the BLAS.
 
 :func:`simulate` is the only stepping loop: :class:`~repro.runtime.fleet.
 FleetSimulator` and :func:`~repro.runtime.fleet.batch_simulate` both run
-it.  It steps one full-width block and records; detectors run afterwards on
-the recorded stacks, and :func:`service_round` is the one
-:class:`~repro.serve.service.MonitorService` round.
+it.  It steps the whole fleet through the horizon in blocks of
+:data:`BLOCK_STEPS` steps: per block it lays the noise and attack rows out
+step-major, steps, records, and runs each detector lane over the block's
+residues, all in buffers reused across blocks.  :func:`service_round` is
+the one :class:`~repro.serve.service.MonitorService` round.
 
 Equivalence gate: each fused run first consults
 :func:`~repro.runtime.kernel.core.probe_fused_equivalence`; a failed probe
@@ -25,9 +27,20 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from repro.obs.clock import Stopwatch
 from repro.registry import ENGINES
 from repro.runtime.batch import BatchDetector
 from repro.runtime.kernel.core import FusedStepper, probe_fused_equivalence
+from repro.runtime.kernel.lanes import DetectorLane
+
+#: Steps per block of the stepping loop.  The loop lays each block's noise
+#: and attack rows out step-major and keeps its residues (and measurements)
+#: in ``(B, ·, N)`` buffers reused block after block, so a run never holds
+#: a step-major copy of its whole horizon.  At 32 steps a 4000-instance
+#: single-output buffer is 1 MB: small enough to stay in cache between the
+#: stepper's writes and the lanes' reads, long enough that the lanes' and
+#: the layout's per-block call overhead stays small.
+BLOCK_STEPS = 32
 
 
 class _BatchStepper:
@@ -94,17 +107,6 @@ class Stepping(NamedTuple):
     metadata: dict
 
 
-def stack_steps(block: np.ndarray | None) -> np.ndarray | None:
-    """Instance-major ``(N, T, ·)`` draws → contiguous ``(T, ·, N)`` stacks.
-
-    Pure layout preparation (values untouched), done once per run before
-    the stepping window.
-    """
-    if block is None:
-        return None
-    return np.ascontiguousarray(block.transpose(1, 2, 0), dtype=np.float64)
-
-
 def new_recorder(
     plant, X0: np.ndarray, Xhat0: np.ndarray, horizon: int, *, attacks: bool = False
 ) -> dict[str, np.ndarray]:
@@ -127,65 +129,112 @@ def new_recorder(
     return recorder
 
 
+def _fill_attacks(out: np.ndarray, attacks, k0: int, k1: int) -> None:
+    """Steps ``k0..k1`` of the injected attacks into the ``(b, m, ·)`` block ``out``.
+
+    ``attacks`` is a dense instance-major ``(N, T, m)`` block or a resolved
+    schedule of ``(instance ids, (T, m) values)`` entries, summed per cell
+    in entry order from zero.
+    """
+    if isinstance(attacks, np.ndarray):
+        np.copyto(out[:, :, : attacks.shape[0]], attacks[:, k0:k1].transpose(1, 2, 0))
+        return
+    out.fill(0.0)
+    for indices, values in attacks:
+        out[:, :, indices] += values[k0:k1, :, None]
+
+
 def simulate(
     system,
     stepping: Stepping,
     X0: np.ndarray,
     Xhat0: np.ndarray,
-    Vt: np.ndarray,
-    Wt: np.ndarray | None = None,
-    At: np.ndarray | None = None,
+    V: np.ndarray,
+    W: np.ndarray | None = None,
+    attacks=None,
     *,
-    res_out: np.ndarray | None = None,
-    ya_out: np.ndarray | None = None,
+    lanes: Mapping[str, DetectorLane] | None = None,
     recorder: dict | None = None,
-) -> None:
-    """The stepping loop: the state recursion over the whole horizon.
+    phases: dict | None = None,
+) -> dict[str, np.ndarray]:
+    """The stepping loop: the whole horizon in blocks of :data:`BLOCK_STEPS` steps.
 
-    Consumes the ``(T, ·, N)`` stacks of :func:`stack_steps` and writes
-    the transposed residue/measurement stacks ``res_out``/``ya_out`` and/or
-    the instance-major ``recorder`` arrays of :func:`new_recorder`
-    (attacks only when the recorder has an ``"attacks"`` entry).
+    ``V``/``W`` are the instance-major ``(N, T, ·)`` noise draws and
+    ``attacks`` what :func:`_fill_attacks` takes (``None``: no attack adds).
+    Per block, the draws and attack rows are laid out step-major into
+    ``(B, ·, N)`` buffers reused across blocks, the stepper advances
+    through the block, and each lane runs its detector pass over the
+    block's residues or measurements.  Returns label → ``(T, N)`` alarms;
+    fills the instance-major ``recorder`` arrays of :func:`new_recorder`
+    per step (attacks only when it has an ``"attacks"`` entry).  Seconds
+    accumulate into ``phases``: ``draw`` (block layout), ``recursion``
+    and ``lanes``.
     """
-    N, T = X0.shape[0], Vt.shape[0]
+    watch = Stopwatch()
+    clock = {} if phases is None else phases
+    for name in ("draw", "recursion", "lanes"):
+        clock.setdefault(name, 0.0)
+    lanes = {} if lanes is None else lanes
+    plant = system.plant
+    N, T = X0.shape[0], V.shape[1]
+    m, n = plant.n_outputs, plant.n_states
     # A lone instance rides a zero discard column in the fused stepper:
     # keeps the BLAS on its GEMM path instead of GEMV.  The reference
     # stepper IS the reference computation: no pad.
-    pad = N == 1 and stepping.stepper is not _BatchStepper
+    cols = 2 if N == 1 and stepping.stepper is not _BatchStepper else N
+    B = min(BLOCK_STEPS, T)
 
-    def carve(block_t):
-        if block_t is None or not pad:
-            return block_t
-        padded = np.zeros(block_t.shape[:-1] + (2,))
-        padded[..., :1] = block_t
-        return padded
+    def buffer(rows: int, present: bool = True) -> np.ndarray | None:
+        return np.zeros((B, rows, cols)) if present else None
 
-    stepper = stepping.stepper(system, carve(X0.T), carve(Xhat0.T))
-    Vs, Ws, As = carve(Vt), carve(Wt), carve(At)
-    # An unpadded run emits residues straight into the stack row.
-    direct_res = res_out is not None and not pad
-    record_attacks = recorder is not None and As is not None and "attacks" in recorder
-    for k in range(T):
-        att = None if As is None else As[k]
-        y, ya, res = stepper.step(
-            Vs[k],
-            None if Ws is None else Ws[k],
-            att,
-            res_out=res_out[k] if direct_res else None,
-        )
-        if res_out is not None and not direct_res:
-            res_out[k] = res[:, :N]
-        if ya_out is not None:
-            ya_out[k] = ya[:, :N]
-        if recorder is not None:
-            recorder["true_outputs"][:, k] = y[:, :N].T
-            recorder["measurements"][:, k] = ya[:, :N].T
-            recorder["residues"][:, k] = res[:, :N].T
-            if record_attacks:
-                recorder["attacks"][:, k] = att[:, :N].T
-            recorder["states"][:, k + 1] = stepper.X[:, :N].T
-            recorder["estimates"][:, k + 1] = stepper.Xhat[:, :N].T
-            recorder["inputs"][:, k + 1] = stepper.U[:, :N].T
+    def carve(initial: np.ndarray) -> np.ndarray:
+        out = np.zeros((initial.shape[1], cols))
+        out[:, :N] = initial.T
+        return out
+
+    stepper = stepping.stepper(system, carve(X0), carve(Xhat0))
+    Vb, Wb, Ab, res = buffer(m), buffer(n, W is not None), buffer(m, attacks is not None), buffer(m)
+    ya = buffer(m, any(lane.consumes != "residues" for lane in lanes.values()))
+    alarms = {label: np.empty((T, N), dtype=bool) for label in lanes}
+    record_attacks = recorder is not None and Ab is not None and "attacks" in recorder
+    clock["draw"] += watch.elapsed()
+    for k0 in range(0, T, B):
+        watch = Stopwatch()
+        k1 = min(k0 + B, T)
+        b = k1 - k0
+        np.copyto(Vb[:b, :, :N], V[:, k0:k1].transpose(1, 2, 0))
+        if Wb is not None:
+            np.copyto(Wb[:b, :, :N], W[:, k0:k1].transpose(1, 2, 0))
+        if Ab is not None:
+            _fill_attacks(Ab[:b], attacks, k0, k1)
+        clock["draw"] += watch.elapsed()
+
+        watch = Stopwatch()
+        for j in range(b):
+            att = None if Ab is None else Ab[j]
+            y, ya_j, _ = stepper.step(
+                Vb[j], None if Wb is None else Wb[j], att, res_out=res[j]
+            )
+            if ya is not None:
+                ya[j] = ya_j
+            if recorder is not None:
+                k = k0 + j
+                recorder["true_outputs"][:, k] = y[:, :N].T
+                recorder["measurements"][:, k] = ya_j[:, :N].T
+                recorder["residues"][:, k] = res[j, :, :N].T
+                if record_attacks:
+                    recorder["attacks"][:, k] = att[:, :N].T
+                recorder["states"][:, k + 1] = stepper.X[:, :N].T
+                recorder["estimates"][:, k + 1] = stepper.Xhat[:, :N].T
+                recorder["inputs"][:, k + 1] = stepper.U[:, :N].T
+        clock["recursion"] += watch.elapsed()
+
+        watch = Stopwatch()
+        block_ya = None if ya is None else ya[:b, :, :N]
+        for label, lane in lanes.items():
+            alarms[label][k0:k1] = lane.alarms(res[:b, :, :N], block_ya)
+        clock["lanes"] += watch.elapsed()
+    return alarms
 
 
 def service_round(
@@ -229,5 +278,4 @@ __all__ = [
     "new_recorder",
     "service_round",
     "simulate",
-    "stack_steps",
 ]

@@ -57,9 +57,12 @@ class ReplayResult:
         return self.recorded == self.replayed
 
 
-def _load_events(source) -> list[ServiceEvent]:
+def _load_events(source) -> Sequence[ServiceEvent]:
     if isinstance(source, ServiceLog):
-        return list(source.events)
+        # Rebuilt for this replay only: a view cached on the log would pin
+        # every rebuilt event until the next append, which a closed log
+        # never gets.
+        return source._rebuild()
     if isinstance(source, (str, Path)):
         return ServiceLog.read(source)
     events = list(source)

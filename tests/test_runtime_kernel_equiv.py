@@ -266,3 +266,104 @@ class TestRandomizedSystems:
         trace = batch_simulate(system, T, x0=x0, measurement_noise=V)
         for field, expected in oracle.items():
             assert np.array_equal(expected, getattr(trace, field)), field
+
+
+BLOCK = runner.BLOCK_STEPS
+BLOCK_HORIZONS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5)
+
+
+def _block_simulator(problem, sink, *, horizon, start, n_instances, record):
+    """A fleet with every per-block input on: process noise, an initial-state
+    spread, a scheduled attack and a measurement-consuming plant monitor."""
+    return FleetSimulator(
+        problem.system,
+        n_instances,
+        horizon,
+        detectors=_detector_bank(problem),
+        include_process_noise=True,
+        x0=problem.x0,
+        x0_spread=np.full(problem.system.plant.n_states, 0.05),
+        attacks=[ScheduledAttack(BiasAttack(bias=0.4), fraction=0.3, start=start)],
+        sinks=[] if sink is None else [sink],
+        seed=5,
+        record_traces=record,
+        metrics=False,
+    )
+
+
+class TestBlockBoundaries:
+    """Horizons and attack starts on either side of the loop's block edges.
+
+    The loop steps ``BLOCK_STEPS`` steps per block and chains the detector
+    passes across blocks, so a run of ``B - 1``, ``B``, ``B + 1`` or
+    ``2B + 5`` steps, or an attack that starts on a block edge, must still
+    match the per-step oracle exactly, with and without recorded traces.
+    """
+
+    def _check(self, fleet_oracle, problem, *, horizon, start, record, n_instances=37):
+        options = dict(horizon=horizon, start=start, n_instances=n_instances)
+        assert "mdc" in _detector_bank(problem)
+        sink = InMemorySink()
+        simulator = _block_simulator(problem, sink, record=record, **options)
+        report = simulator.run()
+        oracle = fleet_oracle(_block_simulator(problem, None, record=record, **options))
+        if record:
+            _assert_matches_oracle(oracle, (report, simulator.trace, list(sink.events)))
+            return
+        stats, n_attacked, _, events = oracle
+        assert simulator.trace is None
+        assert list(sink.events) == events
+        assert report.n_attacked == n_attacked
+        assert {label: s.to_dict() for label, s in report.detectors.items()} == stats
+
+    @pytest.mark.parametrize("record", [False, True], ids=["lanes", "recorded"])
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    @pytest.mark.parametrize("name", ["dcmotor", "quadtank"])
+    def test_horizons_around_block_edges(self, problems, fleet_oracle, name, horizon, record):
+        self._check(
+            fleet_oracle, problems[name], horizon=horizon, start=horizon // 4, record=record
+        )
+
+    @pytest.mark.parametrize("record", [False, True], ids=["lanes", "recorded"])
+    @pytest.mark.parametrize("start", [BLOCK - 1, BLOCK], ids=["edge-1", "edge"])
+    @pytest.mark.parametrize("name", ["dcmotor", "quadtank"])
+    def test_attack_starting_on_a_block_edge(self, problems, fleet_oracle, name, start, record):
+        self._check(
+            fleet_oracle, problems[name], horizon=2 * BLOCK + 5, start=start, record=record
+        )
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["kernel", "fallback"])
+    @pytest.mark.parametrize("record", [False, True], ids=["lanes", "recorded"])
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    def test_single_instance_pad_across_blocks(
+        self, problems, fleet_oracle, monkeypatch, horizon, record, fallback
+    ):
+        if fallback:
+            monkeypatch.setattr(runner, "probe_fused_equivalence", lambda *args: False)
+        self._check(
+            fleet_oracle,
+            problems["dcmotor"],
+            horizon=horizon,
+            start=horizon // 4,
+            record=record,
+            n_instances=1,
+        )
+
+    @pytest.mark.parametrize("n_instances", [1, 9])
+    @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+    def test_batch_simulate_across_block_edges(self, batch_oracle, horizon, n_instances):
+        rng = np.random.default_rng(horizon)
+        system = _random_closed_loop(rng, with_feedthrough=True)
+        plant = system.plant
+        N, T, n, m = n_instances, horizon, plant.n_states, plant.n_outputs
+        x0 = rng.standard_normal((N, n)) * 0.1
+        V = rng.standard_normal((N, T, m)) * 1e-2
+        W = rng.standard_normal((N, T, n)) * 1e-2
+        A = np.zeros((N, T, m))
+        A[:, min(BLOCK - 1, T - 1) :] = 0.3
+        oracle = batch_oracle(system, x0, np.zeros_like(x0), V, W, A)
+        trace = batch_simulate(
+            system, T, x0=x0, measurement_noise=V, process_noise=W, attacks=A
+        )
+        for field, expected in oracle.items():
+            assert np.array_equal(expected, getattr(trace, field)), field

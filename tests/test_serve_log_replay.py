@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,32 @@ class TestReplay:
         result = replay(service.log, problem=dcmotor_problem)
         assert result.matches
         assert result.recorded == list(sink.events)
+
+    def test_replay_leaves_only_the_columns_on_the_log(self, dcmotor_problem):
+        # A replay used to cache its rebuilt event view on the log, holding
+        # a tuple, dict and float list per logged sample until the next
+        # append, which a closed log never gets.
+        config = ServiceConfig(static_thresholds={"static": 0.5})
+        service = run_service(config, problem=dcmotor_problem)
+        _drive(service, dcmotor_problem, steps=2000)
+        service.close()
+        log = service.log
+        columns = len(log._codes) + sum(
+            len(column) * column.itemsize for column in (log._instances, log._floats)
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = replay(log, problem=dcmotor_problem)
+            assert result.matches
+            del result
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < columns, f"{held} bytes held after replay, columns take {columns}"
+        assert log._view is None
 
     def test_replay_standalone_from_log_file(self, tmp_path):
         # With case_study in the config, the recorded file is self-contained:
