@@ -36,10 +36,10 @@ from repro.runtime.kernel.lanes import DetectorLane
 #: Steps per block of the stepping loop.  The loop lays each block's noise
 #: and attack rows out step-major and keeps its residues (and measurements)
 #: in ``(B, ·, N)`` buffers reused block after block, so a run never holds
-#: a step-major copy of its whole horizon.  At 32 steps a 4000-instance
-#: single-output buffer is 1 MB: small enough to stay in cache between the
-#: stepper's writes and the lanes' reads, long enough that the lanes' and
-#: the layout's per-block call overhead stays small.
+#: a step-major copy of its whole horizon.  32 was measured best or tied on
+#: every fleet size swept (dcmotor 100/1000/4000 instances, horizon 200):
+#: shorter blocks pay more per-block overhead on small fleets, longer ones
+#: lose on the 4000-instance fleet.
 BLOCK_STEPS = 32
 
 
@@ -167,8 +167,9 @@ def simulate(
     block's residues or measurements.  Returns label → ``(T, N)`` alarms;
     fills the instance-major ``recorder`` arrays of :func:`new_recorder`
     per step (attacks only when it has an ``"attacks"`` entry).  Seconds
-    accumulate into ``phases``: ``draw`` (block layout), ``recursion``
-    and ``lanes``.
+    accumulate into ``phases``: ``draw`` (each block's noise and attack
+    layout), ``recursion`` (building the stepper and the block buffers,
+    then stepping and recording) and ``lanes``.
     """
     watch = Stopwatch()
     clock = {} if phases is None else phases
@@ -197,7 +198,7 @@ def simulate(
     ya = buffer(m, any(lane.consumes != "residues" for lane in lanes.values()))
     alarms = {label: np.empty((T, N), dtype=bool) for label in lanes}
     record_attacks = recorder is not None and Ab is not None and "attacks" in recorder
-    clock["draw"] += watch.elapsed()
+    clock["recursion"] += watch.elapsed()
     for k0 in range(0, T, B):
         watch = Stopwatch()
         k1 = min(k0 + B, T)

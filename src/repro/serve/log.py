@@ -229,6 +229,13 @@ class ServiceLog:
             self._view = EventView(self._rebuild())
         return self._view
 
+    def snapshot(self) -> tuple:
+        """Every logged event in stream order, without caching them on the log.
+
+        Returns the cached view's events when a read already built them.
+        """
+        return self._rebuild() if self._view is None else self._view._events
+
     def _rebuild(self) -> tuple:
         floats = self._floats.tolist()
         instances = iter(self._instances.tolist())

@@ -59,10 +59,9 @@ class ReplayResult:
 
 def _load_events(source) -> Sequence[ServiceEvent]:
     if isinstance(source, ServiceLog):
-        # Rebuilt for this replay only: a view cached on the log would pin
-        # every rebuilt event until the next append, which a closed log
-        # never gets.
-        return source._rebuild()
+        # Not cached on the log: a cached view would pin every rebuilt
+        # event until the next append, which a closed log never gets.
+        return source.snapshot()
     if isinstance(source, (str, Path)):
         return ServiceLog.read(source)
     events = list(source)

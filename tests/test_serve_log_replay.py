@@ -73,6 +73,15 @@ class TestServiceLog:
         log.append("round")
         assert log.events is not view and len(log.events) == 2 and len(view) == 1
 
+    def test_snapshot_caches_nothing_and_reuses_a_cached_view(self):
+        log = ServiceLog()
+        log.append("measurement", instance=0, data={"measurement": [0.5]})
+        log.append("round")
+        snapshot = log.snapshot()
+        assert log._view is None and snapshot == tuple(log.events)
+        # A second full copy of the events is what the snapshot avoids.
+        assert all(a is b for a, b in zip(log.snapshot(), log.events))
+
     def test_logged_measurements_leave_no_tracked_objects(self):
         # Each logged sample used to keep its event tuple, data dict and
         # float list alive, about 3000 objects for the cyclic collector to
