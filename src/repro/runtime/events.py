@@ -72,8 +72,9 @@ class AlarmBatch(Sequence[AlarmEvent]):
     An immutable ``Sequence[AlarmEvent]``: ``len()`` is O(1), and indexing
     or iteration builds the :class:`AlarmEvent` objects on demand, so a run
     whose sinks only count or store batches never pays for per-event
-    objects.  The columns are read-only views into the run's alarm index
-    arrays.
+    objects.  The columns are read-only: a fleet run's batches are slices of
+    its :class:`~repro.runtime.report.AlarmTally` alarm index, made read-only
+    once per detector and sliced without per-batch checks.
 
     Attributes
     ----------
@@ -100,12 +101,22 @@ class AlarmBatch(Sequence[AlarmEvent]):
         if not self.instance.shape == self.step.shape == self.first.shape:
             raise ValidationError("AlarmBatch columns must have equal lengths")
 
+    @classmethod
+    def _of_columns(cls, detector, instance, step, first) -> "AlarmBatch":
+        """A batch over read-only, equal-length 1-D int64/int64/bool columns, unchecked."""
+        batch = object.__new__(cls)
+        batch.detector = detector
+        batch.instance = instance
+        batch.step = step
+        batch.first = first
+        return batch
+
     def __len__(self) -> int:
         return self.instance.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return AlarmBatch(
+            return AlarmBatch._of_columns(
                 self.detector, self.instance[index], self.step[index], self.first[index]
             )
         index = operator.index(index)

@@ -5,9 +5,9 @@ run: for every deployed detector it reports the detection rate and detection
 latency over the attacked sub-fleet and the (per-instance and per-step) false
 alarm rates over the benign sub-fleet — the online metrics the offline
 ``evaluate`` path cannot express.  :class:`AlarmTally` is the fleet's alarm
-bookkeeping: one vectorized pass over the run's
-``(T, N)`` alarm stacks, and the step-ordered emission of the resulting
-:class:`~repro.runtime.events.AlarmBatch` columns to the sinks.
+bookkeeping: one alarm index per detector, a ``flatnonzero`` of its ``(T, N)``
+alarm stack, feeds both the stats and the step-ordered emission of its slices
+to the sinks as :class:`~repro.runtime.events.AlarmBatch` columns.
 """
 
 from __future__ import annotations
@@ -209,23 +209,16 @@ def build_detector_stats(
     return stats
 
 
-def _first_index(flags: np.ndarray) -> np.ndarray:
-    """Per-column index of the first ``True`` row of ``flags`` (``-1`` if none)."""
-    first = np.full(flags.shape[1], -1, dtype=int)
-    hit = flags.any(axis=0)
-    first[hit] = flags.argmax(axis=0)[hit]
-    return first
-
-
 class AlarmTally:
     """Alarm bookkeeping of one fleet run, from its ``(T, N)`` alarm stacks.
 
-    One vectorized pass per detector yields what
+    Each stack is read once: one ``np.flatnonzero`` gives its alarms as
+    step-major ``(steps, instances)`` index columns, and what
     :func:`build_detector_stats` needs — alarm counts, benign alarm-steps,
-    first-alarm and first-detection steps.  :meth:`publish` hands the
-    alarms to sinks, counter and scraper in step order, as
-    :class:`~repro.runtime.events.AlarmBatch` views into one ``nonzero``
-    of each stack (step-major, ascending instances within a step).
+    first-alarm and first-detection steps — comes from those alarms, not the
+    ``T * N`` cells.  :meth:`publish` hands the alarms to sinks, counter and
+    scraper in step order, as :class:`~repro.runtime.events.AlarmBatch`
+    slices of the same columns.
 
     Parameters
     ----------
@@ -247,31 +240,25 @@ class AlarmTally:
         self.attacked_mask = attacked_mask
         self.attack_start = attack_start
         self.horizon = int(horizon)
-        self._alarms = {
-            label: np.asarray(stack, dtype=bool) for label, stack in alarms.items()
-        }
         n_instances = attacked_mask.size
-        detectable = None
         self.alarm_counts: dict[str, int] = {}
         self.benign_alarm_steps: dict[str, int] = {}
         self.first_alarm: dict[str, np.ndarray] = {}
         self.first_detection: dict[str, np.ndarray] = {}
-        for label, stack in self._alarms.items():
-            self.alarm_counts[label] = total = int(np.count_nonzero(stack))
-            self.benign_alarm_steps[label] = 0
-            self.first_alarm[label] = np.full(n_instances, -1, dtype=int)
-            self.first_detection[label] = np.full(n_instances, -1, dtype=int)
-            if not total:
-                continue
-            self.benign_alarm_steps[label] = int(
-                np.count_nonzero(stack & ~attacked_mask[None, :])
-            )
-            self.first_alarm[label] = _first_index(stack)
-            if detectable is None:
-                detectable = attacked_mask[None, :] & (
-                    np.arange(self.horizon)[:, None] >= attack_start[None, :]
-                )
-            self.first_detection[label] = _first_index(stack & detectable)
+        self._index: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for label, stack in alarms.items():
+            steps, instances = np.divmod(np.flatnonzero(stack), n_instances)
+            attacked = attacked_mask[instances]
+            detects = attacked & (steps >= attack_start[instances])
+            self._index[label] = steps, instances
+            self.alarm_counts[label] = steps.size
+            self.benign_alarm_steps[label] = steps.size - int(np.count_nonzero(attacked))
+            # Least alarm step per instance, overall and among detections.
+            least = np.full((2, n_instances), self.horizon)
+            np.minimum.at(least[0], instances, steps)
+            np.minimum.at(least[1], instances[detects], steps[detects])
+            least[least == self.horizon] = -1
+            self.first_alarm[label], self.first_detection[label] = least
 
     def stats(self, label: str) -> DetectorFleetStats:
         """The :class:`DetectorFleetStats` of one detector."""
@@ -287,10 +274,11 @@ class AlarmTally:
         )
 
     def _columns(self, label: str) -> tuple:
-        """The ``(instance, step, first)`` alarm columns and per-step bounds."""
-        stack = self._alarms[label]
-        steps, instances = np.divmod(np.flatnonzero(stack), stack.shape[1])
+        """Read-only ``(instance, step, first)`` alarm columns and per-step bounds."""
+        steps, instances = self._index[label]
         first = steps == self.first_alarm[label][instances]
+        for column in (instances, steps, first):
+            column.flags.writeable = False
         bounds = np.searchsorted(steps, np.arange(self.horizon + 1)).tolist()
         return instances, steps, first, bounds
 
@@ -328,7 +316,7 @@ class AlarmTally:
                 if counter is not None:
                     counter.inc(hi - lo, detector=label)
                 if sinks:
-                    batch = AlarmBatch(
+                    batch = AlarmBatch._of_columns(
                         label, instances[lo:hi], steps[lo:hi], first[lo:hi]
                     )
                     for sink in sinks:

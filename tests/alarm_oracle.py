@@ -1,0 +1,89 @@
+"""Reference alarm bookkeeping for the fleet equivalence layer.
+
+:class:`~repro.runtime.report.AlarmTally` derives a fleet run's counts,
+first indices and step-ordered alarm stream from one alarm index per
+detector.  :func:`step_ordered_oracle` is the independent reference it is
+proven against: the per-step bookkeeping loop the fleet engines ran before
+the tally existed, with eager ``list[AlarmEvent]`` batches.  The alarm-tally
+property tests compare the tally with it directly, and the ``fleet_oracle``
+fixture in ``conftest.py`` takes its stats, events and alarm-counter
+progression from it, so no fleet reference goes through the tally.
+
+Test modules under ``tests/`` import this as ``alarm_oracle``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.runtime.events import AlarmEvent
+
+
+def step_ordered_oracle(
+    alarm_stacks, attacked_mask, attack_start, sinks=(), counter=None, scraper=None
+):
+    """The per-step bookkeeping loop the fleet engines used to run.
+
+    Builds one eager ``list[AlarmEvent]`` per (step, detector) with at least
+    one alarm and emits it to every sink, increments ``counter`` by each
+    such batch's size and calls ``scraper.maybe_scrape()`` after each step;
+    returns the per-detector counts, benign alarm-steps, first-alarm and
+    first-detection arrays.
+    """
+    labels = list(alarm_stacks)
+    T = next(iter(alarm_stacks.values())).shape[0] if labels else 0
+    N = attacked_mask.size
+    first_alarm = {label: np.full(N, -1, dtype=int) for label in labels}
+    first_detection = {label: np.full(N, -1, dtype=int) for label in labels}
+    alarm_counts = {label: 0 for label in labels}
+    benign_alarm_steps = {label: 0 for label in labels}
+    benign_mask = ~attacked_mask
+    for k in range(T):
+        for label in labels:
+            alarms = alarm_stacks[label][k]
+            fired = int(np.count_nonzero(alarms))
+            if not fired:
+                continue
+            alarm_counts[label] += fired
+            if counter is not None:
+                counter.inc(fired, detector=label)
+            benign_alarm_steps[label] += int(np.count_nonzero(alarms & benign_mask))
+            newly = alarms & (first_alarm[label] < 0)
+            first_alarm[label][newly] = k
+            detected = (
+                alarms
+                & attacked_mask
+                & (k >= attack_start)
+                & (first_detection[label] < 0)
+            )
+            first_detection[label][detected] = k
+            if sinks:
+                events = [
+                    AlarmEvent(int(i), k, label, first=bool(newly[i]))
+                    for i in np.flatnonzero(alarms)
+                ]
+                for sink in sinks:
+                    sink.emit(events)
+        if scraper is not None:
+            scraper.maybe_scrape()
+    return alarm_counts, benign_alarm_steps, first_alarm, first_detection
+
+
+class AlarmProgression:
+    """Counter and scraper stand-in: running per-detector alarm totals.
+
+    Pass it as both ``counter`` and ``scraper``: :attr:`seen` then holds,
+    after each step, what a scraper of ``fleet_alarms_total`` would read —
+    detector label → running total, for detectors that alarmed so far.
+    """
+
+    def __init__(self):
+        self.totals: dict[str, float] = {}
+        self.seen: list[dict[str, float]] = []
+
+    def inc(self, amount, detector):
+        self.totals[detector] = self.totals.get(detector, 0.0) + float(amount)
+
+    def maybe_scrape(self):
+        self.seen.append(dict(self.totals))
+        return True

@@ -5,13 +5,18 @@ test modules so individual tests stay focused on behaviour, not setup.  The
 ``fleet_oracle`` and ``batch_oracle`` fixtures are the independent
 references of the runtime equivalence layer: the per-step fleet loops the
 runtime ran before it had one stepping loop and one detector pass, stepping
-the reference stepper (``_BatchStepper``) in instance-major layout.
+the reference stepper (``_BatchStepper``) in instance-major layout.  The fleet
+oracle's bookkeeping is the step-ordered loop of ``alarm_oracle.py``, not the
+library's ``AlarmTally``.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
+from alarm_oracle import AlarmProgression, step_ordered_oracle
 
 from repro.control.lqr import lqr_gain
 from repro.estimation.kalman import steady_state_kalman
@@ -20,10 +25,9 @@ from repro.lti.model import StateSpace
 from repro.lti.simulate import ClosedLoopSystem
 from repro.noise.generators import draw_streams
 from repro.noise.models import ZeroNoise
-from repro.runtime.events import InMemorySink
 from repro.runtime.fleet import FleetTrace
 from repro.runtime.kernel.runner import _BatchStepper
-from repro.runtime.report import AlarmTally
+from repro.runtime.report import build_detector_stats
 from repro.utils.rng import spawn_rngs
 from repro.systems.dcmotor import build_dcmotor_case_study
 from repro.systems.trajectory import build_trajectory_case_study
@@ -146,18 +150,37 @@ def legacy_batch_oracle(system, X0, Xhat0, V, W=None, A=None) -> dict:
     return out
 
 
-def legacy_fleet_oracle(simulator):
+class FleetOracle(NamedTuple):
+    """What :func:`legacy_fleet_oracle` returns for one fleet run."""
+
+    #: Label → ``DetectorFleetStats.to_dict()``.
+    stats: dict
+    n_attacked: int
+    trace: FleetTrace
+    #: The alarm events, in emission order.
+    events: list
+    #: Per step, label → running ``fleet_alarms_total`` value (as scraped).
+    progression: list
+
+
+class _EventList(list):
+    """Sink stand-in: extends itself with every emitted batch."""
+
+    def emit(self, events):
+        self.extend(events)
+
+
+def legacy_fleet_oracle(simulator) -> FleetOracle:
     """Run a (not yet run) ``FleetSimulator`` through the per-step fleet loop.
 
     Same block draws as :meth:`FleetSimulator.run` (one
     :func:`~repro.noise.generators.draw_streams` call; the attack scheduler
     is the last of ``N + 1`` spawned generators), then one ``_BatchStepper``
     step and one ``detector.step`` per deployed core per sampling instance;
-    the resulting ``(T, N)`` alarm stacks go through the shared
-    :class:`~repro.runtime.report.AlarmTally`.  Returns
-    ``(stats, n_attacked, trace, events)``: per-label stats dicts, the
-    attacked-instance count, the recorded :class:`FleetTrace` and the
-    event stream.
+    the resulting ``(T, N)`` alarm stacks go through the step-ordered
+    bookkeeping loop of ``alarm_oracle.py``.  Returns a :class:`FleetOracle`:
+    per-label stats dicts, the attacked-instance count, the recorded
+    :class:`FleetTrace`, the event stream and the alarm-counter progression.
     """
     sim = simulator
     T, N = sim.horizon, sim.n_instances
@@ -218,9 +241,10 @@ def legacy_fleet_oracle(simulator):
             values = residues if detector.consumes == "residues" else y_attacked
             alarms[label][k] = detector.step(values)
 
-    tally = AlarmTally(alarms, attacked_mask, attack_start, T)
-    sink = InMemorySink()
-    tally.publish([sink])
+    events, progression = _EventList(), AlarmProgression()
+    counts, benign, first_alarm, first_detection = step_ordered_oracle(
+        alarms, attacked_mask, attack_start, [events], progression, progression
+    )
     trace = FleetTrace(
         **recorded,
         process_noise=W if W is not None else np.zeros((N, T, n)),
@@ -228,8 +252,22 @@ def legacy_fleet_oracle(simulator):
         dt=sim.system.dt,
         metadata={"system": sim.system.name},
     )
-    stats = {label: tally.stats(label).to_dict() for label in sim.detectors}
-    return stats, int(np.sum(attacked_mask)), trace, list(sink.events)
+    stats = {
+        label: build_detector_stats(
+            label=label,
+            first_alarm=first_alarm[label],
+            first_detection=first_detection[label],
+            alarm_count=counts[label],
+            benign_alarm_steps=benign[label],
+            attacked_mask=attacked_mask,
+            attack_start=attack_start,
+            horizon=T,
+        ).to_dict()
+        for label in sim.detectors
+    }
+    return FleetOracle(
+        stats, int(np.sum(attacked_mask)), trace, list(events), progression.seen
+    )
 
 
 @pytest.fixture(scope="session")

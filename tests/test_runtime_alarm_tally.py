@@ -1,14 +1,17 @@
-"""Alarm bookkeeping: the shared vectorized tally against a step-ordered oracle.
+"""Alarm bookkeeping: the one-index tally against a step-ordered oracle.
 
 The fleet simulator hands its ``(T, N)`` alarm stacks to
-:class:`~repro.runtime.report.AlarmTally`, which derives every count and
-first index in one vectorized pass and emits column-backed
-:class:`~repro.runtime.events.AlarmBatch` views.  The reference here is the
-step-ordered loop the fleet ran before — kept verbatim as
-:func:`step_ordered_oracle` — and the properties check the tally against it
-on random stacks, attack masks, starts and sink retention caps: counts,
-first indices, benign alarm-steps and the full event stream (order,
-``first`` flags and per-step batching).
+:class:`~repro.runtime.report.AlarmTally`, which takes one ``flatnonzero``
+alarm index per detector, derives every count and first index from it and
+emits slices of it as column-backed
+:class:`~repro.runtime.events.AlarmBatch` objects.  The reference is the
+step-ordered loop the fleet ran before (``alarm_oracle.step_ordered_oracle``),
+and the properties check the tally against it on random stacks — across
+the stepping loop's block edges, all-quiet and all-alarming — attack masks,
+starts and sink retention caps: counts, first indices, benign alarm-steps,
+the full event stream (order, ``first`` flags and per-step batching), the
+column contract of every emitted batch and the alarm counter's value at
+each batch.
 """
 
 from __future__ import annotations
@@ -18,58 +21,16 @@ from collections import deque
 
 import numpy as np
 import pytest
+from alarm_oracle import step_ordered_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.events import AlarmBatch, AlarmEvent, EventSink, InMemorySink, JSONLSink
 from repro.runtime.report import AlarmTally, build_detector_stats
 from repro.serve.backpressure import POLICIES, BufferedSink
 from repro.utils.validation import ValidationError
-
-
-def step_ordered_oracle(alarm_stacks, attacked_mask, attack_start, sinks=(), counter=None):
-    """The per-step bookkeeping loop the fleet engines used to run.
-
-    Builds one eager ``list[AlarmEvent]`` per (step, detector) with at least
-    one alarm and emits it to every sink; returns the per-detector counts,
-    benign alarm-steps, first-alarm and first-detection arrays.
-    """
-    labels = list(alarm_stacks)
-    T = next(iter(alarm_stacks.values())).shape[0] if labels else 0
-    N = attacked_mask.size
-    first_alarm = {label: np.full(N, -1, dtype=int) for label in labels}
-    first_detection = {label: np.full(N, -1, dtype=int) for label in labels}
-    alarm_counts = {label: 0 for label in labels}
-    benign_alarm_steps = {label: 0 for label in labels}
-    benign_mask = ~attacked_mask
-    for k in range(T):
-        for label in labels:
-            alarms = alarm_stacks[label][k]
-            fired = int(np.count_nonzero(alarms))
-            if not fired:
-                continue
-            alarm_counts[label] += fired
-            if counter is not None:
-                counter.inc(fired, detector=label)
-            benign_alarm_steps[label] += int(np.count_nonzero(alarms & benign_mask))
-            newly = alarms & (first_alarm[label] < 0)
-            first_alarm[label][newly] = k
-            detected = (
-                alarms
-                & attacked_mask
-                & (k >= attack_start)
-                & (first_detection[label] < 0)
-            )
-            first_detection[label][detected] = k
-            if sinks:
-                events = [
-                    AlarmEvent(int(i), k, label, first=bool(newly[i]))
-                    for i in np.flatnonzero(alarms)
-                ]
-                for sink in sinks:
-                    sink.emit(events)
-    return alarm_counts, benign_alarm_steps, first_alarm, first_detection
 
 
 class EagerSink(EventSink):
@@ -98,18 +59,39 @@ class BatchRecorder(EventSink):
         self.batches.append(events)
 
 
+class CounterReader(EventSink):
+    """Reads a counter's per-detector values at every emitted batch."""
+
+    def __init__(self, counter):
+        self.counter = counter
+        self.seen = []
+
+    def emit(self, events):
+        self.seen.append(dict(self.counter._values))
+
+
+def _alarm_counter():
+    return MetricsRegistry().counter("fleet_alarms_total", help="Detector alarms.")
+
+
 @st.composite
 def fleets(draw):
-    """Random alarm stacks with an attack mask and per-instance starts."""
-    T = draw(st.integers(1, 12))
-    N = draw(st.integers(1, 9))
+    """Random alarm stacks with an attack mask and per-instance starts.
+
+    Horizons reach past two 32-step blocks of the stepping loop; a stack
+    may be all quiet or all alarming, and starts favour the horizon's ends.
+    """
+    T = draw(st.integers(1, 70))
+    N = draw(st.integers(1, 40))
     n_labels = draw(st.integers(0, 3))
-    stacks = {
-        f"det-{index}": draw(hnp.arrays(bool, (T, N)))
-        for index in range(n_labels)
-    }
+    stack = st.one_of(
+        hnp.arrays(bool, (T, N)),
+        st.booleans().map(lambda value: np.full((T, N), value)),
+    )
+    stacks = {f"det-{index}": draw(stack) for index in range(n_labels)}
     attacked = draw(hnp.arrays(bool, N))
-    starts = draw(hnp.arrays(np.int64, N, elements=st.integers(0, T)))
+    start = st.one_of(st.sampled_from([0, T]), st.integers(0, T))
+    starts = draw(hnp.arrays(np.int64, N, elements=start))
     attack_start = np.where(attacked, starts, T)
     return T, stacks, attacked, attack_start
 
@@ -120,13 +102,20 @@ class TestTallyMatchesOracle:
     def test_counts_firsts_and_event_stream(self, fleet, maxlen):
         T, stacks, attacked, attack_start = fleet
         expected_batches, eager = BatchRecorder(), EagerSink(maxlen)
+        expected_counter = _alarm_counter()
+        expected_reads = CounterReader(expected_counter)
         counts, benign, first_alarm, first_detection = step_ordered_oracle(
-            stacks, attacked, attack_start, sinks=[expected_batches, eager]
+            stacks,
+            attacked,
+            attack_start,
+            sinks=[expected_batches, eager, expected_reads],
+            counter=expected_counter,
         )
 
         tally = AlarmTally(stacks, attacked, attack_start, T)
-        batches, lazy = BatchRecorder(), InMemorySink(maxlen)
-        tally.publish([batches, lazy])
+        counter = _alarm_counter()
+        batches, lazy, reads = BatchRecorder(), InMemorySink(maxlen), CounterReader(counter)
+        tally.publish([batches, lazy, reads], counter=counter)
 
         assert tally.alarm_counts == counts
         assert tally.benign_alarm_steps == benign
@@ -142,6 +131,19 @@ class TestTallyMatchesOracle:
         assert len(lazy) == len(eager.events)
         assert list(lazy.events) == list(eager.events)
         assert lazy.evicted == eager.evicted
+        # The counter holds the same per-detector values at every batch.
+        assert reads.seen == expected_reads.seen
+        assert dict(counter._values) == dict(expected_counter._values)
+        # Batches built without per-batch checks keep the public contract.
+        for batch in batches.batches:
+            for column, dtype in (
+                (batch.instance, np.int64),
+                (batch.step, np.int64),
+                (batch.first, np.bool_),
+            ):
+                assert column.dtype == dtype and column.ndim == 1
+                assert not column.flags.writeable
+            assert batch.instance.shape == batch.step.shape == batch.first.shape
 
     @settings(max_examples=60, deadline=None)
     @given(fleet=fleets())

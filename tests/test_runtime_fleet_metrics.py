@@ -111,9 +111,12 @@ class TestScraperSeesProgressiveAlarmCounts:
         registry = MetricsRegistry()
         scraper = RecordingScraper(registry)
         simulator = _simulator(problem, registry=registry, scraper=scraper)
-        _, _, _, events = fleet_oracle(simulator)
+        oracle = fleet_oracle(simulator)
         simulator.run()
-        assert scraper.seen == _progression(events, simulator.horizon, simulator.detectors)
+        assert scraper.seen == oracle.progression
+        assert oracle.progression == _progression(
+            oracle.events, simulator.horizon, simulator.detectors
+        )
 
 
 class TestFinalSnapshot:

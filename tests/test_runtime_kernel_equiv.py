@@ -114,17 +114,16 @@ def _oracle(fleet_oracle, problem, *, attacked, n_instances=37, horizon=60, seed
 
 
 def _assert_matches_oracle(oracle, run):
-    stats, n_attacked, trace_o, events_o = oracle
     report, trace, events = run
     for field in TRACE_FIELDS:
-        left, right = getattr(trace_o, field), getattr(trace, field)
+        left, right = getattr(oracle.trace, field), getattr(trace, field)
         assert np.array_equal(left, right), f"trace field {field!r} diverged"
-    assert events_o == events, "alarm event streams diverged"
-    assert report.n_attacked == n_attacked
-    assert set(report.detectors) == set(stats)
-    for label in stats:
+    assert oracle.events == events, "alarm event streams diverged"
+    assert report.n_attacked == oracle.n_attacked
+    assert set(report.detectors) == set(oracle.stats)
+    for label in oracle.stats:
         assert (
-            report.detectors[label].to_dict() == stats[label]
+            report.detectors[label].to_dict() == oracle.stats[label]
         ), f"detector stats for {label!r} diverged"
 
 
@@ -310,11 +309,10 @@ class TestBlockBoundaries:
         if record:
             _assert_matches_oracle(oracle, (report, simulator.trace, list(sink.events)))
             return
-        stats, n_attacked, _, events = oracle
         assert simulator.trace is None
-        assert list(sink.events) == events
-        assert report.n_attacked == n_attacked
-        assert {label: s.to_dict() for label, s in report.detectors.items()} == stats
+        assert list(sink.events) == oracle.events
+        assert report.n_attacked == oracle.n_attacked
+        assert {label: s.to_dict() for label, s in report.detectors.items()} == oracle.stats
 
     @pytest.mark.parametrize("record", [False, True], ids=["lanes", "recorded"])
     @pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
