@@ -17,8 +17,11 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    python_requires=">=3.11",
+    # The LP backend passes its models to scipy.optimize._highspy._core
+    # through the array passModel overload (verified on scipy 1.17.1, which
+    # itself needs Python 3.11).
+    install_requires=["numpy>=1.23", "scipy>=1.17.1"],
     extras_require={
         # matplotlib backs the optional ExplorationReport.plot_front helper
         # (exercised headless in CI); the library runs without it.

@@ -28,6 +28,12 @@ instants are reported in :attr:`RelaxationResult.floored_instants`, and
 stealthy attack — the formal no-stealthy-attack guarantee is knowingly
 traded for false-alarm rate at exactly those instants, which is the
 trade-off the paper's §IV FAR study quantifies.
+
+Every check here needs only a verdict, so each goes through
+:meth:`~repro.core.session.SynthesisSession.decide`: a rejected raise (or
+an uncertified floor) is often already shown by a verified attack found
+earlier in the session, and then costs no solve.  Every accepted raise is
+still a backend UNSAT.
 """
 
 from __future__ import annotations
@@ -150,7 +156,7 @@ class ThresholdRelaxer:
         rounds = 0
 
         if verify_input:
-            check = session.solve(current, time_budget=self.time_budget_per_call)
+            check = session.decide(current, time_budget=self.time_budget_per_call)
             rounds += 1
             total_time += check.elapsed
             if check.status is not SolveStatus.UNSAT:
@@ -173,7 +179,7 @@ class ThresholdRelaxer:
             # enlarges the attacker's stealth-feasible set, so if the floored
             # vector already admits a stealthy attack every greedy raise
             # would be rejected too — return it uncertified immediately.
-            check = session.solve(current, time_budget=self.time_budget_per_call)
+            check = session.decide(current, time_budget=self.time_budget_per_call)
             rounds += 1
             total_time += check.elapsed
             history.append(
@@ -204,7 +210,7 @@ class ThresholdRelaxer:
                 continue
             trial = current.copy()
             trial.set_value(k, candidate)
-            result = session.solve(trial, time_budget=self.time_budget_per_call)
+            result = session.decide(trial, time_budget=self.time_budget_per_call)
             rounds += 1
             total_time += result.elapsed
             accepted = result.status is SolveStatus.UNSAT

@@ -12,13 +12,21 @@ model, monitor ``mdc`` rows, variable bounds, pfc violation branches)
 constraints — the LP backend appends the per-round stealth right-hand side
 to its cached matrices, the SMT backend push/pops the stealth clauses.
 
-Sessions are stateless between calls (an answer depends only on the
-threshold handed to that call), so one session can serve several synthesis
-algorithms over the same ``(problem, backend)`` pair — which is how
+A :meth:`~SynthesisSession.solve` answer depends only on the threshold
+handed to that call, so one session can serve several synthesis algorithms
+over the same ``(problem, backend)`` pair — which is how
 :func:`repro.api.execute.run_pipeline` and the batch runner share one
 encoding per group.  The one-shot
 :func:`~repro.core.attack_synthesis.synthesize_attack` is a session of
 length one, and both paths produce bit-identical results.
+
+Verdict-only queries (static bisection probes, relaxation checks) go
+through :meth:`~SynthesisSession.decide`.  The session remembers the latest
+SAT witness whose replay it verified; when it is still stealthy under the
+new threshold — by the LP's own row condition with a safety slack, and
+by a replay check of the detector — it already proves SAT, and ``decide``
+returns it without a solve.  ``decide`` never answers UNSAT or UNKNOWN on
+its own: those verdicts come only from the backend.
 """
 
 from __future__ import annotations
@@ -37,6 +45,13 @@ from repro.obs.clock import Stopwatch
 from repro.obs.metrics import get_registry, timed
 from repro.obs.trace import span
 from repro.utils.results import SolveStatus
+
+#: Least slack (in threshold units) every stealth row must keep at the
+#: stored witness before :meth:`SynthesisSession.decide` reuses it: two
+#: orders of magnitude above HiGHS' 1e-7 primal feasibility tolerance, so the
+#: LP the reuse stands in for is feasible by a clear margin, not within
+#: tolerance.
+WITNESS_SLACK = 1e-5
 
 
 @dataclass
@@ -137,6 +152,11 @@ class SynthesisSession:
         # vulnerability check *and* as round one of every synthesis loop; the
         # solver is deterministic, so the session memoises it per verify flag.
         self._none_cache: dict[bool, AttackSynthesisResult] = {}
+        # The latest SAT answer whose replay verified, for decide(): (least
+        # threshold per instant under which its witness keeps WITNESS_SLACK
+        # on every stealth row, result).  Older witnesses answered no more
+        # verdicts on the six case studies' pipelines, so only one is kept.
+        self._witness: tuple[np.ndarray, AttackSynthesisResult] | None = None
 
     # ------------------------------------------------------------------
     def solve(
@@ -154,7 +174,9 @@ class SynthesisSession:
             models the system without a residue detector.
         time_budget:
             Optional wall-clock budget in seconds for the backend (the paper
-            used a 12-hour Z3 timeout; our instances need seconds).
+            used a 12-hour Z3 timeout; our instances need seconds).  The LP
+            backend hands what is left to each LP as the HiGHS time limit
+            and answers UNKNOWN when it runs out.
         verify:
             Per-call override of the session's ``verify`` default.
         """
@@ -223,7 +245,54 @@ class SynthesisSession:
         )
         if threshold is None:
             self._none_cache[verify] = result
+        if verify and verified:
+            self._witness = (self._stealth_need(answer.theta), result)
         return result
+
+    def _stealth_need(self, theta: np.ndarray) -> np.ndarray:
+        """Least threshold per instant under which ``theta`` keeps the witness slack.
+
+        Stealth row ``r`` at instant ``k`` reads ``row_r·theta + c_r - Th[k] +
+        strictness <= 0`` in the LP; it holds with slack ``WITNESS_SLACK``
+        iff ``Th[k] >= row_r·theta + c_r + strictness + WITNESS_SLACK``.
+        """
+        template = self.encoding.stealth_template
+        values = template.rows @ theta + template.constants
+        need = np.full(self.problem.horizon, -np.inf)
+        np.maximum.at(need, template.sample_index, values)
+        return need + float(self.problem.strictness) + WITNESS_SLACK
+
+    def decide(
+        self,
+        threshold: ThresholdVector | None = None,
+        time_budget: float | None = None,
+    ) -> AttackSynthesisResult:
+        """Does a stealthy successful attack exist under ``threshold``?
+
+        The latest verified witness answers SAT without a solve when every
+        stealth row at ``threshold`` keeps :data:`WITNESS_SLACK` at it and
+        the detector stays quiet on its replayed trace (pfc violation and a
+        quiet ``mdc`` do not depend on the threshold and were checked when
+        it was found).  Otherwise this is :meth:`solve`.  The returned
+        attack is *a* witness, not the max-margin one of this threshold, so
+        loops that refine on the witness (pivot, stepwise) use :meth:`solve`.
+        """
+        start = Stopwatch()
+        if threshold is not None and self._witness is not None:
+            need, stored = self._witness
+            if np.all(
+                need <= threshold.effective(self.problem.horizon)
+            ) and not self.problem.detector_alarm(stored.trace, threshold):
+                get_registry().counter(
+                    "synthesis_witness_hits_total",
+                    help="Verdict queries answered SAT by a stored verified witness.",
+                ).inc(backend=getattr(self.solver, "name", "?"))
+                return replace(
+                    stored,
+                    elapsed=start.elapsed(),
+                    diagnostics={**stored.diagnostics, "reused_witness": True},
+                )
+        return self.solve(threshold, time_budget=time_budget)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

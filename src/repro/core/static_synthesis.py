@@ -7,6 +7,12 @@ static threshold only gives the attacker more room, the set of safe constants
 is a down-closed interval ``[0, c*]``; the most permissive (lowest-FAR) safe
 choice is its upper end ``c*``, which this module finds by bisection over
 Algorithm 1 calls.
+
+Each probe needs only a verdict, so it goes through
+:meth:`~repro.core.session.SynthesisSession.decide`: a probe below an
+unsafe value is often already shown unsafe by an attack found earlier in
+the session, and then costs no solve.  Safe verdicts always come from the
+backend.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class StaticThresholdSynthesizer:
         session: SynthesisSession,
     ) -> tuple[bool, SolveStatus, float]:
         threshold = problem.static_threshold(value)
-        result = session.solve(threshold, time_budget=self.time_budget_per_call)
+        result = session.decide(threshold, time_budget=self.time_budget_per_call)
         return (not result.found), result.status, result.elapsed
 
     # ------------------------------------------------------------------

@@ -5,8 +5,10 @@ a stealthy-yet-successful attack exist?":
 
 * :class:`~repro.falsification.lp_backend.LPAttackBackend` — enumerates the
   (few) ways of violating the performance criterion and solves one linear
-  program per branch with :func:`scipy.optimize.linprog`.  Complete for the
-  conservative monitor encoding and fast; the default.
+  program per branch, handing each one straight to the HiGHS solver scipy
+  ships (same options and status codes as :func:`scipy.optimize.linprog`,
+  without its input handling).  Complete for the conservative monitor
+  encoding and fast; the default.
 * :class:`~repro.falsification.smt_backend.SMTAttackBackend` — encodes the
   whole query as a QF-LRA formula and discharges it to the from-scratch
   DPLL(T) solver in :mod:`repro.smt` (the Z3 substitute).

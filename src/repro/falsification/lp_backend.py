@@ -36,16 +36,19 @@ assembles the static (monitor) rows, the variable bounds and the stealth row
 template once per problem.  Each round only computes the stealth right-hand
 side from the candidate threshold — the constraint *matrix* of a round is
 fully determined by the threshold's finite-instance mask, so its assembled
-sparse form is cached per ``(mask, branch)`` and reused across rounds (the
-HiGHS wrapper converts to CSC internally anyway, so passing the cached CSC
-changes nothing numerically).  The one-shot :meth:`LPAttackBackend.solve` is
-a session of length one, so both paths run the identical assembly and
-produce bit-identical answers.
+CSC form is cached per ``(mask, branch)`` and reused across rounds.  The
+one-shot :meth:`LPAttackBackend.solve` is a session of length one, so both
+paths run the identical assembly and produce bit-identical answers.
+
+Each LP goes straight from that cached CSC into HiGHS
+(:func:`repro.falsification._highs.solve_lp`), with the options and status
+codes of ``scipy.optimize.linprog(method=...)`` but without its input
+cleaning and matrix copy; HiGHS returns the same vertex either way.  A
+``time_budget`` binds inside each LP as the HiGHS ``time_limit``.
 """
 
 from __future__ import annotations
 
-from repro.obs.clock import Stopwatch
 from collections import OrderedDict
 
 import numpy as np
@@ -53,7 +56,9 @@ from scipy import sparse
 
 from repro.core.encoding import AttackEncoding
 from repro.detectors.threshold import ThresholdVector
+from repro.falsification._highs import HIGHS_SOLVERS, solve_lp
 from repro.falsification.base import AttackBackend, BackendAnswer, BackendSession
+from repro.obs.clock import Stopwatch
 from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError
 
@@ -63,10 +68,34 @@ from repro.utils.validation import ValidationError
 _MATRIX_CACHE_MASKS = 16
 
 
+class _TimeLimitReached(Exception):
+    """A solve's ``time_budget`` ran out, between LPs or inside one."""
+
+
+class _Budget:
+    """The wall-clock seconds left of one solve's ``time_budget``."""
+
+    def __init__(self, seconds: float | None):
+        self._watch = Stopwatch()
+        self._seconds = seconds
+
+    def time_limit(self) -> float | None:
+        """Seconds left for the next LP (``None``: no budget).
+
+        Raises :class:`_TimeLimitReached` once the budget is spent.
+        """
+        if self._seconds is None:
+            return None
+        left = self._seconds - self._watch.elapsed()
+        if left <= 0.0:
+            raise _TimeLimitReached
+        return left
+
+
 class LPBackendSession(BackendSession):
     """Per-problem LP session: static blocks assembled once, stealth per round.
 
-    The stacked base matrix handed to ``linprog`` keeps the historical row
+    The stacked base matrix handed to HiGHS keeps the historical row
     order — stealth rows (template order), then monitor rows, then the branch
     row — so a session answer is bit-identical to the legacy per-call path.
     """
@@ -81,7 +110,11 @@ class LPBackendSession(BackendSession):
         else:
             self._static_rows = np.zeros((0, n))
             self._static_rhs = np.zeros(0)
-        self._bounds = encoding.variable_bounds()
+        bounds = encoding.variable_bounds()
+        self._bounds = (
+            np.array([-np.inf if low is None else low for low, _ in bounds], dtype=float),
+            np.array([np.inf if high is None else high for _, high in bounds], dtype=float),
+        )
         self._branches = encoding.violation_branches()
         self._template = encoding.stealth_template
         self._margin = float(encoding.problem.strictness)
@@ -147,6 +180,7 @@ class LPBackendSession(BackendSession):
         time_budget: float | None = None,
     ) -> BackendAnswer:
         start = Stopwatch()
+        budget = _Budget(time_budget)
         backend = self.backend
         branches = self._branches
         if not branches:
@@ -160,24 +194,26 @@ class LPBackendSession(BackendSession):
         explored = 0
         best_theta = None
         best_label = None
-        for index, branch in enumerate(branches):
-            if start.exceeded(time_budget):
-                return BackendAnswer(
-                    status=SolveStatus.UNKNOWN,
-                    diagnostics={"branches_explored": explored, "reason": "time budget"},
+        try:
+            for index, branch in enumerate(branches):
+                budget.time_limit()
+                explored += 1
+                A_ub, A_margin = self._branch_matrices(
+                    mask_key, index, stealth_rows, branch, with_margin
                 )
-            explored += 1
-            A_ub, A_margin = self._branch_matrices(
-                mask_key, index, stealth_rows, branch, with_margin
+                b_ub = np.concatenate([stealth_rhs, self._static_rhs, [-branch.constant]])
+                theta = backend._solve_branch(
+                    A_ub, b_ub, n_stealth, self._bounds, branch, budget, A_margin=A_margin
+                )
+                if theta is not None:
+                    best_theta = theta
+                    best_label = branch.label
+                    break
+        except _TimeLimitReached:
+            return BackendAnswer(
+                status=SolveStatus.UNKNOWN,
+                diagnostics={"branches_explored": explored, "reason": "time budget"},
             )
-            b_ub = np.concatenate([stealth_rhs, self._static_rhs, [-branch.constant]])
-            theta = backend._solve_branch(
-                A_ub, b_ub, n_stealth, self._bounds, branch, A_margin=A_margin
-            )
-            if theta is not None:
-                best_theta = theta
-                best_label = branch.label
-                break
 
         if best_theta is None:
             return BackendAnswer(
@@ -202,7 +238,12 @@ class LPBackendSession(BackendSession):
 
 
 class LPAttackBackend(AttackBackend):
-    """Branch-enumerating LP backend built on ``scipy.optimize.linprog`` (HiGHS)."""
+    """Branch-enumerating LP backend that hands each LP straight to HiGHS.
+
+    ``method`` names the HiGHS solver as ``scipy.optimize.linprog`` does:
+    ``"highs"`` (HiGHS chooses), ``"highs-ds"`` (dual simplex) or
+    ``"highs-ipm"`` (interior point).
+    """
 
     name = "lp"
 
@@ -214,11 +255,36 @@ class LPAttackBackend(AttackBackend):
     ):
         if margin_mode not in {"max-stealth-margin", "none"}:
             raise ValidationError("margin_mode must be 'max-stealth-margin' or 'none'")
+        if method not in HIGHS_SOLVERS:
+            raise ValidationError(
+                f"method must be one of {sorted(HIGHS_SOLVERS)}, got {method!r}"
+            )
         self.method = method
         self.tolerance = float(tolerance)
         self.margin_mode = margin_mode
 
     # ------------------------------------------------------------------
+    def _lp(self, cost, matrix, b_ub, bounds, time_limit):
+        """One LP: ``(status, x)`` with ``linprog``'s status codes."""
+        lower, upper = bounds
+        return solve_lp(
+            cost,
+            matrix,
+            b_ub,
+            lower,
+            upper,
+            solver=HIGHS_SOLVERS[self.method],
+            time_limit=time_limit,
+        )
+
+    def _run_lp(self, cost, matrix, b_ub, bounds, budget: _Budget):
+        """:meth:`_lp` under the solve's remaining budget."""
+        time_limit = budget.time_limit()
+        status, x = self._lp(cost, matrix, b_ub, bounds, time_limit)
+        if status == 1 and time_limit is not None:
+            raise _TimeLimitReached
+        return status, x
+
     @staticmethod
     def _with_margin_column(A_ub, n_stealth: int):
         """Append the uniform-slack column (1 on stealth rows) to ``A_ub``."""
@@ -228,7 +294,7 @@ class LPAttackBackend(AttackBackend):
             return sparse.hstack([A_ub, sparse.csc_matrix(margin_column)], format="csc")
         return np.hstack([A_ub, margin_column])
 
-    def _margin_lp(self, A_ub, b_ub, n_stealth: int, bounds: list, A_margin=None):
+    def _margin_lp(self, A_ub, b_ub, n_stealth: int, bounds, budget, A_margin=None):
         """Solve the uniform stealth-margin LP over ``[theta, s]``.
 
         Variables: ``[theta, s]``; maximise ``s`` subject to
@@ -237,46 +303,29 @@ class LPAttackBackend(AttackBackend):
         * other base rows:   ``row·theta     <= b``
         * branch row:        ``row·theta     <= b``   (violation kept)
         """
-        from scipy.optimize import linprog
-
         n = A_ub.shape[1]
         if A_margin is None:
             A_margin = self._with_margin_column(A_ub, n_stealth)
         objective = np.zeros(n + 1)
         objective[-1] = -1.0
-        margin_bounds = list(bounds) + [(0.0, None)]
-        return linprog(
-            c=objective,
-            A_ub=A_margin,
-            b_ub=b_ub,
-            bounds=margin_bounds,
-            method=self.method,
-        )
+        lower, upper = bounds
+        margin_bounds = (np.append(lower, 0.0), np.append(upper, np.inf))
+        return self._run_lp(objective, A_margin, b_ub, margin_bounds, budget)
 
     def _feasibility_then_margin(
-        self, A_ub, b_ub, n_stealth: int, bounds: list, branch, A_margin=None
+        self, A_ub, b_ub, n_stealth: int, bounds, branch, budget, A_margin=None
     ) -> np.ndarray | None:
         """The historical two-phase sequence: feasibility LP, then margin LP."""
-        from scipy.optimize import linprog
-
         n = A_ub.shape[1]
-        feasibility = linprog(
-            c=branch.row,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            bounds=bounds,
-            method=self.method,
-        )
+        status, x = self._run_lp(branch.row, A_ub, b_ub, bounds, budget)
         theta = None
-        if feasibility.status == 0 and feasibility.x is not None:
-            theta = np.asarray(feasibility.x, dtype=float)
-        elif feasibility.status == 3:
+        if status == 0 and x is not None:
+            theta = np.asarray(x, dtype=float)
+        elif status == 3:
             # Unbounded objective: the region is non-empty; recover any point.
-            fallback = linprog(
-                c=np.zeros(n), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=self.method
-            )
-            if fallback.status == 0 and fallback.x is not None:
-                theta = np.asarray(fallback.x, dtype=float)
+            status, x = self._run_lp(np.zeros(n), A_ub, b_ub, bounds, budget)
+            if status == 0 and x is not None:
+                theta = np.asarray(x, dtype=float)
         if theta is None:
             return None
         if float(branch.row @ theta) + branch.constant > self.tolerance:
@@ -284,21 +333,21 @@ class LPAttackBackend(AttackBackend):
         if self.margin_mode == "none" or n_stealth == 0:
             return theta
 
-        improved = self._margin_lp(A_ub, b_ub, n_stealth, bounds, A_margin=A_margin)
-        if improved.status == 0 and improved.x is not None:
-            candidate = np.asarray(improved.x[:n], dtype=float)
+        status, x = self._margin_lp(A_ub, b_ub, n_stealth, bounds, budget, A_margin=A_margin)
+        if status == 0 and x is not None:
+            candidate = np.asarray(x[:n], dtype=float)
             if float(branch.row @ candidate) + branch.constant <= self.tolerance:
                 return candidate
         return theta
 
     def _solve_branch(
-        self, A_ub, b_ub, n_stealth: int, bounds: list, branch, A_margin=None
+        self, A_ub, b_ub, n_stealth: int, bounds, branch, budget, A_margin=None
     ) -> np.ndarray | None:
         """Feasibility (+ optional margin maximisation) for one violation branch."""
         n = A_ub.shape[1]
         if self.margin_mode == "none" or n_stealth == 0:
             return self._feasibility_then_margin(
-                A_ub, b_ub, n_stealth, bounds, branch, A_margin=A_margin
+                A_ub, b_ub, n_stealth, bounds, branch, budget, A_margin=A_margin
             )
 
         # Margin-first: the margin LP's feasible set is the feasibility LP's
@@ -306,18 +355,18 @@ class LPAttackBackend(AttackBackend):
         # infeasibility coincides, and its optimum is exactly the candidate
         # the two-phase sequence would return.  One LP instead of two on
         # every SAT round.
-        improved = self._margin_lp(A_ub, b_ub, n_stealth, bounds, A_margin=A_margin)
-        if improved.status == 2:
+        status, x = self._margin_lp(A_ub, b_ub, n_stealth, bounds, budget, A_margin=A_margin)
+        if status == 2:
             # Infeasible: the branch admits no stealthy successful attack.
             return None
-        if improved.status == 0 and improved.x is not None:
-            candidate = np.asarray(improved.x[:n], dtype=float)
+        if status == 0 and x is not None:
+            candidate = np.asarray(x[:n], dtype=float)
             if float(branch.row @ candidate) + branch.constant <= self.tolerance:
                 return candidate
         # Unusual solver status (or tolerance miss): replicate the historical
         # sequence verbatim so answers stay bit-identical with it.
         return self._feasibility_then_margin(
-            A_ub, b_ub, n_stealth, bounds, branch, A_margin=A_margin
+            A_ub, b_ub, n_stealth, bounds, branch, budget, A_margin=A_margin
         )
 
     # ------------------------------------------------------------------

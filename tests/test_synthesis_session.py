@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synthesis_oracle import PerCallSession, TwoPhaseLPBackend
 
+from repro import get_case_study
 from repro.api import SynthesisConfig, run_pipeline
 from repro.core import encoding as encoding_module
 from repro.core.attack_synthesis import synthesize_attack
 from repro.core.encoding import AttackEncoding
 from repro.core.pivot import PivotThresholdSynthesizer
 from repro.core.relaxation import ThresholdRelaxer
-from repro.core.session import AttackSynthesisResult, SynthesisSession
+from repro.core.session import WITNESS_SLACK, AttackSynthesisResult, SynthesisSession
 from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.core.stepwise import StepwiseThresholdSynthesizer
+from repro.detectors.threshold import ThresholdVector
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.smt.solver import Solver
 from repro.smt.linear import LinearExpr
@@ -191,6 +195,150 @@ class TestSessionEquivalenceAcrossSynthesizers:
         assert builds == 1
 
 
+# ----------------------------------------------------------------------
+# Verdict queries answered from verified witnesses (SynthesisSession.decide).
+# ----------------------------------------------------------------------
+CASE_STUDIES = ("cruise", "dcmotor", "pendulum", "quadtank", "trajectory", "vsc")
+
+
+def assert_sound_reuse(problem, threshold, result):
+    """A reused verdict is SAT and its attack replays as a stealthy success."""
+    assert result.status is SolveStatus.SAT
+    assert result.verified
+    trace = problem.simulate(
+        attack=result.attack, with_noise=False, x0=result.initial_state
+    )
+    assert not problem.pfc_satisfied(trace)
+    assert not problem.mdc_alarm(trace)
+    assert not problem.detector_alarm(trace, threshold)
+
+
+class ReplayCheckedSession(SynthesisSession):
+    """Session that replays every reused verdict under its new threshold."""
+
+    def __init__(self, problem, **kwargs):
+        super().__init__(problem, **kwargs)
+        self.hits = 0
+
+    def decide(self, threshold=None, time_budget=None):
+        result = super().decide(threshold, time_budget=time_budget)
+        if result.diagnostics.get("reused_witness"):
+            self.hits += 1
+            assert_sound_reuse(self.problem, threshold, result)
+        return result
+
+
+def _same_outcome(expected, got):
+    np.testing.assert_array_equal(expected.threshold.values, got.threshold.values)
+    for name in (
+        "rounds",
+        "converged",
+        "status",
+        "certified",
+        "raised_instants",
+        "floored_instants",
+    ):
+        assert getattr(expected, name, None) == getattr(got, name, None), name
+
+
+@pytest.fixture(scope="module")
+def seeded_session(trajectory_problem):
+    """A trajectory session that has already solved a few thresholds."""
+    session = SynthesisSession(trajectory_problem)
+    for value in (None, 1.0, 0.3):
+        session.solve(None if value is None else trajectory_problem.static_threshold(value))
+    return session
+
+
+class TestWitnessReuse:
+    @pytest.mark.parametrize("case", CASE_STUDIES)
+    def test_static_and_relaxation_match_solve_every_query_oracle(self, case):
+        """Static bisection and relaxation, with and without floor, field for field.
+
+        The library session first runs stepwise synthesis, as the pipeline
+        does, so its witness store is populated before the verdict queries.
+        """
+        problem = get_case_study(case).problem
+        session = ReplayCheckedSession(problem)
+        raw = StepwiseThresholdSynthesizer().synthesize(problem, session=session).threshold
+        finite = raw.values[np.isfinite(raw.values)]
+        floor = float(np.median(finite)) if finite.size else 1.0
+        passes = {
+            "static": lambda s: StaticThresholdSynthesizer().synthesize(problem, session=s),
+            "relax": lambda s: ThresholdRelaxer().relax(problem, raw, session=s),
+            "relax-floor": lambda s: ThresholdRelaxer(floor=floor).relax(
+                problem, raw, session=s
+            ),
+        }
+        oracle = PerCallSession(problem)
+        for name, run in passes.items():
+            _same_outcome(run(oracle), run(session))
+        assert session.hits > 0
+
+    def test_reused_verdict_costs_no_solve(self, trajectory_problem):
+        session = SynthesisSession(trajectory_problem)
+        witness = session.solve(None)
+        margin = trajectory_problem.strictness + 2.0 * WITNESS_SLACK
+        threshold = ThresholdVector(witness.residue_norms + margin)
+        solves = session.solves
+        result = session.decide(threshold)
+        assert result.diagnostics["reused_witness"]
+        assert result.attack is witness.attack
+        assert session.solves == solves
+        assert_sound_reuse(trajectory_problem, threshold, result)
+
+    @pytest.mark.parametrize(
+        "margin",
+        [
+            # Every stealth row keeps only half the required slack.
+            lambda strictness: strictness + 0.5 * WITNESS_SLACK,
+            # The slack is there, but the strictness margin is half missing.
+            lambda strictness: WITNESS_SLACK + 0.5 * strictness,
+        ],
+        ids=["slack-short", "strictness-short"],
+    )
+    def test_witness_short_of_the_lp_condition_is_not_reused(
+        self, trajectory_problem, margin
+    ):
+        assert trajectory_problem.strictness > 0
+        session = SynthesisSession(trajectory_problem)
+        witness = session.solve(None)
+        threshold = ThresholdVector(
+            witness.residue_norms + margin(trajectory_problem.strictness)
+        )
+        solves = session.solves
+        result = session.decide(threshold)
+        assert "reused_witness" not in result.diagnostics
+        assert session.solves == solves + 1
+
+    def test_unverified_answers_are_not_stored(self, trajectory_problem):
+        session = SynthesisSession(trajectory_problem, verify=False)
+        witness = session.solve(None)
+        threshold = ThresholdVector(witness.residue_norms + 1.0)
+        assert "reused_witness" not in session.decide(threshold).diagnostics
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_reused_verdicts_are_sound_sat(self, seeded_session, data):
+        """Property: a reused verdict is SAT, replays clean and a solve agrees."""
+        session = seeded_session
+        problem = session.problem
+        scale = 10.0 ** data.draw(st.floats(-3.0, 0.5), label="log10 scale")
+        shape = data.draw(
+            st.lists(
+                st.floats(0.5, 2.0), min_size=problem.horizon, max_size=problem.horizon
+            ),
+            label="shape",
+        )
+        threshold = ThresholdVector(scale * np.asarray(shape))
+        result = session.decide(threshold)
+        if result.diagnostics.get("reused_witness"):
+            assert_sound_reuse(problem, threshold, result)
+            assert PerCallSession(problem).solve(threshold).status is SolveStatus.SAT
+        else:
+            assert result.status is PerCallSession(problem).solve(threshold).status
+
+
 class TestPipelineSessionSharing:
     def test_run_pipeline_builds_one_encoding_per_call(self, trajectory_problem):
         def run():
@@ -303,7 +451,6 @@ class TestSolverPushPop:
 # Satellite: min_area_rectangle and the stepwise phase-2 degenerate branch.
 # ----------------------------------------------------------------------
 from repro.core.stepwise import min_area_rectangle  # noqa: E402
-from repro.detectors.threshold import ThresholdVector  # noqa: E402
 
 
 class TestMinAreaRectangle:
