@@ -6,9 +6,10 @@ vectors and threshold vectors for the trajectory-tracking and VSC case
 studies) are computed once per session here and shared by all benchmarks, so
 ``pytest benchmarks/ --benchmark-only`` stays within a few minutes.
 
-Each benchmark prints the same rows / series the paper reports, so the
-console output of a benchmark run doubles as the reproduction record (see
-EXPERIMENTS.md for the paper-vs-measured comparison).
+Each benchmark prints the same rows / series the paper reports, next to the
+paper's own values where it gives them (§IV of the paper cited in
+PAPER.md), so the console output of a benchmark run doubles as the
+reproduction record and the paper-vs-measured comparison.
 
 Besides the console record, every benchmark test appends one JSON record to
 ``BENCH_<test_name>.json`` (see :func:`_record_benchmark`): name, elapsed

@@ -7,7 +7,8 @@ Shape targets: both algorithms converge (final Algorithm 1 call returns
 UNSAT) within the round budget, and the step-wise Algorithm 3 needs no more
 rounds than the pivot-based Algorithm 2.  Absolute round counts depend on the
 counterexample generator (we use maximally stealthy LP counterexamples,
-Z3 produced arbitrary ones) and are recorded in EXPERIMENTS.md.
+Z3 produced arbitrary ones); the benchmark prints them next to the paper's
+§IV counts.
 """
 
 from __future__ import annotations

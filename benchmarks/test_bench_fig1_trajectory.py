@@ -6,9 +6,9 @@ Fig. 1b: residue traces under noise and under attack, compared against a
 small static threshold ``th``, a large static threshold ``Th`` and the
 synthesized variable threshold ``vth``.
 
-Shape targets (see EXPERIMENTS.md): the attack keeps the system away from the
-set point while noise does not; ``th`` flags the harmless noise, ``Th``
-misses the attack, the variable threshold does neither.
+Shape targets (the paper's Fig. 1 discussion): the attack keeps the system
+away from the set point while noise does not; ``th`` flags the harmless
+noise, ``Th`` misses the attack, the variable threshold does neither.
 """
 
 from __future__ import annotations

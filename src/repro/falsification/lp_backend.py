@@ -286,15 +286,13 @@ class LPAttackBackend(AttackBackend):
         return status, x
 
     @staticmethod
-    def _with_margin_column(A_ub, n_stealth: int):
-        """Append the uniform-slack column (1 on stealth rows) to ``A_ub``."""
+    def _with_margin_column(A_ub: np.ndarray, n_stealth: int) -> np.ndarray:
+        """Append the uniform-slack column (1 on stealth rows) to the dense ``A_ub``."""
         margin_column = np.zeros((A_ub.shape[0], 1))
         margin_column[:n_stealth, 0] = 1.0
-        if sparse.issparse(A_ub):
-            return sparse.hstack([A_ub, sparse.csc_matrix(margin_column)], format="csc")
         return np.hstack([A_ub, margin_column])
 
-    def _margin_lp(self, A_ub, b_ub, n_stealth: int, bounds, budget, A_margin=None):
+    def _margin_lp(self, A_margin, b_ub, bounds, budget):
         """Solve the uniform stealth-margin LP over ``[theta, s]``.
 
         Variables: ``[theta, s]``; maximise ``s`` subject to
@@ -302,11 +300,11 @@ class LPAttackBackend(AttackBackend):
         * stealth rows:      ``row·theta + s <= b``
         * other base rows:   ``row·theta     <= b``
         * branch row:        ``row·theta     <= b``   (violation kept)
+
+        ``A_margin`` is the branch's matrix with the slack column appended
+        (:meth:`_with_margin_column`), cached by the session.
         """
-        n = A_ub.shape[1]
-        if A_margin is None:
-            A_margin = self._with_margin_column(A_ub, n_stealth)
-        objective = np.zeros(n + 1)
+        objective = np.zeros(A_margin.shape[1])
         objective[-1] = -1.0
         lower, upper = bounds
         margin_bounds = (np.append(lower, 0.0), np.append(upper, np.inf))
@@ -333,7 +331,7 @@ class LPAttackBackend(AttackBackend):
         if self.margin_mode == "none" or n_stealth == 0:
             return theta
 
-        status, x = self._margin_lp(A_ub, b_ub, n_stealth, bounds, budget, A_margin=A_margin)
+        status, x = self._margin_lp(A_margin, b_ub, bounds, budget)
         if status == 0 and x is not None:
             candidate = np.asarray(x[:n], dtype=float)
             if float(branch.row @ candidate) + branch.constant <= self.tolerance:
@@ -355,7 +353,7 @@ class LPAttackBackend(AttackBackend):
         # infeasibility coincides, and its optimum is exactly the candidate
         # the two-phase sequence would return.  One LP instead of two on
         # every SAT round.
-        status, x = self._margin_lp(A_ub, b_ub, n_stealth, bounds, budget, A_margin=A_margin)
+        status, x = self._margin_lp(A_margin, b_ub, bounds, budget)
         if status == 2:
             # Infeasible: the branch admits no stealthy successful attack.
             return None

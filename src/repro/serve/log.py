@@ -9,15 +9,16 @@ acted on, :func:`~repro.serve.replay.replay` can re-run a recorded log and
 reproduce the original alarm sequence bit for bit — including the timing of
 drains relative to membership changes, which ``"round"`` events pin down.
 
-In memory the log is columnar.  A measurement entry, one per ingested
-sample and nearly all of a long run's entries, keeps its floats in one flat
+In memory the log is columnar.  An ingested sample, one per entry for
+nearly all of a long run, arrives through :meth:`ServiceLog.append_sample`
+as the floats the service validated; it keeps them in one flat
 ``array("d")``, its instance id in an int64 array and its kind and width in
 one code byte, so logging a sample leaves no Python object behind for the
-cyclic garbage collector to walk again and again.  The rare events (start,
-attach, detach, swap, round, alarm) and any measurement payload the columns
-cannot hold exactly are kept whole as :class:`ServiceEvent` tuples.
-:attr:`ServiceLog.events` rebuilds the full stream on first read and caches
-it until the next append.
+cyclic garbage collector to walk again and again.  Every event recorded
+through :meth:`ServiceLog.append` (start, attach, detach, swap, round,
+alarm, and any measurement payload handed in as a dict) is kept whole as a
+:class:`ServiceEvent` tuple.  :attr:`ServiceLog.events` rebuilds the full
+stream on first read and caches it until the next append.
 
 The on-disk form is JSON Lines, one :class:`ServiceEvent` per line, with the
 same crash-recovery contract as :meth:`repro.runtime.events.JSONLSink.read`:
@@ -116,40 +117,19 @@ _tuple_new = tuple.__new__
 _WHOLE = 0
 _RESIDUE = 128
 _MAX_WIDTH = 126
-_INSTANCE_MAX = 2**63 - 1  # the instance column is int64; -1 stands for None
+_INSTANCE_MAX = 2**63 - 1  # the instance column is int64
 
 
-def _column_code(data: dict) -> int:
-    """The entry code of a measurement payload; ``_WHOLE`` when the columns cannot hold it exactly.
+def sample_data(values: list, with_residue: bool) -> dict:
+    """The ``"measurement"`` payload of one sample's floats.
 
-    The columns hold a ``"measurement"`` list of floats, optionally followed
-    by a ``"residue"`` list of floats of the same width.  Anything else —
-    extra keys, ints, bools, tuples, other widths — is kept whole, so the
-    rebuilt event equals the appended one and serializes to the same JSON.
+    ``values`` holds the measurement, then, ``with_residue``, a residue of
+    the same width.
     """
-    measurement = data.get("measurement")
-    if type(measurement) is not list or len(measurement) > _MAX_WIDTH:
-        return _WHOLE
-    width = len(measurement)
-    if len(data) == 1:
-        code = 1 + width
-    else:
-        residue = data.get("residue")
-        if (
-            len(data) != 2
-            or type(residue) is not list
-            or len(residue) != width
-            or next(iter(data)) != "measurement"
-        ):
-            return _WHOLE
-        for value in residue:
-            if type(value) is not float:
-                return _WHOLE
-        code = _RESIDUE + width
-    for value in measurement:
-        if type(value) is not float:
-            return _WHOLE
-    return code
+    if not with_residue:
+        return {"measurement": values}
+    width = len(values) // 2
+    return {"measurement": values[:width], "residue": values[width:]}
 
 
 class EventView(Sequence):
@@ -254,12 +234,8 @@ class ServiceLog:
                 end = cut + code - _RESIDUE
                 data = {"measurement": floats[start:cut], "residue": floats[cut:end]}
             start = end
-            instance = next(instances)
             events.append(
-                _tuple_new(
-                    ServiceEvent,
-                    (seq, "measurement", None if instance < 0 else instance, None, data),
-                )
+                _tuple_new(ServiceEvent, (seq, "measurement", next(instances), None, data))
             )
         return tuple(events)
 
@@ -273,43 +249,53 @@ class ServiceLog:
     ) -> ServiceEvent:
         """Record one event; assigns the next sequence number and returns it.
 
-        A measurement the columns hold has its floats copied into them; the
-        returned event carries the caller's ``data`` dict itself.  Every other
-        event is stored with a copy of ``data``.
+        The event is kept whole, with a copy of ``data``.  Ingested samples
+        go through :meth:`append_sample` instead.
         """
-        seq = len(self._codes)
-        code = (
-            _column_code(data)
-            if kind == "measurement"
-            and step is None
-            and type(data) is dict
-            and (instance is None or type(instance) is int and 0 <= instance <= _INSTANCE_MAX)
-            else _WHOLE
+        _check_kind(kind)
+        # The kind is checked: build the tuple without __new__.
+        event = _tuple_new(
+            ServiceEvent,
+            (len(self._codes), kind, instance, step, {} if data is None else dict(data)),
         )
-        # The fields are checked: build the tuple without __new__.
-        if code == _WHOLE:
-            _check_kind(kind)
-            event = _tuple_new(
-                ServiceEvent, (seq, kind, instance, step, {} if data is None else dict(data))
-            )
-            self._whole.append(event)
-        else:
-            self._floats.fromlist(data["measurement"])
-            if code >= _RESIDUE:
-                self._floats.fromlist(data["residue"])
-            self._instances.append(-1 if instance is None else instance)
-            event = _tuple_new(ServiceEvent, (seq, kind, instance, None, data))
-        self._codes.append(code)
+        self._whole.append(event)
+        self._codes.append(_WHOLE)
         self._view = None
         if self.path is not None:
-            if self._handle is None:
-                self._handle = self.path.open("a", encoding="utf-8")
-            self._handle.write(json.dumps(event.to_dict()) + "\n")
-            self._since_flush += 1
-            if self.flush_every and self._since_flush >= self.flush_every:
-                self._handle.flush()
-                self._since_flush = 0
+            self._write(event.to_dict())
         return event
+
+    def append_sample(self, instance: int, values: list, with_residue: bool) -> None:
+        """Record one ingested sample as a ``"measurement"`` event.
+
+        ``values`` are the sample's validated Python floats: the measurement,
+        then, ``with_residue``, a residue of the same width.  They go straight
+        into the columns (an instance id or width the columns cannot hold
+        keeps the event whole), and a file-backed log writes the line
+        :meth:`append` writes for the same event.
+        """
+        width = len(values) // 2 if with_residue else len(values)
+        if width > _MAX_WIDTH or instance > _INSTANCE_MAX:
+            self.append("measurement", instance=instance, data=sample_data(values, with_residue))
+            return
+        seq = len(self._codes)
+        self._floats.fromlist(values)
+        self._instances.append(instance)
+        self._codes.append(_RESIDUE + width if with_residue else 1 + width)
+        self._view = None
+        if self.path is not None:
+            record = {"seq": seq, "kind": "measurement", "instance": instance, "step": None}
+            record["data"] = sample_data(values, with_residue)
+            self._write(record)
+
+    def _write(self, record: dict) -> None:
+        if self._handle is None:
+            self._handle = self.path.open("a", encoding="utf-8")
+        self._handle.write(json.dumps(record) + "\n")
+        self._since_flush += 1
+        if self.flush_every and self._since_flush >= self.flush_every:
+            self._handle.flush()
+            self._since_flush = 0
 
     def close(self) -> None:
         """Flush and close the backing file (the in-memory stream stays)."""

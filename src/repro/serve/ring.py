@@ -11,9 +11,12 @@ allocates, so per-sample ingest stays cheap at service rates.
 
 The per-row write cursors and pending counts are Python lists, because a
 per-sample push reads and writes one entry of each and a list entry is
-several times cheaper to touch than a numpy scalar.  The read cursors are
-an integer array, because only :meth:`~RingBuffer.pop_round` (every row at
-once) and :meth:`~RingBuffer.drop_oldest` (rare) move them.
+several times cheaper to touch than a numpy scalar.  For the same reason a
+push writes its values one by one through a flat ``memoryview`` of the
+array: at a few channels that costs about half of one numpy row assignment.
+The read cursors are an integer array, because only
+:meth:`~RingBuffer.pop_round` (every row at once) and
+:meth:`~RingBuffer.drop_oldest` (rare) move them.
 
 Overflow is the caller's policy decision: :meth:`RingBuffer.push` refuses
 when the row is full (returns ``False``), :meth:`RingBuffer.drop_oldest`
@@ -52,11 +55,17 @@ class RingBuffer:
         self.capacity = int(check_positive("capacity", capacity))
         self.width = int(check_positive("width", width))
         rows = int(rows)
-        self._data = np.zeros((rows, self.capacity, self.width))
+        self._set_data(np.zeros((rows, self.capacity, self.width)))
         self._head = np.zeros(rows, dtype=np.intp)  # slot of each row's oldest vector
         self._tail = [0] * rows  # slot each row's next push writes
         self._count = [0] * rows
         self.ready = 0
+
+    def _set_data(self, data: np.ndarray) -> None:
+        # Every caller passes a fresh C-contiguous array, so the flat
+        # reshape is a view and the pushes land in ``data``.
+        self._data = data
+        self._flat = memoryview(data.reshape(-1))
 
     @property
     def rows(self) -> int:
@@ -82,7 +91,10 @@ class RingBuffer:
         if count >= self.capacity:
             return False
         slot = self._tail[row]
-        self._data[row, slot] = sample
+        flat, cell = self._flat, (row * self.capacity + slot) * self.width
+        for value in sample:
+            flat[cell] = value
+            cell += 1
         self._tail[row] = slot + 1 if slot + 1 < self.capacity else 0
         self._count[row] = count + 1
         if not count:
@@ -115,8 +127,8 @@ class RingBuffer:
     def grow(self, count: int = 1) -> None:
         """Append ``count`` empty rows."""
         count = int(check_positive("count", count))
-        self._data = np.concatenate(
-            [self._data, np.zeros((count, self.capacity, self.width))]
+        self._set_data(
+            np.concatenate([self._data, np.zeros((count, self.capacity, self.width))])
         )
         self._head = np.concatenate([self._head, np.zeros(count, dtype=np.intp)])
         self._tail += [0] * count
@@ -125,7 +137,7 @@ class RingBuffer:
     def compact(self, keep) -> None:
         """Keep only the given rows, in the given order (pending vectors included)."""
         keep = np.asarray(keep, dtype=np.intp).reshape(-1)
-        self._data = self._data[keep]
+        self._set_data(self._data[keep])
         self._head = self._head[keep]
         rows = keep.tolist()
         self._tail = [self._tail[row] for row in rows]

@@ -50,7 +50,7 @@ from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry
 from repro.registry import ENGINES
 from repro.runtime.events import AlarmBatch, EventSink
-from repro.serve.log import ServiceLog
+from repro.serve.log import ServiceLog, sample_data
 from repro.serve.observer import BatchObserver
 from repro.serve.ring import RingBuffer
 from repro.utils.validation import ValidationError, check_positive
@@ -385,43 +385,40 @@ class MonitorService:
             row = self._rows.get(instance_id)
             if row is None:
                 raise ValidationError(f"instance {instance_id} is not attached")
-            measurement = np.asarray(measurement, dtype=float).ravel()
-            if measurement.size != self._n_outputs:
+            # One list of floats is the sample: the ring and the log both take it.
+            sample = np.asarray(measurement, dtype=float).ravel().tolist()
+            m = self._n_outputs
+            if len(sample) != m:
                 raise ValidationError(
-                    f"measurement has {measurement.size} channels, "
-                    f"the plant has {self._n_outputs} outputs"
+                    f"measurement has {len(sample)} channels, the plant has {m} outputs"
                 )
-            values = measurement.tolist()
-            data = {"measurement": values}
-            if self._observer is not None:
+            with_residue = self._observer is None
+            if not with_residue:
                 if residue is not None:
                     raise ValidationError(
                         "residues are computed by the observer; "
                         "pass measurements only (or use residue_source='ingest')"
                     )
-                sample = measurement
-            else:
-                if residue is None:
-                    if self._needs_residues:
-                        raise ValidationError(
-                            "residue_source='ingest' requires a residue with every "
-                            "measurement while residue-consuming detectors are deployed"
-                        )
-                    residue = np.zeros(self._n_outputs)
-                residue = np.asarray(residue, dtype=float).ravel()
-                if residue.size != self._n_outputs:
+            elif residue is None:
+                if self._needs_residues:
                     raise ValidationError(
-                        f"residue has {residue.size} channels, "
-                        f"the plant has {self._n_outputs} outputs"
+                        "residue_source='ingest' requires a residue with every "
+                        "measurement while residue-consuming detectors are deployed"
                     )
-                data["residue"] = residue.tolist()
-                values = values + data["residue"]
-                sample = np.concatenate([measurement, residue])
-            # The floats the log entry holds anyway: cheaper than np.isfinite.
-            if not all(map(math.isfinite, values)):
+                sample += [0.0] * m
+            else:
+                residue = np.asarray(residue, dtype=float).ravel().tolist()
+                if len(residue) != m:
+                    raise ValidationError(
+                        f"residue has {len(residue)} channels, the plant has {m} outputs"
+                    )
+                sample += residue
+            # Cheaper than np.isfinite on a list this short.
+            if not all(map(math.isfinite, sample)):
                 self._c_nonfinite.inc()
                 raise ValidationError(
-                    f"instance {instance_id} sent a non-finite sample {data}"
+                    f"instance {instance_id} sent a non-finite sample "
+                    f"{sample_data(sample, with_residue)}"
                 )
 
             ring = self._ring
@@ -438,7 +435,7 @@ class MonitorService:
                 self._c_dropped.inc(policy="drop-oldest")
                 ring.push(row, sample)
             self._c_ingested.inc()
-            self.log.append("measurement", instance=instance_id, data=data)
+            self.log.append_sample(instance_id, sample, with_residue)
             if self.auto_drain and ring.ready == len(self._ids):
                 self._drain_locked(None)
             return True

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import ServiceConfig, replay, run_service
+from repro import ServiceConfig, get_case_study, replay, run_service
 from repro.detectors.threshold import ThresholdVector
 from repro.runtime.events import InMemorySink
-from repro.serve import EVENT_KINDS, MonitorService, ServiceEvent, ServiceLog
+from repro.serve import EVENT_KINDS, RESIDUE_SOURCES, MonitorService, ServiceEvent, ServiceLog
 from repro.utils.validation import ValidationError
 
 
@@ -82,22 +82,37 @@ class TestServiceLog:
         # A second full copy of the events is what the snapshot avoids.
         assert all(a is b for a, b in zip(log.snapshot(), log.events))
 
-    def test_logged_measurements_leave_no_tracked_objects(self):
+    def test_logged_measurements_leave_no_tracked_objects(self, dcmotor_problem):
         # Each logged sample used to keep its event tuple, data dict and
         # float list alive, about 3000 objects for the cyclic collector to
-        # walk per 1000 samples.  The columns hold floats, not objects.
+        # walk per 1000 samples.  The columns hold floats, not objects:
+        # neither the typed writer nor the ingest path that feeds it leaves
+        # one behind.
         log = ServiceLog()
         log.append("start")
         gc.collect()
         before = len(gc.get_objects())
         for k in range(1000):
-            log.append(
-                "measurement",
-                instance=k % 10,
-                data={"measurement": [float(k)], "residue": [0.5]},
-            )
-            log.append("measurement", instance=k % 10, data={"measurement": [1.0, 2.0]})
+            log.append_sample(k % 10, [float(k), 0.5], True)
+            log.append_sample(k % 10, [1.0, 2.0], False)
         gc.collect()
+        assert len(gc.get_objects()) - before < 50
+
+        service = MonitorService(
+            dcmotor_problem.system,
+            {"static": dcmotor_problem.static_threshold(0.5)},
+            ring_capacity=100,
+            auto_drain=False,
+        )
+        for _ in range(10):
+            service.attach()
+        sample = np.array([0.25])
+        gc.collect()
+        before = len(gc.get_objects())
+        for k in range(1000):
+            service.ingest(k % 10, sample)
+        gc.collect()
+        assert service.samples_ingested == 1000 and service.rounds_processed == 0
         assert len(gc.get_objects()) - before < 50
 
 
@@ -113,7 +128,7 @@ _instance = st.one_of(st.none(), st.integers(0, 2**63 - 1), st.integers(-5, -1),
 
 @st.composite
 def _measurement_payload(draw):
-    """Column-shaped payloads, and near misses the columns must not take."""
+    """Measurement payloads of every shape; ``append`` keeps each one whole."""
     width = draw(st.integers(0, 4))
     floats = st.lists(_finite, min_size=width, max_size=width)
     shape = draw(
@@ -175,6 +190,187 @@ def test_columnar_log_round_trips_every_event_shape(appends, tmp_path_factory):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [json.dumps(event.to_dict()) for event in log.events]
     assert ServiceLog.read(path) == log.events
+
+
+#: Finite floats, with the ones the float column and the JSON text must keep
+#: exactly always in reach: signed zero, subnormals, the ends of the range.
+_exact_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308]
+    ),
+)
+
+
+def _payload(values, with_residue):
+    """A sample's ``"measurement"`` payload, as ingest used to hand it to ``append``."""
+    if not with_residue:
+        return {"measurement": [float(v) for v in values]}
+    width = len(values) // 2
+    return {
+        "measurement": [float(v) for v in values[:width]],
+        "residue": [float(v) for v in values[width:]],
+    }
+
+
+@st.composite
+def _typed_append(draw):
+    """One ``append_sample`` call, or a rare event between two of them."""
+    if draw(st.integers(0, 3)) == 0:
+        return None, None, draw(st.lists(st.integers(0, 9), max_size=3))
+    with_residue = draw(st.booleans())
+    # 127 channels is one past the widest entry the code byte describes.
+    width = draw(st.one_of(st.integers(0, 4), st.just(127)))
+    count = width * (2 if with_residue else 1)
+    if width > 4:
+        values = [draw(_exact_float)] * count
+    else:
+        values = draw(st.lists(_exact_float, min_size=count, max_size=count))
+    instance = draw(st.one_of(st.integers(0, 2**63 - 1), st.sampled_from([2**63, 2**64])))
+    return instance, values, with_residue
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(appends=st.lists(_typed_append(), min_size=1, max_size=25), on_disk=st.booleans())
+def test_typed_writer_logs_what_the_generic_append_logged(appends, on_disk, tmp_path_factory):
+    """``append_sample`` against ``append("measurement", ...)``, which wrote every sample before.
+
+    The rebuilt events are equal and alike in every float's sign and type,
+    the JSONL files are byte-identical, and the typed log's file reads back
+    to its events.  Instance ids past int64 and widths past the code byte
+    take the whole-event fallback.
+    """
+    directory = tmp_path_factory.mktemp("log")
+    paths = (directory / "typed.jsonl", directory / "generic.jsonl") if on_disk else (None, None)
+    with ServiceLog(paths[0]) as typed, ServiceLog(paths[1]) as generic:
+        for instance, values, with_residue in appends:
+            if values is None:
+                typed.append("round", data={"members": with_residue})
+                generic.append("round", data={"members": with_residue})
+                continue
+            typed.append_sample(instance, list(values), with_residue)
+            generic.append("measurement", instance=instance, data=_payload(values, with_residue))
+    assert len(typed) == len(generic) == len(appends)
+    assert typed.events == generic.events
+    assert repr(typed.events) == repr(generic.events)
+    if on_disk:
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert ServiceLog.read(paths[0]) == typed.events
+
+
+#: A two-output plant, so every sample's measurement and residue are lists.
+QUADTANK = get_case_study("quadtank").problem
+M2 = QUADTANK.system.plant.n_outputs
+
+
+@st.composite
+def _ingest_op(draw):
+    """An attach, or one sample with an optional non-finite value planted in it."""
+    if draw(st.integers(0, 5)) == 0:
+        return ("attach",)
+    floats = st.lists(_exact_float, min_size=M2, max_size=M2)
+    poison = draw(
+        st.none()
+        | st.tuples(
+            st.sampled_from(["measurement", "residue"]),
+            st.integers(0, M2 - 1),
+            st.sampled_from([np.nan, np.inf, -np.inf]),
+        )
+    )
+    return ("ingest", draw(st.integers(0, 7)), draw(floats), draw(floats), poison)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    source=st.sampled_from(RESIDUE_SOURCES),
+    residue_free=st.booleans(),
+    on_disk=st.booleans(),
+    ops=st.lists(_ingest_op(), min_size=1, max_size=30),
+)
+def test_ingest_logs_what_the_generic_append_logged(
+    source, residue_free, on_disk, ops, tmp_path_factory
+):
+    """``MonitorService.ingest`` on both residue sources, in memory and on disk.
+
+    The accepted samples are logged as ``append("measurement", ...)`` logged
+    them: equal events, alike in every float's sign and type, and
+    byte-identical JSONL.  A NaN or infinity in the measurement or the
+    residue leaves the ring, the log and ``serve_samples_ingested_total``
+    as they were and counts once in ``service_nonfinite_samples_total``.
+    With ``residue_free`` in ``"ingest"`` mode only the measurement-reading
+    monitor is deployed, so a sample may come without a residue, which the
+    log records as zeros.
+    """
+    directory = tmp_path_factory.mktemp("service")
+    path = directory / "service.jsonl" if on_disk else None
+    bank = (
+        {"mdc": QUADTANK.mdc}
+        if residue_free
+        else {"static": ThresholdVector(np.full(QUADTANK.horizon, 1e6))}
+    )
+    service = MonitorService(
+        QUADTANK.system,
+        bank,
+        residue_source=source,
+        ring_capacity=64,
+        auto_drain=False,
+        log=ServiceLog(path),
+    )
+    ingested = service.metrics.get("serve_samples_ingested_total")
+    nonfinite = service.metrics.get("service_nonfinite_samples_total")
+    with_residue = source == "ingest"
+    expected = []  # (instance, payload) of every accepted sample, in order
+    service.attach()
+    for op in ops:
+        if op[0] == "attach":
+            service.attach()
+            continue
+        _, pick, measurement, residue, poison = op
+        instance = service.members[pick % service.n_members]
+        if not with_residue or residue_free and pick % 2:
+            residue = None
+        if poison is not None:
+            where, index, value = poison
+            (measurement if where == "measurement" or residue is None else residue)[index] = value
+            before = (service.pending(), service._ring._data.tobytes(), len(service.log))
+            counts = (ingested.total(), nonfinite.total())
+            with pytest.raises(ValidationError, match="non-finite"):
+                service.ingest(
+                    instance,
+                    np.array(measurement),
+                    residue=None if residue is None else np.array(residue),
+                )
+            assert (service.pending(), service._ring._data.tobytes(), len(service.log)) == before
+            assert (ingested.total(), nonfinite.total()) == (counts[0], counts[1] + 1)
+            continue
+        assert service.ingest(
+            instance, np.array(measurement), residue=None if residue is None else np.array(residue)
+        )
+        if with_residue:
+            measurement = measurement + (residue or [0.0] * M2)
+        expected.append((instance, _payload(measurement, with_residue)))
+    service.close()
+    assert ingested.total() == len(expected)
+
+    oracle_path = directory / "oracle.jsonl" if on_disk else None
+    with ServiceLog(oracle_path) as oracle:
+        samples = iter(expected)
+        for event in service.log.events:
+            if event.kind == "measurement":
+                instance, payload = next(samples)
+                oracle.append("measurement", instance=instance, data=payload)
+            else:
+                oracle.append(event.kind, instance=event.instance, step=event.step, data=event.data)
+    assert next(samples, None) is None
+    assert service.log.events == oracle.events
+    assert repr(service.log.events) == repr(oracle.events)
+    if on_disk:
+        assert path.read_bytes() == oracle_path.read_bytes()
+        assert ServiceLog.read(path) == service.log.events
 
 
 def _drive(service, problem, steps=15, seed=0):

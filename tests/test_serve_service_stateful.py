@@ -9,7 +9,9 @@ generated interleavings of ``attach``, ``detach``, ``ingest`` (one
 member's sample, or one for every member), ``swap_thresholds`` and
 ``drain``, plus non-finite samples that ``ingest`` must reject.  At
 teardown, :func:`~repro.replay` of the service's own log must reproduce the
-alarm sequence the service emitted, event for event.
+alarm sequence the service emitted, event for event.  The machine runs once
+per residue source: on ``"observer"`` the service computes residues from the
+measurements, on ``"ingest"`` every sample carries its own residue.
 """
 
 from __future__ import annotations
@@ -31,11 +33,15 @@ PROBLEM = get_case_study("dcmotor").problem
 M = PROBLEM.system.plant.n_outputs
 MAX_MEMBERS = 4
 
-_samples = st.lists(st.floats(-2.0, 2.0), min_size=M, max_size=M)
+#: One sample's channels: the measurement, then the residue that "ingest"
+#: mode hands in with it (unused on "observer").
+_samples = st.lists(st.floats(-2.0, 2.0), min_size=2 * M, max_size=2 * M)
 
 
 class ServiceOperations(RuleBasedStateMachine):
     """Random service operations; the log must replay to the same alarms."""
+
+    residue_source = "observer"
 
     @initialize(
         capacity=st.integers(1, 2),
@@ -50,11 +56,18 @@ class ServiceOperations(RuleBasedStateMachine):
             ring_capacity=capacity,
             overflow=overflow,
             auto_drain=False,
+            residue_source=self.residue_source,
         )
         self.sink = InMemorySink()
         self.service = run_service(config, problem=PROBLEM, sinks=[self.sink])
         for _ in range(count):
             self.service.attach()
+
+    def _push(self, member, sample):
+        """Hand one generated sample to ``ingest``, with its residue in "ingest" mode."""
+        sample = np.asarray(sample, dtype=float)
+        residue = sample[M:] if self.residue_source == "ingest" else None
+        return self.service.ingest(member, sample[:M], residue=residue)
 
     def _ingest(self, member, sample):
         """Ingest one sample, checking the overflow policy on a full ring."""
@@ -63,10 +76,10 @@ class ServiceOperations(RuleBasedStateMachine):
         logged, dropped = len(service.log), service.samples_dropped
         if full and service.overflow == "error":
             with pytest.raises(ValidationError):
-                service.ingest(member, sample)
+                self._push(member, sample)
             assert len(service.log) == logged
             return
-        accepted = service.ingest(member, sample)
+        accepted = self._push(member, sample)
         assert accepted == (not full or service.overflow == "drop-oldest")
         assert len(service.log) == logged + accepted
         assert service.samples_dropped == dropped + full
@@ -86,23 +99,34 @@ class ServiceOperations(RuleBasedStateMachine):
     @rule(pick=st.integers(0, MAX_MEMBERS - 1), sample=_samples)
     def ingest(self, pick, sample):
         members = self.service.members
-        self._ingest(members[pick % len(members)], np.array(sample))
+        self._ingest(members[pick % len(members)], sample)
 
     @precondition(lambda self: self.service.n_members > 0)
     @rule(samples=st.lists(_samples, min_size=MAX_MEMBERS, max_size=MAX_MEMBERS))
     def ingest_every_member(self, samples):
         # One sample per member completes a lockstep round.
         for member, sample in zip(self.service.members, samples):
-            self._ingest(member, np.array(sample))
+            self._ingest(member, sample)
 
     @precondition(lambda self: self.service.n_members > 0)
-    @rule(pick=st.integers(0, MAX_MEMBERS - 1), value=st.sampled_from([np.nan, np.inf, -np.inf]))
-    def ingest_non_finite(self, pick, value):
-        members = self.service.members
-        logged = len(self.service.log)
-        with pytest.raises(ValidationError):
-            self.service.ingest(members[pick % len(members)], np.full(M, value))
-        assert len(self.service.log) == logged
+    @rule(
+        pick=st.integers(0, MAX_MEMBERS - 1),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        channel=st.integers(0, 2 * M - 1),
+    )
+    def ingest_non_finite(self, pick, value, channel):
+        # Past the measurement's channels the value lands in the residue,
+        # which only "ingest" mode reads.
+        service = self.service
+        sample = np.zeros(2 * M)
+        sample[channel if self.residue_source == "ingest" else channel % M] = value
+        members = service.members
+        before = (len(service.log), service.pending(), service.samples_ingested)
+        rejected = service.metrics.get("service_nonfinite_samples_total").total()
+        with pytest.raises(ValidationError, match="non-finite"):
+            self._push(members[pick % len(members)], sample)
+        assert (len(service.log), service.pending(), service.samples_ingested) == before
+        assert service.metrics.get("service_nonfinite_samples_total").total() == rejected + 1
 
     @rule(values=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4))
     def swap_static(self, values):
@@ -122,7 +146,13 @@ class ServiceOperations(RuleBasedStateMachine):
         assert result.matches
 
 
-ServiceOperations.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+class IngestModeOperations(ServiceOperations):
+    """The same operations on ``residue_source="ingest"``: residues come with the samples."""
+
+    residue_source = "ingest"
+
+
+for machine in (ServiceOperations, IngestModeOperations):
+    machine.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 test_service_operations_replay = ServiceOperations.TestCase
+test_ingest_mode_operations_replay = IngestModeOperations.TestCase
