@@ -5,12 +5,17 @@ paper evaluates — vulnerability check (Algorithm 1 with no residue
 detector), threshold synthesis per algorithm, optional threshold relaxation,
 FAR study — driven by the declarative configs in :mod:`repro.api.config`.
 
-One :class:`~repro.core.session.SynthesisSession` is opened per call and
-shared by the vulnerability check, every synthesis algorithm and the
-relaxation stage, so the horizon unrolling and the static constraint blocks
-are built once per ``(problem, backend)`` pair — the batch runner inherits
-this per-group sharing because each of its ``(case_study, backend)`` groups
-is exactly one ``run_pipeline`` call.
+One :class:`~repro.core.session.SynthesisSession` is opened per call, so
+the horizon unrolling and the static constraint blocks are built once per
+``(problem, backend)`` pair — the batch runner inherits this per-group
+sharing because each of its ``(case_study, backend)`` groups is exactly one
+``run_pipeline`` call.  The session answers the vulnerability check; each
+algorithm then runs its loop and its relaxation pass on its own
+:meth:`~repro.core.session.SynthesisSession.fork` on a worker thread, one
+thread per usable CPU at most, while the calling thread draws the FAR
+study's benign population.  HiGHS releases the GIL while it solves, so the
+loops' LPs run side by side.  A fork's answers depend only on its own
+queries, so the results do not depend on scheduling.
 
 The expensive half of a pipeline run (synthesis + relaxation) and the cheap
 half (FAR study, probes) are separable: callers can pass ``presynthesized``
@@ -23,6 +28,8 @@ variation (see :func:`repro.explore.store.split_unit_keys`).
 from __future__ import annotations
 
 import inspect
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.api.config import FARConfig, SynthesisConfig
@@ -31,8 +38,9 @@ from repro.core.far import FalseAlarmStudy
 from repro.core.relaxation import RelaxationResult
 from repro.core.session import SynthesisSession
 from repro.core.synthesis_result import ThresholdSynthesisResult
-from repro.obs.metrics import get_registry, timed
-from repro.obs.trace import span
+from repro.obs.metrics import MetricsRegistry, get_registry, timed, use_thread_registry
+from repro.obs.trace import get_tracer, span
+from repro.utils.validation import ValidationError
 
 #: FAR-study label suffix under which the pre-relaxation vector is evaluated
 #: when a ``relax`` stage is configured (``"<algorithm>:raw"``).
@@ -271,6 +279,69 @@ def _report_from_payload(payload: dict) -> PipelineReport:
     return report
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _synthesize(problem, synthesis: SynthesisConfig, name: str, session, relaxer):
+    """Synthesize (and relax) one algorithm's vector on a fork of ``session``."""
+    stage_seconds = get_registry().histogram("pipeline_stage_seconds")
+    with span("pipeline.synthesis", problem=problem.name, algorithm=name):
+        with timed(stage_seconds, stage="synthesis"):
+            session = session.fork()
+            synthesizer = synthesis.build_synthesizer(name, backend=session.solver)
+            # Third-party synthesizers registered into SYNTHESIZERS may
+            # predate the session protocol; only pass the session when
+            # accepted.
+            if "session" in inspect.signature(synthesizer.synthesize).parameters:
+                result = synthesizer.synthesize(problem, session=session)
+            else:
+                result = synthesizer.synthesize(problem)
+            relaxed = None
+            if relaxer is not None and result.threshold is not None:
+                relaxed = relaxer.relax(
+                    problem,
+                    result.threshold,
+                    verify_input=synthesis.relax.verify_input,
+                    session=session,
+                )
+    return result, relaxed
+
+
+def _in_worker(registry: MetricsRegistry, parent_span, task, *args):
+    """Run ``task(*args)`` on a worker thread; returns ``(outcome, metrics snapshot)``.
+
+    The worker records into a private registry (``None`` snapshot when the
+    caller's ``registry`` is disabled) and opens its spans under the
+    caller's ``parent_span``.
+    """
+    private = MetricsRegistry(enabled=True) if registry.enabled else registry
+    with get_tracer().adopt(parent_span), use_thread_registry(private):
+        outcome = task(*args)
+    return outcome, None if private is registry else private.snapshot()
+
+
+def _benign_population(problem, far: FARConfig):
+    """The FAR evaluator with its benign traces drawn (``None`` on a config error).
+
+    The population does not depend on any threshold, so it is drawn while
+    the algorithms synthesize.  A config error is left for the FAR stage to
+    raise, which it does only when there is a vector to evaluate.
+    """
+    with span("pipeline.far", problem=problem.name, part="draw"):
+        with timed(get_registry().histogram("pipeline_stage_seconds"), stage="far"):
+            try:
+                evaluator = far.build_evaluator(problem)
+                evaluator.benign_traces()
+            except ValidationError:
+                return None
+    return evaluator
+
+
 def run_pipeline(
     problem,
     synthesis: SynthesisConfig | None = None,
@@ -289,8 +360,10 @@ def run_pipeline(
     synthesis:
         Declarative synthesis settings (defaults to all three algorithms on
         the LP backend).  When ``synthesis.relax`` is set, each synthesized
-        vector is relaxed through the shared session before FAR evaluation;
+        vector is relaxed on its algorithm's session before FAR evaluation;
         the report then carries both the raw and the relaxed thresholds.
+        ``time_budget_per_call`` stays a wall-clock budget per solve of each
+        loop, so loops running side by side share the CPUs it is spent on.
     far:
         Declarative FAR settings; ``None`` (or ``count=0``) skips the study.
         The study evaluates the *deployed* (relaxed when configured) vectors
@@ -362,7 +435,8 @@ def run_pipeline(
 
     fresh = [name for name in synthesis.algorithms if name not in presynthesized]
 
-    stage_seconds = get_registry().histogram(
+    registry = get_registry()
+    stage_seconds = registry.histogram(
         "pipeline_stage_seconds",
         help="Wall time per run_pipeline stage (vulnerability, synthesis, far).",
     )
@@ -371,9 +445,8 @@ def run_pipeline(
     session = None
     if fresh or backend is not None:
         solver = backend if backend is not None else synthesis.build_backend()
-        # One incremental session serves the vulnerability check, every
-        # algorithm and the relaxation stage: the encoding's static blocks
-        # are built once per call.
+        # One encoding per call: the vulnerability check runs on this
+        # session, every algorithm on a fork of it.
         session = SynthesisSession(problem, backend=solver)
 
     with span("pipeline.vulnerability", problem=problem.name):
@@ -388,35 +461,48 @@ def run_pipeline(
                 vulnerability = _vulnerability_from_payload(first["vulnerability"])
     report = PipelineReport(vulnerability=vulnerability)
 
-    relaxer = synthesis.build_relaxer(backend=solver) if fresh else None
+    far_stage = far is not None and far.count > 0
+    evaluator = None
+    outcomes = {}
+    if fresh:
+        relaxer = synthesis.build_relaxer(backend=solver)
+        parent_span = get_tracer().current()
+        workers = min(len(fresh), _usable_cpus())
+        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="synthesis") as pool:
+            futures = [
+                pool.submit(
+                    _in_worker,
+                    registry,
+                    parent_span,
+                    _synthesize,
+                    problem,
+                    synthesis,
+                    name,
+                    session,
+                    relaxer,
+                )
+                for name in fresh
+            ]
+            if far_stage:
+                evaluator = _benign_population(problem, far)
+        # Leaving the pool joined every worker; results (and the first
+        # failure) are taken in algorithm order.
+        for name, future in zip(fresh, futures):
+            outcomes[name], snapshot = future.result()
+            if snapshot is not None:
+                registry.merge(snapshot)
+
     for name in synthesis.algorithms:
         record = presynthesized.get(name)
-        if record is not None:
+        if record is None:
+            report.synthesis[name], relaxed = outcomes[name]
+        else:
             report.synthesis[name] = _synthesis_from_payload(record["synthesis"])
             relaxed = _relaxation_from_payload(record.get("relaxation"))
-            if relaxed is not None:
-                report.relaxation[name] = relaxed
-            continue
-        with span("pipeline.synthesis", problem=problem.name, algorithm=name):
-            with timed(stage_seconds, stage="synthesis"):
-                synthesizer = synthesis.build_synthesizer(name, backend=solver)
-                # Third-party synthesizers registered into SYNTHESIZERS may
-                # predate the session protocol; only pass the shared session
-                # when accepted.
-                if "session" in inspect.signature(synthesizer.synthesize).parameters:
-                    result = synthesizer.synthesize(problem, session=session)
-                else:
-                    result = synthesizer.synthesize(problem)
-                report.synthesis[name] = result
-                if relaxer is not None and result.threshold is not None:
-                    report.relaxation[name] = relaxer.relax(
-                        problem,
-                        result.threshold,
-                        verify_input=synthesis.relax.verify_input,
-                        session=session,
-                    )
+        if relaxed is not None:
+            report.relaxation[name] = relaxed
 
-    if far is not None and far.count > 0 and report.synthesis:
+    if far_stage and report.synthesis:
         detectors = {}
         for name in report.synthesis:
             deployed = report.deployed_threshold(name)
@@ -429,7 +515,8 @@ def run_pipeline(
         if detectors:
             with span("pipeline.far", problem=problem.name):
                 with timed(stage_seconds, stage="far"):
-                    evaluator = far.build_evaluator(problem)
+                    if evaluator is None:
+                        evaluator = far.build_evaluator(problem)
                     report.far_study = evaluator.evaluate(detectors)
 
     if store_key is not None:

@@ -14,9 +14,11 @@ to its cached matrices, the SMT backend push/pops the stealth clauses.
 
 A :meth:`~SynthesisSession.solve` answer depends only on the threshold
 handed to that call, so one session can serve several synthesis algorithms
-over the same ``(problem, backend)`` pair — which is how
-:func:`repro.api.execute.run_pipeline` and the batch runner share one
-encoding per group.  The one-shot
+over the same ``(problem, backend)`` pair.  :meth:`~SynthesisSession.fork`
+opens a second backend session over the same encoding, which is how
+:func:`repro.api.execute.run_pipeline` (and the batch runner through it)
+runs its algorithms on separate threads with one encoding per group.  The
+one-shot
 :func:`~repro.core.attack_synthesis.synthesize_attack` is a session of
 length one, and both paths produce bit-identical results.
 
@@ -31,6 +33,7 @@ its own: those verdicts come only from the backend.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -157,6 +160,21 @@ class SynthesisSession:
         # on every stealth row, result).  Older witnesses answered no more
         # verdicts on the six case studies' pipelines, so only one is kept.
         self._witness: tuple[np.ndarray, AttackSynthesisResult] | None = None
+
+    def fork(self) -> "SynthesisSession":
+        """A session over the same encoding with its own backend session.
+
+        The fork opens a fresh backend session (its own LP matrix cache or
+        SMT solver) and starts with copies of this session's detector-free
+        memo and verified witness, so it can serve one synthesis loop on
+        another thread while this session serves a different one.  No
+        encoding is built.
+        """
+        clone = copy.copy(self)
+        clone._backend_session = self.solver.open_session(self.encoding)
+        clone.solves = 0
+        clone._none_cache = dict(self._none_cache)
+        return clone
 
     # ------------------------------------------------------------------
     def solve(

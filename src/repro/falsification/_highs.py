@@ -90,14 +90,16 @@ def solve_lp(
     upper: np.ndarray,
     solver: str | None = None,
     time_limit: float | None = None,
-) -> tuple[int, np.ndarray | None]:
+) -> tuple[int, np.ndarray | None, int]:
     """Minimise ``cost @ x`` s.t. ``matrix @ x <= b_ub``, ``lower <= x <= upper``.
 
     ``matrix`` is a canonical CSC matrix (sorted indices, no duplicates);
     infinite entries of ``lower``/``upper`` are free bounds.  Returns
-    ``(status, x)`` with ``linprog``'s status codes; ``x`` is ``None``
-    unless HiGHS reports an optimum.  ``time_limit`` (seconds) becomes the
-    HiGHS option of that name; a run that hits it returns status 1.
+    ``(status, x, iterations)`` with ``linprog``'s status codes; ``x`` is
+    ``None`` unless HiGHS reports an optimum, and ``iterations`` is HiGHS'
+    ``simplex_iteration_count`` (``linprog``'s ``nit`` for a simplex run).
+    ``time_limit`` (seconds) becomes the HiGHS option of that name; a run
+    that hits it returns status 1.
     """
     core, statuses = _highs_core()
     n_rows, n_cols = matrix.shape
@@ -131,15 +133,15 @@ def solve_lp(
         np.zeros(n_cols, dtype=np.int32),
     )
     if loaded == core.HighsStatus.kError:
-        return statuses[core.HighsModelStatus.kModelError], None
+        return statuses[core.HighsModelStatus.kModelError], None, 0
     highs.run()
     model_status = highs.getModelStatus()
     status = statuses.get(model_status, 4)
+    info = highs.getInfo()
     if model_status != core.HighsModelStatus.kOptimal:
-        return status, None
+        return status, None, info.simplex_iteration_count
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     slack = b_ub - np.asarray(solution.row_value)
-    fun = highs.getInfo().objective_function_value
-    status = screen(status, x, fun, slack, lower, upper)
-    return status, x
+    status = screen(status, x, info.objective_function_value, slack, lower, upper)
+    return status, x, info.simplex_iteration_count

@@ -35,10 +35,16 @@ Incrementality: :meth:`LPAttackBackend.open_session` returns a session that
 assembles the static (monitor) rows, the variable bounds and the stealth row
 template once per problem.  Each round only computes the stealth right-hand
 side from the candidate threshold — the constraint *matrix* of a round is
-fully determined by the threshold's finite-instance mask, so its assembled
-CSC form is cached per ``(mask, branch)`` and reused across rounds.  The
-one-shot :meth:`LPAttackBackend.solve` is a session of length one, so both
-paths run the identical assembly and produce bit-identical answers.
+fully determined by the threshold's finite-instance mask, so the assembled
+CSC form of the last mask is kept per branch and reused while the mask
+stays.  One mask is enough: pivot never returns to an old mask (it only adds
+instants or keeps the mask), and keeping more left the matrix-build count of
+the six case-study pipelines unchanged.  The one-shot
+:meth:`LPAttackBackend.solve` is a session of length one, so both paths run
+the identical assembly and produce bit-identical answers.  Every answer
+reports the HiGHS simplex iterations of its LPs in
+``diagnostics["lp_iterations"]`` and in the ``synthesis_lp_iterations``
+histogram.
 
 Each LP goes straight from that cached CSC into HiGHS
 (:func:`repro.falsification._highs.solve_lp`), with the options and status
@@ -49,8 +55,6 @@ cleaning and matrix copy; HiGHS returns the same vertex either way.  A
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 from scipy import sparse
 
@@ -59,13 +63,12 @@ from repro.detectors.threshold import ThresholdVector
 from repro.falsification._highs import HIGHS_SOLVERS, solve_lp
 from repro.falsification.base import AttackBackend, BackendAnswer, BackendSession
 from repro.obs.clock import Stopwatch
+from repro.obs.metrics import get_registry
 from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError
 
-# Bound on distinct threshold finite-masks whose assembled matrices one
-# session keeps (phase-2 loops reuse a single mask; pivot loops touch a new
-# mask only when they place a threshold at a new instant).
-_MATRIX_CACHE_MASKS = 16
+#: Bucket bounds of the ``synthesis_lp_iterations`` histogram.
+ITERATION_BUCKETS = (10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000)
 
 
 class _TimeLimitReached(Exception):
@@ -73,11 +76,15 @@ class _TimeLimitReached(Exception):
 
 
 class _Budget:
-    """The wall-clock seconds left of one solve's ``time_budget``."""
+    """The wall-clock seconds left of one solve's ``time_budget``.
+
+    It also tallies the simplex iterations of the solve's LPs.
+    """
 
     def __init__(self, seconds: float | None):
         self._watch = Stopwatch()
         self._seconds = seconds
+        self.iterations = 0
 
     def time_limit(self) -> float | None:
         """Seconds left for the next LP (``None``: no budget).
@@ -119,8 +126,9 @@ class LPBackendSession(BackendSession):
         self._template = encoding.stealth_template
         self._margin = float(encoding.problem.strictness)
         self._horizon = encoding.problem.horizon
-        # (mask bytes) -> {branch index -> (A_ub_csc, A_margin_csc | None)}
-        self._matrix_cache: OrderedDict[bytes, dict] = OrderedDict()
+        # The last mask's matrices: branch index -> (A_ub_csc, A_margin_csc | None).
+        self._mask_key: bytes | None = None
+        self._matrices: dict = {}
 
     # ------------------------------------------------------------------
     def _stealth_arrays(
@@ -148,19 +156,16 @@ class LPBackendSession(BackendSession):
         branch,
         with_margin: bool,
     ):
-        """The round's assembled (sparse) matrices for one branch, cached by mask.
+        """The round's assembled (sparse) matrices for one branch, kept per mask.
 
         The matrix depends only on which instances carry a finite threshold
-        (the mask), not on the threshold values, so phase-2 style loops hit
-        the cache every round.
+        (the mask), not on the threshold values, so loops that keep their
+        mask reuse it every round.
         """
-        per_mask = self._matrix_cache.get(mask_key)
-        if per_mask is None:
-            if len(self._matrix_cache) >= _MATRIX_CACHE_MASKS:
-                self._matrix_cache.popitem(last=False)
-            per_mask = {}
-            self._matrix_cache[mask_key] = per_mask
-        entry = per_mask.get(index)
+        if mask_key != self._mask_key:
+            self._mask_key = mask_key
+            self._matrices = {}
+        entry = self._matrices.get(index)
         if entry is None or (with_margin and entry[1] is None):
             n_stealth = stealth_rows.shape[0]
             A_dense = np.vstack([stealth_rows, self._static_rows, branch.row])
@@ -171,7 +176,7 @@ class LPBackendSession(BackendSession):
                     self.backend._with_margin_column(A_dense, n_stealth)
                 )
             entry = (A_ub, A_margin)
-            per_mask[index] = entry
+            self._matrices[index] = entry
         return entry
 
     def solve(
@@ -210,31 +215,44 @@ class LPBackendSession(BackendSession):
                     best_label = branch.label
                     break
         except _TimeLimitReached:
-            return BackendAnswer(
-                status=SolveStatus.UNKNOWN,
-                diagnostics={"branches_explored": explored, "reason": "time budget"},
+            return self._answer(
+                SolveStatus.UNKNOWN,
+                budget,
+                {"branches_explored": explored, "reason": "time budget"},
             )
 
         if best_theta is None:
-            return BackendAnswer(
-                status=SolveStatus.UNSAT,
-                diagnostics={
+            return self._answer(
+                SolveStatus.UNSAT,
+                budget,
+                {
                     "backend": backend.name,
                     "branches_explored": explored,
                     "elapsed": start.elapsed(),
                 },
             )
-        return BackendAnswer(
-            status=SolveStatus.SAT,
-            theta=best_theta,
-            diagnostics={
+        return self._answer(
+            SolveStatus.SAT,
+            budget,
+            {
                 "backend": backend.name,
                 "branch": best_label,
                 "branches_explored": explored,
                 "margin_mode": backend.margin_mode,
                 "elapsed": start.elapsed(),
             },
+            theta=best_theta,
         )
+
+    def _answer(self, status, budget: _Budget, diagnostics: dict, theta=None) -> BackendAnswer:
+        """The solve's answer, with the simplex iterations of its LPs recorded."""
+        diagnostics["lp_iterations"] = budget.iterations
+        get_registry().histogram(
+            "synthesis_lp_iterations",
+            help="HiGHS simplex iterations per LP backend solve.",
+            buckets=ITERATION_BUCKETS,
+        ).observe(budget.iterations, backend=self.backend.name)
+        return BackendAnswer(status=status, theta=theta, diagnostics=diagnostics)
 
 
 class LPAttackBackend(AttackBackend):
@@ -265,7 +283,7 @@ class LPAttackBackend(AttackBackend):
 
     # ------------------------------------------------------------------
     def _lp(self, cost, matrix, b_ub, bounds, time_limit):
-        """One LP: ``(status, x)`` with ``linprog``'s status codes."""
+        """One LP: ``(status, x, simplex iterations)`` with ``linprog``'s status codes."""
         lower, upper = bounds
         return solve_lp(
             cost,
@@ -280,7 +298,8 @@ class LPAttackBackend(AttackBackend):
     def _run_lp(self, cost, matrix, b_ub, bounds, budget: _Budget):
         """:meth:`_lp` under the solve's remaining budget."""
         time_limit = budget.time_limit()
-        status, x = self._lp(cost, matrix, b_ub, bounds, time_limit)
+        status, x, iterations = self._lp(cost, matrix, b_ub, bounds, time_limit)
+        budget.iterations += iterations
         if status == 1 and time_limit is not None:
             raise _TimeLimitReached
         return status, x

@@ -56,6 +56,7 @@ from repro.obs.metrics import (
     metrics_enabled,
     timed,
     use_registry,
+    use_thread_registry,
 )
 from repro.obs.trace import (
     SpanRecord,
@@ -91,6 +92,7 @@ __all__ = [
     "text_report",
     "timed",
     "use_registry",
+    "use_thread_registry",
     "use_tracer",
     "write_json_snapshot",
 ]

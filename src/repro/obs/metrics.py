@@ -24,11 +24,19 @@ Three properties shape the design:
   :func:`get_registry` at use time, so :func:`use_registry` can scope a
   fresh registry around a unit of work (a worker's group execution) without
   threading a registry argument through every constructor.
+
+Record calls are unlocked read-modify-writes, so one registry must not be
+recorded into from several threads at once.  A worker thread scopes a
+private registry with :func:`use_thread_registry` (it overrides the default
+for that thread only) and its caller merges the snapshot after the join —
+how :func:`repro.api.execute.run_pipeline` runs its synthesis algorithms
+side by side.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -360,10 +368,17 @@ def _env_enabled() -> bool:
 
 _default_registry = MetricsRegistry(enabled=_env_enabled())
 
+# Per-thread overrides set by use_thread_registry.
+_thread = threading.local()
+
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry instrumented layers record into."""
-    return _default_registry
+    """The registry instrumented layers record into.
+
+    The calling thread's :func:`use_thread_registry` override when one is
+    active, else the process-wide default.
+    """
+    return getattr(_thread, "registry", _default_registry)
 
 
 def enable_metrics() -> MetricsRegistry:
@@ -400,6 +415,26 @@ def use_registry(registry: MetricsRegistry):
 
 
 @contextmanager
+def use_thread_registry(registry: MetricsRegistry):
+    """Make ``registry`` what :func:`get_registry` returns on this thread only.
+
+    Other threads keep resolving the process default (or their own
+    override), so a worker thread records into a private registry without a
+    lock; its caller merges the worker's :meth:`~MetricsRegistry.snapshot`
+    after the join.
+    """
+    previous = _thread.__dict__.get("registry")
+    _thread.registry = registry
+    try:
+        yield registry
+    finally:
+        if previous is None:
+            del _thread.registry
+        else:
+            _thread.registry = previous
+
+
+@contextmanager
 def timed(histogram: Histogram, **labels):
     """Observe the wall-clock duration of a ``with`` block into ``histogram``."""
     started = time.perf_counter()
@@ -421,4 +456,5 @@ __all__ = [
     "metrics_enabled",
     "timed",
     "use_registry",
+    "use_thread_registry",
 ]

@@ -113,6 +113,10 @@ class Tracer:
 
     The span stack is thread-local: concurrent threads each build their own
     branch of the tree (records from all threads land in one ordered list).
+    A worker thread hangs its branch under a span open on the thread that
+    started it with :meth:`adopt`.  Sibling spans from such workers overlap
+    in time, so their wall times can sum past their parent's; ``cpu_s`` is
+    process CPU time, which counts every thread's work during the span.
     Records are appended at span *close*, so a child precedes its parent in
     :attr:`records` — :meth:`tree` reorders via ``parent_id``.
     """
@@ -148,6 +152,30 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
+    def current(self) -> SpanRecord | None:
+        """The innermost span open on the calling thread (``None`` when none)."""
+        stack = self._stack()
+        return stack[-1] if stack else None
+
+    @contextmanager
+    def adopt(self, parent: SpanRecord | None):
+        """Open this thread's next spans as children of ``parent``.
+
+        ``parent`` is a span still open on another thread, taken there with
+        :meth:`current`: a worker thread starts with an empty span stack, so
+        without this its spans would be roots of their own.  ``None`` (no
+        span open, or tracing disabled) adopts nothing.
+        """
+        if parent is None:
+            yield
+            return
+        stack = self._stack()
+        stack.append(parent)
+        try:
+            yield
+        finally:
+            stack.pop()
+
     @contextmanager
     def span(self, name: str, **labels):
         """Record one named block; yields the :class:`SpanRecord` (or ``None``).
@@ -164,12 +192,13 @@ class Tracer:
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
+        parent = stack[-1] if stack else None
         record = SpanRecord(
             span_id=span_id,
-            parent_id=stack[-1].span_id if stack else None,
+            parent_id=None if parent is None else parent.span_id,
             name=str(name),
             labels={str(k): str(v) for k, v in labels.items()},
-            depth=len(stack),
+            depth=0 if parent is None else parent.depth + 1,
             start_s=time.perf_counter() - self._epoch,
         )
         stack.append(record)
@@ -247,7 +276,12 @@ class Tracer:
         return children
 
     def tree(self) -> str:
-        """The span tree as indented text with per-span wall/CPU durations."""
+        """The span tree as indented text with per-span wall/CPU durations.
+
+        Durations are inclusive.  Children that ran concurrently (worker
+        threads under an adopted parent) can together show more wall time
+        than their parent.
+        """
         children = self._children()
         lines = ["span tree (wall s / cpu s)"]
 
@@ -272,7 +306,8 @@ class Tracer:
         Repeated paths aggregate (every CEGIS round's ``synthesis.solve``
         folds into one line), and the output is sorted by descending total
         wall time — feed it to standard flamegraph tooling or read the top
-        lines directly.
+        lines directly.  Totals are inclusive and concurrent paths are summed,
+        so a child path can total more wall time than its parent.
         """
         by_id = {record.span_id: record for record in self.records}
         totals: dict[str, list[float]] = {}

@@ -16,6 +16,9 @@ bit-identical against:
   feasibility-then-margin two-LP sequence on every branch.
 * :class:`LinprogLPBackend` — the LP backend with every LP solved by
   :func:`scipy.optimize.linprog` instead of the direct HiGHS hand-off.
+* :func:`sequential_pipeline` — ``run_pipeline``'s synthesis, relaxation
+  and FAR stages on one thread and one shared session, the reference for
+  the forked sessions ``run_pipeline`` runs side by side.
 
 Test modules under ``tests/`` import this as ``synthesis_oracle``; the
 benchmarks import it as ``tests.synthesis_oracle``.
@@ -26,7 +29,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
+from repro.api.execute import RAW_FAR_SUFFIX, PipelineReport
 from repro.core.attack_synthesis import synthesize_attack
+from repro.core.session import SynthesisSession
 from repro.falsification.lp_backend import LPAttackBackend
 
 
@@ -70,4 +75,40 @@ class LinprogLPBackend(LPAttackBackend):
             method=self.method,
             options=options,
         )
-        return result.status, result.x
+        return result.status, result.x, result.nit
+
+
+def sequential_pipeline(problem, synthesis, far=None, backend=None):
+    """Vulnerability check, synthesis, relaxation and FAR, one after another.
+
+    Every algorithm and its relaxation pass run in ``synthesis.algorithms``
+    order on the one session that answered the vulnerability check, so
+    each loop starts from the memo and witness the previous one left.
+    """
+    solver = backend if backend is not None else synthesis.build_backend()
+    session = SynthesisSession(problem, backend=solver)
+    report = PipelineReport(vulnerability=session.solve(None))
+    relaxer = synthesis.build_relaxer(backend=solver)
+    for name in synthesis.algorithms:
+        synthesizer = synthesis.build_synthesizer(name, backend=solver)
+        result = synthesizer.synthesize(problem, session=session)
+        report.synthesis[name] = result
+        if relaxer is not None and result.threshold is not None:
+            report.relaxation[name] = relaxer.relax(
+                problem,
+                result.threshold,
+                verify_input=synthesis.relax.verify_input,
+                session=session,
+            )
+    if far is not None and far.count > 0:
+        detectors = {}
+        for name, result in report.synthesis.items():
+            deployed = report.deployed_threshold(name)
+            if deployed is None:
+                continue
+            detectors[name] = deployed
+            if name in report.relaxation and result.threshold is not None:
+                detectors[name + RAW_FAR_SUFFIX] = result.threshold
+        if detectors:
+            report.far_study = far.build_evaluator(problem).evaluate(detectors)
+    return report

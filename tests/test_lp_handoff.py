@@ -2,11 +2,12 @@
 
 The LP backend passes each assembled CSC matrix straight to HiGHS
 (:mod:`repro.falsification._highs`).  The contract: for every LP, the same
-status and a bit-identical ``x`` as ``linprog(method=...)`` on the same
-data — checked on every LP of the VSC and cruise pipelines, on generated
-small LPs (infeasible and unbounded ones included) and on one non-default
-HiGHS solver — plus the post-solve screen, the ``method`` validation, the
-time budget inside an LP, and the import requirement.
+status, a bit-identical ``x`` and the same simplex iteration count as
+``linprog(method=...)`` on the same data — checked on every LP of the VSC
+and cruise pipelines, on generated small LPs (infeasible and unbounded ones
+included) and on one non-default HiGHS solver — plus the post-solve screen,
+the ``method`` validation, the time budget inside an LP, and the import
+requirement.
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ class RecordingLinprogBackend(_Recording, LinprogLPBackend):
 
 
 def assert_same_answer(direct, reference):
-    status, x = direct
-    ref_status, ref_x = reference
+    status, x, iterations = direct
+    ref_status, ref_x, ref_iterations = reference
     assert status == ref_status
+    # The same simplex iteration count: HiGHS took the same path.
+    assert iterations == ref_iterations
     if ref_x is None:
         assert x is None
     else:
@@ -248,7 +251,7 @@ def test_tiny_budget_stops_inside_the_lp():
     assert stopped.status is SolveStatus.UNKNOWN
     assert stopped.diagnostics["reason"] == "time budget"
     assert len(backend.calls) == 1
-    (_, _, _, _, time_limit, (status, x)) = backend.calls[0]
+    (_, _, _, _, time_limit, (status, x, _)) = backend.calls[0]
     assert 0.0 < time_limit <= 5e-3
     assert status == 1 and x is None
 

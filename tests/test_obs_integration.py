@@ -100,10 +100,13 @@ class TestMergedReport:
     def test_spans_nest_across_pipeline_and_fleet(self, dcmotor_problem):
         tracer = Tracer(enabled=True)
         with use_tracer(tracer):
-            run_pipeline(
-                dcmotor_problem,
-                synthesis=SynthesisConfig(algorithms=("static",), backend="lp"),
-            )
+            with tracer.span("caller") as caller:
+                run_pipeline(
+                    dcmotor_problem,
+                    synthesis=SynthesisConfig(
+                        algorithms=("pivot", "stepwise", "static"), backend="lp"
+                    ),
+                )
             run_fleet(_fleet_config(), dcmotor_problem)
         names = {record.name for record in tracer.records}
         assert {
@@ -112,17 +115,22 @@ class TestMergedReport:
             "synthesis.solve",
             "fleet.run",
         } <= names
-        # Solver spans nest under the pipeline stage that issued them.
         by_id = {record.span_id: record for record in tracer.records}
-        parents = {
-            by_id[record.parent_id].name
-            for record in tracer.records
-            if record.name == "synthesis.solve" and record.parent_id is not None
+        # Each algorithm's stage span, opened on its worker thread, hangs
+        # under the caller's span rather than becoming a root.
+        stages = [r for r in tracer.records if r.name == "pipeline.synthesis"]
+        assert sorted(r.labels["algorithm"] for r in stages) == ["pivot", "static", "stepwise"]
+        assert all(r.parent_id == caller.span_id for r in stages)
+        assert all(r.depth == caller.depth + 1 for r in stages)
+        # Every solver span nests under the pipeline stage that issued it.
+        solves = [r for r in tracer.records if r.name == "synthesis.solve"]
+        assert solves
+        assert {by_id[r.parent_id].name for r in solves} == {
+            "pipeline.vulnerability",
+            "pipeline.synthesis",
         }
-        assert parents <= {"pipeline.vulnerability", "pipeline.synthesis"}
-        assert parents  # at least one solver call was traced under a stage
         # The flamegraph aggregates the cross-layer run into folded stacks.
-        assert "pipeline.synthesis;synthesis.solve" in tracer.flamegraph()
+        assert "caller;pipeline.synthesis;synthesis.solve" in tracer.flamegraph()
 
 
 class TestBatchWorkerMetrics:

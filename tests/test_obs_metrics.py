@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import multiprocessing
+import sys
+import threading
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.obs import (
     metrics_enabled,
     timed,
     use_registry,
+    use_thread_registry,
 )
 from repro.utils.validation import ValidationError
 
@@ -262,6 +265,60 @@ def test_default_registry_starts_disabled_and_use_registry_scopes():
     assert get_registry() is not scoped
     assert scoped.get("scoped_total").total() == 1.0
     assert get_registry().get("scoped_total") is None
+
+
+def test_thread_registry_overrides_the_default_on_its_thread_only():
+    scoped = MetricsRegistry(enabled=True)
+    inner = MetricsRegistry(enabled=True)
+    seen = []
+    with use_thread_registry(scoped):
+        assert get_registry() is scoped
+        thread = threading.Thread(target=lambda: seen.append(get_registry()))
+        thread.start()
+        thread.join(timeout=10)
+        with use_thread_registry(inner):
+            assert get_registry() is inner
+        assert get_registry() is scoped
+        # A process-wide swap does not reach past this thread's override.
+        with use_registry(MetricsRegistry(enabled=True)):
+            assert get_registry() is scoped
+    assert seen and seen[0] is not scoped
+    assert get_registry() is not scoped
+
+
+def test_thread_registries_merge_to_exact_totals():
+    """Private per-thread registries, merged after the join, lose no increment.
+
+    More threads than cores and a tiny switch interval make a lost
+    read-modify-write likely if two threads shared an instrument.
+    """
+    threads_n, increments = 4, 20_000
+
+    def work(registry: MetricsRegistry) -> None:
+        with use_thread_registry(registry):
+            counter = get_registry().counter("work_total")
+            histogram = get_registry().histogram("work_seconds", buckets=(1.0,))
+            for _ in range(increments):
+                counter.inc(kind="a")
+                histogram.observe(0.5)
+
+    registries = [MetricsRegistry(enabled=True) for _ in range(threads_n)]
+    threads = [threading.Thread(target=work, args=(r,)) for r in registries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    parent = MetricsRegistry(enabled=True)
+    for registry in registries:
+        parent.merge(registry.snapshot())
+    assert parent.get("work_total").value(kind="a") == threads_n * increments
+    assert parent.get("work_seconds").total_count() == threads_n * increments
 
 
 def test_timed_observes_block_duration():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -82,6 +83,112 @@ def test_threads_build_independent_branches():
     assert by_name["root-b"].parent_id is None
     assert by_name["leaf-a"].parent_id == by_name["root-a"].span_id
     assert by_name["leaf-b"].parent_id == by_name["root-b"].span_id
+
+
+def test_current_is_the_innermost_open_span_of_this_thread():
+    tracer = Tracer(enabled=True)
+    assert tracer.current() is None
+    with tracer.span("outer") as outer:
+        assert tracer.current() is outer
+        with tracer.span("inner") as inner:
+            assert tracer.current() is inner
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(tracer.current()))
+        thread.start()
+        thread.join(timeout=10)
+        assert seen == [None]
+    assert tracer.current() is None
+    assert Tracer(enabled=False).current() is None
+
+
+def test_adopted_parent_nests_worker_spans():
+    tracer = Tracer(enabled=True)
+
+    def work(parent, tag: str):
+        with tracer.adopt(parent):
+            with tracer.span(f"worker-{tag}"):
+                with tracer.span(f"leaf-{tag}"):
+                    pass
+        assert tracer.current() is None
+
+    with tracer.span("root"):
+        with tracer.span("caller") as caller:
+            threads = [
+                threading.Thread(target=work, args=(tracer.current(), tag))
+                for tag in ("a", "b")
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    by_name = {record.name: record for record in tracer.records}
+    for tag in ("a", "b"):
+        worker = by_name[f"worker-{tag}"]
+        assert worker.parent_id == caller.span_id
+        assert worker.depth == caller.depth + 1 == 2
+        assert by_name[f"leaf-{tag}"].parent_id == worker.span_id
+        assert by_name[f"leaf-{tag}"].depth == 3
+    assert "root;caller;worker-a;leaf-a" in tracer.flamegraph()
+
+
+def test_concurrent_adopted_spans_keep_unique_ids_and_every_record():
+    """Many threads recording under one adopted parent lose no span."""
+    tracer = Tracer(enabled=True)
+    threads_n, spans = 4, 2_000
+
+    def work(parent):
+        with tracer.adopt(parent):
+            for _ in range(spans):
+                with tracer.span("leaf"):
+                    pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with tracer.span("caller") as caller:
+            threads = [
+                threading.Thread(target=work, args=(caller,)) for _ in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    leaves = [record for record in tracer.records if record.name == "leaf"]
+    assert len(leaves) == threads_n * spans
+    assert len({record.span_id for record in tracer.records}) == len(tracer.records)
+    assert all(record.parent_id == caller.span_id for record in leaves)
+
+
+def test_adopting_none_keeps_worker_spans_as_roots():
+    tracer = Tracer(enabled=True)
+    with tracer.adopt(None):
+        with tracer.span("alone"):
+            pass
+    assert tracer.records[0].parent_id is None
+
+
+def test_renderings_accept_children_that_overlap_past_their_parent():
+    # Two concurrent 0.8 s children under a 1.0 s parent: inclusive totals
+    # are reported as recorded, children summing past the parent.
+    tracer = Tracer(enabled=True)
+    tracer.records.extend(
+        [
+            SpanRecord(span_id=1, parent_id=0, name="solve", depth=1, wall_s=0.8),
+            SpanRecord(span_id=2, parent_id=0, name="solve", depth=1, wall_s=0.8),
+            SpanRecord(span_id=0, parent_id=None, name="call", wall_s=1.0),
+        ]
+    )
+    assert tracer.flamegraph().splitlines() == [
+        "call;solve 1.600000 2",
+        "call 1.000000 1",
+    ]
+    lines = tracer.tree().splitlines()
+    assert lines[1].startswith("- call: 1.0000s wall")
+    assert sum(line.startswith("  - solve: 0.8000s wall") for line in lines) == 2
 
 
 # ----------------------------------------------------------------------
