@@ -12,10 +12,11 @@ sharing because each of its ``(case_study, backend)`` groups is exactly one
 ``run_pipeline`` call.  The session answers the vulnerability check; each
 algorithm then runs its loop and its relaxation pass on its own
 :meth:`~repro.core.session.SynthesisSession.fork` on a worker thread, one
-thread per usable CPU at most, while the calling thread draws the FAR
-study's benign population.  HiGHS releases the GIL while it solves, so the
-loops' LPs run side by side.  A fork's answers depend only on its own
-queries, so the results do not depend on scheduling.
+thread per usable CPU at most.  HiGHS releases the GIL while it solves, so
+the loops' LPs run side by side.  A fork's answers depend only on its own
+queries, so the results do not depend on scheduling.  Where side-by-side
+loops cannot gain (see :func:`_synthesis_workers`) the algorithms run one
+after another on the calling thread's session, as one shared session.
 
 The expensive half of a pipeline run (synthesis + relaxation) and the cheap
 half (FAR study, probes) are separable: callers can pass ``presynthesized``
@@ -28,7 +29,7 @@ variation (see :func:`repro.explore.store.split_unit_keys`).
 from __future__ import annotations
 
 import inspect
-import os
+import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ from repro.core.session import SynthesisSession
 from repro.core.synthesis_result import ThresholdSynthesisResult
 from repro.obs.metrics import MetricsRegistry, get_registry, timed, use_thread_registry
 from repro.obs.trace import get_tracer, span
-from repro.utils.validation import ValidationError
+from repro.utils.cpus import default_workers
 
 #: FAR-study label suffix under which the pre-relaxation vector is evaluated
 #: when a ``relax`` stage is configured (``"<algorithm>:raw"``).
@@ -279,20 +280,31 @@ def _report_from_payload(payload: dict) -> PipelineReport:
     return report
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _synthesis_workers(synthesis: SynthesisConfig, solver, fresh: list[str]) -> int:
+    """Threads for the ``fresh`` algorithms: one each, capped by the usable CPUs.
+
+    One — the calling thread, on one shared session — wherever loops side by
+    side cannot gain: a backend whose solves hold the GIL, a process that is
+    itself a pool worker (the pool already runs one process per CPU), or a
+    wall-clock ``time_budget_per_call``, which loops sharing the CPUs would
+    spend on each other's solves and so turn a verdict into ``unknown``.
+    """
+    if (
+        synthesis.time_budget_per_call is not None
+        or not getattr(solver, "concurrent_solves", True)
+        or multiprocessing.parent_process() is not None
+    ):
+        return 1
+    return min(len(fresh), default_workers())
 
 
-def _synthesize(problem, synthesis: SynthesisConfig, name: str, session, relaxer):
-    """Synthesize (and relax) one algorithm's vector on a fork of ``session``."""
+def _synthesize(problem, synthesis: SynthesisConfig, name: str, session, relaxer, fork=False):
+    """Synthesize (and relax) one algorithm's vector on ``session`` (or a fork of it)."""
     stage_seconds = get_registry().histogram("pipeline_stage_seconds")
     with span("pipeline.synthesis", problem=problem.name, algorithm=name):
         with timed(stage_seconds, stage="synthesis"):
-            session = session.fork()
+            if fork:
+                session = session.fork()
             synthesizer = synthesis.build_synthesizer(name, backend=session.solver)
             # Third-party synthesizers registered into SYNTHESIZERS may
             # predate the session protocol; only pass the session when
@@ -325,23 +337,6 @@ def _in_worker(registry: MetricsRegistry, parent_span, task, *args):
     return outcome, None if private is registry else private.snapshot()
 
 
-def _benign_population(problem, far: FARConfig):
-    """The FAR evaluator with its benign traces drawn (``None`` on a config error).
-
-    The population does not depend on any threshold, so it is drawn while
-    the algorithms synthesize.  A config error is left for the FAR stage to
-    raise, which it does only when there is a vector to evaluate.
-    """
-    with span("pipeline.far", problem=problem.name, part="draw"):
-        with timed(get_registry().histogram("pipeline_stage_seconds"), stage="far"):
-            try:
-                evaluator = far.build_evaluator(problem)
-                evaluator.benign_traces()
-            except ValidationError:
-                return None
-    return evaluator
-
-
 def run_pipeline(
     problem,
     synthesis: SynthesisConfig | None = None,
@@ -362,8 +357,8 @@ def run_pipeline(
         the LP backend).  When ``synthesis.relax`` is set, each synthesized
         vector is relaxed on its algorithm's session before FAR evaluation;
         the report then carries both the raw and the relaxed thresholds.
-        ``time_budget_per_call`` stays a wall-clock budget per solve of each
-        loop, so loops running side by side share the CPUs it is spent on.
+        A ``time_budget_per_call`` is a wall-clock budget per solve, so a
+        budgeted call runs its algorithms one after another.
     far:
         Declarative FAR settings; ``None`` (or ``count=0``) skips the study.
         The study evaluates the *deployed* (relaxed when configured) vectors
@@ -461,36 +456,43 @@ def run_pipeline(
                 vulnerability = _vulnerability_from_payload(first["vulnerability"])
     report = PipelineReport(vulnerability=vulnerability)
 
-    far_stage = far is not None and far.count > 0
-    evaluator = None
     outcomes = {}
     if fresh:
         relaxer = synthesis.build_relaxer(backend=solver)
-        parent_span = get_tracer().current()
-        workers = min(len(fresh), _usable_cpus())
-        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="synthesis") as pool:
-            futures = [
-                pool.submit(
-                    _in_worker,
-                    registry,
-                    parent_span,
-                    _synthesize,
-                    problem,
-                    synthesis,
-                    name,
-                    session,
-                    relaxer,
-                )
-                for name in fresh
-            ]
-            if far_stage:
-                evaluator = _benign_population(problem, far)
-        # Leaving the pool joined every worker; results (and the first
-        # failure) are taken in algorithm order.
-        for name, future in zip(fresh, futures):
-            outcomes[name], snapshot = future.result()
-            if snapshot is not None:
-                registry.merge(snapshot)
+        workers = _synthesis_workers(synthesis, solver, fresh)
+        if workers == 1:
+            for name in fresh:
+                outcomes[name] = _synthesize(problem, synthesis, name, session, relaxer)
+        else:
+            parent_span = get_tracer().current()
+            with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="synthesis") as pool:
+                futures = [
+                    pool.submit(
+                        _in_worker,
+                        registry,
+                        parent_span,
+                        _synthesize,
+                        problem,
+                        synthesis,
+                        name,
+                        session,
+                        relaxer,
+                        True,
+                    )
+                    for name in fresh
+                ]
+            # Leaving the pool joined every worker.  Every finished worker's
+            # metrics are merged, then the first failure in algorithm order
+            # is raised.
+            errors = [future.exception() for future in futures]
+            for name, future, error in zip(fresh, futures, errors):
+                if error is None:
+                    outcomes[name], snapshot = future.result()
+                    if snapshot is not None:
+                        registry.merge(snapshot)
+            failure = next((error for error in errors if error is not None), None)
+            if failure is not None:
+                raise failure
 
     for name in synthesis.algorithms:
         record = presynthesized.get(name)
@@ -502,7 +504,7 @@ def run_pipeline(
         if relaxed is not None:
             report.relaxation[name] = relaxed
 
-    if far_stage and report.synthesis:
+    if far is not None and far.count > 0 and report.synthesis:
         detectors = {}
         for name in report.synthesis:
             deployed = report.deployed_threshold(name)
@@ -515,8 +517,7 @@ def run_pipeline(
         if detectors:
             with span("pipeline.far", problem=problem.name):
                 with timed(stage_seconds, stage="far"):
-                    if evaluator is None:
-                        evaluator = far.build_evaluator(problem)
+                    evaluator = far.build_evaluator(problem)
                     report.far_study = evaluator.evaluate(detectors)
 
     if store_key is not None:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,20 +47,8 @@ from repro.api.execute import run_pipeline, synthesis_record
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry, get_registry, metrics_enabled, use_registry
 from repro.registry import CASE_STUDIES
+from repro.utils.cpus import default_workers
 from repro.utils.validation import ValidationError
-
-
-def default_workers() -> int:
-    """Worker count bounded by this process's CPU *affinity*, not the machine.
-
-    ``len(os.sched_getaffinity(0))`` respects container/cgroup CPU limits
-    (a CI runner pinned to 2 cores reports 2, not the host's 64); platforms
-    without ``sched_getaffinity`` fall back to ``os.cpu_count()``.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def _resolve_workers(workers) -> int:

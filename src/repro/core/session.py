@@ -16,9 +16,8 @@ A :meth:`~SynthesisSession.solve` answer depends only on the threshold
 handed to that call, so one session can serve several synthesis algorithms
 over the same ``(problem, backend)`` pair.  :meth:`~SynthesisSession.fork`
 opens a second backend session over the same encoding, which is how
-:func:`repro.api.execute.run_pipeline` (and the batch runner through it)
-runs its algorithms on separate threads with one encoding per group.  The
-one-shot
+:func:`repro.api.execute.run_pipeline` runs its algorithms on separate
+threads with one encoding per call.  The one-shot
 :func:`~repro.core.attack_synthesis.synthesize_attack` is a session of
 length one, and both paths produce bit-identical results.
 

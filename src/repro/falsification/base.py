@@ -83,6 +83,11 @@ class AttackBackend(abc.ABC):
     """A decision procedure for the stealthy-attack existence query."""
 
     name: str = "backend"
+    #: Whether sessions on different threads can solve at the same time.
+    #: ``False`` for backends whose solves hold the GIL (pure-Python search):
+    #: :func:`repro.api.execute.run_pipeline` then runs its algorithms one
+    #: after another on one shared session.
+    concurrent_solves: bool = True
 
     @abc.abstractmethod
     def solve(self, encoding: AttackEncoding, time_budget: float | None = None) -> BackendAnswer:

@@ -36,6 +36,7 @@ class OptimizationFalsifier(AttackBackend):
     """Random-restart + Nelder–Mead falsification over the decision vector."""
 
     name = "optimizer"
+    concurrent_solves = False
 
     def __init__(
         self,

@@ -106,6 +106,7 @@ class SMTAttackBackend(AttackBackend):
     """DPLL(T)-based backend over the from-scratch QF-LRA solver."""
 
     name = "smt"
+    concurrent_solves = False
 
     def __init__(self, theory_check: str = "eager"):
         self.theory_check = theory_check

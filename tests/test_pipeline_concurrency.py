@@ -1,12 +1,15 @@
 """``run_pipeline``'s side-by-side algorithms against the sequential oracle.
 
 ``run_pipeline`` runs each algorithm (and its relaxation pass) on its own
-forked session on a worker thread.  The contract: the report equals the
+forked session on a worker thread, or — with one usable CPU, a GIL-holding
+backend, a pool worker process or a wall-clock budget — one after another
+on the calling thread's session.  The contract: the report equals the
 one-thread, one-shared-session pipeline of
 :func:`synthesis_oracle.sequential_pipeline` field for field on all six case
 studies, whatever the worker count; the per-algorithm solve counts and the
 merged metrics repeat exactly; a failing algorithm's exception reaches the
-caller with no thread left running.
+caller with no thread left running and the other algorithms' metrics
+merged.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from repro.api import FARConfig, SynthesisConfig, run_pipeline
 from repro.api import execute
 from repro.core.session import SynthesisSession
 from repro.core.static_synthesis import StaticThresholdSynthesizer
+from repro.falsification.smt_backend import SMTAttackBackend
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
 from repro.registry import SYNTHESIZERS
+from repro.utils import cpus
 
 CASE_STUDIES = ("cruise", "dcmotor", "pendulum", "quadtank", "trajectory", "vsc")
 
@@ -88,12 +93,43 @@ def test_matches_sequential_shared_session_oracle(problems, case):
     )
 
 
-def test_one_usable_cpu_gives_the_same_report(problems, monkeypatch):
+def _no_fork(self):
+    raise AssertionError("one worker must run on the calling thread's session")
+
+
+def test_one_usable_cpu_gives_the_same_report_on_one_session(problems, monkeypatch):
     problem = problems["quadtank"]
     expected = run_pipeline(problem, CONFIG, FAR)
-    monkeypatch.setattr(execute.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert execute._usable_cpus() == 1
+    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(SynthesisSession, "fork", _no_fork)
+    assert cpus.default_workers() == 1
     assert_same_report(expected, run_pipeline(problem, CONFIG, FAR))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthesisConfig(
+            algorithms=("pivot", "stepwise", "static"),
+            backend="lp",
+            time_budget_per_call=60.0,
+            relax={"floor": 1.0},
+        ),
+        SynthesisConfig(
+            algorithms=("pivot", "stepwise", "static"),
+            backend="smt",
+            max_rounds=150,
+            time_budget_per_call=60.0,
+        ),
+    ],
+    ids=["lp", "smt"],
+)
+def test_budgeted_runs_match_the_sequential_oracle_on_one_session(monkeypatch, config):
+    """A wall-clock budget is never shared between loops running side by side."""
+    problem = get_case_study("trajectory", horizon=8).problem
+    expected = sequential_pipeline(problem, config, FAR)
+    monkeypatch.setattr(SynthesisSession, "fork", _no_fork)
+    assert_same_report(expected, run_pipeline(problem, config, FAR))
 
 
 class _RecordingPool(ThreadPoolExecutor):
@@ -105,28 +141,42 @@ class _RecordingPool(ThreadPoolExecutor):
 
 
 @pytest.mark.parametrize(
-    "cpus, algorithms, workers",
+    "usable, algorithms, pools",
     [
-        ({0, 1, 2, 3}, ("pivot", "stepwise", "static"), 3),
-        ({0, 1}, ("pivot", "stepwise", "static"), 2),
-        ({0}, ("pivot", "stepwise", "static"), 1),
-        ({0, 1, 2, 3}, ("static",), 1),
+        ({0, 1, 2, 3}, ("pivot", "stepwise", "static"), [3]),
+        ({0, 1}, ("pivot", "stepwise", "static"), [2]),
+        ({0}, ("pivot", "stepwise", "static"), []),
+        ({0, 1, 2, 3}, ("static",), []),
     ],
 )
 def test_worker_count_is_algorithms_capped_by_usable_cpus(
-    problems, monkeypatch, cpus, algorithms, workers
+    problems, monkeypatch, usable, algorithms, pools
 ):
-    monkeypatch.setattr(execute.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(cpus.os, "sched_getaffinity", lambda pid: usable, raising=False)
     monkeypatch.setattr(execute, "ThreadPoolExecutor", _RecordingPool)
     _RecordingPool.sizes = []
     run_pipeline(problems["trajectory"], SynthesisConfig(algorithms=algorithms, backend="lp"))
-    assert _RecordingPool.sizes == [workers]
+    assert _RecordingPool.sizes == pools
 
 
-def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(execute.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(execute.os, "cpu_count", lambda: 3)
-    assert execute._usable_cpus() == 3
+def test_one_worker_where_side_by_side_loops_cannot_gain(monkeypatch):
+    fresh = ["pivot", "stepwise", "static"]
+    monkeypatch.setattr(execute, "default_workers", lambda: 4)
+    lp = SynthesisConfig(backend="lp")
+    assert execute._synthesis_workers(lp, lp.build_backend(), fresh) == 3
+    budgeted = SynthesisConfig(backend="lp", time_budget_per_call=5.0)
+    assert execute._synthesis_workers(budgeted, budgeted.build_backend(), fresh) == 1
+    # The pure-Python SMT search holds the GIL for its whole solve.
+    assert execute._synthesis_workers(lp, SMTAttackBackend(), fresh) == 1
+    # A batch pool worker: its pool already runs one process per CPU.
+    monkeypatch.setattr(execute.multiprocessing, "parent_process", lambda: object())
+    assert execute._synthesis_workers(lp, lp.build_backend(), fresh) == 1
+
+
+def test_default_workers_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(cpus.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cpus.os, "cpu_count", lambda: 3)
+    assert cpus.default_workers() == 3
 
 
 def _solves_per_algorithm(problem) -> dict[str, int]:
@@ -164,14 +214,14 @@ def _counter_cells(registry) -> dict[str, dict]:
     }
 
 
-def _per_algorithm_sums(problem) -> dict[str, dict]:
+def _per_algorithm_sums(problem, algorithms=CONFIG.algorithms) -> dict[str, dict]:
     """The counters of the vulnerability solve plus each algorithm alone on a fork."""
     registries = [MetricsRegistry(enabled=True)]
     with use_registry(registries[0]):
         session = SynthesisSession(problem, backend=CONFIG.build_backend())
         session.solve(None)
     relaxer = CONFIG.build_relaxer(backend=session.solver)
-    for name in CONFIG.algorithms:
+    for name in algorithms:
         registries.append(MetricsRegistry(enabled=True))
         with use_registry(registries[-1]):
             fork = session.fork()
@@ -189,7 +239,8 @@ def _per_algorithm_sums(problem) -> dict[str, dict]:
     return _counter_cells(total)
 
 
-def test_merged_metrics_equal_per_algorithm_sums_and_repeat(problems):
+def test_merged_metrics_equal_per_algorithm_sums_and_repeat(problems, monkeypatch):
+    monkeypatch.setattr(execute, "default_workers", lambda: 3)
     problem = problems["dcmotor"]
     expected = _per_algorithm_sums(problem)
     assert expected["synthesis_witness_hits_total"]
@@ -219,7 +270,8 @@ class _Raising:
         raise RuntimeError(self.message)
 
 
-def test_first_failing_algorithm_in_order_propagates(problems):
+def test_first_failing_algorithm_in_order_propagates(problems, monkeypatch):
+    monkeypatch.setattr(execute, "default_workers", lambda: 3)
     first = type("RaiseFirst", (_Raising,), {"message": "first"})
     second = type("RaiseSecond", (_Raising,), {"message": "second"})
     SYNTHESIZERS.register("raise-first-test")(first)
@@ -241,7 +293,31 @@ def test_first_failing_algorithm_in_order_propagates(problems):
     assert threading.active_count() == threads
 
 
-def test_synthesizer_without_session_parameter_runs_beside_the_others(problems):
+def test_finished_algorithms_metrics_are_merged_when_another_raises(
+    problems, monkeypatch
+):
+    monkeypatch.setattr(execute, "default_workers", lambda: 2)
+    problem = problems["dcmotor"]
+    expected = _per_algorithm_sums(problem, ("stepwise",))
+    SYNTHESIZERS.register("raise-first-test")(type("RaiseFirst", (_Raising,), {"message": "first"}))
+    registry = MetricsRegistry(enabled=True)
+    try:
+        with use_registry(registry), pytest.raises(RuntimeError, match="^first$"):
+            run_pipeline(
+                problem,
+                SynthesisConfig(
+                    algorithms=("raise-first-test", "stepwise"),
+                    backend="lp",
+                    relax={"floor": 1.0},
+                ),
+            )
+    finally:
+        SYNTHESIZERS.unregister("raise-first-test")
+    assert _counter_cells(registry) == expected
+
+
+def test_synthesizer_without_session_parameter_runs_beside_the_others(problems, monkeypatch):
+    monkeypatch.setattr(execute, "default_workers", lambda: 2)
     class OldStyleSynthesizer:
         def __init__(self, backend="lp", **_):
             self.backend = backend
