@@ -2,8 +2,8 @@
 
 Not part of the paper's evaluation, but useful for downstream users sizing
 their own problems: how Algorithm 1's runtime scales with the analysis
-horizon, and how the from-scratch simplex compares to scipy's HiGHS on the
-same feasibility problem.
+horizon, and what the incremental synthesis session saves over one encoding
+per call.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.optimize import linprog
 
 from benchmarks.conftest import run_once
 from tests.synthesis_oracle import PerCallSession, TwoPhaseLPBackend
@@ -19,8 +18,6 @@ from tests.synthesis_oracle import PerCallSession, TwoPhaseLPBackend
 from repro import StepwiseThresholdSynthesizer, get_case_study, synthesize_attack
 from repro.core import encoding as encoding_module
 from repro.core.session import SynthesisSession
-from repro.smt.linear import LinearExpr
-from repro.smt.simplex import SimplexSolver
 from repro.systems import build_dcmotor_case_study
 
 
@@ -169,33 +166,3 @@ def test_incremental_session_vs_legacy_cegis(benchmark):
     if not benchmark.disabled:
         vsc = next(row for row in rows if row["case"] == "vsc")
         assert vsc["legacy_time"] / vsc["session_time"] >= 1.4
-
-
-def test_simplex_vs_scipy(benchmark):
-    """Feasibility checking: from-scratch simplex vs scipy HiGHS."""
-    rng = np.random.default_rng(0)
-    n_vars, n_cons = 20, 60
-    A = rng.normal(size=(n_cons, n_vars))
-    b = rng.normal(size=n_cons) + 1.0
-
-    def run_both():
-        solver = SimplexSolver()
-        for i in range(n_cons):
-            solver.add_expression(
-                LinearExpr({f"v{j}": A[i, j] for j in range(n_vars)}, -float(b[i]))
-            )
-        start = time.monotonic()
-        ours = solver.check()
-        ours_time = time.monotonic() - start
-        start = time.monotonic()
-        reference = linprog(
-            np.zeros(n_vars), A_ub=A, b_ub=b, bounds=[(None, None)] * n_vars, method="highs"
-        )
-        scipy_time = time.monotonic() - start
-        return ours, ours_time, reference, scipy_time
-
-    ours, ours_time, reference, scipy_time = run_once(benchmark, run_both)
-    print("\n--- Simplex micro-benchmark (20 variables, 60 constraints)")
-    print(f"from-scratch simplex: feasible={ours.feasible} in {ours_time * 1e3:.2f} ms")
-    print(f"scipy HiGHS         : feasible={reference.status == 0} in {scipy_time * 1e3:.2f} ms")
-    assert ours.feasible == (reference.status == 0)

@@ -18,7 +18,7 @@ Quick start (a sweep)::
 
     spec = ExperimentSpec(
         case_studies=("dcmotor", "trajectory"),
-        backends=("lp", "smt"),
+        backends=("lp", "optimizer"),
         algorithms=("pivot", "static"),
     )
     result = run_experiments(spec, workers=4)
@@ -42,8 +42,9 @@ Subpackages
     The plant / estimator / controller substrate.
 ``repro.attacks``, ``repro.monitors``, ``repro.detectors``, ``repro.noise``
     Attacker models, plant monitors (``mdc``), residue detectors, noise models.
-``repro.smt``, ``repro.falsification``
-    The formal solver substrate (DPLL(T) + simplex) and the attack-synthesis backends.
+``repro.falsification``
+    The attack-synthesis backends: the LP decision procedure (HiGHS) and a
+    simulation-based falsifier.
 ``repro.systems``
     Ready-made case studies (VSC, trajectory tracking, DC motor, ...).
 ``repro.runtime``

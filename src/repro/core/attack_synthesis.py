@@ -45,7 +45,7 @@ def synthesize_attack(
         Candidate residue thresholds; ``None`` (or an all-unset vector)
         models the system without a residue detector.
     backend:
-        ``"lp"`` (default), ``"smt"``, ``"optimizer"`` or a backend instance.
+        ``"lp"`` (default), ``"optimizer"`` or a backend instance.
     time_budget:
         Optional wall-clock budget in seconds for the backend (the paper used
         a 12-hour Z3 timeout; our instances need seconds).

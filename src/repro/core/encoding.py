@@ -12,8 +12,7 @@ For the noiseless LTI closed loop all involved signals are affine in the
 decision vector, so the first two items become a conjunction of affine
 constraints and the third a disjunction of affine constraints (one branch per
 way of violating a ``pfc`` condition).  This module materialises exactly that
-structure; the LP backend enumerates the branches and the SMT backend hands
-the disjunction to the DPLL(T) solver.
+structure, and the LP backend enumerates the branches.
 
 The encoding is split along the counterexample-guided synthesis loop's axis
 of change: the horizon unrolling, the monitor (``mdc``) constraints and the
@@ -136,11 +135,6 @@ class AttackEncoding:
         """Number of decision variables."""
         return self.unrolling.n_variables
 
-    @property
-    def variable_names(self) -> list[str]:
-        """Names of the decision variables (for the SMT backend and diagnostics)."""
-        return self.unrolling.variable_names
-
     def base_constraints(self) -> list[AffineConstraint]:
         """Stealth + monitor constraints that must all hold."""
         if self._stealth is None:
@@ -184,9 +178,11 @@ class AttackEncoding:
         """Encode a strict inequality ``row·theta + constant < 0`` robustly.
 
         With a positive strictness margin the constraint becomes the
-        non-strict ``row·theta + constant + margin <= 0``; with zero margin
-        the strict flag is kept (the SMT backend handles it exactly, the LP
-        backend treats it as non-strict).
+        non-strict ``row·theta + constant + margin <= 0``.  With zero margin
+        the strict flag is kept, and the LP backend decides the closure of
+        the strict set (``<= 0``): its UNSAT stays sound, because the strict
+        set lies inside that closure, but a SAT witness may sit on the
+        boundary and then fail replay.
         """
         margin = float(self.problem.strictness)
         if margin > 0:
@@ -262,8 +258,7 @@ class AttackEncoding:
         The encoding requires the monitors to be satisfied at every sampling
         instance.  This is the conservative reading of dead-zone monitors
         (the attacker never violates them); see
-        ``DeadZoneMonitor.stealth_windows`` for the exact semantics, which the
-        SMT backend can optionally enumerate.
+        ``DeadZoneMonitor.stealth_windows`` for the exact semantics.
         """
         constraints: list[AffineConstraint] = []
         mdc = self.problem.mdc

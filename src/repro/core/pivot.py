@@ -46,7 +46,7 @@ class PivotThresholdSynthesizer:
     Parameters
     ----------
     backend:
-        Attack-synthesis backend name or instance (``"lp"``, ``"smt"``, ...).
+        Attack-synthesis backend name or instance (``"lp"``, ``"optimizer"``, ...).
     max_rounds:
         Safety cap on the number of Algorithm 1 calls.
     time_budget_per_call:

@@ -10,7 +10,7 @@ model, monitor ``mdc`` rows, variable bounds, pfc violation branches)
 :class:`~repro.falsification.base.BackendSession` over them; each
 :meth:`solve` call then only re-emits the threshold-dependent stealth
 constraints — the LP backend appends the per-round stealth right-hand side
-to its cached matrices, the SMT backend push/pops the stealth clauses.
+to its cached matrices.
 
 A :meth:`~SynthesisSession.solve` answer depends only on the threshold
 handed to that call, so one session can serve several synthesis algorithms
@@ -109,7 +109,7 @@ class SynthesisSession:
     problem:
         The synthesis problem instance ``<S, C, pfc>`` plus attacker model.
     backend:
-        ``"lp"`` (default), ``"smt"``, ``"optimizer"`` or a backend instance.
+        ``"lp"`` (default), ``"optimizer"`` or a backend instance.
     verify:
         Default for re-simulating synthesized attacks and checking stealth /
         pfc violation on the concrete trace (overridable per call).
@@ -163,11 +163,10 @@ class SynthesisSession:
     def fork(self) -> "SynthesisSession":
         """A session over the same encoding with its own backend session.
 
-        The fork opens a fresh backend session (its own LP matrix cache or
-        SMT solver) and starts with copies of this session's detector-free
-        memo and verified witness, so it can serve one synthesis loop on
-        another thread while this session serves a different one.  No
-        encoding is built.
+        The fork opens a fresh backend session (its own LP matrix cache) and
+        starts with copies of this session's detector-free memo and verified
+        witness, so it can serve one synthesis loop on another thread while
+        this session serves a different one.  No encoding is built.
         """
         clone = copy.copy(self)
         clone._backend_session = self.solver.open_session(self.encoding)

@@ -21,8 +21,8 @@ Following the update order of the paper's Algorithm 1, the augmented state
 
 with residue ``z_k = C (x_k - xhat_k) + a_k`` and attacked measurement
 ``y_k = C x_k + D u_k + a_k``.  This module computes, for each sampling
-instance, the matrices mapping ``theta`` to those signals, which both the LP
-and the SMT attack-synthesis backends consume.
+instance, the matrices mapping ``theta`` to those signals, which the
+attack-synthesis backends consume.
 """
 
 from __future__ import annotations

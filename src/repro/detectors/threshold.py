@@ -18,7 +18,7 @@ import numpy as np
 from repro.utils.validation import ValidationError, check_finite, check_positive
 
 #: Comparison slack of the alarm predicate ``||z_k|| >= Th[k]``.  The solver
-#: encodings place residues *exactly* on the threshold boundary (up to LP/SMT
+#: encodings place residues *exactly* on the threshold boundary (up to LP
 #: arithmetic), so the concrete-trace alarm check must not let a residue that
 #: is numerically equal to the threshold slip under it.  Every alarm path —
 #: offline (:meth:`ThresholdVector.alarms`, ``ResidueDetector``), the FAR

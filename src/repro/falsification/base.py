@@ -6,8 +6,8 @@ that answers a *sequence* of Algorithm 1 queries against the same problem
 where only the candidate threshold changes between calls — the shape of every
 counterexample-guided synthesis loop.  The base session simply rebinds the
 shared encoding (already skipping the horizon unrolling and static constraint
-rebuilds); the LP and SMT backends override it to additionally cache their
-assembled solver-level representations.
+rebuilds); the LP backend overrides it to additionally cache its assembled
+constraint matrices.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class AttackBackend(abc.ABC):
     def open_session(self, encoding: AttackEncoding) -> BackendSession:
         """Open an incremental session over ``encoding``'s static structure.
 
-        Backends with cacheable solver-level state (assembled LP matrices,
-        asserted SMT clauses) override this; the default session still reuses
-        the encoding across rounds.
+        Backends with cacheable solver-level state (the LP backend's assembled
+        matrices) override this; the default session still reuses the
+        encoding across rounds.
         """
         return BackendSession(self, encoding)

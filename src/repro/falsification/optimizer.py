@@ -1,4 +1,4 @@
-"""Simulation-based optimization falsifier (incomplete third backend).
+"""Simulation-based optimization falsifier (the incomplete second backend).
 
 Searches the attack space directly by simulating the closed loop and
 minimising a robustness objective:
@@ -10,7 +10,7 @@ was found.  The search combines random restarts with Nelder–Mead polishing
 from :func:`scipy.optimize.minimize`, which is the classical S-TaLiRo /
 Breach-style falsification recipe.  The backend can never prove absence of
 attacks (it returns ``UNKNOWN`` instead of ``UNSAT``); it exists as an
-ablation point and as an independent cross-check of the formal backends.
+ablation point and as an independent cross-check of the LP backend.
 
 Under a :class:`~repro.core.session.SynthesisSession` this backend runs
 through the default :class:`~repro.falsification.base.BackendSession`: each

@@ -17,11 +17,9 @@ from __future__ import annotations
 from repro.falsification.base import AttackBackend
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.falsification.optimizer import OptimizationFalsifier
-from repro.falsification.smt_backend import SMTAttackBackend
 from repro.registry import BACKENDS, available_backends
 
 BACKENDS.register("lp", LPAttackBackend)
-BACKENDS.register("smt", SMTAttackBackend)
 BACKENDS.register("optimizer", OptimizationFalsifier)
 
 
@@ -33,7 +31,7 @@ def get_backend(name_or_backend, **kwargs) -> AttackBackend:
     name_or_backend:
         Either an :class:`AttackBackend` instance (returned unchanged) or a
         name registered in :data:`repro.registry.BACKENDS` (built-ins:
-        ``"lp"``, ``"smt"``, ``"optimizer"``).  Unknown names raise a
+        ``"lp"``, ``"optimizer"``).  Unknown names raise a
         :class:`~repro.registry.RegistryError` listing the currently
         registered names.
     kwargs:

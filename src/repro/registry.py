@@ -12,7 +12,7 @@ Eight registries ship with the library:
 ==================  =============================================  =========================
 registry            built-in names                                 registered object
 ==================  =============================================  =========================
-``BACKENDS``        ``lp``, ``smt``, ``optimizer``                 attack-synthesis backend
+``BACKENDS``        ``lp``, ``optimizer``                          attack-synthesis backend
 ``SYNTHESIZERS``    ``pivot``, ``stepwise``, ``static``            threshold synthesizer
 ``DETECTORS``       ``residue``, ``chi-square``, ``cusum``,        residue detector (the
                     ``online-residue``, ``online-chi-square``,     ``online-*`` names resolve

@@ -68,13 +68,13 @@ def dcmotor_problem():
 
 @pytest.fixture(scope="session")
 def small_dcmotor_problem():
-    """A short-horizon DC-motor problem for the slower (SMT) backend tests."""
+    """A short-horizon DC-motor problem for the slower (optimizer) backend tests."""
     return build_dcmotor_case_study(horizon=8).problem
 
 
 @pytest.fixture(scope="session")
 def small_trajectory_problem():
-    """A short-horizon trajectory problem for the slower (SMT) backend tests."""
+    """A short-horizon trajectory problem for the slower (optimizer) backend tests."""
     return build_trajectory_case_study(horizon=6).problem
 
 

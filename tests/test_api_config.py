@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import ExperimentSpec, FARConfig, PipelineReport, SynthesisConfig, run_pipeline
 from repro.core.static_synthesis import StaticThresholdSynthesizer
+from repro.explore import SearchSpace
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.noise.models import BoundedUniformNoise
 from repro.utils.validation import ValidationError
@@ -15,10 +16,10 @@ class TestSynthesisConfig:
     def test_round_trips_through_dict_and_json(self):
         config = SynthesisConfig(
             algorithms=("pivot", "static"),
-            backend="smt",
+            backend="optimizer",
             max_rounds=33,
             min_threshold=0.01,
-            backend_options={"margin_mode": "none"},
+            backend_options={"restarts": 3},
             algorithm_options={"pivot": {"pivot_rule": "first-violation"}},
         )
         assert SynthesisConfig.from_dict(config.to_dict()) == config
@@ -121,11 +122,12 @@ class TestRunPipeline:
         backend = LPAttackBackend()
         report = run_pipeline(
             trajectory_problem,
-            SynthesisConfig(algorithms=("static",), backend="smt"),
+            SynthesisConfig(algorithms=("static",), backend="optimizer"),
             backend=backend,
         )
-        # The LP instance was used (an SMT run on this problem also works but
-        # the shared-instance path must not rebuild from the config name).
+        # The LP instance was used: the shared-instance path must not rebuild
+        # from the config name, and the incomplete optimizer never converges
+        # the static baseline (it cannot prove the final UNSAT).
         assert report.synthesis["static"].converged
 
 
@@ -134,7 +136,7 @@ class TestExperimentSpec:
         spec = ExperimentSpec(
             name="sweep",
             case_studies=("dcmotor", "trajectory"),
-            backends=("lp", "smt"),
+            backends=("lp", "optimizer"),
             algorithms=("pivot", "static"),
             case_study_options={"dcmotor": {"horizon": 10}},
             min_threshold=0.01,
@@ -146,7 +148,7 @@ class TestExperimentSpec:
     def test_grid_expansion_covers_the_product_in_order(self):
         spec = ExperimentSpec(
             case_studies=("dcmotor", "trajectory"),
-            backends=("lp", "smt"),
+            backends=("lp", "optimizer"),
             algorithms=("pivot", "static"),
         )
         units = spec.expand()
@@ -154,7 +156,7 @@ class TestExperimentSpec:
         combos = [(u.case_study, u.backend, u.algorithm) for u in units]
         assert len(set(combos)) == 8
         assert combos[0] == ("dcmotor", "lp", "pivot")
-        assert combos[-1] == ("trajectory", "smt", "static")
+        assert combos[-1] == ("trajectory", "optimizer", "static")
         # Per-case options only land on their own case study.
         spec.case_study_options["dcmotor"] = {"horizon": 9}
         units = spec.expand()
@@ -219,3 +221,19 @@ class TestEngineOptionsValidation:
 
         with pytest.raises(ValidationError):
             ServiceConfig.from_dict({"engine": "fused"})
+
+
+class TestRemovedSmtBackend:
+    """Specs naming the removed ``smt`` backend fail loudly, never switch backend."""
+
+    def test_synthesis_config_from_dict(self):
+        with pytest.raises(ValidationError, match="available: lp, optimizer"):
+            SynthesisConfig.from_dict({"backend": "smt"})
+
+    def test_experiment_spec(self):
+        with pytest.raises(ValidationError, match="available: lp, optimizer"):
+            ExperimentSpec.from_dict({"backends": ["lp", "smt"]})
+
+    def test_search_space(self):
+        with pytest.raises(ValidationError, match="available: lp, optimizer"):
+            SearchSpace.from_dict({"backends": ["smt"]})

@@ -5,25 +5,23 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import get_case_study
 from repro.core.attack_synthesis import synthesize_attack
-from repro.core.encoding import AttackEncoding
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.falsification.optimizer import OptimizationFalsifier
 from repro.falsification.registry import available_backends, get_backend
-from repro.falsification.smt_backend import SMTAttackBackend
 from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError
 
 
 class TestRegistry:
     def test_available(self):
-        assert set(available_backends()) == {"lp", "smt", "optimizer"}
+        assert available_backends() == ["lp", "optimizer"]
 
     def test_get_by_name_and_instance(self):
         backend = get_backend("lp")
         assert isinstance(backend, LPAttackBackend)
         assert get_backend(backend) is backend
-        assert isinstance(get_backend("smt"), SMTAttackBackend)
         assert isinstance(get_backend("optimizer"), OptimizationFalsifier)
 
     def test_unknown_name(self):
@@ -98,34 +96,39 @@ class TestAlgorithm1OnDCMotor:
 
 
 class TestBackendAgreement:
-    """LP and SMT backends must agree on satisfiability."""
+    """The optimizer cross-checks the LP backend: its verified SATs are LP SATs."""
 
+    @pytest.mark.parametrize(
+        "problem_fixture", ["small_dcmotor_problem", "small_trajectory_problem"]
+    )
     @pytest.mark.parametrize("threshold_value", [None, 10.0, 1e-4])
-    def test_verdicts_agree_on_dcmotor(self, small_dcmotor_problem, threshold_value):
-        problem = small_dcmotor_problem
+    def test_optimizer_sat_implies_lp_sat(self, request, problem_fixture, threshold_value):
+        problem = request.getfixturevalue(problem_fixture)
         threshold = (
             None if threshold_value is None else problem.static_threshold(threshold_value)
         )
         lp = synthesize_attack(problem, threshold=threshold, backend="lp")
-        smt = synthesize_attack(problem, threshold=threshold, backend="smt")
-        assert lp.status == smt.status
-        if smt.found:
-            assert smt.verified
+        optimizer = synthesize_attack(
+            problem, threshold=threshold, backend=OptimizationFalsifier(seed=0)
+        )
+        assert optimizer.status is not SolveStatus.UNSAT
+        if optimizer.found and optimizer.verified:
+            assert lp.found and lp.verified
 
-    def test_smt_finds_verified_attack_on_trajectory(self, small_trajectory_problem):
-        problem = small_trajectory_problem
-        result = synthesize_attack(problem, threshold=None, backend="smt")
-        lp_result = synthesize_attack(problem, threshold=None, backend="lp")
-        assert result.status == lp_result.status
-        if result.found:
-            assert result.verified
 
-    def test_smt_formula_construction(self, small_dcmotor_problem):
-        problem = small_dcmotor_problem
-        encoding = AttackEncoding(problem=problem, threshold=problem.static_threshold(1.0))
-        backend = SMTAttackBackend()
-        formulas = backend.build_formulas(encoding)
-        assert len(formulas) > 0
+class TestSplitQueries:
+    """Queries the removed in-house SMT backend answered UNSAT: a real attack exists."""
+
+    @pytest.mark.parametrize("case, level", [("vsc", 5.0), ("cruise", 0.5)])
+    def test_lp_finds_the_replayed_stealthy_attack(self, case, level):
+        problem = get_case_study(case).problem
+        threshold = problem.static_threshold(level)
+        result = synthesize_attack(problem, threshold=threshold, backend="lp")
+        assert result.status is SolveStatus.SAT
+        assert result.verified
+        assert not problem.pfc_satisfied(result.trace)
+        assert not problem.mdc_alarm(result.trace)
+        assert not problem.detector_alarm(result.trace, threshold)
 
 
 class TestOptimizerBackend:

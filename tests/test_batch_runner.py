@@ -33,15 +33,15 @@ def _comparable(result: ExperimentResult) -> list[tuple]:
 
 @pytest.fixture(scope="module")
 def sweep_spec() -> ExperimentSpec:
-    """2 case studies x 2 backends x 2 algorithms, kept cheap for the SMT cells."""
+    """2 case studies x 2 backends x 2 algorithms, kept cheap for the optimizer cells."""
     return ExperimentSpec(
         name="acceptance-sweep",
         case_studies=("dcmotor", "trajectory"),
-        backends=("lp", "smt"),
+        backends=("lp", "optimizer"),
         algorithms=("stepwise", "static"),
         case_study_options={"dcmotor": {"horizon": 8}, "trajectory": {"horizon": 8}},
         min_threshold=0.005,
-        max_rounds=150,
+        max_rounds=20,
         far=FARConfig(count=20, seed=0, filter_pfc=False, filter_mdc=False),
     )
 
@@ -77,14 +77,17 @@ class TestSerialSweep:
             assert row.solver_time_s >= 0.0
             assert 0.0 <= row.false_alarm_rate <= 1.0
 
-    def test_static_baseline_converges_on_both_backends(self, serial_result):
+    def test_static_baseline_converges_on_lp_only(self, serial_result):
         for case in ("dcmotor", "trajectory"):
-            for backend in ("lp", "smt"):
-                row = serial_result.select(
-                    case_study=case, backend=backend, algorithm="static"
-                )[0]
-                assert row.status == "unsat"
-                assert row.converged is True
+            row = serial_result.select(case_study=case, backend="lp", algorithm="static")[0]
+            assert row.status == "unsat"
+            assert row.converged is True
+            # The optimizer is incomplete: it never proves the final UNSAT.
+            row = serial_result.select(
+                case_study=case, backend="optimizer", algorithm="static"
+            )[0]
+            assert row.status != "unsat"
+            assert row.converged is False
 
     def test_result_round_trips_through_json(self, serial_result):
         rebuilt = ExperimentResult.from_json(serial_result.to_json())
@@ -124,9 +127,9 @@ class TestGrouping:
         )
         assert {(p["case_study"], p["backend"]) for p, _ in groups} == {
             ("dcmotor", "lp"),
-            ("dcmotor", "smt"),
+            ("dcmotor", "optimizer"),
             ("trajectory", "lp"),
-            ("trajectory", "smt"),
+            ("trajectory", "optimizer"),
         }
         # The index lists map each group's rows back onto the input units.
         units = sweep_spec.expand()

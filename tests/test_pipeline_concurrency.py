@@ -26,7 +26,7 @@ from repro.api import FARConfig, SynthesisConfig, run_pipeline
 from repro.api import execute
 from repro.core.session import SynthesisSession
 from repro.core.static_synthesis import StaticThresholdSynthesizer
-from repro.falsification.smt_backend import SMTAttackBackend
+from repro.falsification.optimizer import OptimizationFalsifier
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
 from repro.registry import SYNTHESIZERS
 from repro.utils import cpus
@@ -106,26 +106,14 @@ def test_one_usable_cpu_gives_the_same_report_on_one_session(problems, monkeypat
     assert_same_report(expected, run_pipeline(problem, CONFIG, FAR))
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        SynthesisConfig(
-            algorithms=("pivot", "stepwise", "static"),
-            backend="lp",
-            time_budget_per_call=60.0,
-            relax={"floor": 1.0},
-        ),
-        SynthesisConfig(
-            algorithms=("pivot", "stepwise", "static"),
-            backend="smt",
-            max_rounds=150,
-            time_budget_per_call=60.0,
-        ),
-    ],
-    ids=["lp", "smt"],
-)
-def test_budgeted_runs_match_the_sequential_oracle_on_one_session(monkeypatch, config):
+def test_budgeted_runs_match_the_sequential_oracle_on_one_session(monkeypatch):
     """A wall-clock budget is never shared between loops running side by side."""
+    config = SynthesisConfig(
+        algorithms=("pivot", "stepwise", "static"),
+        backend="lp",
+        time_budget_per_call=60.0,
+        relax={"floor": 1.0},
+    )
     problem = get_case_study("trajectory", horizon=8).problem
     expected = sequential_pipeline(problem, config, FAR)
     monkeypatch.setattr(SynthesisSession, "fork", _no_fork)
@@ -166,8 +154,8 @@ def test_one_worker_where_side_by_side_loops_cannot_gain(monkeypatch):
     assert execute._synthesis_workers(lp, lp.build_backend(), fresh) == 3
     budgeted = SynthesisConfig(backend="lp", time_budget_per_call=5.0)
     assert execute._synthesis_workers(budgeted, budgeted.build_backend(), fresh) == 1
-    # The pure-Python SMT search holds the GIL for its whole solve.
-    assert execute._synthesis_workers(lp, SMTAttackBackend(), fresh) == 1
+    # The simulation-based falsifier holds the GIL for its whole search.
+    assert execute._synthesis_workers(lp, OptimizationFalsifier(), fresh) == 1
     # A batch pool worker: its pool already runs one process per CPU.
     monkeypatch.setattr(execute.multiprocessing, "parent_process", lambda: object())
     assert execute._synthesis_workers(lp, lp.build_backend(), fresh) == 1

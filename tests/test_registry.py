@@ -32,7 +32,7 @@ from repro.utils.validation import ValidationError
 
 class TestBuiltinRegistrations:
     def test_all_six_registries_resolve_the_builtin_names(self):
-        assert set(available_backends()) == {"lp", "smt", "optimizer"}
+        assert set(available_backends()) == {"lp", "optimizer"}
         assert set(available_synthesizers()) == {"pivot", "stepwise", "static"}
         assert set(available_detectors()) == {
             "residue",
@@ -156,7 +156,7 @@ class TestRegistryMechanics:
         with pytest.raises(RegistryError) as excinfo:
             BACKENDS.get("z3")
         message = str(excinfo.value)
-        assert "lp" in message and "smt" in message and "optimizer" in message
+        assert "lp" in message and "optimizer" in message
 
     def test_registry_error_is_a_validation_error(self):
         assert issubclass(RegistryError, ValidationError)

@@ -222,7 +222,7 @@ class TestKeySplit:
         base = ExperimentUnit("dcmotor", "lp", "stepwise").to_dict()
         for variant in (
             ExperimentUnit("dcmotor", "lp", "static"),
-            ExperimentUnit("dcmotor", "smt", "stepwise"),
+            ExperimentUnit("dcmotor", "optimizer", "stepwise"),
             ExperimentUnit("dcmotor", "lp", "stepwise", min_threshold=0.5),
             ExperimentUnit("dcmotor", "lp", "stepwise", relax={"floor": 1.0}),
             ExperimentUnit("dcmotor", "lp", "stepwise", case_study_options={"horizon": 9}),

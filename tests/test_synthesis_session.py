@@ -3,8 +3,8 @@
 The contract under test: a :class:`~repro.core.session.SynthesisSession`
 builds the encoding once per problem and serves per-round solves whose
 results are bit-identical to the one-encoding-per-call reference
-(:class:`synthesis_oracle.PerCallSession`), across backends, synthesis
-algorithms and the relaxation pass.
+(:class:`synthesis_oracle.PerCallSession`), across synthesis algorithms and
+the relaxation pass.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.core.stepwise import StepwiseThresholdSynthesizer
 from repro.detectors.threshold import ThresholdVector
 from repro.falsification.lp_backend import LPAttackBackend
-from repro.smt.solver import Solver
-from repro.smt.linear import LinearExpr
-from repro.smt.expr import Atom
 from repro.utils.results import SolveStatus
-from repro.utils.validation import ValidationError
 
 
 def build_delta(fn):
@@ -124,18 +120,12 @@ class TestSessionEquivalenceAcrossSynthesizers:
             ("trajectory_problem", "lp", _synthesis_pass(PivotThresholdSynthesizer)),
             ("trajectory_problem", "lp", _synthesis_pass(StepwiseThresholdSynthesizer)),
             ("trajectory_problem", "lp", _synthesis_pass(StaticThresholdSynthesizer)),
-            ("small_dcmotor_problem", "smt", _synthesis_pass(PivotThresholdSynthesizer)),
-            ("small_dcmotor_problem", "smt", _synthesis_pass(StepwiseThresholdSynthesizer)),
-            ("small_dcmotor_problem", "smt", _synthesis_pass(StaticThresholdSynthesizer)),
             ("trajectory_problem", "lp", _relaxation_pass),
         ],
         ids=[
             "pivot",
             "stepwise",
             "static",
-            "smt-pivot",
-            "smt-stepwise",
-            "smt-static",
             "relax",
         ],
     )
@@ -420,31 +410,6 @@ class TestEncodingIncrementalStructure:
         np.testing.assert_array_equal(
             template.sample_index[: 2 * m], np.zeros(2 * m, dtype=int)
         )
-
-
-class TestSolverPushPop:
-    def test_push_pop_scopes_assertions(self):
-        solver = Solver()
-        base = Atom(expression=LinearExpr({"x": 1.0}, -1.0), strict=False)  # x <= 1
-        solver.add(base)
-        solver.push()
-        solver.add(Atom(expression=LinearExpr({"x": -1.0}, 2.0), strict=False))  # x >= 2
-        assert solver.check().status is SolveStatus.UNSAT
-        assert solver.scope_depth == 1
-        solver.pop()
-        assert solver.scope_depth == 0
-        assert len(solver.assertions()) == 1
-        assert solver.check().status is SolveStatus.SAT
-
-    def test_pop_without_push_raises(self):
-        with pytest.raises(ValidationError):
-            Solver().pop()
-
-    def test_reset_clears_scopes(self):
-        solver = Solver()
-        solver.push()
-        solver.reset()
-        assert solver.scope_depth == 0
 
 
 # ----------------------------------------------------------------------
