@@ -237,3 +237,22 @@ class TestRemovedSmtBackend:
     def test_search_space(self):
         with pytest.raises(ValidationError, match="available: lp, optimizer"):
             SearchSpace.from_dict({"backends": ["smt"]})
+
+    def test_get_backend(self):
+        from repro.falsification.registry import get_backend
+
+        with pytest.raises(ValidationError, match="available: lp, optimizer"):
+            get_backend("smt")
+
+    def test_synthesis_session(self, trajectory_problem):
+        from repro.core.session import SynthesisSession
+
+        with pytest.raises(ValidationError, match="available: lp, optimizer"):
+            SynthesisSession(trajectory_problem, backend="smt")
+
+    @pytest.mark.parametrize("module", ["repro.smt", "repro.falsification.smt_backend"])
+    def test_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
