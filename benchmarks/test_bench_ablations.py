@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices in ``docs/architecture.md`` ("Design choices").
 
 1. Solver backend: LP branch enumeration vs the incomplete optimization
    falsifier (same verdict when the falsifier finds an attack, different

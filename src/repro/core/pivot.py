@@ -22,20 +22,16 @@ least the margin.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.problem import SynthesisProblem
 from repro.core.session import SynthesisSession
-from repro.core.synthesis_result import ThresholdSynthesisResult
+from repro.core.synthesis_result import SynthesisRun, ThresholdSynthesisResult
 from repro.detectors.threshold import ThresholdVector
 from repro.registry import SYNTHESIZERS
-from repro.utils.results import SolveStatus, SynthesisRecord
 from repro.utils.validation import ValidationError
-
-logger = logging.getLogger(__name__)
 
 
 @SYNTHESIZERS.register("pivot")
@@ -65,7 +61,6 @@ class PivotThresholdSynthesizer:
     time_budget_per_call: float | None = None
     pivot_rule: str = "max-residue"
     min_threshold: float = 0.0
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.pivot_rule not in {"max-residue", "first-violation"}:
@@ -82,85 +77,19 @@ class PivotThresholdSynthesizer:
     def synthesize(
         self, problem: SynthesisProblem, session: SynthesisSession | None = None
     ) -> ThresholdSynthesisResult:
-        """Run the full synthesis loop on ``problem``.
-
-        ``session`` lets a caller (the pipeline, the batch runner) share one
-        incremental session across several algorithms; when omitted the loop
-        opens its own.
-        """
-        if session is None:
-            session = SynthesisSession(problem, backend=self.backend)
+        """Run the full synthesis loop on ``problem`` (on ``session`` when given)."""
+        run = SynthesisRun(
+            problem, "pivot", self.backend, session, self.time_budget_per_call, self.max_rounds
+        )
         threshold = problem.fresh_threshold()
-        history: list[SynthesisRecord] = []
-        total_time = 0.0
-
-        first = session.solve(None, time_budget=self.time_budget_per_call)
-        total_time += first.elapsed
-        rounds = 1
-        if not first.found:
-            return ThresholdSynthesisResult(
-                threshold=threshold,
-                rounds=rounds,
-                converged=first.status is SolveStatus.UNSAT,
-                status=first.status,
-                vulnerable_without_detector=False,
-                history=history,
-                total_solver_time=total_time,
-                algorithm="pivot",
-            )
-
-        norms = first.residue_norms
-        pivot = self._initial_pivot(norms)
-        threshold.set_value(pivot, max(norms[pivot], self.min_threshold))
-        history.append(
-            SynthesisRecord(
-                round_index=rounds,
-                action=f"initial pivot at k={pivot}",
-                threshold=threshold.copy(),
-                attack=first.attack,
-                solver_time=first.elapsed,
-            )
-        )
-
-        final_status = SolveStatus.UNKNOWN
-        while rounds < self.max_rounds:
-            result = session.solve(threshold, time_budget=self.time_budget_per_call)
-            total_time += result.elapsed
-            rounds += 1
-            final_status = result.status
-            if not result.found:
-                break
-            norms = result.residue_norms
-            before = threshold.values.copy()
-            action = self._refine(threshold, norms)
-            if self.verbose:  # pragma: no cover - logging only
-                logger.info("round %d: %s", rounds, action)
-            history.append(
-                SynthesisRecord(
-                    round_index=rounds,
-                    action=action,
-                    threshold=threshold.copy(),
-                    attack=result.attack,
-                    solver_time=result.elapsed,
-                )
-            )
-            if np.array_equal(before, threshold.values):
-                # The refinement is blocked (typically by the min_threshold
-                # floor): no further progress is possible.
-                final_status = SolveStatus.UNKNOWN
-                break
-
-        converged = final_status is SolveStatus.UNSAT
-        return ThresholdSynthesisResult(
-            threshold=threshold,
-            rounds=rounds,
-            converged=converged,
-            status=final_status,
-            vulnerable_without_detector=True,
-            history=history,
-            total_solver_time=total_time,
-            algorithm="pivot",
-        )
+        first = run.open()
+        if first is not None:
+            norms = first.residue_norms
+            pivot = self._initial_pivot(norms)
+            threshold.set_value(pivot, max(norms[pivot], self.min_threshold))
+            run.record(f"initial pivot at k={pivot}", threshold.copy(), first.attack)
+            run.refine(threshold, lambda norms: self._refine(threshold, norms))
+        return run.result(threshold)
 
     # ------------------------------------------------------------------
     def _refine(self, threshold: ThresholdVector, norms: np.ndarray) -> str:
@@ -168,16 +97,19 @@ class PivotThresholdSynthesizer:
         horizon = len(norms)
         set_indices = [int(i) for i in threshold.set_indices()]
 
+        def place(i: int, value: float) -> float:
+            value = max(value, self.min_threshold)
+            threshold.set_value(i, value)
+            threshold.clamp_successors(i)
+            return value
+
         # ----- Case 1a --------------------------------------------------
         for p in set_indices:
             earlier = [k for k in range(p) if norms[k] >= threshold[p] and not threshold.is_set(k)]
             if not earlier:
                 continue
             i = max(earlier, key=lambda k: norms[k])
-            value = threshold.monotone_cap(i, float(norms[i]))
-            value = max(value, self.min_threshold)
-            threshold.set_value(i, value)
-            threshold.clamp_successors(i)
+            value = place(i, threshold.monotone_cap(i, float(norms[i])))
             return f"case-1a new threshold Th[{i}]={value:.6g} (before p={p})"
 
         # ----- Case 1b --------------------------------------------------
@@ -191,10 +123,7 @@ class PivotThresholdSynthesizer:
             later_thresholds = [threshold[k] for k in set_indices if k > i]
             if any(norms[i] < value for value in later_thresholds):
                 continue
-            value = threshold.monotone_cap(i, float(norms[i]))
-            value = max(value, self.min_threshold)
-            threshold.set_value(i, value)
-            threshold.clamp_successors(i)
+            value = place(i, threshold.monotone_cap(i, float(norms[i])))
             return f"case-1b new threshold Th[{i}]={value:.6g} (after p={p})"
 
         # ----- Case 1c --------------------------------------------------
@@ -204,7 +133,5 @@ class PivotThresholdSynthesizer:
         if not reducible:
             return "case-1c blocked by min_threshold floor (no progress possible)"
         i = min(reducible, key=lambda k: threshold[k] - norms[k])
-        value = max(float(norms[i]), self.min_threshold)
-        threshold.set_value(i, value)
-        threshold.clamp_successors(i)
+        value = place(i, float(norms[i]))
         return f"case-1c reduced Th[{i}] to {value:.6g}"

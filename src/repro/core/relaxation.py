@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.core.problem import SynthesisProblem
 from repro.core.session import SynthesisSession
+from repro.core.synthesis_result import SynthesisRun
 from repro.detectors.threshold import ThresholdVector
 from repro.utils.results import SolveStatus, SynthesisRecord
 from repro.utils.validation import ValidationError
@@ -83,6 +84,21 @@ class RelaxationResult:
     certified: bool = True
     history: list[SynthesisRecord] = field(default_factory=list)
     total_solver_time: float = 0.0
+
+    @classmethod
+    def from_run(
+        cls, run: SynthesisRun, threshold: ThresholdVector, certified: bool, floored=(), raised=()
+    ) -> "RelaxationResult":
+        """The pass's outcome, with ``run``'s rounds, history and solver time."""
+        return cls(
+            threshold=threshold,
+            raised_instants=list(raised),
+            floored_instants=list(floored),
+            rounds=run.rounds,
+            certified=certified,
+            history=run.history,
+            total_solver_time=run.solver_time,
+        )
 
 
 @dataclass
@@ -148,25 +164,10 @@ class ThresholdRelaxer:
             raise ValidationError(
                 f"floor ({self.floor}) must not exceed raise_cap ({self.raise_cap})"
             )
-        if session is None:
-            session = SynthesisSession(problem, backend=self.backend)
+        run = SynthesisRun(problem, "relax", self.backend, session, self.time_budget_per_call)
         current = threshold.copy()
-        history: list[SynthesisRecord] = []
-        total_time = 0.0
-        rounds = 0
-
-        if verify_input:
-            check = session.decide(current, time_budget=self.time_budget_per_call)
-            rounds += 1
-            total_time += check.elapsed
-            if check.status is not SolveStatus.UNSAT:
-                return RelaxationResult(
-                    threshold=current,
-                    rounds=rounds,
-                    certified=False,
-                    history=history,
-                    total_solver_time=total_time,
-                )
+        if verify_input and run.decide(current).status is not SolveStatus.UNSAT:
+            return RelaxationResult.from_run(run, current, certified=False)
 
         floored: list[int] = []
         if self.floor is not None:
@@ -179,29 +180,14 @@ class ThresholdRelaxer:
             # enlarges the attacker's stealth-feasible set, so if the floored
             # vector already admits a stealthy attack every greedy raise
             # would be rejected too — return it uncertified immediately.
-            check = session.decide(current, time_budget=self.time_budget_per_call)
-            rounds += 1
-            total_time += check.elapsed
-            history.append(
-                SynthesisRecord(
-                    round_index=rounds,
-                    action=(
-                        f"floor {len(floored)} instant(s) at {self.floor:.6g}: "
-                        f"{'certified' if check.status is SolveStatus.UNSAT else 'uncertified'}"
-                    ),
-                    threshold=current.copy(),
-                    solver_time=check.elapsed,
-                )
+            certified = run.decide(current).status is SolveStatus.UNSAT
+            run.record(
+                f"floor {len(floored)} instant(s) at {self.floor:.6g}: "
+                f"{'certified' if certified else 'uncertified'}",
+                current.copy(),
             )
-            if check.status is not SolveStatus.UNSAT:
-                return RelaxationResult(
-                    threshold=current,
-                    floored_instants=floored,
-                    rounds=rounds,
-                    certified=False,
-                    history=history,
-                    total_solver_time=total_time,
-                )
+            if not certified:
+                return RelaxationResult.from_run(run, current, certified=False, floored=floored)
 
         raised: list[int] = []
         for k in range(current.length):
@@ -210,33 +196,17 @@ class ThresholdRelaxer:
                 continue
             trial = current.copy()
             trial.set_value(k, candidate)
-            result = session.decide(trial, time_budget=self.time_budget_per_call)
-            rounds += 1
-            total_time += result.elapsed
-            accepted = result.status is SolveStatus.UNSAT
-            history.append(
-                SynthesisRecord(
-                    round_index=rounds,
-                    action=(
-                        f"raise Th[{k}] {current[k]:.6g} -> {candidate:.6g}: "
-                        f"{'accepted' if accepted else 'rejected'}"
-                    ),
-                    threshold=trial.copy() if accepted else None,
-                    solver_time=result.elapsed,
-                )
+            accepted = run.decide(trial).status is SolveStatus.UNSAT
+            run.record(
+                f"raise Th[{k}] {current[k]:.6g} -> {candidate:.6g}: "
+                f"{'accepted' if accepted else 'rejected'}",
+                trial.copy() if accepted else None,
             )
             if accepted:
                 current = trial
                 raised.append(k)
-
-        return RelaxationResult(
-            threshold=current,
-            raised_instants=raised,
-            floored_instants=floored,
-            rounds=rounds,
-            certified=True,
-            history=history,
-            total_solver_time=total_time,
+        return RelaxationResult.from_run(
+            run, current, certified=True, floored=floored, raised=raised
         )
 
     # ------------------------------------------------------------------

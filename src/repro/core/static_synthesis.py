@@ -24,10 +24,10 @@ import numpy as np
 from repro.core.attack_synthesis import synthesize_attack
 from repro.core.problem import SynthesisProblem
 from repro.core.session import SynthesisSession
-from repro.core.synthesis_result import ThresholdSynthesisResult
+from repro.core.synthesis_result import SynthesisRun, ThresholdSynthesisResult
 from repro.detectors.threshold import ThresholdVector
 from repro.registry import SYNTHESIZERS
-from repro.utils.results import SolveStatus, SynthesisRecord
+from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError, check_positive
 
 
@@ -60,118 +60,51 @@ class StaticThresholdSynthesizer:
         self.tolerance = check_positive("tolerance", self.tolerance)
 
     # ------------------------------------------------------------------
-    def _is_safe(
-        self,
-        problem: SynthesisProblem,
-        value: float,
-        session: SynthesisSession,
-    ) -> tuple[bool, SolveStatus, float]:
-        threshold = problem.static_threshold(value)
-        result = session.decide(threshold, time_budget=self.time_budget_per_call)
-        return (not result.found), result.status, result.elapsed
+    def _probe(
+        self, run: SynthesisRun, problem: SynthesisProblem, value: float, label: str = ""
+    ) -> bool:
+        """Is the static threshold ``value`` safe?  A safe probe sets the run's status."""
+        answer = run.decide(problem.static_threshold(value))
+        safe = not answer.found
+        run.record(f"probe {label}{value:.6g} safe={safe}", value)
+        if safe:
+            run.status = answer.status
+        return safe
 
     # ------------------------------------------------------------------
     def synthesize(
         self, problem: SynthesisProblem, session: SynthesisSession | None = None
     ) -> ThresholdSynthesisResult:
-        """Find the largest safe static threshold by bisection.
-
-        ``session`` lets a caller (the pipeline, the batch runner) share one
-        incremental session across several algorithms; when omitted the
-        bisection opens its own.
-        """
-        if session is None:
-            session = SynthesisSession(problem, backend=self.backend)
-        history: list[SynthesisRecord] = []
-        total_time = 0.0
-
-        unconstrained = session.solve(None, time_budget=self.time_budget_per_call)
-        total_time += unconstrained.elapsed
-        rounds = 1
-        if not unconstrained.found:
+        """Find the largest safe static threshold by bisection (on ``session`` when given)."""
+        run = SynthesisRun(
+            problem, "static", self.backend, session, self.time_budget_per_call, self.max_rounds
+        )
+        unconstrained = run.open()
+        if unconstrained is None:
             # Existing monitors already block every attack; any threshold is safe.
-            threshold = problem.static_threshold(np.inf)
-            return ThresholdSynthesisResult(
-                threshold=threshold,
-                rounds=rounds,
-                converged=unconstrained.status is SolveStatus.UNSAT,
-                status=unconstrained.status,
-                vulnerable_without_detector=False,
-                history=history,
-                total_solver_time=total_time,
-                algorithm="static",
-            )
+            return run.result(problem.static_threshold(np.inf))
 
         max_residue = float(np.max(unconstrained.residue_norms))
         upper = self.initial_upper if self.initial_upper is not None else max(2.0 * max_residue, 1e-6)
         lower = 0.0
 
         # Ensure the upper end really is unsafe; if it is safe we are done early.
-        safe_upper, status_upper, elapsed = self._is_safe(problem, upper, session)
-        total_time += elapsed
-        rounds += 1
-        history.append(
-            SynthesisRecord(
-                round_index=rounds,
-                action=f"probe upper={upper:.6g} safe={safe_upper}",
-                threshold=upper,
-                solver_time=elapsed,
-            )
-        )
-        if safe_upper:
-            threshold = problem.static_threshold(upper)
-            return ThresholdSynthesisResult(
-                threshold=threshold,
-                rounds=rounds,
-                converged=status_upper is SolveStatus.UNSAT,
-                status=status_upper,
-                vulnerable_without_detector=True,
-                history=history,
-                total_solver_time=total_time,
-                algorithm="static",
-            )
+        if self._probe(run, problem, upper, label="upper="):
+            return run.result(problem.static_threshold(upper))
 
-        best_safe = None
-        final_status = SolveStatus.UNKNOWN
-        while upper - lower > self.tolerance and rounds < self.max_rounds:
+        while upper - lower > self.tolerance and run.rounds_left:
             middle = 0.5 * (lower + upper)
-            safe, status, elapsed = self._is_safe(problem, middle, session)
-            total_time += elapsed
-            rounds += 1
-            history.append(
-                SynthesisRecord(
-                    round_index=rounds,
-                    action=f"probe {middle:.6g} safe={safe}",
-                    threshold=middle,
-                    solver_time=elapsed,
-                )
-            )
-            if safe:
-                best_safe = middle
-                final_status = status
+            if self._probe(run, problem, middle):
                 lower = middle
             else:
                 upper = middle
 
-        if best_safe is None:
-            # Even tiny thresholds admit attacks within tolerance; fall back to
-            # the lower end of the bracket (threshold 0 alarms on everything
-            # and is therefore trivially safe).
-            best_safe = lower
-            final_status = SolveStatus.UNSAT if lower == 0.0 else final_status
-
-        threshold = problem.static_threshold(best_safe)
-        converged = final_status is SolveStatus.UNSAT
-        return ThresholdSynthesisResult(
-            threshold=threshold,
-            rounds=rounds,
-            converged=converged,
-            status=final_status,
-            vulnerable_without_detector=True,
-            history=history,
-            total_solver_time=total_time,
-            algorithm="static",
-        )
+        if lower == 0.0:
+            # No probe was safe: even tiny thresholds admit attacks within
+            # tolerance.  Threshold 0 alarms on everything and is therefore
+            # trivially safe.
+            run.status = SolveStatus.UNSAT
+        return run.result(problem.static_threshold(lower))
 
 
 def verify_no_attack(

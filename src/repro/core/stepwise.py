@@ -23,24 +23,21 @@ instead of one sample.
 The paper's pseudo-code for phase 2 is under-specified (it manipulates a
 separate ``Steps`` array whose invariants are not stated); this
 implementation keeps the documented intent — staircase structure, monotone
-decrease, minimum-area greedy choice — and is noted as such in DESIGN.md.
+decrease, minimum-area greedy choice — as set out under "Design choices" in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.problem import SynthesisProblem
 from repro.core.session import SynthesisSession
-from repro.core.synthesis_result import ThresholdSynthesisResult
+from repro.core.synthesis_result import SynthesisRun, ThresholdSynthesisResult
 from repro.detectors.threshold import ThresholdVector
 from repro.registry import SYNTHESIZERS
-from repro.utils.results import SolveStatus, SynthesisRecord
-
-logger = logging.getLogger(__name__)
 
 
 def min_area_rectangle(
@@ -103,66 +100,31 @@ class StepwiseThresholdSynthesizer:
     time_budget_per_call: float | None = None
     min_threshold: float = 0.0
     step_rule: str = "min-area"
-    verbose: bool = False
 
     # ------------------------------------------------------------------
     def synthesize(
         self, problem: SynthesisProblem, session: SynthesisSession | None = None
     ) -> ThresholdSynthesisResult:
-        """Run the two-phase synthesis loop on ``problem``.
-
-        ``session`` lets a caller (the pipeline, the batch runner) share one
-        incremental session across several algorithms; when omitted the loop
-        opens its own.
-        """
-        if session is None:
-            session = SynthesisSession(problem, backend=self.backend)
+        """Run the two-phase synthesis loop on ``problem`` (on ``session`` when given)."""
+        run = SynthesisRun(
+            problem, "stepwise", self.backend, session, self.time_budget_per_call, self.max_rounds
+        )
         horizon = problem.horizon
         threshold = problem.fresh_threshold()
-        history: list[SynthesisRecord] = []
-        total_time = 0.0
-
-        first = session.solve(None, time_budget=self.time_budget_per_call)
-        total_time += first.elapsed
-        rounds = 1
-        if not first.found:
-            return ThresholdSynthesisResult(
-                threshold=threshold,
-                rounds=rounds,
-                converged=first.status is SolveStatus.UNSAT,
-                status=first.status,
-                vulnerable_without_detector=False,
-                history=history,
-                total_solver_time=total_time,
-                algorithm="stepwise",
-            )
+        first = run.open()
+        if first is None:
+            return run.result(threshold)
 
         norms = first.residue_norms
         pivot = int(np.argmax(norms))
         height = max(float(norms[pivot]), self.min_threshold)
         threshold.fill_step(0, pivot, height)
         last_filled = pivot
-        history.append(
-            SynthesisRecord(
-                round_index=rounds,
-                action=f"initial step [0..{pivot}] at {height:.6g}",
-                threshold=threshold.copy(),
-                attack=first.attack,
-                solver_time=first.elapsed,
-            )
-        )
-
-        final_status = SolveStatus.UNKNOWN
+        run.record(f"initial step [0..{pivot}] at {height:.6g}", threshold.copy(), first.attack)
 
         # ----- Phase 1: extend the staircase to cover the whole horizon -----
-        while last_filled < horizon - 1 and rounds < self.max_rounds:
-            result = session.solve(threshold, time_budget=self.time_budget_per_call)
-            total_time += result.elapsed
-            rounds += 1
-            final_status = result.status
-            if not result.found:
-                break
-            norms = result.residue_norms
+        def extend(norms: np.ndarray) -> str:
+            nonlocal last_filled
             start = last_filled + 1
             candidates = np.arange(start, horizon)
             previous_height = threshold[last_filled]
@@ -175,15 +137,9 @@ class StepwiseThresholdSynthesizer:
                 height = previous_height
             threshold.fill_step(start, k, height)
             last_filled = k
-            history.append(
-                SynthesisRecord(
-                    round_index=rounds,
-                    action=f"phase-1 step [{start}..{k}] at {height:.6g}",
-                    threshold=threshold.copy(),
-                    attack=result.attack,
-                    solver_time=result.elapsed,
-                )
-            )
+            return f"phase-1 step [{start}..{k}] at {height:.6g}"
+
+        run.refine(threshold, extend, more=lambda: last_filled < horizon - 1)
 
         # Samples never reached by phase 1 keep the last step's height so the
         # final vector is a complete staircase.
@@ -191,14 +147,7 @@ class StepwiseThresholdSynthesizer:
             threshold.fill_step(last_filled + 1, horizon - 1, threshold[last_filled])
 
         # ----- Phase 2: carve steps down until no attack remains -----------
-        while final_status is not SolveStatus.UNSAT and rounds < self.max_rounds:
-            result = session.solve(threshold, time_budget=self.time_budget_per_call)
-            total_time += result.elapsed
-            rounds += 1
-            final_status = result.status
-            if not result.found:
-                break
-            norms = result.residue_norms
+        def cut(norms: np.ndarray) -> str:
             if self.step_rule == "min-area":
                 cut_index = min_area_rectangle(norms, threshold, floor=self.min_threshold)
             else:
@@ -214,35 +163,10 @@ class StepwiseThresholdSynthesizer:
                 cut_value = max(threshold[0] - problem.strictness, self.min_threshold)
             else:
                 cut_value = max(float(norms[cut_index]), self.min_threshold)
-            before = threshold.values.copy()
             for j in range(cut_index, horizon):
                 if threshold[j] > cut_value:
                     threshold.set_value(j, cut_value)
-            if self.verbose:  # pragma: no cover - logging only
-                logger.info("round %d: cut at %d to %.6g", rounds, cut_index, cut_value)
-            history.append(
-                SynthesisRecord(
-                    round_index=rounds,
-                    action=f"phase-2 cut [{cut_index}..] to {cut_value:.6g}",
-                    threshold=threshold.copy(),
-                    attack=result.attack,
-                    solver_time=result.elapsed,
-                )
-            )
-            if np.array_equal(before, threshold.values):
-                # Blocked (typically by the min_threshold floor): stop rather
-                # than loop without progress.
-                final_status = SolveStatus.UNKNOWN
-                break
+            return f"phase-2 cut [{cut_index}..] to {cut_value:.6g}"
 
-        converged = final_status is SolveStatus.UNSAT
-        return ThresholdSynthesisResult(
-            threshold=threshold,
-            rounds=rounds,
-            converged=converged,
-            status=final_status,
-            vulnerable_without_detector=True,
-            history=history,
-            total_solver_time=total_time,
-            algorithm="stepwise",
-        )
+        run.refine(threshold, cut)
+        return run.result(threshold)

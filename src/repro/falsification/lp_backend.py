@@ -56,7 +56,6 @@ cleaning and matrix copy; HiGHS returns the same vertex either way.  A
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.encoding import AttackEncoding
 from repro.detectors.threshold import ThresholdVector
@@ -167,6 +166,8 @@ class LPBackendSession(BackendSession):
             self._matrices = {}
         entry = self._matrices.get(index)
         if entry is None or (with_margin and entry[1] is None):
+            from scipy import sparse  # ~0.13 s to import: paid by the first LP
+
             n_stealth = stealth_rows.shape[0]
             A_dense = np.vstack([stealth_rows, self._static_rows, branch.row])
             A_ub = sparse.csc_matrix(A_dense)

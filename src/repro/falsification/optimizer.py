@@ -52,19 +52,21 @@ class OptimizationFalsifier(AttackBackend):
 
     # ------------------------------------------------------------------
     def _objective(self, encoding: AttackEncoding):
+        n = encoding.n_variables
         base = encoding.base_constraints()
+        base_rows = np.array([c.row for c in base], dtype=float).reshape(-1, n)
+        base_constants = np.array([c.constant for c in base], dtype=float)
         branches = encoding.violation_branches()
+        branch_rows = np.array([b.row for b in branches], dtype=float).reshape(-1, n)
+        branch_constants = np.array([b.constant for b in branches], dtype=float)
 
         def robustness(theta: np.ndarray) -> float:
             theta = np.asarray(theta, dtype=float)
-            penalty = 0.0
-            for constraint in base:
-                value = float(constraint.row @ theta) + constraint.constant
-                if value > 0:
-                    penalty += value
+            values = base_rows @ theta + base_constants
+            penalty = float(values[values > 0].sum())
             # Distance to the closest pfc-violation branch (want <= 0).
-            branch_values = [float(b.row @ theta) + b.constant for b in branches]
-            violation_margin = min(branch_values) if branch_values else np.inf
+            branch_values = branch_rows @ theta + branch_constants
+            violation_margin = float(branch_values.min()) if branches else np.inf
             return violation_margin + self.penalty_weight * penalty
 
         return robustness

@@ -14,7 +14,6 @@ Noise covariances are mapped with the standard first-order approximations
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.lti.model import StateSpace
 from repro.utils.validation import ValidationError, check_positive
@@ -37,6 +36,8 @@ def zoh(model: StateSpace, dt: float) -> StateSpace:
     augmented = np.zeros((n + p, n + p))
     augmented[:n, :n] = model.A * dt
     augmented[:n, n:] = model.B * dt
+    from scipy import linalg as sla  # ~0.3 s to import: paid by the first ZOH
+
     expm = sla.expm(augmented)
     A_d = expm[:n, :n]
     B_d = expm[:n, n:]

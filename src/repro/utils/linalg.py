@@ -10,7 +10,6 @@ the library keeps working even on plants where one method struggles.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.utils.validation import ValidationError, check_square, check_symmetric
 
@@ -201,6 +200,8 @@ def dare(
         raise ValidationError(f"unknown DARE method {method!r}")
 
     if method in {"auto", "scipy"}:
+        from scipy import linalg as sla  # ~0.3 s to import: paid by the first DARE
+
         try:
             X = sla.solve_discrete_are(A, B, Q, R)
             return 0.5 * (X + X.T)

@@ -32,7 +32,9 @@ class SynthesisRecord:
     Attributes
     ----------
     round_index:
-        Zero-based round counter.
+        One-based count of the run's Algorithm 1 calls up to and including
+        the call this record acts on (pivot's first record, on the
+        detector-free call, has 1).
     action:
         Human-readable description of the refinement applied in this round
         (e.g. ``"case-1a new threshold at k=12"``).

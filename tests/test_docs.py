@@ -34,6 +34,7 @@ DOCUMENTED_PACKAGES = (
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = re.compile(r"^[a-z][a-z0-9+.-]*:")  # http:, https:, mailto:, ...
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def _documented_modules() -> list[Path]:
@@ -125,6 +126,23 @@ class TestMarkdownLinks:
             if anchor and resolved.suffix == ".md" and anchor not in _anchors(resolved):
                 broken.append(target)
         assert not broken, f"{page.name} has broken links/anchors: {broken}"
+
+    def test_markdown_files_named_in_docstrings_exist(self):
+        # A docstring under src/ or benchmarks/ names a page relative to the
+        # repository root (``docs/serving.md``, ``PAPER.md``).
+        named, missing = set(), set()
+        for path in [*SRC.rglob("*.py"), *(REPO_ROOT / "benchmarks").rglob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(
+                    node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    continue
+                for name in _MD_NAME.findall(ast.get_docstring(node) or ""):
+                    named.add(name)
+                    if not (REPO_ROOT / name).is_file():
+                        missing.add(f"{path.relative_to(REPO_ROOT)}: {name}")
+        assert "docs/architecture.md" in named
+        assert not missing, f"docstrings name missing pages: {sorted(missing)}"
 
     def test_readme_links_into_the_docs_suite(self):
         readme = (REPO_ROOT / "README.md").read_text()

@@ -27,3 +27,10 @@ def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize loads on the first LP or optimizer solve, so the fleet
     # and serve entry points, which solve nothing, never pay for it.
     assert _loaded_after_import(("scipy.optimize",)) == "[]"
+
+
+def test_import_leaves_scipy_linalg_and_sparse_unloaded():
+    # scipy.linalg (about 0.3 s over numpy) loads on the first ZOH
+    # discretisation or DARE solve, scipy.sparse (about 0.13 s) on the
+    # first LP matrix assembly.
+    assert _loaded_after_import(("scipy.linalg", "scipy.sparse")) == "[]"

@@ -9,6 +9,8 @@ the relaxation pass.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.core.relaxation import ThresholdRelaxer
 from repro.core.session import WITNESS_SLACK, AttackSynthesisResult, SynthesisSession
 from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.core.stepwise import StepwiseThresholdSynthesizer
+from repro.core.synthesis_result import SynthesisRun
 from repro.detectors.threshold import ThresholdVector
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.utils.results import SolveStatus
@@ -448,23 +451,109 @@ class TestMinAreaRectangle:
 
 
 class _ScriptedSession:
-    """Stands in for a SynthesisSession: returns pre-scripted results."""
+    """Stands in for a SynthesisSession: scripted results, and a log of the queries."""
 
     def __init__(self, results):
         self._results = list(results)
+        self.queries = []
 
     def solve(self, threshold=None, time_budget=None, verify=None):
+        self.queries.append(("solve", time_budget))
+        return self._results.pop(0)
+
+    def decide(self, threshold=None, time_budget=None):
+        self.queries.append(("decide", time_budget))
         return self._results.pop(0)
 
 
-def _sat(norms):
+def _sat(norms=(), elapsed=0.0):
     return AttackSynthesisResult(
-        status=SolveStatus.SAT, residue_norms=np.asarray(norms, dtype=float)
+        status=SolveStatus.SAT, residue_norms=np.asarray(norms, dtype=float), elapsed=elapsed
     )
 
 
-def _unsat():
-    return AttackSynthesisResult(status=SolveStatus.UNSAT)
+def _unsat(elapsed=0.0):
+    return AttackSynthesisResult(status=SolveStatus.UNSAT, elapsed=elapsed)
+
+
+class TestSynthesisRun:
+    """The Algorithm 1 round ledger every synthesis loop runs on, on scripted rounds."""
+
+    def test_opens_a_session_only_when_none_is_passed(self, small_dcmotor_problem):
+        run = SynthesisRun(small_dcmotor_problem, "pivot")
+        assert isinstance(run.session, SynthesisSession)
+        scripted = _ScriptedSession([])
+        assert SynthesisRun(small_dcmotor_problem, "pivot", session=scripted).session is scripted
+
+    def test_counts_rounds_and_solver_time_and_passes_the_budget(self, small_dcmotor_problem):
+        session = _ScriptedSession([_sat(elapsed=0.5), _unsat(elapsed=0.25)])
+        run = SynthesisRun(small_dcmotor_problem, "x", session=session, time_budget=7.0)
+        run.solve(None)
+        run.decide(small_dcmotor_problem.static_threshold(1.0))
+        assert run.rounds == 2
+        assert run.solver_time == 0.75
+        assert session.queries == [("solve", 7.0), ("decide", 7.0)]
+
+    def test_not_vulnerable_exit(self, small_dcmotor_problem):
+        run = SynthesisRun(small_dcmotor_problem, "pivot", session=_ScriptedSession([_unsat()]))
+        assert run.open() is None
+        result = run.result(small_dcmotor_problem.fresh_threshold())
+        assert (result.rounds, result.status, result.converged) == (1, SolveStatus.UNSAT, True)
+        assert not result.vulnerable_without_detector
+        assert result.history == []
+        assert result.algorithm == "pivot"
+
+    def test_no_loop_round_leaves_status_unknown(self, small_dcmotor_problem):
+        session = _ScriptedSession([_sat(np.ones(small_dcmotor_problem.horizon))])
+        result = PivotThresholdSynthesizer(max_rounds=1).synthesize(
+            small_dcmotor_problem, session=session
+        )
+        assert (result.rounds, result.status, result.converged) == (1, SolveStatus.UNKNOWN, False)
+        assert result.vulnerable_without_detector
+        assert [record.round_index for record in result.history] == [1]
+
+    def test_blocked_refinement_stops_unknown(self, small_dcmotor_problem):
+        threshold = small_dcmotor_problem.static_threshold(1.0)
+        session = _ScriptedSession([_sat(np.ones(small_dcmotor_problem.horizon))] * 3)
+        run = SynthesisRun(small_dcmotor_problem, "x", session=session, max_rounds=5)
+        run.refine(threshold, lambda norms: "no-op")
+        assert run.rounds == 1
+        assert run.status is SolveStatus.UNKNOWN
+        assert [record.action for record in run.history] == ["no-op"]
+
+    def test_refine_stops_on_unsat_and_at_the_cap(self, small_dcmotor_problem):
+        zeros = np.zeros(small_dcmotor_problem.horizon)
+
+        def lower(threshold):
+            def rule(norms):
+                threshold.values -= 0.1
+                return "lower"
+
+            return rule
+
+        threshold = small_dcmotor_problem.static_threshold(1.0)
+        session = _ScriptedSession([_sat(zeros), _unsat()])
+        run = SynthesisRun(small_dcmotor_problem, "x", session=session, max_rounds=9)
+        run.refine(threshold, lower(threshold))
+        assert (run.rounds, run.status) == (2, SolveStatus.UNSAT)
+        assert [record.round_index for record in run.history] == [1]
+        run.refine(threshold, lower(threshold))  # an UNSAT run asks nothing more
+        assert run.rounds == 2
+
+        threshold = small_dcmotor_problem.static_threshold(1.0)
+        session = _ScriptedSession([_sat(zeros)] * 3)
+        run = SynthesisRun(small_dcmotor_problem, "x", session=session, max_rounds=3)
+        run.refine(threshold, lower(threshold))
+        # The cap ends the loop right after a refinement: the last verdict stands.
+        assert (run.rounds, run.status) == (3, SolveStatus.SAT)
+
+    def test_each_record_is_logged_at_debug(self, small_dcmotor_problem, caplog):
+        run = SynthesisRun(small_dcmotor_problem, "stepwise", session=_ScriptedSession([_sat()]))
+        run.solve(None)
+        with caplog.at_level(logging.DEBUG, logger="repro.core.synthesis_result"):
+            run.record("initial step", None)
+        assert [r.getMessage() for r in caplog.records] == ["stepwise round 1: initial step"]
+        assert caplog.records[0].levelno == logging.DEBUG
 
 
 class TestStepwiseDegenerateBranches:

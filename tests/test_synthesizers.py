@@ -1,10 +1,11 @@
-"""Tests for Algorithms 2 and 3 and the static baseline synthesizer."""
+"""Tests for Algorithms 2 and 3, the static baseline and their round ledger."""
 
 import numpy as np
 import pytest
 
 from repro.core.attack_synthesis import synthesize_attack
 from repro.core.pivot import PivotThresholdSynthesizer
+from repro.core.relaxation import ThresholdRelaxer
 from repro.core.static_synthesis import StaticThresholdSynthesizer, verify_no_attack
 from repro.core.stepwise import StepwiseThresholdSynthesizer, min_area_rectangle
 from repro.detectors.threshold import ThresholdVector
@@ -133,3 +134,38 @@ class TestStaticSynthesis:
     def test_tolerance_validation(self):
         with pytest.raises(ValidationError):
             StaticThresholdSynthesizer(tolerance=0.0)
+
+
+class TestSynthesisRun:
+    """The round ledger on real runs; scripted cases are in test_synthesis_session.py."""
+
+    def test_round_index_counts_algorithm_1_calls_from_one(
+        self, trajectory_problem, pivot_result, stepwise_result, static_result
+    ):
+        # The refinement loops record every round but the final UNSAT one.
+        for result in (pivot_result, stepwise_result):
+            assert result.converged
+            assert [r.round_index for r in result.history] == list(range(1, result.rounds))
+        # Static records each probe after the detector-free call.
+        assert [r.round_index for r in static_result.history] == list(
+            range(2, static_result.rounds + 1)
+        )
+        # Relaxation records each raise after the input check.
+        relaxed = ThresholdRelaxer().relax(trajectory_problem, pivot_result.threshold)
+        assert [r.round_index for r in relaxed.history] == list(range(2, relaxed.rounds + 1))
+
+    def test_loops_hold_no_bookkeeping_of_their_own(self):
+        import inspect
+
+        from repro.core import pivot, relaxation, static_synthesis, stepwise
+
+        for module in (pivot, stepwise, static_synthesis, relaxation):
+            source = inspect.getsource(module)
+            for name in (
+                "SynthesisSession(",
+                "SynthesisRecord(",
+                "ThresholdSynthesisResult(",
+                "rounds +=",
+                ".elapsed",
+            ):
+                assert name not in source, (module.__name__, name)
