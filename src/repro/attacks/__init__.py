@@ -4,8 +4,8 @@ The primary artefact is :class:`~repro.attacks.fdi.FDIAttack` — an arbitrary
 per-sample additive falsification of the measurement vector, which is exactly
 what Algorithm 1 synthesizes.  The catalogue of parametric templates
 (bias, ramp, surge, geometric, replay) reproduces the attack families used in
-the residue-detector literature the paper cites and powers the examples and
-the detector-evaluation benchmarks.
+the residue-detector literature the paper cites and drives the fleet's
+scheduled attacks, the probe attack ladder and the examples.
 """
 
 from repro.attacks.fdi import FDIAttack, AttackChannelMask
@@ -18,7 +18,6 @@ from repro.attacks.templates import (
     ReplayAttack,
     NoAttack,
 )
-from repro.attacks.injector import AttackInjector
 
 __all__ = [
     "FDIAttack",
@@ -30,5 +29,4 @@ __all__ = [
     "GeometricAttack",
     "ReplayAttack",
     "NoAttack",
-    "AttackInjector",
 ]

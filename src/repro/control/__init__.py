@@ -1,23 +1,17 @@
 """Controller design substrate.
 
 Provides the state-feedback design tools used to close the loop around the
-LTI plants: LQR (via the discrete algebraic Riccati equation), pole
-placement, a discrete PID for the SISO examples, and reference-tracking
-feedforward gains.
+LTI plants: LQR (via the discrete algebraic Riccati equation) and
+reference-tracking feedforward gains.
 """
 
 from repro.control.lqr import lqr_gain, dlqr, LQRDesign
-from repro.control.pole_placement import place_poles_gain, deadbeat_gain
-from repro.control.pid import DiscretePID
 from repro.control.tracking import feedforward_gain, tracking_state_target
 
 __all__ = [
     "lqr_gain",
     "dlqr",
     "LQRDesign",
-    "place_poles_gain",
-    "deadbeat_gain",
-    "DiscretePID",
     "feedforward_gain",
     "tracking_state_target",
 ]

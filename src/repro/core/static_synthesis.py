@@ -21,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.attack_synthesis import synthesize_attack
 from repro.core.problem import SynthesisProblem
 from repro.core.session import SynthesisSession
 from repro.core.synthesis_result import SynthesisRun, ThresholdSynthesisResult
-from repro.detectors.threshold import ThresholdVector
 from repro.registry import SYNTHESIZERS
-from repro.utils.results import SolveStatus
-from repro.utils.validation import ValidationError, check_positive
+from repro.utils.validation import check_positive
 
 
 @SYNTHESIZERS.register("static")
@@ -99,24 +96,11 @@ class StaticThresholdSynthesizer:
             else:
                 upper = middle
 
-        if lower == 0.0:
-            # No probe was safe: even tiny thresholds admit attacks within
-            # tolerance.  Threshold 0 alarms on everything and is therefore
-            # trivially safe.
-            run.status = SolveStatus.UNSAT
+        if lower == 0.0 and run.rounds_left:
+            # No probe was safe: threshold 0's verdict is one more round's
+            # answer.  With no round left the status stays UNKNOWN.
+            answer = run.decide(problem.static_threshold(0.0))
+            run.record(f"probe 0 safe={not answer.found}", 0.0)
+            run.status = answer.status
         return run.result(problem.static_threshold(lower))
 
-
-def verify_no_attack(
-    problem: SynthesisProblem,
-    threshold: ThresholdVector,
-    backend: str | object = "lp",
-    time_budget: float | None = None,
-) -> bool:
-    """Convenience check: does ``threshold`` provably block every stealthy attack?"""
-    result = synthesize_attack(problem, threshold=threshold, backend=backend, time_budget=time_budget)
-    if result.found:
-        return False
-    if result.status is not SolveStatus.UNSAT:
-        raise ValidationError("verification inconclusive (solver returned UNKNOWN)")
-    return True

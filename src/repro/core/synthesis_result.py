@@ -38,7 +38,10 @@ class ThresholdSynthesisResult:
         True when the final Algorithm 1 call proved that no stealthy
         successful attack remains (``UNSAT``).
     status:
-        Status of the final Algorithm 1 call.
+        The verdict on ``threshold``: ``UNSAT`` when an Algorithm 1 call
+        proved it safe, ``SAT`` when one found an attack against it, and
+        ``UNKNOWN`` when no call settled it (a round cap, a blocked rule
+        or a time budget stopped the run).
     vulnerable_without_detector:
         Whether an attack existed before any threshold was introduced (if
         False the existing monitors already suffice and ``threshold`` is
@@ -153,6 +156,8 @@ class SynthesisRun:
         ``rule(residue_norms)`` change ``threshold`` in place and record the
         action it returns.  A rule that changes nothing is blocked
         (typically by a ``min_threshold`` floor): the run stops ``UNKNOWN``.
+        So does a run stopped by the cap or by ``more()`` after a
+        counterexample: no round has judged the refined ``threshold``.
         """
         while self.status is not SolveStatus.UNSAT and self.rounds_left and more():
             answer = self.solve(threshold)
@@ -162,8 +167,9 @@ class SynthesisRun:
             before = threshold.values.copy()
             self.record(rule(answer.residue_norms), threshold.copy(), answer.attack)
             if np.array_equal(before, threshold.values):
-                self.status = SolveStatus.UNKNOWN
-                return
+                break
+        if self.status is not SolveStatus.UNSAT:
+            self.status = SolveStatus.UNKNOWN
 
     def result(self, threshold: ThresholdVector) -> ThresholdSynthesisResult:
         """The run's outcome with ``threshold`` as its vector."""

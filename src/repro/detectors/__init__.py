@@ -1,4 +1,4 @@
-"""Residue-based attack detectors and their evaluation.
+"""Residue-based attack detectors.
 
 The paper's detector raises an alarm whenever ``||z_k|| >= Th[k]`` where
 ``z_k`` is the Kalman innovation (residue) and ``Th`` is a threshold
@@ -11,9 +11,11 @@ instance).  This package provides:
 * :func:`~repro.detectors.threshold.residue_norms` — the one residue-norm
   expression shared by every offline and online detector path, and the
   place where each of them rejects a non-finite residue,
-* chi-square and CUSUM baseline detectors from the literature,
-* evaluation metrics (false alarm rate, detection rate, detection delay,
-  ROC sweeps).
+* chi-square and CUSUM baseline detectors from the literature.
+
+False-alarm rates are measured by the FAR study
+(:mod:`repro.core.far`), detection rates and delays by a fleet run
+(:mod:`repro.runtime`).
 """
 
 from repro.detectors.threshold import (
@@ -25,13 +27,6 @@ from repro.detectors.threshold import (
 from repro.detectors.residue import ResidueDetector, DetectionResult
 from repro.detectors.chi_square import ChiSquareDetector
 from repro.detectors.cusum import CusumDetector
-from repro.detectors.evaluation import (
-    false_alarm_rate,
-    detection_rate,
-    detection_delay,
-    roc_curve,
-    DetectorEvaluation,
-)
 
 __all__ = [
     "ALARM_TOLERANCE",
@@ -42,9 +37,4 @@ __all__ = [
     "DetectionResult",
     "ChiSquareDetector",
     "CusumDetector",
-    "false_alarm_rate",
-    "detection_rate",
-    "detection_delay",
-    "roc_curve",
-    "DetectorEvaluation",
 ]

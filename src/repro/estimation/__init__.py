@@ -1,31 +1,15 @@
-"""State estimation substrate: Kalman filters and Luenberger observers.
+"""State estimation substrate: the steady-state Kalman filter.
 
 The paper's detection architecture compares measured outputs against the
-predictions of a steady-state Kalman filter; this package provides that
-filter (gain computed from the discrete algebraic Riccati equation), a
-time-varying Kalman filter for reference, a pole-placement Luenberger
-observer, and innovation statistics used by the chi-square baseline detector.
+predictions of a steady-state Kalman filter; this package computes that
+filter's gain from the discrete algebraic Riccati equation, and the
+innovation covariance the chi-square baseline detector is calibrated on.
 """
 
-from repro.estimation.kalman import (
-    kalman_gain,
-    steady_state_kalman,
-    KalmanFilter,
-    TimeVaryingKalmanFilter,
-)
-from repro.estimation.luenberger import luenberger_gain, LuenbergerObserver
-from repro.estimation.innovation import (
-    innovation_covariance,
-    normalized_innovation_squared,
-)
+from repro.estimation.kalman import steady_state_kalman
+from repro.estimation.innovation import innovation_covariance
 
 __all__ = [
-    "kalman_gain",
     "steady_state_kalman",
-    "KalmanFilter",
-    "TimeVaryingKalmanFilter",
-    "luenberger_gain",
-    "LuenbergerObserver",
     "innovation_covariance",
-    "normalized_innovation_squared",
 ]

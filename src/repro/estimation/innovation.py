@@ -2,9 +2,8 @@
 
 Under no attack and Gaussian noise, the Kalman innovation ``z_k`` is zero-mean
 with covariance ``S = C P C^T + R``; the normalised innovation squared
-``z_k^T S^{-1} z_k`` is chi-square distributed with ``m`` degrees of freedom.
-These quantities feed the chi-square baseline detector and the false-alarm
-analysis.
+``z_k^T S^{-1} z_k`` is chi-square distributed with ``m`` degrees of freedom,
+which is what the chi-square baseline detector is calibrated on.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lti.model import StateSpace
-from repro.utils.validation import ValidationError, check_symmetric
+from repro.utils.validation import check_symmetric
 
 
 def innovation_covariance(
@@ -27,34 +26,3 @@ def innovation_covariance(
     R_v = check_symmetric("R_v", R_v)
     S = plant.C @ P @ plant.C.T + R_v
     return 0.5 * (S + S.T)
-
-
-def normalized_innovation_squared(
-    residues: np.ndarray,
-    innovation_cov: np.ndarray,
-) -> np.ndarray:
-    """Per-sample statistic ``g_k = z_k^T S^{-1} z_k`` for a residue sequence.
-
-    Parameters
-    ----------
-    residues:
-        Array of shape ``(T, m)`` (a single residue vector is also accepted).
-    innovation_cov:
-        The ``m x m`` innovation covariance ``S``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Length-``T`` array of chi-square statistics.
-    """
-    residues = np.atleast_2d(np.asarray(residues, dtype=float))
-    S = check_symmetric("innovation_cov", innovation_cov)
-    if residues.shape[1] != S.shape[0]:
-        raise ValidationError(
-            f"residue dimension {residues.shape[1]} does not match covariance size {S.shape[0]}"
-        )
-    try:
-        S_inv = np.linalg.inv(S)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError("innovation covariance is singular") from exc
-    return np.einsum("ki,ij,kj->k", residues, S_inv, residues)

@@ -1,42 +1,17 @@
-"""Kalman filtering for discrete LTI plants.
+"""Steady-state Kalman filtering for discrete LTI plants.
 
-Two flavours are provided:
-
-* :func:`steady_state_kalman` / :class:`KalmanFilter` — the steady-state
-  (constant-gain) filter obtained from the filtering DARE.  This is the ``L``
-  used by the paper's estimator ``xhat_{k+1} = A xhat_k + B u_k + L z_k``.
-* :class:`TimeVaryingKalmanFilter` — the classical recursive predict/update
-  filter, useful for validating the steady-state gain and for systems that
-  have not yet converged.
+:func:`steady_state_kalman` returns the constant predictor-form gain
+obtained from the filtering DARE.  This is the ``L`` used by the paper's
+estimator ``xhat_{k+1} = A xhat_k + B u_k + L z_k``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.lti.model import StateSpace
 from repro.utils.linalg import dare, is_positive_definite
 from repro.utils.validation import ValidationError, check_symmetric
-
-
-def _noise_covariances(
-    plant: StateSpace,
-    Q_w: np.ndarray | None,
-    R_v: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve noise covariances from explicit arguments or the plant model."""
-    n, m = plant.n_states, plant.n_outputs
-    if Q_w is None:
-        Q_w = plant.Q_w if plant.Q_w is not None else np.eye(n) * 1e-4
-    if R_v is None:
-        R_v = plant.R_v if plant.R_v is not None else np.eye(m) * 1e-4
-    Q_w = check_symmetric("Q_w", Q_w)
-    R_v = check_symmetric("R_v", R_v)
-    if not is_positive_definite(R_v):
-        raise ValidationError("measurement noise covariance R_v must be positive definite")
-    return Q_w, R_v
 
 
 def steady_state_kalman(
@@ -53,6 +28,8 @@ def steady_state_kalman(
 
     so that the estimator update matches the paper:
     ``xhat_{k+1} = A xhat_k + B u_k + L (y_k - C xhat_k - D u_k)``.
+    ``Q_w`` and ``R_v`` default to the plant's covariances, or ``1e-4 I``
+    where the plant has none.
 
     Returns
     -------
@@ -60,147 +37,17 @@ def steady_state_kalman(
         Kalman gain ``(n x m)`` and steady-state prediction error covariance
         ``(n x n)``.
     """
-    Q_w, R_v = _noise_covariances(plant, Q_w, R_v)
+    n, m = plant.n_states, plant.n_outputs
+    if Q_w is None:
+        Q_w = plant.Q_w if plant.Q_w is not None else np.eye(n) * 1e-4
+    if R_v is None:
+        R_v = plant.R_v if plant.R_v is not None else np.eye(m) * 1e-4
+    Q_w = check_symmetric("Q_w", Q_w)
+    R_v = check_symmetric("R_v", R_v)
+    if not is_positive_definite(R_v):
+        raise ValidationError("measurement noise covariance R_v must be positive definite")
     # Duality: filtering DARE for (A, C, Q, R) is the control DARE for (A^T, C^T, Q, R).
     P = dare(plant.A.T, plant.C.T, Q_w, R_v)
     innovation_cov = plant.C @ P @ plant.C.T + R_v
     L = plant.A @ P @ plant.C.T @ np.linalg.inv(innovation_cov)
     return L, P
-
-
-def kalman_gain(
-    plant: StateSpace,
-    Q_w: np.ndarray | None = None,
-    R_v: np.ndarray | None = None,
-) -> np.ndarray:
-    """Convenience wrapper returning only the steady-state Kalman gain ``L``."""
-    L, _ = steady_state_kalman(plant, Q_w, R_v)
-    return L
-
-
-@dataclass
-class KalmanFilter:
-    """Steady-state (constant-gain) Kalman filter in predictor form.
-
-    The filter maintains the one-step-ahead prediction ``xhat_k`` and, on each
-    call to :meth:`step`, consumes the measurement ``y_k`` and the input
-    ``u_k`` applied during sample ``k``:
-
-    ``z_k = y_k - C xhat_k - D u_k``,
-    ``xhat_{k+1} = A xhat_k + B u_k + L z_k``.
-    """
-
-    plant: StateSpace
-    L: np.ndarray
-    state: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        n, m = self.plant.n_states, self.plant.n_outputs
-        self.L = np.asarray(self.L, dtype=float).reshape(n, m)
-        if self.state is None:
-            self.state = np.zeros(n)
-        else:
-            self.state = np.asarray(self.state, dtype=float).reshape(-1)
-            if self.state.size != n:
-                raise ValidationError(f"initial state must have length {n}")
-
-    @classmethod
-    def design(
-        cls,
-        plant: StateSpace,
-        Q_w: np.ndarray | None = None,
-        R_v: np.ndarray | None = None,
-    ) -> "KalmanFilter":
-        """Design the steady-state filter for ``plant`` from noise covariances."""
-        L, _ = steady_state_kalman(plant, Q_w, R_v)
-        return cls(plant=plant, L=L)
-
-    def reset(self, state: np.ndarray | None = None) -> None:
-        """Reset the internal estimate (zero by default)."""
-        n = self.plant.n_states
-        self.state = np.zeros(n) if state is None else np.asarray(state, dtype=float).reshape(n)
-
-    def predict_output(self, u: np.ndarray) -> np.ndarray:
-        """Predicted measurement ``C xhat_k + D u_k`` for the current estimate."""
-        return self.plant.output(self.state, u)
-
-    def step(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Process one sample; returns the residue ``z_k`` and advances the estimate."""
-        y = np.asarray(y, dtype=float).reshape(-1)
-        residue = y - self.predict_output(u)
-        self.state = self.plant.step_state(self.state, u) + self.L @ residue
-        return residue
-
-    def run(self, measurements: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Filter a whole measurement sequence; returns the ``(T, m)`` residue array."""
-        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if measurements.shape[0] != inputs.shape[0]:
-            raise ValidationError("measurements and inputs must have the same length")
-        residues = np.zeros((measurements.shape[0], self.plant.n_outputs))
-        for k in range(measurements.shape[0]):
-            residues[k] = self.step(measurements[k], inputs[k])
-        return residues
-
-
-@dataclass
-class TimeVaryingKalmanFilter:
-    """Classical recursive Kalman filter with time-varying gain.
-
-    Used mainly to validate that the steady-state gain of
-    :func:`steady_state_kalman` is the limit of the recursive gains, and for
-    plants whose covariance has not yet converged at the start of an episode.
-    """
-
-    plant: StateSpace
-    Q_w: np.ndarray | None = None
-    R_v: np.ndarray | None = None
-    state: np.ndarray | None = None
-    covariance: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        n = self.plant.n_states
-        self.Q_w, self.R_v = _noise_covariances(self.plant, self.Q_w, self.R_v)
-        if self.state is None:
-            self.state = np.zeros(n)
-        else:
-            self.state = np.asarray(self.state, dtype=float).reshape(n)
-        if self.covariance is None:
-            self.covariance = np.eye(n)
-        else:
-            self.covariance = check_symmetric("covariance", self.covariance)
-
-    def step(self, y: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Process one sample.
-
-        Returns
-        -------
-        (residue, gain):
-            The innovation ``z_k`` and the gain ``L_k`` used at this step
-            (in predictor form, comparable with the steady-state ``L``).
-        """
-        plant = self.plant
-        y = np.asarray(y, dtype=float).reshape(-1)
-        P = self.covariance
-        innovation_cov = plant.C @ P @ plant.C.T + self.R_v
-        gain = plant.A @ P @ plant.C.T @ np.linalg.inv(innovation_cov)
-        residue = y - plant.output(self.state, u)
-        self.state = plant.step_state(self.state, u) + gain @ residue
-        self.covariance = (
-            plant.A @ P @ plant.A.T
-            - gain @ plant.C @ P @ plant.A.T
-            + self.Q_w
-        )
-        self.covariance = 0.5 * (self.covariance + self.covariance.T)
-        return residue, gain
-
-    def run(self, measurements: np.ndarray, inputs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Filter a sequence; returns residues and the list of per-step gains."""
-        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        residues = np.zeros((measurements.shape[0], self.plant.n_outputs))
-        gains = []
-        for k in range(measurements.shape[0]):
-            residues[k], gain = self.step(measurements[k], inputs[k])
-            gains.append(gain)
-        return residues, gains

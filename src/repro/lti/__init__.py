@@ -2,22 +2,12 @@
 
 Provides the plant-model abstraction used throughout the library (the paper's
 ``S``: ``x_{k+1} = A x_k + B u_k + w_k``, ``y_k = C x_k + D u_k + v_k``),
-continuous-to-discrete conversion, structural analysis, and the closed-loop
+zero-order-hold continuous-to-discrete conversion, and the closed-loop
 simulation engine with noise and attack injection hooks.
 """
 
-from repro.lti.model import StateSpace, LTISystem
-from repro.lti.discretize import discretize, zoh, euler, tustin
-from repro.lti.analysis import (
-    stability_margin,
-    is_stable,
-    is_controllable,
-    is_observable,
-    dc_gain,
-    step_response,
-    impulse_response,
-    settling_time,
-)
+from repro.lti.model import StateSpace
+from repro.lti.discretize import discretize
 from repro.lti.simulate import (
     ClosedLoopSystem,
     SimulationOptions,
@@ -27,19 +17,7 @@ from repro.lti.simulate import (
 
 __all__ = [
     "StateSpace",
-    "LTISystem",
     "discretize",
-    "zoh",
-    "euler",
-    "tustin",
-    "stability_margin",
-    "is_stable",
-    "is_controllable",
-    "is_observable",
-    "dc_gain",
-    "step_response",
-    "impulse_response",
-    "settling_time",
     "ClosedLoopSystem",
     "SimulationOptions",
     "SimulationTrace",

@@ -202,7 +202,3 @@ class StateSpace:
             f"StateSpace(name={self.name!r}, {kind}, n={self.n_states}, "
             f"p={self.n_inputs}, m={self.n_outputs}, dt={self.dt})"
         )
-
-
-# Backwards-compatible alias matching the paper's terminology ("plant model S").
-LTISystem = StateSpace

@@ -13,7 +13,7 @@ from repro.noise.models import (
     TruncatedGaussianNoise,
     ZeroNoise,
 )
-from repro.noise.generators import Streams, draw_streams, noise_matrix, noise_vector_batch
+from repro.noise.generators import Streams, draw_streams
 
 __all__ = [
     "NoiseModel",
@@ -23,6 +23,4 @@ __all__ = [
     "ZeroNoise",
     "Streams",
     "draw_streams",
-    "noise_matrix",
-    "noise_vector_batch",
 ]

@@ -14,8 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.noise.models import GaussianNoise, NoiseModel
-from repro.utils.rng import block_rng, ensure_rng
-from repro.utils.validation import check_positive
+from repro.utils.rng import block_rng
 
 
 class Streams(NamedTuple):
@@ -60,26 +59,3 @@ def draw_streams(
     if x0_spread is not None:
         offsets = rng.uniform(-1.0, 1.0, size=(int(count), x0_spread.size)) * x0_spread
     return Streams(measurement, process, offsets)
-
-
-def noise_matrix(model: NoiseModel, horizon: int, rng=None) -> np.ndarray:
-    """One ``(horizon, dimension)`` noise realisation from ``model``."""
-    horizon = int(check_positive("horizon", horizon))
-    return model.sample(horizon, ensure_rng(rng))
-
-
-def noise_vector_batch(
-    model: NoiseModel,
-    horizon: int,
-    count: int,
-    seed=None,
-) -> np.ndarray:
-    """Draw ``count`` independent noise realisations.
-
-    Returns an array of shape ``(count, horizon, dimension)``: the
-    measurement block of :func:`draw_streams`, so realisation ``i`` is the
-    noise instance ``i`` of a fleet or FAR population with the same seed.
-    """
-    horizon = int(check_positive("horizon", horizon))
-    count = int(check_positive("count", count))
-    return draw_streams(seed, count, horizon, model).measurement

@@ -14,7 +14,7 @@ import numpy as np
 from repro.attacks.fdi import AttackChannelMask
 from repro.core.problem import SynthesisProblem
 from repro.core.specs import ReachSetCriterion
-from repro.lti.discretize import zoh
+from repro.lti.discretize import discretize
 from repro.lti.model import StateSpace
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.deadzone import DeadZoneMonitor
@@ -63,7 +63,7 @@ def build_cruise_case_study(
         output_names=("gap_error", "relative_speed"),
         input_names=("accel_command",),
     )
-    plant = zoh(continuous, dt)
+    plant = discretize(continuous, dt)
 
     system = design_closed_loop(
         plant,

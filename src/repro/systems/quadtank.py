@@ -15,7 +15,7 @@ import numpy as np
 from repro.attacks.fdi import AttackChannelMask
 from repro.core.problem import SynthesisProblem
 from repro.core.specs import ReachSetCriterion
-from repro.lti.discretize import zoh
+from repro.lti.discretize import discretize
 from repro.lti.model import StateSpace
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.deadzone import DeadZoneMonitor
@@ -82,7 +82,7 @@ def build_quadtank_case_study(
         output_names=("h1", "h2"),
         input_names=("pump1", "pump2"),
     )
-    plant = zoh(continuous, dt)
+    plant = discretize(continuous, dt)
 
     system = design_closed_loop(
         plant,

@@ -16,7 +16,7 @@ import numpy as np
 from repro.attacks.fdi import AttackChannelMask
 from repro.core.problem import SynthesisProblem
 from repro.core.specs import ReachSetCriterion
-from repro.lti.discretize import zoh
+from repro.lti.discretize import discretize
 from repro.lti.model import StateSpace
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.deadzone import DeadZoneMonitor
@@ -75,7 +75,7 @@ def build_trajectory_case_study(
         output_names=("position",),
         input_names=("acceleration",),
     )
-    plant = zoh(continuous, dt)
+    plant = discretize(continuous, dt)
 
     reference = np.array([target_position])
     system = design_closed_loop(

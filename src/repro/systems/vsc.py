@@ -44,7 +44,7 @@ import numpy as np
 from repro.attacks.fdi import AttackChannelMask
 from repro.core.problem import SynthesisProblem
 from repro.core.specs import FractionOfTargetCriterion
-from repro.lti.discretize import zoh
+from repro.lti.discretize import discretize
 from repro.lti.model import StateSpace
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.deadzone import DeadZoneMonitor
@@ -150,7 +150,7 @@ def build_vsc_plant(params: VSCParameters | None = None) -> StateSpace:
         output_names=("gamma", "ay"),
         input_names=("delta_cmd",),
     )
-    return zoh(continuous, params.sampling_period)
+    return discretize(continuous, params.sampling_period)
 
 
 def build_vsc_monitors(params: VSCParameters | None = None) -> CompositeMonitor:

@@ -8,19 +8,12 @@ Riccati machinery the library uses internally.
 
 from repro.utils.linalg import (
     as_matrix,
-    as_vector,
-    dlyap,
     dare,
     is_positive_definite,
     is_positive_semidefinite,
-    is_stable_discrete,
-    spectral_radius,
-    controllability_matrix,
-    observability_matrix,
 )
 from repro.utils.validation import (
     check_square,
-    check_shape,
     check_symmetric,
     check_finite,
     ValidationError,
@@ -30,17 +23,10 @@ from repro.utils.results import SolveStatus, SynthesisRecord
 
 __all__ = [
     "as_matrix",
-    "as_vector",
-    "dlyap",
     "dare",
     "is_positive_definite",
     "is_positive_semidefinite",
-    "is_stable_discrete",
-    "spectral_radius",
-    "controllability_matrix",
-    "observability_matrix",
     "check_square",
-    "check_shape",
     "check_symmetric",
     "check_finite",
     "ValidationError",

@@ -1,10 +1,10 @@
 """Linear-algebra primitives for discrete-time control.
 
-Implements the small set of matrix-equation solvers the rest of the library
-needs — discrete Lyapunov and Riccati equations, controllability and
-observability tests — on top of :mod:`numpy`/:mod:`scipy`.  The Riccati solver
-uses a structure-preserving doubling iteration with a ``scipy`` fallback so
-the library keeps working even on plants where one method struggles.
+Implements what the LQR and Kalman designs need on top of
+:mod:`numpy`/:mod:`scipy`: matrix coercion, definiteness tests and the
+discrete algebraic Riccati equation.  The Riccati solver tries ``scipy``
+first and falls back to a structure-preserving doubling iteration, so the
+library keeps working even on plants where one method struggles.
 """
 
 from __future__ import annotations
@@ -24,25 +24,6 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     elif array.ndim != 2:
         raise ValidationError(f"{name} must be at most 2-dimensional")
     return array
-
-
-def as_vector(value, name: str = "vector") -> np.ndarray:
-    """Coerce ``value`` to a 1-D float array."""
-    array = np.asarray(value, dtype=float).reshape(-1)
-    return array
-
-
-def spectral_radius(matrix: np.ndarray) -> float:
-    """Return the spectral radius (largest eigenvalue magnitude) of ``matrix``."""
-    matrix = check_square("matrix", matrix)
-    if matrix.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
-
-
-def is_stable_discrete(matrix: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when all eigenvalues of ``matrix`` lie strictly inside the unit circle."""
-    return spectral_radius(matrix) < 1.0 - tol
 
 
 def is_positive_definite(matrix: np.ndarray, tol: float = 1e-10) -> bool:
@@ -65,65 +46,6 @@ def is_positive_semidefinite(matrix: np.ndarray, tol: float = 1e-8) -> bool:
     except np.linalg.LinAlgError:
         return False
     return bool(np.all(eigenvalues > -tol))
-
-
-def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Return the controllability matrix ``[B, AB, ..., A^{n-1}B]``."""
-    A = check_square("A", A)
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    if B.shape[0] != n:
-        raise ValidationError(f"B must have {n} rows, got {B.shape[0]}")
-    blocks = []
-    current = B.copy()
-    for _ in range(n):
-        blocks.append(current)
-        current = A @ current
-    return np.hstack(blocks)
-
-
-def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Return the observability matrix ``[C; CA; ...; CA^{n-1}]``."""
-    A = check_square("A", A)
-    C = as_matrix(C, "C")
-    n = A.shape[0]
-    if C.shape[1] != n:
-        raise ValidationError(f"C must have {n} columns, got {C.shape[1]}")
-    blocks = []
-    current = C.copy()
-    for _ in range(n):
-        blocks.append(current)
-        current = current @ A
-    return np.vstack(blocks)
-
-
-def is_controllable(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> bool:
-    """Kalman rank test for controllability of the pair ``(A, B)``."""
-    ctrb = controllability_matrix(A, B)
-    return np.linalg.matrix_rank(ctrb, tol=tol) == check_square("A", A).shape[0]
-
-
-def is_observable(A: np.ndarray, C: np.ndarray, tol: float | None = None) -> bool:
-    """Kalman rank test for observability of the pair ``(A, C)``."""
-    obsv = observability_matrix(A, C)
-    return np.linalg.matrix_rank(obsv, tol=tol) == check_square("A", A).shape[0]
-
-
-def dlyap(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve the discrete Lyapunov equation ``A X A^T - X + Q = 0``.
-
-    Uses the Kronecker-product (vectorisation) formulation, which is exact for
-    the small state dimensions typical of CPS control loops.
-    """
-    A = check_square("A", A)
-    Q = check_square("Q", Q)
-    if A.shape != Q.shape:
-        raise ValidationError("A and Q must have identical shapes")
-    n = A.shape[0]
-    lhs = np.eye(n * n) - np.kron(A, A)
-    vec_x = np.linalg.solve(lhs, Q.reshape(-1))
-    X = vec_x.reshape(n, n)
-    return 0.5 * (X + X.T)
 
 
 def _dare_doubling(
@@ -214,12 +136,3 @@ def dare(
             if method == "scipy":
                 raise
     return _dare_doubling(A, B, Q, R)
-
-
-def matrix_power_series(A: np.ndarray, horizon: int) -> list[np.ndarray]:
-    """Return ``[I, A, A^2, ..., A^horizon]`` as a list of matrices."""
-    A = check_square("A", A)
-    powers = [np.eye(A.shape[0])]
-    for _ in range(horizon):
-        powers.append(A @ powers[-1])
-    return powers

@@ -46,31 +46,12 @@ def check_square(name: str, matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def check_shape(name: str, array: np.ndarray, shape: tuple) -> np.ndarray:
-    """Ensure ``array`` has exactly the given ``shape``."""
-    array = np.asarray(array, dtype=float)
-    if array.shape != tuple(shape):
-        raise ValidationError(
-            f"{name} must have shape {tuple(shape)}, got {array.shape}"
-        )
-    return array
-
-
 def check_symmetric(name: str, matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Ensure ``matrix`` is symmetric up to ``tol`` and return the symmetrised copy."""
     matrix = check_square(name, matrix)
     if not np.allclose(matrix, matrix.T, atol=tol):
         raise ValidationError(f"{name} must be symmetric")
     return 0.5 * (matrix + matrix.T)
-
-
-def check_vector(name: str, vector: np.ndarray, size: int | None = None) -> np.ndarray:
-    """Ensure ``vector`` is 1-D (flattening column vectors) with optional length check."""
-    vector = np.asarray(vector, dtype=float)
-    vector = vector.reshape(-1)
-    if size is not None and vector.size != size:
-        raise ValidationError(f"{name} must have length {size}, got {vector.size}")
-    return vector
 
 
 def check_probability(name: str, value: float) -> float:
@@ -88,12 +69,4 @@ def check_positive(name: str, value: float, strict: bool = True) -> float:
         raise ValidationError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def check_index(name: str, value: int, upper: int) -> int:
-    """Ensure ``value`` is an integer index in ``[0, upper)``."""
-    value = int(value)
-    if not 0 <= value < upper:
-        raise ValidationError(f"{name} must lie in [0, {upper}), got {value}")
     return value

@@ -20,7 +20,7 @@ from alarm_oracle import AlarmProgression, step_ordered_oracle
 
 from repro.control.lqr import lqr_gain
 from repro.estimation.kalman import steady_state_kalman
-from repro.lti.discretize import zoh
+from repro.lti.discretize import discretize
 from repro.lti.model import StateSpace
 from repro.lti.simulate import ClosedLoopSystem
 from repro.noise.generators import draw_streams
@@ -49,7 +49,7 @@ def double_integrator_continuous() -> StateSpace:
 @pytest.fixture(scope="session")
 def double_integrator(double_integrator_continuous) -> StateSpace:
     """Discretised double integrator (dt = 0.1 s)."""
-    return zoh(double_integrator_continuous, 0.1)
+    return discretize(double_integrator_continuous, 0.1)
 
 
 @pytest.fixture(scope="session")

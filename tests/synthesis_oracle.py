@@ -19,6 +19,8 @@ bit-identical against:
 * :func:`sequential_pipeline` — ``run_pipeline``'s synthesis, relaxation
   and FAR stages on one thread and one shared session, the reference for
   the forked sessions ``run_pipeline`` runs side by side.
+* :func:`verify_no_attack` — one fresh one-shot Algorithm 1 call that
+  re-checks a synthesized threshold outside the session that produced it.
 
 Test modules under ``tests/`` import this as ``synthesis_oracle``; the
 benchmarks import it as ``tests.synthesis_oracle``.
@@ -33,6 +35,7 @@ from repro.api.execute import RAW_FAR_SUFFIX, PipelineReport
 from repro.core.attack_synthesis import synthesize_attack
 from repro.core.session import SynthesisSession
 from repro.falsification.lp_backend import LPAttackBackend
+from repro.utils.results import SolveStatus
 
 
 class PerCallSession:
@@ -112,3 +115,12 @@ def sequential_pipeline(problem, synthesis, far=None, backend=None):
         if detectors:
             report.far_study = far.build_evaluator(problem).evaluate(detectors)
     return report
+
+
+def verify_no_attack(problem, threshold, backend="lp"):
+    """Does ``threshold`` provably block every stealthy attack?  Fails on UNKNOWN."""
+    result = synthesize_attack(problem, threshold=threshold, backend=backend)
+    if result.found:
+        return False
+    assert result.status is SolveStatus.UNSAT, "verification inconclusive (solver returned UNKNOWN)"
+    return True

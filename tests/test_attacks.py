@@ -1,10 +1,9 @@
-"""Unit tests for attack models, templates and the injector."""
+"""Unit tests for attack models and templates."""
 
 import numpy as np
 import pytest
 
 from repro.attacks.fdi import AttackChannelMask, FDIAttack
-from repro.attacks.injector import AttackInjector
 from repro.attacks.templates import (
     BiasAttack,
     GeometricAttack,
@@ -13,7 +12,6 @@ from repro.attacks.templates import (
     ReplayAttack,
     SurgeAttack,
 )
-from repro.lti.simulate import SimulationOptions
 from repro.utils.validation import ValidationError
 
 
@@ -120,35 +118,3 @@ class TestTemplates:
         # At samples 1 and 2 the measured value becomes the recording.
         np.testing.assert_allclose(live[1:3] + attack.values[1:3], recorded)
         np.testing.assert_allclose(attack.values[0], 0.0)
-
-
-class TestInjector:
-    def test_resolve_none(self, simple_closed_loop):
-        injector = AttackInjector(simple_closed_loop)
-        assert injector.resolve(None, 5).is_zero()
-
-    def test_resolve_template(self, simple_closed_loop):
-        injector = AttackInjector(simple_closed_loop)
-        attack = injector.resolve(BiasAttack(bias=1.0), 5)
-        assert attack.horizon == 5
-
-    def test_resolve_pads_and_truncates(self, simple_closed_loop):
-        injector = AttackInjector(simple_closed_loop)
-        short = FDIAttack(np.ones((3, 1)))
-        padded = injector.resolve(short, 6)
-        assert padded.horizon == 6
-        np.testing.assert_allclose(padded.values[3:], 0.0)
-        longer = FDIAttack(np.ones((8, 1)))
-        assert injector.resolve(longer, 6).horizon == 6
-
-    def test_resolve_raw_array_shape_check(self, simple_closed_loop):
-        injector = AttackInjector(simple_closed_loop)
-        with pytest.raises(ValidationError):
-            injector.resolve(np.ones((3, 2)), 3)
-
-    def test_compare_shares_noise(self, simple_closed_loop):
-        injector = AttackInjector(simple_closed_loop)
-        options = SimulationOptions(horizon=10, with_noise=True, seed=3, x0=[0.5, 0.0])
-        baseline, attacked = injector.compare(BiasAttack(bias=0.5), options)
-        np.testing.assert_allclose(baseline.measurement_noise, attacked.measurement_noise)
-        assert not np.allclose(baseline.states, attacked.states)

@@ -1,11 +1,9 @@
-"""Unit tests for LQR, pole placement, PID and tracking helpers."""
+"""Unit tests for LQR and tracking helpers."""
 
 import numpy as np
 import pytest
 
 from repro.control.lqr import LQRDesign, dlqr, lqr_gain
-from repro.control.pid import DiscretePID
-from repro.control.pole_placement import ackermann_gain, deadbeat_gain, place_poles_gain
 from repro.control.tracking import feedforward_gain, tracking_state_target
 from repro.lti.model import StateSpace
 from repro.utils.validation import ValidationError
@@ -38,89 +36,6 @@ class TestLQR:
         assert design.is_stabilizing
         assert design.cost([1.0, 0.0]) > 0
         assert design.closed_loop_eigenvalues.shape == (2,)
-
-
-class TestPolePlacement:
-    def test_ackermann_places_poles(self, double_integrator):
-        poles = [0.1, 0.2]
-        K = ackermann_gain(double_integrator.A, double_integrator.B, poles)
-        eigenvalues = np.linalg.eigvals(double_integrator.A - double_integrator.B @ K)
-        np.testing.assert_allclose(sorted(eigenvalues.real), sorted(poles), atol=1e-8)
-
-    def test_place_poles_gain_wrapper(self, double_integrator):
-        K = place_poles_gain(double_integrator, [0.3, 0.4])
-        eigenvalues = np.linalg.eigvals(double_integrator.A - double_integrator.B @ K)
-        np.testing.assert_allclose(sorted(eigenvalues.real), [0.3, 0.4], atol=1e-8)
-
-    def test_deadbeat_settles_in_n_steps(self, double_integrator):
-        K = deadbeat_gain(double_integrator)
-        closed = double_integrator.A - double_integrator.B @ K
-        # After n steps the deadbeat closed loop maps every state to (almost) zero.
-        np.testing.assert_allclose(np.linalg.matrix_power(closed, 2), np.zeros((2, 2)), atol=1e-8)
-
-    def test_wrong_number_of_poles(self, double_integrator):
-        with pytest.raises(ValidationError):
-            place_poles_gain(double_integrator, [0.1])
-
-    def test_complex_poles_must_be_conjugate(self, double_integrator):
-        with pytest.raises(ValidationError):
-            ackermann_gain(double_integrator.A, double_integrator.B, [0.1 + 0.1j, 0.2])
-
-    def test_uncontrollable_rejected(self):
-        A = np.diag([0.5, 0.6])
-        b = np.array([[1.0], [0.0]])
-        with pytest.raises(ValidationError):
-            ackermann_gain(A, b, [0.1, 0.2])
-
-    def test_multi_input_place(self):
-        plant = StateSpace(
-            A=np.array([[0.9, 0.1], [0.0, 0.8]]),
-            B=np.eye(2),
-            C=np.eye(2),
-            dt=1.0,
-        )
-        K = place_poles_gain(plant, [0.1, 0.2])
-        eigenvalues = np.linalg.eigvals(plant.A - plant.B @ K)
-        np.testing.assert_allclose(sorted(eigenvalues.real), [0.1, 0.2], atol=1e-6)
-
-
-class TestPID:
-    def test_proportional_only(self):
-        pid = DiscretePID(kp=2.0, dt=0.1)
-        assert pid.step(1.5) == pytest.approx(3.0)
-
-    def test_integral_accumulates(self):
-        pid = DiscretePID(kp=0.0, ki=1.0, dt=0.5)
-        pid.step(1.0)
-        assert pid.step(1.0) == pytest.approx(1.0)  # integral = 2 * 0.5
-
-    def test_derivative_term(self):
-        pid = DiscretePID(kp=0.0, kd=1.0, dt=0.5)
-        pid.step(1.0)
-        assert pid.step(2.0) == pytest.approx(2.0)  # (2 - 1) / 0.5
-
-    def test_output_limits_and_antiwindup(self):
-        pid = DiscretePID(kp=0.0, ki=10.0, dt=1.0, output_limits=(-1.0, 1.0))
-        for _ in range(10):
-            out = pid.step(1.0)
-        assert out == 1.0
-        # After the error flips sign the output should leave saturation quickly
-        # because the integrator was clamped.
-        assert pid.step(-1.0) < 1.0
-
-    def test_reset(self):
-        pid = DiscretePID(kp=1.0, ki=1.0, dt=1.0)
-        pid.step(1.0)
-        pid.reset()
-        assert pid.step(0.0) == pytest.approx(0.0)
-
-    def test_invalid_limits(self):
-        with pytest.raises(ValidationError):
-            DiscretePID(kp=1.0, output_limits=(1.0, -1.0))
-
-    def test_run(self):
-        pid = DiscretePID(kp=1.0, dt=1.0)
-        assert pid.run([1.0, 2.0]) == [1.0, 2.0]
 
 
 class TestTracking:

@@ -1,17 +1,10 @@
-"""Unit tests for threshold vectors, residue detectors, baselines and metrics."""
+"""Unit tests for threshold vectors, residue detectors and the baselines."""
 
 import numpy as np
 import pytest
 
 from repro.detectors.chi_square import ChiSquareDetector
 from repro.detectors.cusum import CusumDetector
-from repro.detectors.evaluation import (
-    detection_delay,
-    detection_rate,
-    evaluate_detector,
-    false_alarm_rate,
-    roc_curve,
-)
 from repro.detectors.residue import ResidueDetector
 from repro.detectors.threshold import ThresholdVector
 from repro.utils.validation import ValidationError
@@ -171,47 +164,3 @@ class TestCusum:
             CusumDetector(bias=0.0, threshold=1.0)
         with pytest.raises(ValidationError):
             CusumDetector(bias=1.0, threshold=1.0, norm=5)
-
-
-class TestEvaluationMetrics:
-    def _populations(self):
-        benign = [np.full((5, 1), 0.1) for _ in range(4)]
-        attacked = [np.full((5, 1), 2.0) for _ in range(4)]
-        return benign, attacked
-
-    def test_far_and_detection_rate(self):
-        benign, attacked = self._populations()
-        detector = ResidueDetector.static(1.0, 5)
-        assert false_alarm_rate(detector, benign) == 0.0
-        assert detection_rate(detector, attacked) == 1.0
-
-    def test_detection_delay(self):
-        detector = ResidueDetector.static(1.0, 5)
-        attacked = [np.vstack([np.zeros((3, 1)), np.full((2, 1), 2.0)])]
-        assert detection_delay(detector, attacked) == pytest.approx(3.0)
-        assert detection_delay(detector, [np.zeros((5, 1))]) is None
-
-    def test_evaluate_detector_aggregate(self):
-        benign, attacked = self._populations()
-        summary = evaluate_detector(ResidueDetector.static(1.0, 5), benign, attacked)
-        assert summary.false_alarm_rate == 0.0
-        assert summary.detection_rate == 1.0
-        assert summary.benign_count == 4
-
-    def test_roc_curve_monotone_in_threshold(self):
-        benign, attacked = self._populations()
-        curve = roc_curve(
-            lambda value: ResidueDetector.static(value, 5),
-            thresholds=[0.05, 1.0, 3.0],
-            benign_residues=benign,
-            attacked_residues=attacked,
-        )
-        fars = [point[1] for point in curve]
-        assert fars[0] >= fars[1] >= fars[2]
-
-    def test_empty_population_rejected(self):
-        detector = ResidueDetector.static(1.0, 5)
-        with pytest.raises(ValidationError):
-            false_alarm_rate(detector, [])
-        with pytest.raises(ValidationError):
-            detection_rate(detector, [])

@@ -1,16 +1,10 @@
-"""Unit tests for Kalman filtering, Luenberger observers and innovation statistics."""
+"""Unit tests for the steady-state Kalman filter and innovation covariance."""
 
 import numpy as np
 import pytest
 
-from repro.estimation.innovation import innovation_covariance, normalized_innovation_squared
-from repro.estimation.kalman import (
-    KalmanFilter,
-    TimeVaryingKalmanFilter,
-    kalman_gain,
-    steady_state_kalman,
-)
-from repro.estimation.luenberger import LuenbergerObserver, luenberger_gain
+from repro.estimation.innovation import innovation_covariance
+from repro.estimation.kalman import steady_state_kalman
 from repro.lti.simulate import SimulationOptions, simulate_closed_loop
 from repro.utils.validation import ValidationError
 
@@ -38,11 +32,6 @@ class TestSteadyStateKalman:
         P_next = A @ P @ A.T - A @ P @ C.T @ np.linalg.solve(S, C @ P @ A.T) + Q
         np.testing.assert_allclose(P_next, P, atol=1e-8)
 
-    def test_kalman_gain_wrapper(self, double_integrator):
-        np.testing.assert_allclose(
-            kalman_gain(double_integrator), steady_state_kalman(double_integrator)[0]
-        )
-
     def test_rejects_singular_measurement_noise(self, double_integrator):
         with pytest.raises(ValidationError):
             steady_state_kalman(double_integrator, R_v=np.array([[0.0]]))
@@ -51,77 +40,6 @@ class TestSteadyStateKalman:
         L_small, _ = steady_state_kalman(double_integrator, R_v=np.array([[1e-4]]))
         L_large, _ = steady_state_kalman(double_integrator, R_v=np.array([[1e-1]]))
         assert np.linalg.norm(L_large) < np.linalg.norm(L_small)
-
-
-class TestKalmanFilterObject:
-    def test_residue_shrinks_without_noise(self, double_integrator):
-        kf = KalmanFilter.design(double_integrator)
-        # Simulate the true plant from a non-zero state with zero input.
-        x = np.array([1.0, 0.0])
-        residues = []
-        for _ in range(150):
-            y = double_integrator.output(x, [0.0])
-            residues.append(abs(kf.step(y, [0.0])[0]))
-            x = double_integrator.step_state(x, [0.0])
-        assert residues[-1] < 1e-3 * max(residues)
-
-    def test_run_matches_step(self, double_integrator):
-        kf_a = KalmanFilter.design(double_integrator)
-        kf_b = KalmanFilter.design(double_integrator)
-        rng = np.random.default_rng(0)
-        measurements = rng.normal(size=(10, 1))
-        inputs = np.zeros((10, 1))
-        batch = kf_a.run(measurements, inputs)
-        single = np.array([kf_b.step(measurements[k], inputs[k]) for k in range(10)])
-        np.testing.assert_allclose(batch, single)
-
-    def test_reset(self, double_integrator):
-        kf = KalmanFilter.design(double_integrator)
-        kf.step([1.0], [0.0])
-        kf.reset()
-        np.testing.assert_allclose(kf.state, np.zeros(2))
-
-    def test_run_length_mismatch(self, double_integrator):
-        kf = KalmanFilter.design(double_integrator)
-        with pytest.raises(ValidationError):
-            kf.run(np.zeros((5, 1)), np.zeros((4, 1)))
-
-
-class TestTimeVaryingKalman:
-    def test_gain_converges_to_steady_state(self, double_integrator):
-        L_ss, _ = steady_state_kalman(double_integrator)
-        tv = TimeVaryingKalmanFilter(double_integrator)
-        gain = None
-        for _ in range(200):
-            _, gain = tv.step([0.0], [0.0])
-        np.testing.assert_allclose(gain, L_ss, atol=1e-6)
-
-    def test_run_returns_gains(self, double_integrator):
-        tv = TimeVaryingKalmanFilter(double_integrator)
-        residues, gains = tv.run(np.zeros((5, 1)), np.zeros((5, 1)))
-        assert residues.shape == (5, 1)
-        assert len(gains) == 5
-
-
-class TestLuenberger:
-    def test_places_observer_poles(self, double_integrator):
-        poles = [0.2, 0.3]
-        L = luenberger_gain(double_integrator, poles)
-        eigenvalues = np.linalg.eigvals(double_integrator.A - L @ double_integrator.C)
-        np.testing.assert_allclose(sorted(eigenvalues.real), sorted(poles), atol=1e-8)
-
-    def test_wrong_pole_count(self, double_integrator):
-        with pytest.raises(ValidationError):
-            luenberger_gain(double_integrator, [0.5])
-
-    def test_observer_tracks_state(self, double_integrator):
-        observer = LuenbergerObserver.design(double_integrator, [0.1, 0.2])
-        x = np.array([0.5, -0.2])
-        for _ in range(50):
-            y = double_integrator.output(x, [0.0])
-            observer.step(y, [0.0])
-            x = double_integrator.step_state(x, [0.0])
-        np.testing.assert_allclose(observer.state, x, atol=1e-4)
 
 
 class TestInnovationStatistics:
@@ -138,9 +56,6 @@ class TestInnovationStatistics:
         trace = simulate_closed_loop(
             simple_closed_loop, SimulationOptions(horizon=4000, with_noise=True, seed=0)
         )
-        nis = normalized_innovation_squared(trace.residues[500:], S)
+        z = trace.residues[500:]
+        nis = np.einsum("ki,ij,kj->k", z, np.linalg.inv(S), z)
         assert nis.mean() == pytest.approx(1.0, rel=0.2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            normalized_innovation_squared(np.zeros((3, 2)), np.eye(3))

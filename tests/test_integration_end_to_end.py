@@ -16,9 +16,9 @@ from repro import (
     synthesize_attack,
 )
 from repro.attacks.templates import BiasAttack, GeometricAttack, RampAttack
-from repro.core.static_synthesis import verify_no_attack
 from repro.systems import build_dcmotor_case_study, build_trajectory_case_study
 from repro.utils.results import SolveStatus
+from synthesis_oracle import verify_no_attack
 
 
 class TestEndToEndTrajectory:

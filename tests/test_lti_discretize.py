@@ -1,10 +1,10 @@
-"""Unit tests for continuous-to-discrete conversion."""
+"""Unit tests for the zero-order-hold continuous-to-discrete conversion."""
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from repro.lti.discretize import discretize, euler, tustin, zoh
+from repro.lti.discretize import discretize
 from repro.lti.model import StateSpace
 from repro.utils.validation import ValidationError
 
@@ -18,14 +18,14 @@ def first_order():
 class TestZOH:
     def test_scalar_exact(self, first_order):
         dt = 0.5
-        model = zoh(first_order, dt)
+        model = discretize(first_order, dt)
         assert model.A[0, 0] == pytest.approx(np.exp(-dt))
         assert model.B[0, 0] == pytest.approx(1.0 - np.exp(-dt))
         assert model.dt == dt
 
     def test_double_integrator_exact(self, double_integrator_continuous):
         dt = 0.1
-        model = zoh(double_integrator_continuous, dt)
+        model = discretize(double_integrator_continuous, dt)
         np.testing.assert_allclose(model.A, [[1.0, dt], [0.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(model.B, [[dt**2 / 2], [dt]], atol=1e-12)
 
@@ -37,7 +37,7 @@ class TestZOH:
             C=np.eye(2),
         )
         dt = 0.2
-        model = zoh(continuous, dt)
+        model = discretize(continuous, dt)
         n = 2
         block = np.zeros((3, 3))
         block[:n, :n] = continuous.A * dt
@@ -48,54 +48,13 @@ class TestZOH:
 
     def test_rejects_discrete_input(self, double_integrator):
         with pytest.raises(ValidationError):
-            zoh(double_integrator, 0.1)
+            discretize(double_integrator, 0.1)
 
     def test_noise_mapping(self, double_integrator_continuous):
         dt = 0.1
-        model = zoh(double_integrator_continuous, dt)
+        model = discretize(double_integrator_continuous, dt)
         np.testing.assert_allclose(model.Q_w, double_integrator_continuous.Q_w * dt)
         np.testing.assert_allclose(model.R_v, double_integrator_continuous.R_v / dt)
-
-
-class TestEulerAndTustin:
-    def test_euler_formula(self, first_order):
-        dt = 0.1
-        model = euler(first_order, dt)
-        assert model.A[0, 0] == pytest.approx(1.0 - dt)
-        assert model.B[0, 0] == pytest.approx(dt)
-
-    def test_tustin_formula(self, first_order):
-        dt = 0.1
-        model = tustin(first_order, dt)
-        expected = (1.0 - dt / 2) / (1.0 + dt / 2)
-        assert model.A[0, 0] == pytest.approx(expected)
-
-    def test_methods_agree_for_small_dt(self, first_order):
-        dt = 1e-4
-        a_zoh = zoh(first_order, dt).A[0, 0]
-        a_euler = euler(first_order, dt).A[0, 0]
-        a_tustin = tustin(first_order, dt).A[0, 0]
-        assert a_zoh == pytest.approx(a_euler, abs=1e-7)
-        assert a_zoh == pytest.approx(a_tustin, abs=1e-7)
-
-    def test_euler_rejects_discrete(self, double_integrator):
-        with pytest.raises(ValidationError):
-            euler(double_integrator, 0.1)
-
-    def test_tustin_rejects_discrete(self, double_integrator):
-        with pytest.raises(ValidationError):
-            tustin(double_integrator, 0.1)
-
-
-class TestDispatch:
-    @pytest.mark.parametrize("method", ["zoh", "euler", "tustin"])
-    def test_discretize_dispatch(self, first_order, method):
-        model = discretize(first_order, 0.1, method=method)
-        assert model.is_discrete
-
-    def test_unknown_method(self, first_order):
-        with pytest.raises(ValidationError):
-            discretize(first_order, 0.1, method="foh")
 
     def test_preserves_names(self, first_order):
         named = StateSpace(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lti.model import LTISystem, StateSpace
+from repro.lti.model import StateSpace
 from repro.utils.validation import ValidationError
 
 
@@ -49,9 +49,6 @@ class TestConstruction:
         assert model.state_names == ("x0", "x1")
         assert model.output_names == ("y0",)
         assert model.input_names == ("u0",)
-
-    def test_alias(self):
-        assert LTISystem is StateSpace
 
 
 class TestProperties:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noise.generators import draw_streams, noise_matrix, noise_vector_batch
+from repro.noise.generators import draw_streams
 from repro.noise.models import (
     BoundedUniformNoise,
     GaussianNoise,
@@ -120,29 +120,6 @@ class TestTruncatedGaussian:
             TruncatedGaussianNoise(std=[1.0, 2.0], bounds=[0.5])
 
 
-class TestGenerators:
-    def test_noise_matrix_shape(self):
-        model = BoundedUniformNoise(bounds=[1.0, 1.0])
-        assert noise_matrix(model, 7, rng=0).shape == (7, 2)
-
-    def test_batch_shape_and_reproducibility(self):
-        model = GaussianNoise(np.eye(2))
-        a = noise_vector_batch(model, horizon=5, count=4, seed=11)
-        b = noise_vector_batch(model, horizon=5, count=4, seed=11)
-        assert a.shape == (4, 5, 2)
-        np.testing.assert_allclose(a, b)
-
-    def test_batch_trials_are_independent(self):
-        model = GaussianNoise(np.eye(1))
-        batch = noise_vector_batch(model, horizon=3, count=3, seed=0)
-        assert not np.allclose(batch[0], batch[1])
-
-    def test_bad_count(self):
-        model = ZeroNoise(1)
-        with pytest.raises(ValidationError):
-            noise_vector_batch(model, horizon=3, count=0)
-
-
 class TestSampleBlock:
     def test_every_registered_model_is_covered(self):
         assert set(REGISTERED) == set(available_noise_models())
@@ -220,8 +197,3 @@ class TestDrawStreams:
         absent = draw_streams(4, 5, 3, model, x0_spread=spread)
         assert zero.process is None
         assert np.array_equal(zero.x0_offsets, absent.x0_offsets)
-
-    def test_batch_is_the_measurement_block(self):
-        model = GaussianNoise(np.eye(2))
-        batch = noise_vector_batch(model, horizon=5, count=4, seed=11)
-        assert np.array_equal(batch, draw_streams(11, 4, 5, model).measurement)

@@ -1,7 +1,25 @@
-"""``import repro`` pays only for what every call uses."""
+"""``import repro`` pays only for what every call uses, and nothing it dropped."""
 
+import importlib
 import subprocess
 import sys
+
+import numpy as np
+import pytest
+from scipy import linalg as sla
+
+import repro
+
+#: Modules deleted because no entry point called them (see README.md,
+#: "Removed helpers and what to use instead").
+REMOVED_MODULES = (
+    "repro.lti.analysis",
+    "repro.control.pid",
+    "repro.control.pole_placement",
+    "repro.estimation.luenberger",
+    "repro.detectors.evaluation",
+    "repro.attacks.injector",
+)
 
 
 def _loaded_after_import(modules: tuple[str, ...]) -> str:
@@ -17,9 +35,9 @@ def _loaded_after_import(modules: tuple[str, ...]) -> str:
 
 
 def test_import_leaves_scipy_stats_and_signal_unloaded():
-    # scipy.stats alone took over half of ``import repro``; it (and
-    # scipy.signal, which imports it) load on first use: the chi-square
-    # threshold from a false-alarm probability, multi-input pole placement.
+    # scipy.stats alone took over half of ``import repro``; it loads on
+    # first use (the chi-square threshold from a false-alarm probability),
+    # and nothing in the library imports scipy.signal.
     assert _loaded_after_import(("scipy.stats", "scipy.signal")) == "[]"
 
 
@@ -34,3 +52,42 @@ def test_import_leaves_scipy_linalg_and_sparse_unloaded():
     # discretisation or DARE solve, scipy.sparse (about 0.13 s) on the
     # first LP matrix assembly.
     assert _loaded_after_import(("scipy.linalg", "scipy.sparse")) == "[]"
+
+
+@pytest.mark.parametrize("module", REMOVED_MODULES)
+def test_removed_module_is_gone(module):
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
+
+
+def test_discretize_takes_no_method(double_integrator_continuous):
+    with pytest.raises(TypeError):
+        repro.discretize(double_integrator_continuous, 0.1, method="zoh")
+
+
+def _zoh_reference(model, dt):
+    """Reference ZOH: blocks of the exponential of ``[[A dt, B dt], [0, 0]]``."""
+    n, p = model.n_states, model.n_inputs
+    augmented = np.zeros((n + p, n + p))
+    augmented[:n, :n] = model.A * dt
+    augmented[:n, n:] = model.B * dt
+    expm = sla.expm(augmented)
+    return expm[:n, :n], expm[:n, n:], model.Q_w * dt, model.R_v / dt
+
+
+@pytest.mark.parametrize("name", repro.available_case_studies())
+def test_discretize_is_the_zoh_bit_for_bit_on_every_case_study(name, monkeypatch):
+    module = importlib.import_module(f"repro.systems.{name}")
+    calls = []
+
+    def recording(model, dt):
+        plant = repro.discretize(model, dt)
+        calls.append((model, dt, plant))
+        return plant
+
+    monkeypatch.setattr(module, "discretize", recording)
+    repro.get_case_study(name)
+    assert len(calls) == 1
+    model, dt, plant = calls[0]
+    for got, want in zip((plant.A, plant.B, plant.Q_w, plant.R_v), _zoh_reference(model, dt)):
+        assert np.array_equal(got, want)

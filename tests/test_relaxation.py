@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.pivot import PivotThresholdSynthesizer
 from repro.core.relaxation import ThresholdRelaxer
-from repro.core.static_synthesis import verify_no_attack
+from synthesis_oracle import verify_no_attack
 
 
 @pytest.fixture(scope="module")

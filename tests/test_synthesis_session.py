@@ -544,8 +544,9 @@ class TestSynthesisRun:
         session = _ScriptedSession([_sat(zeros)] * 3)
         run = SynthesisRun(small_dcmotor_problem, "x", session=session, max_rounds=3)
         run.refine(threshold, lower(threshold))
-        # The cap ends the loop right after a refinement: the last verdict stands.
-        assert (run.rounds, run.status) == (3, SolveStatus.SAT)
+        # The cap ends the loop right after a refinement: no round has judged
+        # the refined threshold, so the run is UNKNOWN.
+        assert (run.rounds, run.status) == (3, SolveStatus.UNKNOWN)
 
     def test_each_record_is_logged_at_debug(self, small_dcmotor_problem, caplog):
         run = SynthesisRun(small_dcmotor_problem, "stepwise", session=_ScriptedSession([_sat()]))

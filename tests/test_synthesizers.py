@@ -6,11 +6,32 @@ import pytest
 from repro.core.attack_synthesis import synthesize_attack
 from repro.core.pivot import PivotThresholdSynthesizer
 from repro.core.relaxation import ThresholdRelaxer
-from repro.core.static_synthesis import StaticThresholdSynthesizer, verify_no_attack
+from repro.core.session import SynthesisSession
+from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.core.stepwise import StepwiseThresholdSynthesizer, min_area_rectangle
 from repro.detectors.threshold import ThresholdVector
+from repro.registry import available_case_studies, get_case_study
 from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError
+from synthesis_oracle import verify_no_attack
+
+
+class _RecordingSession:
+    """A session that keeps every ``(threshold, answer)`` round it served."""
+
+    def __init__(self, problem):
+        self._session = SynthesisSession(problem)
+        self.rounds = []
+
+    def solve(self, threshold=None, time_budget=None):
+        answer = self._session.solve(threshold, time_budget=time_budget)
+        self.rounds.append((threshold, answer))
+        return answer
+
+    def decide(self, threshold, time_budget=None):
+        answer = self._session.decide(threshold, time_budget=time_budget)
+        self.rounds.append((threshold, answer))
+        return answer
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +155,46 @@ class TestStaticSynthesis:
     def test_tolerance_validation(self):
         with pytest.raises(ValidationError):
             StaticThresholdSynthesizer(tolerance=0.0)
+
+    @pytest.mark.parametrize("max_rounds", [1, 2, 3])
+    def test_no_safe_probe_takes_threshold_zeros_own_verdict(
+        self, small_dcmotor_problem, max_rounds
+    ):
+        # A tolerance above the (unsafe) upper end skips the bisection, so no
+        # probe is safe.  After the detector-free round and the upper probe,
+        # threshold 0 gets one round of its own if the cap leaves room.
+        session = _RecordingSession(small_dcmotor_problem)
+        result = StaticThresholdSynthesizer(tolerance=1e9, max_rounds=max_rounds).synthesize(
+            small_dcmotor_problem, session=session
+        )
+        assert np.all(result.threshold.values == 0.0)
+        last_threshold, last_answer = session.rounds[-1]
+        if max_rounds > 2:
+            assert result.rounds == 3
+            assert np.all(last_threshold.values == 0.0)
+            assert result.status is last_answer.status
+            assert result.converged == (last_answer.status is SolveStatus.UNSAT)
+        else:
+            assert result.rounds == 2
+            assert not np.all(last_threshold.values == 0.0)
+            assert result.status is SolveStatus.UNKNOWN
+            assert not result.converged
+
+
+class TestRoundCap:
+    """A loop stopped by ``max_rounds`` reports UNKNOWN wherever the cap falls."""
+
+    @pytest.mark.parametrize("name", available_case_studies())
+    @pytest.mark.parametrize(
+        "synthesizer", [PivotThresholdSynthesizer, StepwiseThresholdSynthesizer]
+    )
+    def test_capped_run_is_unknown_unless_converged(self, name, synthesizer):
+        problem = get_case_study(name).problem
+        for max_rounds in range(1, 5):
+            result = synthesizer(max_rounds=max_rounds).synthesize(problem)
+            assert result.rounds <= max_rounds
+            expected = SolveStatus.UNSAT if result.converged else SolveStatus.UNKNOWN
+            assert result.status is expected, (max_rounds, result.status)
 
 
 class TestSynthesisRun:

@@ -6,18 +6,9 @@ from scipy import linalg as sla
 
 from repro.utils.linalg import (
     as_matrix,
-    as_vector,
-    controllability_matrix,
     dare,
-    dlyap,
-    is_controllable,
-    is_observable,
     is_positive_definite,
     is_positive_semidefinite,
-    is_stable_discrete,
-    matrix_power_series,
-    observability_matrix,
-    spectral_radius,
 )
 from repro.utils.validation import ValidationError
 
@@ -33,73 +24,13 @@ class TestCoercion:
         with pytest.raises(ValidationError):
             as_matrix(np.zeros((2, 2, 2)))
 
-    def test_as_vector_flattens(self):
-        assert as_vector([[1.0], [2.0]]).shape == (2,)
-
 
 class TestSpectral:
-    def test_spectral_radius_diagonal(self):
-        assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
-
-    def test_stable_discrete_true(self):
-        assert is_stable_discrete(np.diag([0.5, 0.3]))
-
-    def test_stable_discrete_false(self):
-        assert not is_stable_discrete(np.diag([1.1, 0.3]))
-
     def test_definiteness(self):
         assert is_positive_definite(np.eye(3))
         assert not is_positive_definite(np.diag([1.0, 0.0]))
         assert is_positive_semidefinite(np.diag([1.0, 0.0]))
         assert not is_positive_semidefinite(np.diag([1.0, -0.1]))
-
-
-class TestStructuralTests:
-    def test_controllability_matrix_shape(self):
-        A = np.eye(3)
-        B = np.ones((3, 2))
-        assert controllability_matrix(A, B).shape == (3, 6)
-
-    def test_double_integrator_controllable_observable(self):
-        A = np.array([[1.0, 0.1], [0.0, 1.0]])
-        B = np.array([[0.005], [0.1]])
-        C = np.array([[1.0, 0.0]])
-        assert is_controllable(A, B)
-        assert is_observable(A, C)
-
-    def test_uncontrollable_pair(self):
-        A = np.diag([0.5, 0.7])
-        B = np.array([[1.0], [0.0]])
-        assert not is_controllable(A, B)
-
-    def test_unobservable_pair(self):
-        A = np.diag([0.5, 0.7])
-        C = np.array([[1.0, 0.0]])
-        assert not is_observable(A, C)
-
-    def test_observability_matrix_shape(self):
-        A = np.eye(2)
-        C = np.ones((1, 2))
-        assert observability_matrix(A, C).shape == (2, 2)
-
-
-class TestLyapunov:
-    def test_dlyap_satisfies_equation(self):
-        rng = np.random.default_rng(0)
-        A = 0.5 * rng.normal(size=(4, 4))
-        A /= max(1.0, spectral_radius(A) / 0.8)
-        Q = np.eye(4)
-        X = dlyap(A, Q)
-        np.testing.assert_allclose(A @ X @ A.T - X + Q, np.zeros((4, 4)), atol=1e-8)
-
-    def test_dlyap_symmetric(self):
-        A = np.diag([0.3, 0.6])
-        X = dlyap(A, np.eye(2))
-        np.testing.assert_allclose(X, X.T)
-
-    def test_dlyap_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            dlyap(np.eye(2), np.eye(3))
 
 
 class TestDARE:
@@ -129,12 +60,3 @@ class TestDARE:
     def test_dare_rejects_unknown_method(self):
         with pytest.raises(ValidationError):
             dare(np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(1), method="nope")
-
-
-class TestPowerSeries:
-    def test_matrix_power_series(self):
-        A = np.diag([2.0, 3.0])
-        powers = matrix_power_series(A, 3)
-        assert len(powers) == 4
-        np.testing.assert_allclose(powers[0], np.eye(2))
-        np.testing.assert_allclose(powers[3], np.diag([8.0, 27.0]))

@@ -8,13 +8,10 @@ from repro.utils.rng import STREAM_VERSION, block_rng, ensure_rng, spawn_rngs, s
 from repro.utils.validation import (
     ValidationError,
     check_finite,
-    check_index,
     check_positive,
     check_probability,
-    check_shape,
     check_square,
     check_symmetric,
-    check_vector,
 )
 
 
@@ -31,10 +28,6 @@ class TestChecks:
         with pytest.raises(ValidationError):
             check_square("m", np.zeros((2, 3)))
 
-    def test_check_shape(self):
-        with pytest.raises(ValidationError):
-            check_shape("m", np.zeros((2, 2)), (2, 3))
-
     def test_check_symmetric_symmetrises(self):
         m = np.array([[1.0, 2.0 + 1e-10], [2.0, 3.0]])
         out = check_symmetric("m", m)
@@ -43,10 +36,6 @@ class TestChecks:
     def test_check_symmetric_rejects(self):
         with pytest.raises(ValidationError):
             check_symmetric("m", np.array([[1.0, 2.0], [5.0, 3.0]]))
-
-    def test_check_vector_length(self):
-        with pytest.raises(ValidationError):
-            check_vector("v", [1.0, 2.0], size=3)
 
     def test_check_probability_bounds(self):
         assert check_probability("p", 0.5) == 0.5
@@ -60,11 +49,6 @@ class TestChecks:
         assert check_positive("x", 0.0, strict=False) == 0.0
         with pytest.raises(ValidationError):
             check_positive("x", -1.0, strict=False)
-
-    def test_check_index(self):
-        assert check_index("i", 3, 5) == 3
-        with pytest.raises(ValidationError):
-            check_index("i", 5, 5)
 
 
 class TestRng:
