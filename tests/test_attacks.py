@@ -5,6 +5,7 @@ import pytest
 
 from repro.attacks.fdi import AttackChannelMask, FDIAttack
 from repro.attacks.templates import (
+    AttackTemplate,
     BiasAttack,
     GeometricAttack,
     NoAttack,
@@ -12,6 +13,7 @@ from repro.attacks.templates import (
     ReplayAttack,
     SurgeAttack,
 )
+from repro.lti.simulate import SimulationOptions, simulate_closed_loop
 from repro.utils.validation import ValidationError
 
 
@@ -118,3 +120,41 @@ class TestTemplates:
         # At samples 1 and 2 the measured value becomes the recording.
         np.testing.assert_allclose(live[1:3] + attack.values[1:3], recorded)
         np.testing.assert_allclose(attack.values[0], 0.0)
+
+
+#: One instance of every template, as ``examples/attack_catalog.py`` runs them.
+CATALOG: dict[str, AttackTemplate] = {
+    "none": NoAttack(),
+    "bias": BiasAttack(bias=0.5, start=3),
+    "ramp": RampAttack(slope=0.05, start=2),
+    "surge": SurgeAttack(surge_value=1.0, settle_value=0.1, surge_length=2),
+    "geometric": GeometricAttack(initial=0.01, ratio=1.2),
+    "replay": ReplayAttack(recorded=np.full((4, 1), 0.3), start=5),
+}
+
+
+class TestTemplatesThroughSimulation:
+    """``simulate_closed_loop(..., attack=template.generate(T, m).values)``."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_generated_values_are_injected_on_the_same_noise(self, simple_closed_loop, name):
+        horizon = 12
+        options = SimulationOptions(horizon=horizon, with_noise=True, seed=3, x0=[0.5, 0.0])
+        attack = CATALOG[name].generate(horizon, simple_closed_loop.plant.n_outputs)
+        baseline = simulate_closed_loop(simple_closed_loop, options)
+        attacked = simulate_closed_loop(simple_closed_loop, options, attack=attack.values)
+        # One seed draws the same noise, so the runs differ by the attack alone.
+        assert np.array_equal(attacked.measurement_noise, baseline.measurement_noise)
+        assert np.array_equal(attacked.process_noise, baseline.process_noise)
+        assert np.array_equal(attacked.attacks, attack.values)
+        np.testing.assert_allclose(
+            attacked.measurements - attacked.true_outputs, attack.values, atol=1e-12
+        )
+        assert np.array_equal(attacked.states, baseline.states) == attack.is_zero()
+
+    def test_longer_template_is_truncated_to_the_horizon(self, simple_closed_loop):
+        attack = BiasAttack(bias=0.5).generate(20, 1).truncated(10)
+        trace = simulate_closed_loop(
+            simple_closed_loop, SimulationOptions(horizon=10), attack=attack.values
+        )
+        np.testing.assert_allclose(trace.attacks, 0.5)

@@ -117,6 +117,31 @@ class TestResidueDetector:
         assert not result.detected
 
 
+class TestPopulationRates:
+    """Alarm rates over residue populations, read off ``evaluate`` per run."""
+
+    @staticmethod
+    def _rate(detector, population):
+        return np.mean([detector.evaluate(residues).detected for residues in population])
+
+    def test_rates_fall_as_the_static_threshold_rises(self):
+        rng = np.random.default_rng(0)
+        benign = [rng.normal(scale=0.5, size=(6, 1)) for _ in range(40)]
+        attacked = [residues + 1.0 for residues in benign]
+        values = [0.1, 0.5, 1.0, 2.0, 5.0]
+        fars = [self._rate(ResidueDetector.static(v, 6), benign) for v in values]
+        hits = [self._rate(ResidueDetector.static(v, 6), attacked) for v in values]
+        assert fars == sorted(fars, reverse=True)
+        assert hits == sorted(hits, reverse=True)
+        assert fars[0] == 1.0 and hits[-1] == 0.0
+
+    def test_first_alarm_is_the_detection_delay(self):
+        detector = ResidueDetector.static(1.0, 5)
+        late = np.vstack([np.zeros((3, 1)), np.full((2, 1), 2.0)])
+        assert detector.evaluate(late).first_alarm == 3
+        assert detector.evaluate(np.zeros((5, 1))).first_alarm is None
+
+
 class TestChiSquare:
     def test_threshold_from_false_alarm_probability(self):
         detector = ChiSquareDetector.from_false_alarm_probability(np.eye(2), 0.05)

@@ -56,6 +56,13 @@ class TestZOH:
         np.testing.assert_allclose(model.Q_w, double_integrator_continuous.Q_w * dt)
         np.testing.assert_allclose(model.R_v, double_integrator_continuous.R_v / dt)
 
+    def test_two_half_steps_make_one_step(self, double_integrator_continuous):
+        # Holding the input over [0, dt] equals holding it over two halves.
+        half = discretize(double_integrator_continuous, 0.05)
+        full = discretize(double_integrator_continuous, 0.1)
+        np.testing.assert_allclose(full.A, half.A @ half.A, atol=1e-12)
+        np.testing.assert_allclose(full.B, half.A @ half.B + half.B, atol=1e-12)
+
     def test_preserves_names(self, first_order):
         named = StateSpace(
             A=first_order.A,

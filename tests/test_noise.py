@@ -197,3 +197,14 @@ class TestDrawStreams:
         absent = draw_streams(4, 5, 3, model, x0_spread=spread)
         assert zero.process is None
         assert np.array_equal(zero.x0_offsets, absent.x0_offsets)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_population_is_fixed_by_its_seed(self, name):
+        model = MODELS[name]
+        streams = draw_streams(11, 4, 5, model)
+        assert streams.measurement.shape == (4, 5, model.dimension)
+        assert np.array_equal(streams.measurement, draw_streams(11, 4, 5, model).measurement)
+        if name != "zero":
+            other = draw_streams(12, 4, 5, model).measurement
+            assert not np.array_equal(streams.measurement, other)
+            assert not np.array_equal(streams.measurement[0], streams.measurement[1])

@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,56 @@ REMOVED_MODULES = (
     "repro.detectors.evaluation",
     "repro.attacks.injector",
 )
+
+#: Public names deleted with them (and the helpers no entry point called),
+#: each under the dotted path it was reachable at.  README.md's table names
+#: a replacement for every one.
+REMOVED_NAMES = (
+    "repro.lti.zoh",
+    "repro.lti.euler",
+    "repro.lti.tustin",
+    "repro.lti.LTISystem",
+    "repro.lti.is_stable",
+    "repro.lti.stability_margin",
+    "repro.lti.is_controllable",
+    "repro.lti.is_observable",
+    "repro.lti.dc_gain",
+    "repro.lti.step_response",
+    "repro.lti.impulse_response",
+    "repro.lti.settling_time",
+    "repro.control.place_poles_gain",
+    "repro.control.deadbeat_gain",
+    "repro.control.DiscretePID",
+    "repro.estimation.luenberger_gain",
+    "repro.estimation.LuenbergerObserver",
+    "repro.estimation.kalman_gain",
+    "repro.estimation.KalmanFilter",
+    "repro.estimation.TimeVaryingKalmanFilter",
+    "repro.estimation.normalized_innovation_squared",
+    "repro.detectors.false_alarm_rate",
+    "repro.detectors.detection_rate",
+    "repro.detectors.detection_delay",
+    "repro.detectors.DetectorEvaluation",
+    "repro.detectors.roc_curve",
+    "repro.attacks.AttackInjector",
+    "repro.utils.as_vector",
+    "repro.utils.spectral_radius",
+    "repro.utils.is_stable_discrete",
+    "repro.utils.controllability_matrix",
+    "repro.utils.observability_matrix",
+    "repro.utils.dlyap",
+    "repro.utils.check_shape",
+    "repro.utils.linalg.is_controllable",
+    "repro.utils.linalg.is_observable",
+    "repro.utils.linalg.matrix_power_series",
+    "repro.utils.validation.check_vector",
+    "repro.utils.validation.check_index",
+    "repro.noise.noise_matrix",
+    "repro.noise.noise_vector_batch",
+    "repro.core.static_synthesis.verify_no_attack",
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _loaded_after_import(modules: tuple[str, ...]) -> str:
@@ -58,6 +109,17 @@ def test_import_leaves_scipy_linalg_and_sparse_unloaded():
 def test_removed_module_is_gone(module):
     with pytest.raises(ImportError):
         importlib.import_module(module)
+
+
+@pytest.mark.parametrize("dotted", REMOVED_NAMES)
+def test_removed_name_is_gone_and_has_a_replacement(dotted):
+    module_name, _, name = dotted.rpartition(".")
+    module = importlib.import_module(module_name)
+    assert not hasattr(module, name)
+    assert name not in getattr(module, "__all__", ())
+    assert not hasattr(repro, name)
+    rows = [line for line in README.read_text().splitlines() if line.startswith("| `")]
+    assert any(f"`{dotted}`" in row.split(" | ")[0] for row in rows), dotted
 
 
 def test_discretize_takes_no_method(double_integrator_continuous):
