@@ -244,6 +244,49 @@ class TestKeySplit:
         assert synthesis == self.V1_SYNTHESIS_KEY
         assert evaluation != self.V1_EVALUATION_KEY
 
+    #: Both halves of the address of every unit :data:`GOLDEN_SPACES` lowers
+    #: to, in point order: relax off and on, FAR on and off, the bias probe
+    #: with its default and a custom ladder, an explicit bias (no ladder) and
+    #: an empty ladder.
+    GOLDEN_SPACES = (
+        SearchSpace(case_studies=("dcmotor",), horizons=(8,), min_thresholds=(0.0, 0.02)),
+        SearchSpace(case_studies=("dcmotor",), relax=True, far_count=0, probe_instances=0),
+        SearchSpace(
+            case_studies=("vsc",), synthesizers=("pivot",), relax={"floor": 0.1},
+            probe_attack_options={"bias": 0.5},
+        ),
+        SearchSpace(
+            case_studies=("cruise",), synthesizers=("static",), noise_scales=(2.0,),
+            detectors=("online-cusum",), far_seed=4, probe_biases=(1.2, 2.0),
+        ),
+        SearchSpace(
+            case_studies=("dcmotor",), horizons=(10,), far_count=0, probe_instances=6,
+            probe_biases=(),
+        ),
+    )
+    GOLDEN_UNIT_KEYS = (
+        ("5c3344a6805b9494124215d9c1f739d7ee01c7bd2f34bc41350ddf5ad926cf74",
+         "98822454d1f10b25af35f8744c4a81bfb0fe9d9376c61fa9c2b716099e8e250b"),
+        ("52dab39235eb3fbe1480e61ad0cdcd5b739cda5978998950b8622ba21bb86cc8",
+         "98822454d1f10b25af35f8744c4a81bfb0fe9d9376c61fa9c2b716099e8e250b"),
+        ("dfef9ffb268f8cd0544c6dbf413a900b44d9498a99d28b7e4e21a175892cc270",
+         "089c4ab3faea65aa25e2439ae256036aaa3add788eeb0ba8cb54b6d867563c2d"),
+        ("1d5d5ce73541a3eae7d35024a95d4fd49fd2c18dd4c04c06d1861346b965a7f5",
+         "d8637a0bca9a35272f1fc053718fde5adfe922eeb552e811590b2d42cf738a0f"),
+        ("66da4887c7abcbcfc0ad71fde32cff3f16cca240b67152038bf3ff3821d17ffc",
+         "26e93afaa48cf8db4aa16ddb3a0e22902d0e50dafb191faf9d0a4df99a7d0c97"),
+        ("2276d9423429576190cb6def1e8fe2976c2ebe6c272fc122a3cbb0e1d5f1b112",
+         "60f4cdff93d5da2bb64a4c10fc0a834264a722255d3f742b7097f39e502903aa"),
+    )
+
+    def test_search_space_unit_keys_are_pinned(self):
+        keys = tuple(
+            split_unit_keys(space.unit(point).to_dict())
+            for space in self.GOLDEN_SPACES
+            for point in space.points()
+        )
+        assert keys == self.GOLDEN_UNIT_KEYS
+
     def test_rows_of_an_older_stream_contract_are_recomputed(self, tmp_path, monkeypatch):
         """A warm store from the old contract: synthesis reused, FAR recomputed."""
         unit = ExperimentUnit(
