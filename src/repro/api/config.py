@@ -11,11 +11,12 @@ Three dataclasses describe an experiment as plain data:
   :func:`repro.api.runner.run_experiments`.
 
 Every config round-trips losslessly through ``to_dict()``/``from_dict()``
-(and ``to_json()``/``from_json()`` for :class:`ExperimentSpec`), so sweeps
-can be stored in version control, shipped to worker processes, and rebuilt
-anywhere.  All component references are *names* resolved through the shared
-registries in :mod:`repro.registry`, which keeps the configs plain data and
-lets downstream users sweep their own registered components.
+and ``to_json()``/``from_json()``, all four derived once from the dataclass
+fields (:class:`_PlainData`), so sweeps can be stored in version control,
+shipped to worker processes, and rebuilt anywhere.  All component
+references are *names* resolved through the shared registries in
+:mod:`repro.registry`, which keeps the configs plain data and lets
+downstream users sweep their own registered components.
 """
 
 from __future__ import annotations
@@ -72,8 +73,55 @@ def _name_tuple(label: str, values) -> tuple[str, ...]:
     return result
 
 
+def _plain(value):
+    """The JSON-compatible form of one field value (see :class:`_PlainData`)."""
+    if isinstance(value, _PlainData):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+class _PlainData:
+    """A dataclass's plain-data form, derived from its fields.
+
+    ``to_dict`` maps every field, in declaration order, to its plain form: a
+    nested config becomes its own ``to_dict()``, a tuple or list a list, and
+    a dict a recursive copy.  ``from_dict`` rejects unknown keys; turning
+    nested dicts back into configs is each class's ``__post_init__``'s job.
+    Store keys hash ``to_dict()``, so its text is pinned by
+    ``tests/test_plain_data.py``.
+    """
+
+    def to_dict(self) -> dict:
+        """Plain-data representation (JSON-compatible)."""
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Rebuild from :meth:`to_dict` output (unknown keys rejected: a typo guard)."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ValidationError(
+                f"unknown {cls.__name__} fields {sorted(unknown)}; known: {sorted(known)}"
+            )
+        return cls(**data)
+
+    def to_json(self, indent: int | None = 2) -> str:
+        """JSON string form of :meth:`to_dict`."""
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Rebuild from :meth:`to_json` output."""
+        return cls.from_dict(json.loads(text))
+
+
 @dataclass
-class RelaxConfig:
+class RelaxConfig(_PlainData):
     """Declarative description of the threshold-relaxation pipeline stage.
 
     When attached to :class:`SynthesisConfig.relax`, every synthesized
@@ -131,24 +179,9 @@ class RelaxConfig:
         self.preserve_monotonicity = bool(self.preserve_monotonicity)
         self.verify_input = bool(self.verify_input)
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "floor": self.floor,
-            "preserve_monotonicity": self.preserve_monotonicity,
-            "raise_cap": self.raise_cap,
-            "verify_input": self.verify_input,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RelaxConfig":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
 
 @dataclass
-class SynthesisConfig:
+class SynthesisConfig(_PlainData):
     """Declarative description of one threshold-synthesis run.
 
     Parameters
@@ -256,28 +289,9 @@ class SynthesisConfig:
         kwargs.update(self.algorithm_options.get(name, {}))
         return factory(**kwargs)
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "algorithms": list(self.algorithms),
-            "backend": self.backend,
-            "max_rounds": self.max_rounds,
-            "min_threshold": self.min_threshold,
-            "time_budget_per_call": self.time_budget_per_call,
-            "backend_options": dict(self.backend_options),
-            "algorithm_options": {k: dict(v) for k, v in self.algorithm_options.items()},
-            "relax": None if self.relax is None else self.relax.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthesisConfig":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
 
 @dataclass
-class FARConfig:
+class FARConfig(_PlainData):
     """Declarative description of one false-alarm-rate study.
 
     Parameters
@@ -353,28 +367,6 @@ class FARConfig:
             initial_state_spread=spread,
         )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "count": self.count,
-            "seed": self.seed,
-            "noise_model": self.noise_model,
-            "noise_options": dict(self.noise_options),
-            "noise_scale": self.noise_scale,
-            "include_process_noise": self.include_process_noise,
-            "filter_pfc": self.filter_pfc,
-            "filter_mdc": self.filter_mdc,
-            "initial_state_spread": (
-                None if self.initial_state_spread is None else list(self.initial_state_spread)
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FARConfig":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
 
 _ATTACK_SCHEDULE_KEYS = {"template", "options", "instances", "fraction", "start", "label"}
 
@@ -422,7 +414,7 @@ def _check_engine(engine) -> str:
 
 
 @dataclass
-class RuntimeConfig:
+class RuntimeConfig(_PlainData):
     """Declarative description of one fleet-monitoring run (``run_fleet``).
 
     Parameters
@@ -551,49 +543,6 @@ class RuntimeConfig:
         self.noise_scale = float(self.noise_scale)
         self.engine = _check_engine(self.engine)
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "n_instances": self.n_instances,
-            "horizon": self.horizon,
-            "case_study": self.case_study,
-            "case_study_options": dict(self.case_study_options),
-            "synthesis": None if self.synthesis is None else self.synthesis.to_dict(),
-            "static_thresholds": dict(self.static_thresholds),
-            "detectors": {
-                label: {"name": spec["name"], "options": dict(spec["options"])}
-                for label, spec in self.detectors.items()
-            },
-            "include_mdc": self.include_mdc,
-            "noise_model": self.noise_model,
-            "noise_options": dict(self.noise_options),
-            "noise_scale": self.noise_scale,
-            "include_process_noise": self.include_process_noise,
-            "initial_state_spread": (
-                None if self.initial_state_spread is None else list(self.initial_state_spread)
-            ),
-            "attacks": [dict(entry) for entry in self.attacks],
-            "seed": self.seed,
-            "events_path": self.events_path,
-            "record_traces": self.record_traces,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RuntimeConfig":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON string form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RuntimeConfig":
-        """Rebuild from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
 
 _RING_OVERFLOW_POLICIES = ("drop-oldest", "drop-newest", "error")
 _RESIDUE_SOURCES = ("observer", "ingest")
@@ -601,7 +550,7 @@ _SINK_POLICIES = ("block", "drop-oldest", "drop-newest")
 
 
 @dataclass
-class ServiceConfig:
+class ServiceConfig(_PlainData):
     """Declarative description of one always-on monitoring service (``run_service``).
 
     The bank-defining half (``case_study``, ``synthesis``,
@@ -707,46 +656,9 @@ class ServiceConfig:
                 f"expected one of {_SINK_POLICIES}"
             )
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "case_study": self.case_study,
-            "case_study_options": dict(self.case_study_options),
-            "synthesis": None if self.synthesis is None else self.synthesis.to_dict(),
-            "static_thresholds": dict(self.static_thresholds),
-            "detectors": {
-                label: {"name": spec["name"], "options": dict(spec["options"])}
-                for label, spec in self.detectors.items()
-            },
-            "include_mdc": self.include_mdc,
-            "residue_source": self.residue_source,
-            "ring_capacity": self.ring_capacity,
-            "overflow": self.overflow,
-            "auto_drain": self.auto_drain,
-            "log_path": self.log_path,
-            "flush_every": self.flush_every,
-            "sink_capacity": self.sink_capacity,
-            "sink_policy": self.sink_policy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceConfig":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON string form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServiceConfig":
-        """Rebuild from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
-class ExperimentUnit:
+class ExperimentUnit(_PlainData):
     """One cell of an expanded :class:`ExperimentSpec` grid.
 
     ``probe`` is an optional online detection-latency probe description (set
@@ -754,6 +666,12 @@ class ExperimentUnit:
     algorithm's threshold is deployed on a small attacked fleet and the
     resulting detection rate / latency land in the row's ``metrics``.  See
     :func:`repro.api.runner._run_probe` for the schema.
+
+    ``to_dict()`` is the multiprocessing payload and also the unit's content
+    address: its synthesis-half fields and evaluation-half fields are hashed
+    separately by :func:`repro.explore.store.split_unit_keys`, so any new
+    field must be classified there as changing the synthesis or only the
+    evaluation.
     """
 
     case_study: str
@@ -769,6 +687,8 @@ class ExperimentUnit:
     def __post_init__(self) -> None:
         if isinstance(self.relax, dict):
             self.relax = RelaxConfig.from_dict(self.relax)
+        if isinstance(self.far, dict):
+            self.far = FARConfig.from_dict(self.far)
 
     @property
     def label(self) -> str:
@@ -785,38 +705,9 @@ class ExperimentUnit:
             relax=self.relax,
         )
 
-    def to_dict(self) -> dict:
-        """Plain-data representation (used as the multiprocessing payload).
-
-        This payload is also the unit's content address: its synthesis-half
-        fields and evaluation-half fields are hashed separately by
-        :func:`repro.explore.store.split_unit_keys`, so any new field must be
-        classified there as changing the synthesis or only the evaluation.
-        """
-        return {
-            "case_study": self.case_study,
-            "backend": self.backend,
-            "algorithm": self.algorithm,
-            "case_study_options": dict(self.case_study_options),
-            "max_rounds": self.max_rounds,
-            "min_threshold": self.min_threshold,
-            "relax": None if self.relax is None else self.relax.to_dict(),
-            "far": None if self.far is None else self.far.to_dict(),
-            "probe": None if self.probe is None else dict(self.probe),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentUnit":
-        """Rebuild from :meth:`to_dict` output."""
-        data = _checked_fields(cls, data)
-        far = data.get("far")
-        if isinstance(far, dict):
-            data["far"] = FARConfig.from_dict(far)
-        return cls(**data)
-
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(_PlainData):
     """A declarative sweep over case studies × backends × algorithms.
 
     Parameters
@@ -895,42 +786,3 @@ class ExperimentSpec:
                         )
                     )
         return units
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "name": self.name,
-            "case_studies": list(self.case_studies),
-            "backends": list(self.backends),
-            "algorithms": list(self.algorithms),
-            "case_study_options": {k: dict(v) for k, v in self.case_study_options.items()},
-            "max_rounds": self.max_rounds,
-            "min_threshold": self.min_threshold,
-            "far": None if self.far is None else self.far.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON string form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        """Rebuild from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-
-def _checked_fields(cls, data: dict) -> dict:
-    """Validate that ``data`` only holds fields of ``cls`` (typo guard)."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(
-            f"unknown {cls.__name__} fields {sorted(unknown)}; known: {sorted(known)}"
-        )
-    return dict(data)

@@ -21,8 +21,9 @@ after another on the calling thread's session, as one shared session.
 The expensive half of a pipeline run (synthesis + relaxation) and the cheap
 half (FAR study, probes) are separable: callers can pass ``presynthesized``
 records — previously stored synthesis outcomes — and the call then issues
-**zero** solver work, re-running only the evaluation half.  That is how the
-content-addressed store reuses one synthesis across every FAR/noise/probe
+**zero** solver work, re-running only the evaluation half.  ``run_pipeline``
+keeps no cache of its own: ``BatchRunner``'s content-addressed store feeds
+it these records, reusing one synthesis across every FAR/noise/probe
 variation (see :func:`repro.explore.store.split_unit_keys`).
 """
 
@@ -226,60 +227,6 @@ def synthesis_record(report: PipelineReport, algorithm: str) -> dict:
     }
 
 
-def _report_payload(report: PipelineReport) -> dict:
-    """JSON form of a report for the content-addressed store (lossy).
-
-    Persists every scalar outcome plus the synthesized (raw and relaxed)
-    threshold vectors; per-round histories, attack witnesses, traces and FAR
-    details are dropped — a report served from the store answers "what came
-    out", not "how it got there".
-    """
-    payload = {
-        "vulnerability": _vulnerability_payload(report.vulnerability),
-        "synthesis": {
-            name: _synthesis_payload(result) for name, result in report.synthesis.items()
-        },
-        "relaxation": {
-            name: _relaxation_payload(result) for name, result in report.relaxation.items()
-        },
-        "far_study": None,
-    }
-    if report.far_study is not None:
-        study = report.far_study
-        payload["far_study"] = {
-            "rates": dict(study.rates),
-            "generated": study.generated,
-            "kept": study.kept,
-            "discarded_pfc": study.discarded_pfc,
-            "discarded_mdc": study.discarded_mdc,
-        }
-    return payload
-
-
-def _report_from_payload(payload: dict) -> PipelineReport:
-    """Rebuild a (lossy) :class:`PipelineReport` from :func:`_report_payload`."""
-    report = PipelineReport(
-        vulnerability=_vulnerability_from_payload(payload["vulnerability"])
-    )
-    for name, entry in payload["synthesis"].items():
-        report.synthesis[name] = _synthesis_from_payload(entry)
-    for name, entry in payload.get("relaxation", {}).items():
-        result = _relaxation_from_payload(entry)
-        if result is not None:
-            report.relaxation[name] = result
-    if payload["far_study"] is not None:
-        study = payload["far_study"]
-        report.far_study = FalseAlarmStudy(
-            rates=dict(study["rates"]),
-            generated=study["generated"],
-            kept=study["kept"],
-            discarded_pfc=study["discarded_pfc"],
-            discarded_mdc=study["discarded_mdc"],
-            details={"from_store": True},
-        )
-    return report
-
-
 def _synthesis_workers(synthesis: SynthesisConfig, solver, fresh: list[str]) -> int:
     """Threads for the ``fresh`` algorithms: one each, capped by the usable CPUs.
 
@@ -343,7 +290,6 @@ def run_pipeline(
     far: FARConfig | None = None,
     *,
     backend=None,
-    store=None,
     presynthesized: dict | None = None,
 ) -> PipelineReport:
     """Run vulnerability check, synthesis, relaxation and FAR study on ``problem``.
@@ -368,17 +314,6 @@ def run_pipeline(
         Optional backend *instance* overriding ``synthesis.backend`` — the
         programmatic escape hatch for pre-configured or caller-supplied
         solvers.
-    store:
-        Optional content-addressed result store (a path or a
-        :class:`repro.explore.store.ResultStore`).  The call is keyed by the
-        problem's content fingerprint plus both configs; a hit skips all
-        solver work and returns a report rebuilt from disk (lossy: per-round
-        histories and attack witnesses are not persisted).  The synthesis
-        half (fingerprint + synthesis config only) is additionally stored
-        under its own key, so a call differing only in FAR settings reuses
-        the synthesis and recomputes just the study.  A caller-supplied
-        ``backend`` *instance* bypasses the store — its configuration is not
-        content-addressable.
     presynthesized:
         Optional per-algorithm :func:`synthesis_record` payloads.  Covered
         algorithms skip synthesis and relaxation entirely (their outcome is
@@ -387,46 +322,7 @@ def run_pipeline(
     """
     if synthesis is None:
         synthesis = SynthesisConfig()
-    presynthesized = dict(presynthesized or {})
-
-    store_key = None
-    synthesis_key = None
-    if store is not None and backend is None:
-        from repro.explore.store import as_store, canonical_config_key, problem_fingerprint
-
-        store = as_store(store)
-        fingerprint = problem_fingerprint(problem)
-        store_key = canonical_config_key(
-            {
-                "kind": "run_pipeline",
-                "problem": fingerprint,
-                "synthesis": synthesis.to_dict(),
-                "far": None if far is None else far.to_dict(),
-            }
-        )
-        cached = store.get(store_key)
-        if cached is not None:
-            return _report_from_payload(cached)
-        # Full miss: the synthesis half may still be stored (same problem and
-        # synthesis config under different FAR settings).  ``peek`` keeps the
-        # hit/miss counters honest — this is a partial reuse, not a row hit.
-        synthesis_key = canonical_config_key(
-            {
-                "kind": "run_pipeline.synthesis",
-                "problem": fingerprint,
-                "synthesis": synthesis.to_dict(),
-            }
-        )
-        stored_synthesis = store.peek(synthesis_key)
-        if stored_synthesis is not None:
-            for name in synthesis.algorithms:
-                entry = stored_synthesis["synthesis"].get(name)
-                if name not in presynthesized and entry is not None:
-                    presynthesized[name] = {
-                        "vulnerability": stored_synthesis["vulnerability"],
-                        "synthesis": entry,
-                        "relaxation": stored_synthesis.get("relaxation", {}).get(name),
-                    }
+    presynthesized = presynthesized or {}
 
     fresh = [name for name in synthesis.algorithms if name not in presynthesized]
 
@@ -520,21 +416,6 @@ def run_pipeline(
                     evaluator = far.build_evaluator(problem)
                     report.far_study = evaluator.evaluate(detectors)
 
-    if store_key is not None:
-        # No flush: the JSONL log is durable per record and the index
-        # sidecar is rebuilt on open; flushing here would rewrite the whole
-        # index once per cached call.
-        payload = _report_payload(report)
-        store.put(store_key, {"kind": "run_pipeline", "problem": problem.name}, payload)
-        store.put(
-            synthesis_key,
-            {"kind": "run_pipeline.synthesis", "problem": problem.name},
-            {
-                "vulnerability": payload["vulnerability"],
-                "synthesis": payload["synthesis"],
-                "relaxation": payload["relaxation"],
-            },
-        )
     return report
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.config import ExperimentSpec, ExperimentUnit, FARConfig, SynthesisConfig, _checked_fields
+from repro.api.config import ExperimentSpec, ExperimentUnit, FARConfig, SynthesisConfig, _PlainData
 from repro.api.execute import run_pipeline, synthesis_record
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import MetricsRegistry, get_registry, metrics_enabled, use_registry
@@ -59,7 +59,7 @@ def _resolve_workers(workers) -> int:
 
 
 @dataclass
-class ExperimentRow:
+class ExperimentRow(_PlainData):
     """Outcome of one grid cell (all fields JSON-native).
 
     ``status`` is the final solver verdict (``"sat"``/``"unsat"``/
@@ -88,27 +88,6 @@ class ExperimentRow:
     def sort_key(self) -> tuple[str, str, str]:
         """The stable ordering key of the result table."""
         return (self.case_study, self.backend, self.algorithm)
-
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "case_study": self.case_study,
-            "backend": self.backend,
-            "algorithm": self.algorithm,
-            "status": self.status,
-            "vulnerable": self.vulnerable,
-            "converged": self.converged,
-            "rounds": self.rounds,
-            "solver_time_s": self.solver_time_s,
-            "false_alarm_rate": self.false_alarm_rate,
-            "error": self.error,
-            "metrics": dict(self.metrics),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentRow":
-        """Rebuild from :meth:`to_dict` output (``metrics`` optional)."""
-        return cls(**_checked_fields(cls, data))
 
 
 @dataclass

@@ -86,7 +86,7 @@ class StaticThresholdSynthesizer:
         lower = 0.0
 
         # Ensure the upper end really is unsafe; if it is safe we are done early.
-        if self._probe(run, problem, upper, label="upper="):
+        if run.rounds_left and self._probe(run, problem, upper, label="upper="):
             return run.result(problem.static_threshold(upper))
 
         while upper - lower > self.tolerance and run.rounds_left:

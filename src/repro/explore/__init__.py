@@ -50,12 +50,7 @@ from repro.explore.space import (
     Sampler,
     SearchSpace,
 )
-from repro.explore.store import (
-    ResultStore,
-    StoreCorruptionWarning,
-    canonical_config_key,
-    problem_fingerprint,
-)
+from repro.explore.store import ResultStore, StoreCorruptionWarning, canonical_config_key
 from repro.explore.engine import ExploreConfig, Explorer, run_exploration
 
 __all__ = [
@@ -75,7 +70,6 @@ __all__ = [
     "front_signature",
     "objective_vector",
     "pareto_front",
-    "problem_fingerprint",
     "run_exploration",
     "sensitivity",
 ]

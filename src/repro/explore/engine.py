@@ -27,10 +27,9 @@ exploration (space + sampler + store + fan-out), and
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass, field
 
-from repro.api.config import _checked_fields
+from repro.api.config import _PlainData
 from repro.api.runner import BatchRunner, ExperimentRow
 from repro.explore.report import ExplorationReport
 from repro.explore.space import DEFAULT_OBJECTIVES, ExplorePoint, SearchSpace
@@ -42,7 +41,7 @@ from repro.utils.validation import ValidationError
 
 
 @dataclass
-class ExploreConfig:
+class ExploreConfig(_PlainData):
     """Declarative description of one design-space exploration.
 
     Parameters
@@ -93,34 +92,6 @@ class ExploreConfig:
             self.max_points = int(self.max_points)
             if self.max_points <= 0:
                 raise ValidationError("max_points must be positive")
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "space": self.space.to_dict(),
-            "sampler": self.sampler,
-            "sampler_options": dict(self.sampler_options),
-            "store_path": self.store_path,
-            "workers": self.workers,
-            "max_points": self.max_points,
-            "objectives": list(self.objectives),
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExploreConfig":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON string form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExploreConfig":
-        """Rebuild from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
 
 class Explorer:

@@ -30,10 +30,9 @@ plugins (``@register_sampler`` / ``available_samplers()`` in
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
-from repro.api.config import ExperimentUnit, FARConfig, RelaxConfig, _checked_fields
+from repro.api.config import ExperimentUnit, FARConfig, RelaxConfig, _PlainData
 from repro.registry import (
     ATTACK_TEMPLATES,
     BACKENDS,
@@ -91,7 +90,7 @@ def _float_axis(label: str, values) -> tuple[float, ...]:
 
 
 @dataclass
-class SearchSpace:
+class SearchSpace(_PlainData):
     """A declarative design space over the paper's trade-off axes.
 
     Axis parameters (each a tuple; the grid is their cartesian product)
@@ -306,47 +305,6 @@ class SearchSpace:
             far=far,
             probe=probe,
         )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data representation (JSON-compatible)."""
-        return {
-            "case_studies": list(self.case_studies),
-            "synthesizers": list(self.synthesizers),
-            "backends": list(self.backends),
-            "detectors": list(self.detectors),
-            "horizons": list(self.horizons),
-            "noise_scales": list(self.noise_scales),
-            "min_thresholds": list(self.min_thresholds),
-            "far_budgets": list(self.far_budgets),
-            "max_rounds": self.max_rounds,
-            "relax": None if self.relax is None else self.relax.to_dict(),
-            "far_count": self.far_count,
-            "far_seed": self.far_seed,
-            "filter_pfc": self.filter_pfc,
-            "filter_mdc": self.filter_mdc,
-            "probe_instances": self.probe_instances,
-            "probe_horizon": self.probe_horizon,
-            "probe_attack": self.probe_attack,
-            "probe_attack_options": dict(self.probe_attack_options),
-            "probe_attack_start": self.probe_attack_start,
-            "probe_biases": list(self.probe_biases),
-            "probe_seed": self.probe_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchSpace":
-        """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        return cls(**_checked_fields(cls, data))
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """JSON string form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SearchSpace":
-        """Rebuild from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The store maps a *stable hash of the canonical config dict* of an experiment
 point to the JSON row that point produced, so that re-running an exploration
-— or any :func:`repro.api.execute.run_pipeline` / ``BatchRunner`` call opted
-in via a ``store=`` kwarg — never recomputes an already-solved point and can
-resume after an interruption.
+— or any ``BatchRunner`` call opted in via a ``store=`` kwarg — never
+recomputes an already-solved point and can resume after an interruption.
+This is the library's one result cache: every key is derived from an
+:class:`~repro.api.config.ExperimentUnit` by :func:`split_unit_keys`.
 
 Layout (one directory per store)::
 
@@ -66,14 +67,11 @@ computation for the lifetime of the store.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from repro.utils.rng import STREAM_VERSION
 from repro.utils.validation import ValidationError
@@ -149,103 +147,6 @@ def unit_store_key(config: dict) -> str:
 def synthesis_store_key(config: dict) -> str:
     """Store key of a unit's reusable synthesis record: ``"synthesis:<key>"``."""
     return "synthesis:" + split_unit_keys(config)[0]
-
-
-def _float_token(value: float):
-    """A float as an exact, canonical-JSON-safe token (inf/nan as strings)."""
-    value = float(value)
-    return value if np.isfinite(value) else repr(value)
-
-
-def _array_token(value) -> list | None:
-    """Exact list form of an array-like (hash input; None passes through)."""
-    if value is None:
-        return None
-    return [_float_token(v) for v in np.asarray(value, dtype=float).reshape(-1)]
-
-
-def _structure_token(obj):
-    """Exact JSON-compatible form of a (possibly nested) dataclass tree.
-
-    Criteria and monitors are dataclasses over numbers and numpy arrays;
-    walking their fields keeps every float at full value — unlike ``repr``,
-    whose numpy formatting rounds to the *display* precision and depends on
-    the process's ``np.printoptions`` (a correctness hazard for a cache
-    key).  Exotic non-dataclass members fall back to ``repr`` best-effort.
-    """
-    if isinstance(obj, float):
-        return _float_token(obj)
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, np.generic):
-        return _structure_token(obj.item())
-    if isinstance(obj, np.ndarray):
-        return {
-            "__array__": _array_token(obj) if obj.dtype.kind == "f" else obj.reshape(-1).tolist(),
-            "shape": list(obj.shape),
-        }
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        token = {"__type__": type(obj).__name__}
-        for field in dataclasses.fields(obj):
-            token[field.name] = _structure_token(getattr(obj, field.name))
-        return token
-    if isinstance(obj, (list, tuple)):
-        return [_structure_token(value) for value in obj]
-    if isinstance(obj, dict):
-        return {
-            str(key): _structure_token(value)
-            for key, value in sorted(obj.items(), key=lambda item: str(item[0]))
-        }
-    return repr(obj)
-
-
-def problem_fingerprint(problem) -> str:
-    """Content hash of a :class:`~repro.core.problem.SynthesisProblem`.
-
-    Covers everything the synthesis outcome depends on: the closed-loop
-    matrices (exact float values), the analysis horizon, the attacker model
-    and the criterion/monitor definitions (recursively tokenized dataclass
-    fields, exact to the float).  Used to content-address
-    :func:`repro.api.execute.run_pipeline` calls, which take a problem
-    *instance* rather than a registry name.
-    """
-    system = problem.system
-    plant = system.plant
-    payload = {
-        "name": problem.name,
-        "horizon": int(problem.horizon),
-        "strictness": float(problem.strictness),
-        "residue_norm": str(problem.residue_norm),
-        "residue_weights": _array_token(problem.residue_weights),
-        "x0": _array_token(problem.x0),
-        "initial_box": (
-            None
-            if problem.initial_box is None
-            else [_array_token(problem.initial_box[0]), _array_token(problem.initial_box[1])]
-        ),
-        "attack_mask": (
-            None if problem.attack_mask is None else sorted(problem.attack_mask.attackable)
-        ),
-        "attack_bound": (
-            None if problem.attack_bound is None else _array_token(problem.attack_bound)
-        ),
-        "pfc": _structure_token(problem.pfc),
-        "mdc": _structure_token(problem.mdc),
-        "plant": {
-            "A": _array_token(plant.A),
-            "B": _array_token(plant.B),
-            "C": _array_token(plant.C),
-            "D": _array_token(getattr(plant, "D", None)),
-            "dt": None if plant.dt is None else float(plant.dt),
-            "R_v": _array_token(plant.R_v),
-            "Q_w": _array_token(plant.Q_w),
-        },
-        "K": _array_token(system.K),
-        "L": _array_token(system.L),
-        "reference": _array_token(system.reference),
-        "feedforward": _array_token(system.feedforward),
-    }
-    return canonical_config_key(payload)
 
 
 class StoreCorruptionWarning(UserWarning):

@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from repro.explore import (
-    ResultStore,
-    StoreCorruptionWarning,
-    canonical_config_key,
-    problem_fingerprint,
-)
-from repro.registry import get_case_study
+from repro.explore import ResultStore, StoreCorruptionWarning, canonical_config_key
 from repro.utils.validation import ValidationError
 
 
@@ -29,38 +23,6 @@ class TestCanonicalKey:
             canonical_config_key({"a": float("nan")})
         with pytest.raises(ValidationError):
             canonical_config_key({"a": object()})
-
-    def test_problem_fingerprint_stability_and_sensitivity(self):
-        a = problem_fingerprint(get_case_study("dcmotor", horizon=8).problem)
-        b = problem_fingerprint(get_case_study("dcmotor", horizon=8).problem)
-        c = problem_fingerprint(get_case_study("dcmotor", horizon=10).problem)
-        assert a == b
-        assert a != c
-
-    def test_problem_fingerprint_ignores_numpy_printoptions(self):
-        """Keys must hash values, not reprs — display settings are not config."""
-        import numpy as np
-
-        reference = problem_fingerprint(get_case_study("trajectory", horizon=8).problem)
-        before = np.get_printoptions()
-        try:
-            np.set_printoptions(precision=2, threshold=3)
-            assert (
-                problem_fingerprint(get_case_study("trajectory", horizon=8).problem)
-                == reference
-            )
-        finally:
-            np.set_printoptions(**before)
-
-    def test_problem_fingerprint_resolves_tiny_criterion_deltas(self):
-        p1 = get_case_study("trajectory", horizon=8).problem
-        p2 = get_case_study("trajectory", horizon=8).problem
-        p2.pfc.x_des = p2.pfc.x_des + 1e-9
-        assert problem_fingerprint(p1) != problem_fingerprint(p2)
-
-    def test_problem_fingerprint_handles_infinite_monitor_bounds(self):
-        # The VSC case ships monitors with one-sided (inf) bounds.
-        assert problem_fingerprint(get_case_study("vsc").problem)
 
 
 class TestResultStore:

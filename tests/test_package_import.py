@@ -68,6 +68,8 @@ REMOVED_NAMES = (
     "repro.noise.noise_matrix",
     "repro.noise.noise_vector_batch",
     "repro.core.static_synthesis.verify_no_attack",
+    "repro.explore.problem_fingerprint",
+    "repro.explore.store.problem_fingerprint",
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -125,6 +127,11 @@ def test_removed_name_is_gone_and_has_a_replacement(dotted):
 def test_discretize_takes_no_method(double_integrator_continuous):
     with pytest.raises(TypeError):
         repro.discretize(double_integrator_continuous, 0.1, method="zoh")
+
+
+def test_run_pipeline_takes_no_store():
+    with pytest.raises(TypeError):
+        repro.run_pipeline(None, store="unused")
 
 
 def _zoh_reference(model, dt):

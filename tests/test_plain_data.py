@@ -253,3 +253,25 @@ def test_plain_data_rebuilds_to_the_same_text(name):
     instance = INSTANCES[name]
     rebuilt = type(instance).from_dict(json.loads(GOLDEN_TEXT[name]))
     assert json.dumps(rebuilt.to_dict()) == GOLDEN_TEXT[name]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_json_methods_match_the_pinned_text(name):
+    instance = INSTANCES[name]
+    assert instance.to_json() == json.dumps(json.loads(GOLDEN_TEXT[name]), indent=2)
+    assert type(instance).from_json(GOLDEN_TEXT[name]).to_json(indent=None) == GOLDEN_TEXT[name]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_plain_data_is_derived_not_written_per_class(name):
+    own = set(vars(type(INSTANCES[name])))
+    assert not own & {"to_dict", "from_dict", "to_json", "from_json"}
+
+
+def test_unit_far_given_as_a_dict_is_a_far_config():
+    from repro.explore.store import unit_store_key
+
+    from_dict = ExperimentUnit("dcmotor", "lp", "stepwise", far={"count": 10})
+    from_config = ExperimentUnit("dcmotor", "lp", "stepwise", far=FARConfig(count=10))
+    assert from_dict.far == from_config.far
+    assert unit_store_key(from_dict.to_dict()) == unit_store_key(from_config.to_dict())

@@ -161,8 +161,9 @@ class TestStaticSynthesis:
         self, small_dcmotor_problem, max_rounds
     ):
         # A tolerance above the (unsafe) upper end skips the bisection, so no
-        # probe is safe.  After the detector-free round and the upper probe,
-        # threshold 0 gets one round of its own if the cap leaves room.
+        # probe is safe.  After the detector-free round, the upper probe and
+        # then threshold 0 each get one round of their own if the cap leaves
+        # room.
         session = _RecordingSession(small_dcmotor_problem)
         result = StaticThresholdSynthesizer(tolerance=1e9, max_rounds=max_rounds).synthesize(
             small_dcmotor_problem, session=session
@@ -175,8 +176,8 @@ class TestStaticSynthesis:
             assert result.status is last_answer.status
             assert result.converged == (last_answer.status is SolveStatus.UNSAT)
         else:
-            assert result.rounds == 2
-            assert not np.all(last_threshold.values == 0.0)
+            assert result.rounds == max_rounds
+            assert last_threshold is None or not np.all(last_threshold.values == 0.0)
             assert result.status is SolveStatus.UNKNOWN
             assert not result.converged
 
@@ -186,7 +187,8 @@ class TestRoundCap:
 
     @pytest.mark.parametrize("name", available_case_studies())
     @pytest.mark.parametrize(
-        "synthesizer", [PivotThresholdSynthesizer, StepwiseThresholdSynthesizer]
+        "synthesizer",
+        [PivotThresholdSynthesizer, StepwiseThresholdSynthesizer, StaticThresholdSynthesizer],
     )
     def test_capped_run_is_unknown_unless_converged(self, name, synthesizer):
         problem = get_case_study(name).problem
