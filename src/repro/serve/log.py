@@ -200,7 +200,8 @@ class ServiceLog:
         return len(self._codes)
 
     def __iter__(self) -> Iterator[ServiceEvent]:
-        return iter(self.events)
+        # A closed log is never appended to again, so nothing would release a cache.
+        return iter(self.snapshot())
 
     @property
     def events(self) -> EventView:
@@ -278,12 +279,12 @@ class ServiceLog:
         if width > _MAX_WIDTH or instance > _INSTANCE_MAX:
             self.append("measurement", instance=instance, data=sample_data(values, with_residue))
             return
-        seq = len(self._codes)
         self._floats.fromlist(values)
         self._instances.append(instance)
         self._codes.append(_RESIDUE + width if with_residue else 1 + width)
         self._view = None
         if self.path is not None:
+            seq = len(self._codes) - 1  # only the file needs it
             record = {"seq": seq, "kind": "measurement", "instance": instance, "step": None}
             record["data"] = sample_data(values, with_residue)
             self._write(record)
@@ -298,7 +299,8 @@ class ServiceLog:
             self._since_flush = 0
 
     def close(self) -> None:
-        """Flush and close the backing file (the in-memory stream stays)."""
+        """Flush and close the backing file, drop the cached :attr:`events` (the stream stays)."""
+        self._view = None
         if self._handle is not None:
             self._handle.close()
             self._handle = None

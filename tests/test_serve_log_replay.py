@@ -3,6 +3,7 @@
 import gc
 import json
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -81,6 +82,34 @@ class TestServiceLog:
         assert log._view is None and snapshot == tuple(log.events)
         # A second full copy of the events is what the snapshot avoids.
         assert all(a is b for a, b in zip(log.snapshot(), log.events))
+
+    def test_iterating_a_closed_log_holds_nothing_after(self):
+        # A closed log is not appended to again, so an events view cached by
+        # iteration would hold a tuple, dict and float list per logged
+        # sample for good.
+        log = ServiceLog()
+        log.append("start")
+        for k in range(500):
+            for instance in range(100):
+                log.append_sample(instance, [0.25 * k], False)
+            log.append("round", data={"members": list(range(100))})
+        view = log.events
+        log.close()
+        assert log._view is None
+        del view
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            events = list(log)
+            assert len(events) == 1 + 500 * 101
+            del events
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20, f"{held} bytes held after iterating a closed log"
+        assert log._view is None
 
     def test_logged_measurements_leave_no_tracked_objects(self, dcmotor_problem):
         # Each logged sample used to keep its event tuple, data dict and
@@ -282,6 +311,11 @@ def _ingest_op(draw):
     return ("ingest", draw(st.integers(0, 7)), draw(floats), draw(floats), poison)
 
 
+def _ring_floats(service):
+    """Every ring row's pending floats, in order, as bytes (so ``-0.0`` differs from ``0.0``)."""
+    return [array("d", row).tobytes() for row in service._ring._rows]
+
+
 @settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -336,7 +370,7 @@ def test_ingest_logs_what_the_generic_append_logged(
         if poison is not None:
             where, index, value = poison
             (measurement if where == "measurement" or residue is None else residue)[index] = value
-            before = (service.pending(), service._ring._data.tobytes(), len(service.log))
+            before = (service.pending(), _ring_floats(service), len(service.log))
             counts = (ingested.total(), nonfinite.total())
             with pytest.raises(ValidationError, match="non-finite"):
                 service.ingest(
@@ -344,7 +378,7 @@ def test_ingest_logs_what_the_generic_append_logged(
                     np.array(measurement),
                     residue=None if residue is None else np.array(residue),
                 )
-            assert (service.pending(), service._ring._data.tobytes(), len(service.log)) == before
+            assert (service.pending(), _ring_floats(service), len(service.log)) == before
             assert (ingested.total(), nonfinite.total()) == (counts[0], counts[1] + 1)
             continue
         assert service.ingest(
@@ -371,6 +405,131 @@ def test_ingest_logs_what_the_generic_append_logged(
     if on_disk:
         assert path.read_bytes() == oracle_path.read_bytes()
         assert ServiceLog.read(path) == service.log.events
+
+
+#: The forms a producer may send a sample in.  A 1-D float64 array takes
+#: ingest's one-call conversion; big-endian float64 and every other form
+#: take the generic one.
+_FORMS = ("float64", "big-endian", "float32", "int64", "row", "strided", "list", "tuple")
+
+
+def _as_form(form, values):
+    """``values`` in one of the :data:`_FORMS`."""
+    if form == "float32":
+        with np.errstate(over="ignore"):  # past float32's range is infinity
+            return np.array(values, dtype=np.float32)
+    if form == "row":
+        return np.array(values).reshape(1, -1)
+    if form == "strided":
+        spaced = np.full(2 * len(values), 7.0)
+        spaced[::2] = values
+        return spaced[::2]
+    if form == "list":
+        return list(values)
+    if form == "tuple":
+        return tuple(values)
+    return np.array(values, dtype={"int64": np.int64, "big-endian": ">f8"}.get(form, float))
+
+
+@st.composite
+def _form_op(draw):
+    """An attach, or one sample in one form, with an optional non-finite value in it."""
+    if draw(st.integers(0, 5)) == 0:
+        return ("attach",)
+    form = draw(st.sampled_from(_FORMS))
+    scalar = st.integers(-(2**63), 2**63 - 1) if form == "int64" else _exact_float
+    channels = st.lists(scalar, min_size=M2, max_size=M2)
+    poison = None
+    if form != "int64":
+        poison = draw(
+            st.none()
+            | st.tuples(
+                st.sampled_from(["measurement", "residue"]),
+                st.integers(0, M2 - 1),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+            )
+        )
+    return ("ingest", draw(st.integers(0, 7)), form, draw(channels), draw(channels), poison)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    source=st.sampled_from(RESIDUE_SOURCES),
+    on_disk=st.booleans(),
+    ops=st.lists(_form_op(), min_size=1, max_size=30),
+)
+def test_ingest_converts_every_input_form_as_the_generic_chain(
+    source, on_disk, ops, tmp_path_factory
+):
+    """Each input form against the same sample as ``np.asarray(x, float).ravel().tolist()``.
+
+    Two services take the same operations, one the sample in its form, the
+    other its generic conversion.  Their answers, ring rows, logs (events
+    alike in every float's sign and type, byte-identical JSONL) and counters
+    agree.  A NaN or infinity, planted or from a float32 overflow, leaves
+    the ring, the log and ``serve_samples_ingested_total`` as they were.
+    """
+    directory = tmp_path_factory.mktemp("service")
+    paths = [directory / f"{name}.jsonl" if on_disk else None for name in ("forms", "generic")]
+    services = [
+        MonitorService(
+            QUADTANK.system,
+            {"static": ThresholdVector(np.full(QUADTANK.horizon, 1e6))},
+            residue_source=source,
+            ring_capacity=64,
+            auto_drain=False,
+            log=ServiceLog(path),
+        )
+        for path in paths
+    ]
+    forms, generic = services
+    ingested = forms.metrics.get("serve_samples_ingested_total")
+    for service in services:
+        service.attach()
+    for op in ops:
+        if op[0] == "attach":
+            for service in services:
+                service.attach()
+            continue
+        _, pick, form, measurement, residue, poison = op
+        if poison is not None:
+            where, index, value = poison
+            target = residue if where == "residue" and source == "ingest" else measurement
+            target[index] = value
+        instance = forms.members[pick % forms.n_members]
+        sent = (
+            _as_form(form, measurement),
+            _as_form(form, residue) if source == "ingest" else None,
+        )
+        converted = [None if x is None else np.asarray(x, dtype=float).ravel().tolist() for x in sent]
+        before = (forms.pending(), _ring_floats(forms), len(forms.log), ingested.total())
+        answers = []
+        for service, (x, r) in zip(services, (sent, converted)):
+            try:
+                answers.append(service.ingest(instance, x, residue=r))
+            except ValidationError as error:
+                answers.append(str(error))
+        assert answers[0] == answers[1]
+        assert _ring_floats(forms) == _ring_floats(generic)
+        if answers[0] is not True:
+            assert "non-finite" in answers[0]
+            assert (forms.pending(), _ring_floats(forms), len(forms.log), ingested.total()) == before
+        elif poison is not None:
+            raise AssertionError(f"a {form} sample with {poison[2]} in it was accepted")
+    for service in services:
+        service.close()
+    assert forms.log.events == generic.log.events
+    assert repr(forms.log.events) == repr(generic.log.events)
+    if on_disk:
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+    for name in (
+        "serve_samples_ingested_total",
+        "serve_samples_dropped_total",
+        "service_nonfinite_samples_total",
+    ):
+        assert forms.metrics.get(name).total() == generic.metrics.get(name).total()
 
 
 def _drive(service, problem, steps=15, seed=0):

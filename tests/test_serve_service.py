@@ -1,5 +1,6 @@
 """Tests for the always-on monitoring service: ingest, membership, hot swap."""
 
+import gc
 from collections import deque
 
 import numpy as np
@@ -70,10 +71,41 @@ class TestRingBuffer:
         assert ring.pending() == [2, 0, 1] and ring.ready == 2
         ring.compact([0, 2])
         assert ring.pending() == [2, 1] and ring.ready == 2
-        ring.push(1, [8.0])  # the kept row's write cursor moved with it
+        ring.push(1, [8.0])  # the kept row moved with its pending samples
         np.testing.assert_array_equal(ring.pop_round(), [[5.0], [7.0]])
         np.testing.assert_array_equal(ring.pop_round(), [[6.0], [8.0]])
         assert ring.pending() == [0, 0] and ring.ready == 0
+
+    def test_push_copies_the_callers_values_as_floats(self):
+        ring = RingBuffer(2, 2, rows=1)
+        values = [1, np.float32(2.5)]
+        assert ring.push(0, values)
+        values[0] = 9.0  # a later change to the caller's list
+        assert [type(value) for value in ring._rows[0]] == [float, float]
+        np.testing.assert_array_equal(ring.pop_round(), [[1.0, 2.5]])
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_pop_round_is_a_float64_rows_by_width_block(self, rows, width):
+        ring = RingBuffer(2, width, rows=rows)
+        for row in range(rows):
+            ring.push(row, [float(row * width + k) for k in range(width)])
+        block = ring.pop_round()
+        assert block.dtype == np.float64 and block.shape == (rows, width)
+        np.testing.assert_array_equal(block.reshape(-1), np.arange(rows * width))
+        assert ring.pending() == [0] * rows and ring.ready == 0
+
+    def test_pending_samples_add_few_tracked_objects(self):
+        # Each row holds its pending floats, which the cyclic garbage
+        # collector does not track, in one deque.
+        ring = RingBuffer(100, 2, rows=10)
+        gc.collect()
+        before = len(gc.get_objects())
+        for k in range(1000):
+            ring.push(k % 10, [float(k), -float(k)])
+        gc.collect()
+        assert ring.pending() == [100] * 10
+        assert len(gc.get_objects()) - before < 50
 
 
 _ring_ops = st.lists(
@@ -89,17 +121,19 @@ _ring_ops = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(capacity=st.integers(1, 4), rows=st.integers(0, 3), ops=_ring_ops)
-def test_ring_matches_per_row_deques(capacity, rows, ops):
+@given(
+    capacity=st.integers(1, 4), width=st.sampled_from([2, 3]), rows=st.integers(0, 3), ops=_ring_ops
+)
+def test_ring_matches_per_row_deques(capacity, width, rows, ops):
     """Push / drop / pop-round sequences against one ``deque`` per row."""
-    ring = RingBuffer(capacity, 2, rows=rows)
+    ring = RingBuffer(capacity, width, rows=rows)
     model = [deque() for _ in range(rows)]
     for op in ops:
         if op[0] in ("push", "drop") and not model:
             continue
         if op[0] == "push":
             row = op[1] % len(model)
-            sample = [op[2], -op[2]]
+            sample = [op[2], -op[2], 2 * op[2]][:width]
             accepted = len(model[row]) < capacity
             assert ring.push(row, sample) == accepted
             if accepted:
@@ -111,7 +145,7 @@ def test_ring_matches_per_row_deques(capacity, rows, ops):
                 model[row].popleft()
         elif op[0] == "pop":
             if all(model):
-                expected = np.array([queue.popleft() for queue in model]).reshape(-1, 2)
+                expected = np.array([queue.popleft() for queue in model]).reshape(-1, width)
                 np.testing.assert_array_equal(ring.pop_round(), expected)
             else:
                 with pytest.raises(ValidationError):
