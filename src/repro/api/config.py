@@ -37,6 +37,8 @@ from repro.registry import (
     NOISE_MODELS,
     SYNTHESIZERS,
 )
+from repro.serve.backpressure import POLICIES as SINK_POLICIES
+from repro.serve.service import OVERFLOW_POLICIES, RESIDUE_SOURCES
 from repro.utils.validation import ValidationError
 
 
@@ -228,11 +230,7 @@ class SynthesisConfig(_PlainData):
                 f"available: {', '.join(SYNTHESIZERS.available())}"
             )
         self.backend = str(self.backend)
-        if self.backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {', '.join(BACKENDS.available())}"
-            )
+        BACKENDS.get(self.backend)
         unknown_options = set(self.algorithm_options) - set(self.algorithms)
         if unknown_options:
             raise ValidationError(
@@ -333,11 +331,7 @@ class FARConfig(_PlainData):
             raise ValidationError("count must be non-negative")
         if self.noise_model is not None:
             self.noise_model = str(self.noise_model)
-            if self.noise_model not in NOISE_MODELS:
-                raise ValidationError(
-                    f"unknown noise model {self.noise_model!r}; "
-                    f"available: {', '.join(NOISE_MODELS.available())}"
-                )
+            NOISE_MODELS.get(self.noise_model)
         if self.initial_state_spread is not None:
             self.initial_state_spread = [
                 float(v) for v in np.asarray(self.initial_state_spread, dtype=float).reshape(-1)
@@ -394,11 +388,7 @@ def _normalize_detector_specs(detectors: dict) -> dict:
                 f"{', '.join(DETECTORS.available())})"
             )
         name = str(spec["name"])
-        if name not in DETECTORS:
-            raise ValidationError(
-                f"unknown detector {name!r}; "
-                f"available: {', '.join(DETECTORS.available())}"
-            )
+        DETECTORS.get(name)
         normalized[str(label)] = {"name": name, "options": dict(spec.get("options", {}))}
     return normalized
 
@@ -406,10 +396,7 @@ def _normalize_detector_specs(detectors: dict) -> dict:
 def _check_engine(engine) -> str:
     """An unknown engine name fails at config time (:class:`RuntimeConfig`)."""
     engine = str(engine)
-    if engine not in ENGINES:
-        raise ValidationError(
-            f"unknown engine {engine!r}; available: {', '.join(ENGINES.available())}"
-        )
+    ENGINES.get(engine)
     return engine
 
 
@@ -494,11 +481,7 @@ class RuntimeConfig(_PlainData):
                 raise ValidationError("horizon must be positive")
         if self.case_study is not None:
             self.case_study = str(self.case_study)
-            if self.case_study not in CASE_STUDIES:
-                raise ValidationError(
-                    f"unknown case study {self.case_study!r}; "
-                    f"available: {', '.join(CASE_STUDIES.available())}"
-                )
+            CASE_STUDIES.get(self.case_study)
         if isinstance(self.synthesis, dict):
             self.synthesis = SynthesisConfig.from_dict(self.synthesis)
         self.static_thresholds = {
@@ -507,11 +490,7 @@ class RuntimeConfig(_PlainData):
         self.detectors = _normalize_detector_specs(self.detectors)
         if self.noise_model is not None:
             self.noise_model = str(self.noise_model)
-            if self.noise_model not in NOISE_MODELS:
-                raise ValidationError(
-                    f"unknown noise model {self.noise_model!r}; "
-                    f"available: {', '.join(NOISE_MODELS.available())}"
-                )
+            NOISE_MODELS.get(self.noise_model)
         if self.initial_state_spread is not None:
             self.initial_state_spread = [
                 float(v) for v in np.asarray(self.initial_state_spread, dtype=float).reshape(-1)
@@ -526,11 +505,7 @@ class RuntimeConfig(_PlainData):
                     f"allowed: {sorted(_ATTACK_SCHEDULE_KEYS)}"
                 )
             template = str(entry.get("template", ""))
-            if template not in ATTACK_TEMPLATES:
-                raise ValidationError(
-                    f"unknown attack template {template!r}; "
-                    f"available: {', '.join(ATTACK_TEMPLATES.available())}"
-                )
+            ATTACK_TEMPLATES.get(template)
             entry["template"] = template
             if "instances" in entry and "fraction" in entry:
                 raise ValidationError(
@@ -542,11 +517,6 @@ class RuntimeConfig(_PlainData):
         self.attacks = attacks
         self.noise_scale = float(self.noise_scale)
         self.engine = _check_engine(self.engine)
-
-
-_RING_OVERFLOW_POLICIES = ("drop-oldest", "drop-newest", "error")
-_RESIDUE_SOURCES = ("observer", "ingest")
-_SINK_POLICIES = ("block", "drop-oldest", "drop-newest")
 
 
 @dataclass
@@ -615,11 +585,7 @@ class ServiceConfig(_PlainData):
     def __post_init__(self) -> None:
         if self.case_study is not None:
             self.case_study = str(self.case_study)
-            if self.case_study not in CASE_STUDIES:
-                raise ValidationError(
-                    f"unknown case study {self.case_study!r}; "
-                    f"available: {', '.join(CASE_STUDIES.available())}"
-                )
+            CASE_STUDIES.get(self.case_study)
         if isinstance(self.synthesis, dict):
             self.synthesis = SynthesisConfig.from_dict(self.synthesis)
         self.static_thresholds = {
@@ -627,19 +593,19 @@ class ServiceConfig(_PlainData):
         }
         self.detectors = _normalize_detector_specs(self.detectors)
         self.residue_source = str(self.residue_source)
-        if self.residue_source not in _RESIDUE_SOURCES:
+        if self.residue_source not in RESIDUE_SOURCES:
             raise ValidationError(
                 f"unknown residue_source {self.residue_source!r}; "
-                f"expected one of {_RESIDUE_SOURCES}"
+                f"expected one of {RESIDUE_SOURCES}"
             )
         self.ring_capacity = int(self.ring_capacity)
         if self.ring_capacity <= 0:
             raise ValidationError("ring_capacity must be positive")
         self.overflow = str(self.overflow)
-        if self.overflow not in _RING_OVERFLOW_POLICIES:
+        if self.overflow not in OVERFLOW_POLICIES:
             raise ValidationError(
                 f"unknown overflow policy {self.overflow!r}; "
-                f"expected one of {_RING_OVERFLOW_POLICIES}"
+                f"expected one of {OVERFLOW_POLICIES}"
             )
         self.auto_drain = bool(self.auto_drain)
         self.flush_every = int(self.flush_every)
@@ -650,10 +616,10 @@ class ServiceConfig(_PlainData):
             if self.sink_capacity <= 0:
                 raise ValidationError("sink_capacity must be positive")
         self.sink_policy = str(self.sink_policy)
-        if self.sink_policy not in _SINK_POLICIES:
+        if self.sink_policy not in SINK_POLICIES:
             raise ValidationError(
                 f"unknown sink_policy {self.sink_policy!r}; "
-                f"expected one of {_SINK_POLICIES}"
+                f"expected one of {SINK_POLICIES}"
             )
 
 

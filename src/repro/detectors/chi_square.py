@@ -90,9 +90,28 @@ class ChiSquareDetector:
         }
 
     def statistics(self, residues: np.ndarray) -> np.ndarray:
-        """Per-sample chi-square statistics ``g_k``; a non-finite residue raises."""
+        """Per-sample chi-square statistics ``g_k``; a non-finite residue raises.
+
+        ``residues`` is ``(..., m)``: a ``(T, m)`` trace or a fleet's
+        ``(T, N, m)`` block.  The quadratic form is summed channel by channel
+        in elementwise products, so a sample's statistic is the same bits
+        whatever block it is evaluated in (a contraction such as ``einsum``
+        may change its summation order with the number of rows).
+        """
         residues = check_finite("residues", np.atleast_2d(np.asarray(residues, dtype=float)))
-        return np.einsum("ki,ij,kj->k", residues, self._inverse, residues)
+        inverse = self._inverse
+        if residues.shape[-1] != inverse.shape[0]:
+            raise ValidationError(
+                f"residues have {residues.shape[-1]} channels, "
+                f"the innovation covariance has {inverse.shape[0]}"
+            )
+        statistics = 0.0
+        for i, row in enumerate(inverse):
+            weighted = 0.0
+            for j, entry in enumerate(row):
+                weighted = weighted + entry * residues[..., j]
+            statistics = statistics + residues[..., i] * weighted
+        return statistics
 
     def evaluate(self, residues: np.ndarray) -> DetectionResult:
         """Run the detector over a residue sequence."""

@@ -61,15 +61,23 @@ class CusumDetector:
         residues = np.atleast_2d(np.asarray(residues, dtype=float))
         return residue_norms(residues, self.norm)
 
+    def _accumulate(self, norms: np.ndarray, start: np.ndarray | float = 0.0) -> np.ndarray:
+        """The clamp ``S_k = max(0, S_{k-1} + norms[k] - bias)`` down a ``(T, ...)`` block.
+
+        The one CUSUM recurrence of the library: offline :meth:`statistics`
+        runs it over a trace's ``(T,)`` norms from ``start = 0``, the fleet
+        core over a ``(T, N)`` block from each instance's carried
+        accumulator.  Each row of ``norms`` is overwritten with its
+        statistic, and ``norms`` is returned.
+        """
+        previous = start
+        for k in range(norms.shape[0]):
+            previous = norms[k] = np.maximum(0.0, previous + norms[k] - self.bias)
+        return norms
+
     def statistics(self, residues: np.ndarray) -> np.ndarray:
         """The accumulated CUSUM statistic ``S_k`` per sample."""
-        norms = self._norms(residues)
-        statistics = np.zeros_like(norms)
-        accumulator = 0.0
-        for k, value in enumerate(norms):
-            accumulator = max(0.0, accumulator + value - self.bias)
-            statistics[k] = accumulator
-        return statistics
+        return self._accumulate(self._norms(residues))
 
     def evaluate(self, residues: np.ndarray) -> DetectionResult:
         """Run the detector over a residue sequence."""

@@ -276,27 +276,33 @@ class ThresholdVector:
     # ------------------------------------------------------------------
     # detector semantics
     # ------------------------------------------------------------------
+    def _at(self, positions: np.ndarray) -> np.ndarray:
+        """The thresholds at 0-based sample ``positions`` (an integer array).
+
+        The one hold-last rule, ``values[min(k, length - 1)]``: past the
+        stored length the last value holds.  :meth:`effective` reads a
+        trace's positions ``0 .. T-1``; a fleet core reads each instance's
+        own positions.  Unset entries stay ``inf`` (no detection there).
+        """
+        return self.values[np.minimum(positions, self.length - 1)]
+
     def effective(self, length: int | None = None) -> np.ndarray:
-        """The finite threshold vector to hand to an online detector.
+        """The ``(length,)`` threshold vector to hand to an online detector.
 
         Unset entries become ``inf`` (no detection at that instance).  When
         ``length`` exceeds the stored length, the last value is held; when it
         is shorter, the vector is truncated.
         """
-        if length is None or length == self.length:
-            return self.values.copy()
-        length = int(length)
-        if length < self.length:
-            return self.values[:length].copy()
-        extension = np.full(length - self.length, self.values[-1])
-        return np.concatenate([self.values, extension])
+        return self._at(np.arange(self.length if length is None else int(length)))
 
     def residue_norms(self, residues: np.ndarray) -> np.ndarray:
         """Per-sample (weighted) residue norms using this specification's norm.
 
         ``residues`` is ``(..., m)``; the norm runs over the channel axis.
         """
-        residues = np.atleast_2d(np.asarray(residues, dtype=float))
+        residues = np.asarray(residues, dtype=float)
+        if residues.ndim < 2:
+            residues = residues.reshape(1, -1)
         if self.weights is not None and residues.shape[-1] != self.weights.size:
             raise ValidationError(
                 f"residues have {residues.shape[-1]} channels, weights expect {self.weights.size}"

@@ -80,11 +80,7 @@ class ExploreConfig(_PlainData):
         if isinstance(self.space, dict):
             self.space = SearchSpace.from_dict(self.space)
         self.sampler = str(self.sampler)
-        if self.sampler not in SAMPLERS:
-            raise ValidationError(
-                f"unknown sampler {self.sampler!r}; "
-                f"available: {', '.join(SAMPLERS.available())}"
-            )
+        SAMPLERS.get(self.sampler)
         self.objectives = tuple(str(o) for o in self.objectives)
         if not self.objectives:
             raise ValidationError("objectives must name at least one row field")
@@ -140,11 +136,7 @@ class Explorer:
             self.max_points = max_points
             self.objectives = tuple(objectives or DEFAULT_OBJECTIVES)
             self.name = name or "exploration"
-        if self.sampler not in SAMPLERS:
-            raise ValidationError(
-                f"unknown sampler {self.sampler!r}; "
-                f"available: {', '.join(SAMPLERS.available())}"
-            )
+        SAMPLERS.get(self.sampler)
 
     # ------------------------------------------------------------------
     def _flat_row(self, point: ExplorePoint, key: str | None, row: ExperimentRow) -> dict:

@@ -15,6 +15,8 @@ inequalities over measurement symbols ``y[k][channel]``.
 from __future__ import annotations
 
 import abc
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,9 +175,28 @@ class Monitor(abc.ABC):
         the check is vacuously satisfied at the first sample.
         """
 
+    def _alarm_walk(self, violated, starts: Iterator, ends: list) -> np.ndarray:
+        """The alarm rule of this monitor tree, fed per-monitor violations.
+
+        The one alarm walk of the library.  ``violated(monitor)`` gives a
+        monitor's violation flags over a block of rows: offline
+        ``~satisfied`` over a trace's samples, online ``~check`` over a
+        fleet's ``(T, N)`` instance-steps.  A plain monitor alarms where it
+        is violated; a :class:`~repro.monitors.deadzone.DeadZoneMonitor`
+        where its inner monitor's violation run reaches the dead zone; a
+        :class:`~repro.monitors.composite.CompositeMonitor` on the OR of its
+        members.  Each dead zone, in tree order, takes the run length carried
+        into the block from ``starts`` and appends its run lengths to
+        ``ends``.
+        """
+        return violated(self)
+
     def alarms(self, measurements: np.ndarray, dt: float) -> np.ndarray:
-        """Per-sample alarm flags.  Plain monitors alarm on every violation."""
-        return ~self.satisfied(measurements, dt)
+        """Per-sample alarm flags of a ``(T, m)`` trace (see :meth:`_alarm_walk`)."""
+        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
+        return self._alarm_walk(
+            lambda monitor: ~monitor.satisfied(measurements, dt), itertools.repeat(0), []
+        )
 
     def report(self, measurements: np.ndarray, dt: float) -> MonitorReport:
         """Full evaluation of the monitor on one trace."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +49,11 @@ class CompositeMonitor(Monitor):
             result &= monitor.satisfied(measurements, dt)
         return result
 
-    def alarms(self, measurements: np.ndarray, dt: float) -> np.ndarray:
-        measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-        horizon = measurements.shape[0]
-        result = np.zeros(horizon, dtype=bool)
-        for monitor in self.monitors:
-            result |= monitor.alarms(measurements, dt)
-        return result
+    def _alarm_walk(self, violated, starts, ends) -> np.ndarray:
+        if not self.monitors:
+            return violated(self)  # an empty composite always passes: all quiet
+        alarms = [member._alarm_walk(violated, starts, ends) for member in self.monitors]
+        return functools.reduce(np.logical_or, alarms)
 
     def conditions_at(self, k: int, dt: float) -> list[LinearCondition]:
         conditions: list[LinearCondition] = []

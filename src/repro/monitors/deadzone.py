@@ -16,6 +16,21 @@ from repro.monitors.base import LinearCondition, Monitor
 from repro.utils.validation import check_positive
 
 
+def _run_lengths(violated: np.ndarray, start: np.ndarray | int = 0) -> np.ndarray:
+    """Consecutive-violation run length at every row of a ``(T, ...)`` block.
+
+    The one dead-zone counter of the library: ``violated`` holds a trace's
+    ``(T,)`` flags offline or a fleet's ``(T, N)`` flags online, and
+    ``start`` is the run length carried into the first row.  Integer-exact
+    closed form: the run at row ``k`` is ``k - j`` for the last passing row
+    ``j <= k``, or ``k + 1 + start`` when no row up to ``k`` passes.
+    """
+    steps = np.arange(violated.shape[0]).reshape((-1,) + (1,) * (violated.ndim - 1))
+    last_pass = np.where(violated, -1 - np.asarray(start), steps)
+    np.maximum.accumulate(last_pass, axis=0, out=last_pass)
+    return steps - last_pass
+
+
 @dataclass
 class DeadZoneMonitor(Monitor):
     """Wraps an inner monitor with a consecutive-violation counter.
@@ -49,17 +64,10 @@ class DeadZoneMonitor(Monitor):
         """Per-sample result of the *inner* check (dead zone does not change it)."""
         return self.inner.satisfied(measurements, dt)
 
-    def alarms(self, measurements: np.ndarray, dt: float) -> np.ndarray:
-        """Alarm where the inner check failed for ``dead_zone_samples`` samples in a row."""
-        violated = ~self.inner.satisfied(measurements, dt)
-        horizon = violated.shape[0]
-        alarms = np.zeros(horizon, dtype=bool)
-        run_length = 0
-        for k in range(horizon):
-            run_length = run_length + 1 if violated[k] else 0
-            if run_length >= self.dead_zone_samples:
-                alarms[k] = True
-        return alarms
+    def _alarm_walk(self, violated, starts, ends) -> np.ndarray:
+        runs = _run_lengths(violated(self.inner), next(starts))
+        ends.append(runs)
+        return runs >= self.dead_zone_samples
 
     def conditions_at(self, k: int, dt: float) -> list[LinearCondition]:
         """Inner conditions at sample ``k`` (stealth interpretation is up to the encoder).

@@ -1,29 +1,25 @@
 """Vectorized (fleet-wide) online detector and monitor cores.
 
-Each core advances ``N`` detector instances one sampling instance at a time:
-``step(values)`` takes an ``(N, m)`` block (one residue or measurement vector
-per fleet instance) and returns an ``(N,)`` boolean alarm vector.  All
-internal state — step counters, CUSUM accumulators, dead-zone run lengths,
-previous-measurement buffers — is shaped ``(N, ...)`` so a whole fleet steps
-in a handful of numpy operations.
+Each core advances ``N`` detector instances through a ``(T, N, m)`` block
+of residue or measurement vectors with one pass, :meth:`BatchDetector.run`,
+and returns the ``(T, N)`` alarm flags; ``step`` is that pass over a single
+row.  All internal state — threshold positions, CUSUM accumulators,
+dead-zone run lengths, previous measurements — is shaped ``(N, ...)`` and
+carried from one block into the next, so a fleet's horizon can be cut into
+blocks of any length.
 
-The cores call the detector classes' own expressions rather than copies
-of them: :func:`~repro.detectors.threshold.residue_norms` applied to an
-``(N, m)`` block instead of a ``(T, m)`` trace, and each monitor's
-:meth:`~repro.monitors.base.Monitor.check` over the fleet's instances
-instead of a trace's samples.  A single instance stepped online therefore
-produces bit-identical alarm sequences to the offline detectors; the
-equivalence is locked in by ``tests/test_runtime_online.py`` and
-``tests/test_detector_forms_property.py``.  Only the stateful recurrences —
-the CUSUM accumulator and the dead-zone run length — have a numpy form here
-next to the offline Python loop.
-
-``run(block)`` advances a core over a whole ``(T, N, m)`` horizon at once.
-The threshold and CUSUM cores vectorize it: one call of the detector's own
-norm function over every step, then the comparison (threshold) or the
-serial clamp (CUSUM).  Every other core steps through the block.  Either
-way ``run`` equals the stacked ``step`` calls bit for bit and leaves the
-same state (``tests/test_runtime_detector_pass.py``).
+A core holds no detector math of its own.  It feeds its block to the rules
+the detector and monitor classes define once and use offline too:
+:func:`~repro.detectors.threshold.residue_norms` and the hold-last threshold
+position (``ThresholdVector._at``), the CUSUM clamp
+(``CusumDetector._accumulate``) started from the carried accumulator, the
+chi-square statistic, and the monitor alarm walk (``Monitor._alarm_walk``)
+fed each monitor's :meth:`~repro.monitors.base.Monitor.check` over the
+block's instance-steps, its dead zones started from the carried run
+lengths.  A single instance stepped online therefore raises the offline
+detectors' alarms bit for bit, however the trace is cut into blocks
+(``tests/test_runtime_online.py``, ``tests/test_detector_forms_property.py``,
+``tests/test_runtime_detector_pass.py`` and ``tests/test_alarm_rules.py``).
 
 :func:`make_batched` is the one dispatch that adapts an object — a
 :class:`~repro.detectors.threshold.ThresholdVector`, a residue / CUSUM /
@@ -72,8 +68,18 @@ class BatchDetector(abc.ABC):
         return self._step_index
 
     @abc.abstractmethod
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """Advance through a ``(T, N, m)`` block; returns ``(T, N)`` alarm flags.
+
+        The core's one pass.  It resumes from the core's state and leaves it
+        where the block ends, so consecutive blocks chain into one horizon.
+        Views of any layout or dtype are accepted; the detector math runs in
+        float64.
+        """
+
     def step(self, values: np.ndarray) -> np.ndarray:
         """Advance one sampling instance; ``values`` is ``(N, m)``, returns ``(N,)`` alarms."""
+        return self.run(values[None])[0]
 
     @abc.abstractmethod
     def reset(self) -> None:
@@ -139,34 +145,14 @@ class BatchDetector(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    def _check_block(self, values: np.ndarray) -> np.ndarray:
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != self.n_instances:
-            raise ValidationError(
-                f"expected a block of {self.n_instances} instances, got {values.shape[0]}"
-            )
-        return values
-
     def _check_blocks(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
+        """``values`` as a float64 ``(T, N, m)`` block, or a ``ValidationError``."""
+        values = np.asarray(values, dtype=np.float64)
         if values.ndim != 3 or values.shape[1] != self.n_instances:
             raise ValidationError(
                 f"expected a (T, {self.n_instances}, m) block, got shape {values.shape}"
             )
         return values
-
-    def run(self, values: np.ndarray) -> np.ndarray:
-        """Advance through a ``(T, N, m)`` block; returns ``(T, N)`` alarm flags.
-
-        Equal, bit for bit, to stacking ``step(values[k])`` for every ``k``:
-        this base version does exactly that, on a C-contiguous float64 copy
-        of each step (views of any layout or dtype are accepted).
-        """
-        values = self._check_blocks(values)
-        alarms = np.empty(values.shape[:2], dtype=bool)
-        for k in range(values.shape[0]):
-            alarms[k] = self.step(np.ascontiguousarray(values[k], dtype=np.float64))
-        return alarms
 
 
 class BatchThresholdDetector(BatchDetector):
@@ -187,33 +173,26 @@ class BatchThresholdDetector(BatchDetector):
         # already deep into the vector.
         self._steps = np.zeros(self.n_instances, dtype=int)
 
-    def step(self, residues: np.ndarray) -> np.ndarray:
-        residues = self._check_block(residues)
-        norms = self.threshold.residue_norms(residues)
-        index = np.minimum(self._steps, self.threshold.length - 1)
-        self._steps += 1
-        self._step_index += 1
-        return alarm_comparison(norms, self.threshold.values[index])
-
     def run(self, values: np.ndarray) -> np.ndarray:
         """All steps' norms in one call, then one broadcast comparison.
 
         A lockstep fleet (every instance at the same threshold position)
         reads one ``(T,)`` timeline; instances attached mid-run read their
-        own ``(T, N)`` timelines.
+        own ``(T, N)`` timelines.  Instances are appended in attach order
+        and all advance together, so the positions never increase along the
+        rows: the fleet is in lockstep when its first and last agree.
         """
-        values = self._check_blocks(values).astype(np.float64, copy=False)
+        values = self._check_blocks(values)
         norms = self.threshold.residue_norms(values)
         T = values.shape[0]
         steps = self._steps
-        last = self.threshold.length - 1
-        if steps.size and np.all(steps == steps[0]):
-            index = np.minimum(steps[0] + np.arange(T), last)[:, None]
+        if steps.size and steps[0] == steps[-1]:
+            positions = np.arange(steps[0], steps[0] + T)[:, None]
         else:
-            index = np.minimum(steps[None, :] + np.arange(T)[:, None], last)
+            positions = steps + np.arange(T)[:, None]
         steps += T
         self._step_index += T
-        return alarm_comparison(norms, self.threshold.values[index])
+        return alarm_comparison(norms, self.threshold._at(positions))
 
     def reset(self) -> None:
         self._step_index = 0
@@ -243,37 +222,19 @@ class BatchThresholdDetector(BatchDetector):
 
 
 class BatchCusum(BatchDetector):
-    """Fleet-wide online CUSUM: one ``(N,)`` accumulator advanced per step."""
+    """Fleet-wide online CUSUM: one ``(N,)`` accumulator carried across blocks."""
 
     def __init__(self, detector: CusumDetector, n_instances: int = 1):
         super().__init__(n_instances)
         self.detector = detector
         self._statistic = np.zeros(self.n_instances)
 
-    def step(self, residues: np.ndarray) -> np.ndarray:
-        residues = self._check_block(residues)
-        norms = self.detector._norms(residues)
-        self._statistic = np.maximum(0.0, self._statistic + norms - self.detector.bias)
-        self._step_index += 1
-        return self._statistic >= self.detector.threshold
-
     def run(self, values: np.ndarray) -> np.ndarray:
-        """All steps' norms in one call, then the serial clamp in place.
-
-        The clamp overwrites each step's row of norms with that step's
-        statistic, so one comparison over the ``(T, N)`` array gives every
-        alarm.
-        """
-        values = self._check_blocks(values).astype(np.float64, copy=False)
-        statistics = self.detector._norms(values)
-        bias = self.detector.bias
-        previous = self._statistic
-        for row in statistics:
-            np.add(previous, row, out=row)
-            np.subtract(row, bias, out=row)
-            np.maximum(0.0, row, out=row)
-            previous = row
-        self._statistic = previous.copy()
+        """All steps' norms in one call, then the detector's clamp from the accumulators."""
+        values = self._check_blocks(values)
+        statistics = self.detector._accumulate(self.detector._norms(values), self._statistic)
+        if statistics.shape[0]:
+            self._statistic = statistics[-1].copy()
         self._step_index += statistics.shape[0]
         return statistics >= self.detector.threshold
 
@@ -306,11 +267,11 @@ class BatchChiSquare(BatchDetector):
         super().__init__(n_instances)
         self.detector = detector
 
-    def step(self, residues: np.ndarray) -> np.ndarray:
-        residues = self._check_block(residues)
-        statistics = self.detector.statistics(residues)
-        self._step_index += 1
-        return statistics >= self.detector.threshold
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """Every instance-step's statistic in one call (row for row as offline)."""
+        values = self._check_blocks(values)
+        self._step_index += values.shape[0]
+        return self.detector.statistics(values) >= self.detector.threshold
 
     def reset(self) -> None:
         self._step_index = 0
@@ -330,103 +291,36 @@ class BatchChiSquare(BatchDetector):
 # ----------------------------------------------------------------------
 # Plant monitors
 # ----------------------------------------------------------------------
-class _MonitorNode:
-    """Per-monitor alarm state within a :class:`BatchMonitor` tree."""
+def _kind(monitor: Monitor) -> str:
+    if isinstance(monitor, DeadZoneMonitor):
+        return "dead-zone"
+    if isinstance(monitor, CompositeMonitor):
+        return "composite"
+    return "leaf"
 
-    def __init__(self, monitor: Monitor, n_instances: int):
-        self.monitor = monitor
-        self.n_instances = n_instances
-        if isinstance(monitor, DeadZoneMonitor):
-            self.run_length = np.zeros(n_instances, dtype=int)
-        elif isinstance(monitor, CompositeMonitor):
-            self.children = [_MonitorNode(member, n_instances) for member in monitor.monitors]
 
-    def alarms(
-        self,
-        previous: np.ndarray | None,
-        current: np.ndarray,
-        dt: float,
-        valid: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if isinstance(self.monitor, CompositeMonitor):
-            result = np.zeros(current.shape[0], dtype=bool)
-            for child in self.children:
-                result |= child.alarms(previous, current, dt, valid)
-            return result
-        if isinstance(self.monitor, DeadZoneMonitor):
-            violated = ~self.monitor.inner.check(current, previous, dt, valid)
-            self.run_length = np.where(violated, self.run_length + 1, 0)
-            return self.run_length >= self.monitor.dead_zone_samples
-        return ~self.monitor.check(current, previous, dt, valid)
+def _nodes(monitor: Monitor, path: str = ""):
+    """``(path, monitor)`` for every node of the alarm walk, in tree order.
 
-    def reset(self) -> None:
-        if isinstance(self.monitor, DeadZoneMonitor):
-            self.run_length = np.zeros(self.n_instances, dtype=int)
-        elif isinstance(self.monitor, CompositeMonitor):
-            for child in self.children:
-                child.reset()
+    A composite's members are nodes; a dead zone's inner monitor is not (its
+    checks feed the dead zone's counter, its own alarm rule is never used).
+    """
+    yield path, monitor
+    if isinstance(monitor, CompositeMonitor):
+        for index, member in enumerate(monitor.monitors):
+            yield from _nodes(member, f"{path}[{index}]")
 
-    def grow(self, count: int) -> None:
-        self.n_instances += count
-        if isinstance(self.monitor, DeadZoneMonitor):
-            self.run_length = np.concatenate([self.run_length, np.zeros(count, dtype=int)])
-        elif isinstance(self.monitor, CompositeMonitor):
-            for child in self.children:
-                child.grow(count)
 
-    def compact(self, keep: np.ndarray) -> None:
-        self.n_instances = int(keep.size)
-        if isinstance(self.monitor, DeadZoneMonitor):
-            self.run_length = self.run_length[keep]
-        elif isinstance(self.monitor, CompositeMonitor):
-            for child in self.children:
-                child.compact(keep)
-
-    def _kind(self) -> str:
-        if isinstance(self.monitor, DeadZoneMonitor):
-            return "dead-zone"
-        if isinstance(self.monitor, CompositeMonitor):
-            return "composite"
-        return "leaf"
-
-    def adopt(self, old: "_MonitorNode") -> None:
-        """Carry per-instance alarm state over from a structurally matching tree.
-
-        A replacement monitor may change parameters (bounds, rates, dead-zone
-        lengths) but not the tree shape: dead-zone run-length counters only
-        survive a swap when old and new node are both dead-zoned, and
-        composites must have the same member count.
-        """
-        if self._kind() != old._kind():
-            raise ValidationError(
-                f"replacement monitor structure differs ({old._kind()} -> "
-                f"{self._kind()}); per-instance monitor state cannot be preserved"
-            )
-        if isinstance(self.monitor, DeadZoneMonitor):
-            self.run_length = old.run_length.copy()
-        elif isinstance(self.monitor, CompositeMonitor):
-            if len(self.children) != len(old.children):
-                raise ValidationError(
-                    f"replacement composite has {len(self.children)} members, "
-                    f"the deployed one has {len(old.children)}"
-                )
-            for child, old_child in zip(self.children, old.children):
-                child.adopt(old_child)
-
-    def snapshot(self, state: dict, prefix: str) -> None:
-        if isinstance(self.monitor, DeadZoneMonitor):
-            state[f"{prefix}{self.monitor.name}.run_length"] = self.run_length.copy()
-        elif isinstance(self.monitor, CompositeMonitor):
-            for index, child in enumerate(self.children):
-                child.snapshot(state, f"{prefix}[{index}]")
+def _dead_zones(monitor: Monitor) -> list[tuple[str, DeadZoneMonitor]]:
+    return [(path, node) for path, node in _nodes(monitor) if isinstance(node, DeadZoneMonitor)]
 
 
 class BatchMonitor(BatchDetector):
     """Fleet-wide online form of a plant monitor (``mdc``).
 
     Consumes *measurements* instead of residues; keeps one previous
-    measurement per instance (for gradient monitors) and one dead-zone
-    run-length counter per instance per dead-zoned member.
+    measurement per instance (for gradient monitors) and one run-length
+    array per dead-zone node of the monitor tree, in tree order.
     """
 
     consumes = "measurements"
@@ -435,33 +329,58 @@ class BatchMonitor(BatchDetector):
         super().__init__(n_instances)
         self.monitor = monitor
         self.dt = float(check_positive("dt", dt))
-        self._root = _MonitorNode(monitor, self.n_instances)
-        self._previous: np.ndarray | None = None
-        self._has_previous = np.zeros(self.n_instances, dtype=bool)
+        self.reset()
 
-    def step(self, measurements: np.ndarray) -> np.ndarray:
-        measurements = self._check_block(measurements)
-        if self._previous is None or not np.any(self._has_previous):
-            # No instance has an earlier sample: identical to the first step
-            # of a closed batch.
-            alarms = self._root.alarms(None, measurements, self.dt)
+    def run(self, values: np.ndarray) -> np.ndarray:
+        """The monitor's alarm walk over the block's ``T * N`` instance-steps.
+
+        Each instance-step is one row of the monitors' checks, the sample
+        before it its previous row: the instance's previous step in the
+        block, or the carried previous measurement at the block's first
+        step.  An instance with no earlier sample is checked like a trace's
+        first sample.  The dead zones start from the carried run lengths.
+        """
+        values = self._check_blocks(values)
+        T, N, m = values.shape
+        if T == 0:
+            return np.zeros((0, N), dtype=bool)
+        previous = np.empty_like(values)
+        previous[1:] = values[:-1]
+        valid = np.ones((T, N), dtype=bool)
+        if self._previous is None:
+            previous[0] = 0.0
+            valid[0] = False
         else:
-            alarms = self._root.alarms(
-                self._previous, measurements, self.dt, self._has_previous
-            )
-        self._previous = measurements.copy()
+            previous[0] = self._previous
+            valid[0] = self._has_previous
+        current = values.reshape(T * N, m)
+        previous = previous.reshape(T * N, m)
+        valid = valid.reshape(T * N)
+        dt = self.dt
+        ends: list[np.ndarray] = []
+        alarms = self.monitor._alarm_walk(
+            lambda monitor: ~monitor.check(current, previous, dt, valid).reshape(T, N),
+            iter(self._run_lengths),
+            ends,
+        )
+        self._run_lengths = [runs[-1] for runs in ends]
+        self._previous = values[-1].copy()
         self._has_previous[:] = True
-        self._step_index += 1
+        self._step_index += T
         return alarms
 
     def reset(self) -> None:
         self._step_index = 0
-        self._previous = None
+        self._previous: np.ndarray | None = None
         self._has_previous = np.zeros(self.n_instances, dtype=bool)
-        self._root.reset()
+        self._run_lengths = [
+            np.zeros(self.n_instances, dtype=int) for _ in _dead_zones(self.monitor)
+        ]
 
     def _grow_state(self, count: int) -> None:
-        self._root.grow(count)
+        self._run_lengths = [
+            np.concatenate([runs, np.zeros(count, dtype=int)]) for runs in self._run_lengths
+        ]
         self._has_previous = np.concatenate(
             [self._has_previous, np.zeros(count, dtype=bool)]
         )
@@ -471,19 +390,33 @@ class BatchMonitor(BatchDetector):
             )
 
     def _compact_state(self, keep: np.ndarray) -> None:
-        self._root.compact(keep)
+        self._run_lengths = [runs[keep] for runs in self._run_lengths]
         self._has_previous = self._has_previous[keep]
         if self._previous is not None:
             self._previous = self._previous[keep]
 
     def rebind(self, monitor) -> Monitor:
-        """Swap in a structurally matching :class:`Monitor`; run-lengths are kept."""
+        """Swap in a structurally matching :class:`Monitor`; run lengths are kept.
+
+        A replacement may change parameters (bounds, rates, dead-zone
+        lengths) but not the tree shape: node for node in tree order, a dead
+        zone must meet a dead zone and a composite a composite with the same
+        member count, so every run length keeps its dead zone.
+        """
         if not isinstance(monitor, Monitor):
             raise ValidationError("BatchMonitor rebinds to a Monitor")
-        replacement = _MonitorNode(monitor, self.n_instances)
-        replacement.adopt(self._root)
+        for (_, old), (_, new) in zip(_nodes(self.monitor), _nodes(monitor)):
+            if _kind(old) != _kind(new):
+                raise ValidationError(
+                    f"replacement monitor structure differs ({_kind(old)} -> "
+                    f"{_kind(new)}); per-instance monitor state cannot be preserved"
+                )
+            if isinstance(new, CompositeMonitor) and len(new.monitors) != len(old.monitors):
+                raise ValidationError(
+                    f"replacement composite has {len(new.monitors)} members, "
+                    f"the deployed one has {len(old.monitors)}"
+                )
         self.monitor = monitor
-        self._root = replacement
         return monitor
 
     @property
@@ -491,7 +424,8 @@ class BatchMonitor(BatchDetector):
         state: dict = {"step": self._step_index}
         if self._previous is not None:
             state["previous"] = self._previous.copy()
-        self._root.snapshot(state, "")
+        for (path, node), runs in zip(_dead_zones(self.monitor), self._run_lengths):
+            state[f"{path}{node.name}.run_length"] = runs.copy()
         return state
 
 

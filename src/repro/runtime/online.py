@@ -80,14 +80,14 @@ class OnlineDetector:
         self.detector = self._core.rebind(obj)
 
     def run(self, samples: np.ndarray) -> np.ndarray:
-        """Step through a ``(T, m)`` sequence, returning the ``(T,)`` alarm flags.
+        """Run through a ``(T, m)`` sequence, returning the ``(T,)`` alarm flags.
 
-        Convenience for tests and offline comparison; resets first so the
-        result matches a fresh deployment over the sequence.
+        One pass of the core over the sequence; resets first so the result
+        matches a fresh deployment over the sequence.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         self.reset()
-        return np.array([self.step(row) for row in samples], dtype=bool)
+        return self._core.run(samples[:, None, :])[:, 0]
 
 
 __all__ = ["OnlineDetector", "make_batched"]

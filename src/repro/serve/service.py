@@ -65,6 +65,18 @@ RESIDUE_SOURCES = ("observer", "ingest")
 _FLOAT64 = np.dtype(float)
 
 
+def _floats(values) -> list:
+    """A measurement or residue vector as a flat list of floats.
+
+    A 1-D float64 array converts with one ``tolist`` call, at about half the
+    cost of the generic ``np.asarray(values, float).ravel().tolist()`` every
+    other form (lists, other dtypes, ``(1, m)`` rows) takes.
+    """
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype is _FLOAT64:
+        return values.tolist()
+    return np.asarray(values, dtype=float).ravel().tolist()
+
+
 #: Plain-data kinds of the hot-swappable detector parameters: a logged
 #: ``"swap"`` event carries the kind as ``detector_kind`` next to the
 #: parameter object's ``to_dict()``; replay rebuilds it with ``from_dict``.
@@ -391,16 +403,8 @@ class MonitorService:
             row = self._rows.get(instance_id)
             if row is None:
                 raise ValidationError(f"instance {instance_id} is not attached")
-            # One list of floats is the sample: the ring and the log both take
-            # it.  A 1-D float64 array converts at half the generic cost.
-            if (
-                type(measurement) is np.ndarray
-                and measurement.ndim == 1
-                and measurement.dtype is _FLOAT64
-            ):
-                sample = measurement.tolist()
-            else:
-                sample = np.asarray(measurement, dtype=float).ravel().tolist()
+            # One list of floats is the sample: the ring and the log both take it.
+            sample = _floats(measurement)
             m = self._n_outputs
             if len(sample) != m:
                 raise ValidationError(
@@ -421,7 +425,7 @@ class MonitorService:
                     )
                 sample += [0.0] * m
             else:
-                residue = np.asarray(residue, dtype=float).ravel().tolist()
+                residue = _floats(residue)
                 if len(residue) != m:
                     raise ValidationError(
                         f"residue has {len(residue)} channels, the plant has {m} outputs"

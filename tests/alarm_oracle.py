@@ -9,6 +9,11 @@ property tests compare the tally with it directly, and the ``fleet_oracle``
 fixture in ``conftest.py`` takes its stats, events and alarm-counter
 progression from it, so no fleet reference goes through the tally.
 
+:func:`cusum_oracle` and :func:`run_length_oracle` are the per-sample Python
+loops the offline CUSUM statistic and dead-zone alarm once ran, kept as
+references for the one vectorized form of each rule
+(``tests/test_alarm_rules.py``).
+
 Test modules under ``tests/`` import this as ``alarm_oracle``.
 """
 
@@ -87,3 +92,42 @@ class AlarmProgression:
     def maybe_scrape(self):
         self.seen.append(dict(self.totals))
         return True
+
+
+def cusum_oracle(norms, bias: float, start=0.0) -> np.ndarray:
+    """The per-sample CUSUM accumulator, one column of ``norms`` at a time.
+
+    ``S_k = max(0, S_{k-1} + norms[k] - bias)`` from ``S_{-1} = start`` (a
+    scalar or one value per column), as the offline detector's Python loop
+    computed it.  ``norms`` is ``(T,)`` or ``(T, R)``.
+    """
+    norms = np.asarray(norms, dtype=float)
+    columns = norms if norms.ndim == 2 else norms[:, None]
+    starts = np.broadcast_to(np.asarray(start, dtype=float), columns.shape[1:])
+    statistics = np.zeros_like(columns)
+    for r in range(columns.shape[1]):
+        accumulator = float(starts[r])
+        for k, value in enumerate(columns[:, r]):
+            accumulator = max(0.0, accumulator + value - bias)
+            statistics[k, r] = accumulator
+    return statistics.reshape(norms.shape)
+
+
+def run_length_oracle(violated, start=0) -> np.ndarray:
+    """Consecutive-violation run lengths, one column of ``violated`` at a time.
+
+    The dead-zone monitor's loop: the run grows by one on a violated sample
+    and drops to zero on a passing one, from ``start`` (a scalar or one run
+    length per column).  A dead zone of ``n`` samples alarms where the run
+    reaches ``n``.
+    """
+    violated = np.asarray(violated, dtype=bool)
+    columns = violated if violated.ndim == 2 else violated[:, None]
+    starts = np.broadcast_to(np.asarray(start, dtype=int), columns.shape[1:])
+    runs = np.zeros(columns.shape, dtype=int)
+    for r in range(columns.shape[1]):
+        run_length = int(starts[r])
+        for k in range(columns.shape[0]):
+            run_length = run_length + 1 if columns[k, r] else 0
+            runs[k, r] = run_length
+    return runs.reshape(violated.shape)

@@ -17,6 +17,7 @@ from repro.detectors.residue import ResidueDetector
 from repro.detectors.threshold import ThresholdVector
 from repro.monitors.composite import CompositeMonitor
 from repro.monitors.deadzone import DeadZoneMonitor
+from repro.monitors.gradient_monitor import GradientMonitor
 from repro.monitors.range_monitor import RangeMonitor
 from repro.runtime.batch import (
     BatchChiSquare,
@@ -357,6 +358,48 @@ class TestRebind:
         assert online.step([0.5])
         with pytest.raises(ValidationError):
             online.rebind(RangeMonitor.symmetric(0, 0.2))
+
+    @staticmethod
+    def _nested(bound: float, samples: int, extra: bool = False, plain: bool = False):
+        """A composite of two dead zones, the second wrapping a composite."""
+        wrapped = CompositeMonitor(
+            [RangeMonitor.symmetric(1, bound), GradientMonitor(channel=0, max_rate=10 * bound)]
+        )
+        second = wrapped if plain else DeadZoneMonitor(inner=wrapped, dead_zone_samples=samples)
+        members = [DeadZoneMonitor(RangeMonitor.symmetric(0, bound), dead_zone_samples=samples), second]
+        if extra:
+            members.append(RangeMonitor.symmetric(0, bound))
+        return CompositeMonitor(members)
+
+    def test_nested_monitor_rebind_keeps_each_members_run_lengths(self):
+        core = make_batched(self._nested(0.1, 4), 3, dt=1.0)
+        # Instance 0 violates only channel 0, instance 1 only channel 1,
+        # instance 2 both from the second sample on.
+        violating = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+        first = np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]])
+        assert not core.run(np.stack([first, violating, violating])).any()
+        before = core.state
+        keys = [key for key in before if key.endswith(".run_length")]
+        assert [list(before[key]) for key in keys] == [[3, 0, 2], [0, 3, 2]]
+        deployed = core.monitor
+        # A member-count mismatch, and a dead zone meeting a plain monitor,
+        # leave the deployed monitor and its state untouched.
+        for replacement in (self._nested(0.2, 4, extra=True), self._nested(0.2, 4, plain=True)):
+            with pytest.raises(ValidationError):
+                core.rebind(replacement)
+            assert core.monitor is deployed
+            after = core.state
+            assert after.keys() == before.keys()
+            assert all(np.array_equal(after[key], before[key]) for key in before)
+        # A structurally matching tree with wider bounds: each member's run
+        # lengths survive, so the 4th straight violation alarms.
+        replacement = self._nested(0.2, 4)
+        assert core.rebind(replacement) is replacement
+        after = core.state
+        assert all(np.array_equal(after[key], before[key]) for key in before)
+        assert list(core.step(violating)) == [True, True, False]
+        after = core.state
+        assert [list(after[key]) for key in keys] == [[4, 0, 3], [0, 4, 3]]
 
     def test_base_cores_reject_unsupported_rebinding(self, dcmotor_problem):
         core = make_batched(dcmotor_problem.static_threshold(0.5), 1)

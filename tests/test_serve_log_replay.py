@@ -433,23 +433,28 @@ def _as_form(form, values):
 
 @st.composite
 def _form_op(draw):
-    """An attach, or one sample in one form, with an optional non-finite value in it."""
+    """An attach, or one sample (measurement and residue forms), maybe with a non-finite value."""
     if draw(st.integers(0, 5)) == 0:
         return ("attach",)
-    form = draw(st.sampled_from(_FORMS))
-    scalar = st.integers(-(2**63), 2**63 - 1) if form == "int64" else _exact_float
-    channels = st.lists(scalar, min_size=M2, max_size=M2)
+    forms = draw(st.tuples(st.sampled_from(_FORMS), st.sampled_from(_FORMS)))
+
+    def channels(form):
+        scalar = st.integers(-(2**63), 2**63 - 1) if form == "int64" else _exact_float
+        return draw(st.lists(scalar, min_size=M2, max_size=M2))
+
+    values = [channels(form) for form in forms]
+    poisonable = [where for where, form in zip(("measurement", "residue"), forms) if form != "int64"]
     poison = None
-    if form != "int64":
+    if poisonable:
         poison = draw(
             st.none()
             | st.tuples(
-                st.sampled_from(["measurement", "residue"]),
+                st.sampled_from(poisonable),
                 st.integers(0, M2 - 1),
                 st.sampled_from([np.nan, np.inf, -np.inf]),
             )
         )
-    return ("ingest", draw(st.integers(0, 7)), form, draw(channels), draw(channels), poison)
+    return ("ingest", draw(st.integers(0, 7)), forms, *values, poison)
 
 
 @settings(
@@ -465,8 +470,9 @@ def test_ingest_converts_every_input_form_as_the_generic_chain(
 ):
     """Each input form against the same sample as ``np.asarray(x, float).ravel().tolist()``.
 
-    Two services take the same operations, one the sample in its form, the
-    other its generic conversion.  Their answers, ring rows, logs (events
+    The measurement and, with ``residue_source="ingest"``, the residue each
+    take a form of their own.  Two services take the same operations, one
+    the sample in its forms, the other their generic conversion.  Their answers, ring rows, logs (events
     alike in every float's sign and type, byte-identical JSONL) and counters
     agree.  A NaN or infinity, planted or from a float32 overflow, leaves
     the ring, the log and ``serve_samples_ingested_total`` as they were.
@@ -493,15 +499,17 @@ def test_ingest_converts_every_input_form_as_the_generic_chain(
             for service in services:
                 service.attach()
             continue
-        _, pick, form, measurement, residue, poison = op
+        _, pick, (form, residue_form), measurement, residue, poison = op
         if poison is not None:
             where, index, value = poison
-            target = residue if where == "residue" and source == "ingest" else measurement
-            target[index] = value
+            if where == "residue" and source != "ingest":
+                poison = None
+            else:
+                (residue if where == "residue" else measurement)[index] = value
         instance = forms.members[pick % forms.n_members]
         sent = (
             _as_form(form, measurement),
-            _as_form(form, residue) if source == "ingest" else None,
+            _as_form(residue_form, residue) if source == "ingest" else None,
         )
         converted = [None if x is None else np.asarray(x, dtype=float).ravel().tolist() for x in sent]
         before = (forms.pending(), _ring_floats(forms), len(forms.log), ingested.total())
@@ -517,7 +525,7 @@ def test_ingest_converts_every_input_form_as_the_generic_chain(
             assert "non-finite" in answers[0]
             assert (forms.pending(), _ring_floats(forms), len(forms.log), ingested.total()) == before
         elif poison is not None:
-            raise AssertionError(f"a {form} sample with {poison[2]} in it was accepted")
+            raise AssertionError(f"a {poison[0]} with {poison[2]} in it was accepted")
     for service in services:
         service.close()
     assert forms.log.events == generic.log.events
