@@ -143,10 +143,8 @@ from repro.registry import (
     available_engines,
     get_case_study,
     get_noise_model,
-    get_detector,
     get_synthesizer,
     get_attack_template,
-    get_sampler,
 )
 from repro.falsification.registry import get_backend
 from repro.detectors import ThresholdVector, ResidueDetector, ChiSquareDetector, CusumDetector
@@ -232,11 +230,9 @@ __all__ = [
     "available_samplers",
     "available_engines",
     "register_sampler",
-    "get_sampler",
     "get_backend",
     "get_case_study",
     "get_noise_model",
-    "get_detector",
     "get_synthesizer",
     "get_attack_template",
     # core algorithms

@@ -73,6 +73,7 @@ import os
 import warnings
 from pathlib import Path
 
+from repro.utils.jsonl import JsonlWriter, replace_text
 from repro.utils.rng import STREAM_VERSION
 from repro.utils.validation import ValidationError
 
@@ -252,9 +253,7 @@ class ResultStore:
             "size": self.results_path.stat().st_size if self.results_path.exists() else 0,
             "keys": self._offsets,
         }
-        tmp = self.index_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.index_path)
+        replace_text(self.index_path, json.dumps(payload, sort_keys=True))
         self._dirty = 0
 
     def flush(self) -> None:
@@ -289,9 +288,8 @@ class ResultStore:
         record = {"key": key, "config": config, "row": row}
         line = json.dumps(record, sort_keys=True) + "\n"
         offset = self.results_path.stat().st_size if self.results_path.exists() else 0
-        with self.results_path.open("a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
+        with JsonlWriter(self.results_path) as journal:
+            journal.append(line)
         self._rows[key] = json.loads(json.dumps(row))
         self._offsets[key] = offset
         self._dirty += 1

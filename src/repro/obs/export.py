@@ -22,11 +22,11 @@ module turns it into files other tools read:
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.utils.jsonl import replace_text
 from repro.utils.validation import ValidationError
 
 
@@ -73,6 +73,8 @@ def _label_str(labels: dict, extra: list | None = None) -> str:
 
 
 def _resolve_snapshot(registry_or_snapshot) -> dict:
+    if registry_or_snapshot is None:
+        registry_or_snapshot = get_registry()
     if isinstance(registry_or_snapshot, MetricsRegistry):
         return registry_or_snapshot.snapshot()
     if isinstance(registry_or_snapshot, dict):
@@ -99,9 +101,7 @@ def prometheus_text(registry_or_snapshot=None) -> str:
     :func:`parse_prometheus_text` recognises and drops that synthetic
     series, keeping the exposition exactly invertible.
     """
-    snap = _resolve_snapshot(
-        get_registry() if registry_or_snapshot is None else registry_or_snapshot
-    )
+    snap = _resolve_snapshot(registry_or_snapshot)
     lines = []
     for name in sorted(snap.get("counters", {})):
         entry = snap["counters"][name]
@@ -289,14 +289,8 @@ def parse_prometheus_text(text: str) -> dict:
 
 def write_json_snapshot(path: str | Path, registry_or_snapshot=None) -> Path:
     """Write a snapshot as JSON, atomically (temp file + rename)."""
-    snap = _resolve_snapshot(
-        get_registry() if registry_or_snapshot is None else registry_or_snapshot
-    )
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    snap = _resolve_snapshot(registry_or_snapshot)
+    return replace_text(path, json.dumps(snap, indent=2, sort_keys=True) + "\n")
 
 
 def read_json_snapshot(path: str | Path) -> dict:
@@ -333,20 +327,9 @@ class PeriodicScraper:
         self.scrapes = 0
         self._last_scrape: float | None = None
 
-    def _registry(self) -> MetricsRegistry:
-        return self.registry if self.registry is not None else get_registry()
-
     def scrape(self) -> Path:
         """Write the exposition file now, unconditionally."""
-        registry = self._registry()
-        if self.fmt == "json":
-            write_json_snapshot(self.path, registry)
-        else:
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            tmp.write_text(prometheus_text(registry), encoding="utf-8")
-            os.replace(tmp, self.path)
-        self.scrapes += 1
-        self._last_scrape = time.monotonic()
+        self._write()
         return self.path
 
     def maybe_scrape(self, now: float | None = None) -> bool:
@@ -358,23 +341,21 @@ class PeriodicScraper:
         current = time.monotonic() if now is None else now
         if self._last_scrape is not None and current - self._last_scrape < self.interval_s:
             return False
-        registry = self._registry()
-        if self.fmt == "json":
-            write_json_snapshot(self.path, registry)
-        else:
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            tmp.write_text(prometheus_text(registry), encoding="utf-8")
-            os.replace(tmp, self.path)
-        self.scrapes += 1
-        self._last_scrape = current
+        self._write(current)
         return True
+
+    def _write(self, now: float | None = None) -> None:
+        if self.fmt == "json":
+            write_json_snapshot(self.path, self.registry)
+        else:
+            replace_text(self.path, prometheus_text(self.registry))
+        self.scrapes += 1
+        self._last_scrape = time.monotonic() if now is None else now
 
 
 def text_report(registry_or_snapshot=None) -> str:
     """Human-readable metrics dump for notebooks and CLI output."""
-    snap = _resolve_snapshot(
-        get_registry() if registry_or_snapshot is None else registry_or_snapshot
-    )
+    snap = _resolve_snapshot(registry_or_snapshot)
     lines = ["metrics report"]
     for kind in ("counters", "gauges"):
         for name in sorted(snap.get(kind, {})):

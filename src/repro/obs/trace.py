@@ -4,10 +4,8 @@ A :class:`Tracer` records a tree of *spans* — named ``with`` blocks carrying
 wall-clock and CPU durations plus string labels.  Spans nest naturally
 (``with span("pipeline.synthesis"): ... with span("synthesis.solve"): ...``),
 and each completed span is appended to an in-memory list and, when a path is
-configured, to a crash-tolerant JSONL stream with the same recovery contract
-as :class:`repro.serve.log.ServiceLog`: a truncated trailing line (the
-signature of a process killed mid-append) is dropped on read, interior
-corruption raises.
+configured, to a JSONL stream under the library's crash-recovery contract
+(:mod:`repro.utils.jsonl`).
 
 Two text renderings answer the common questions directly:
 
@@ -33,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.utils.validation import ValidationError
+from repro.utils.jsonl import JsonlWriter, read_jsonl
 
 
 @dataclass
@@ -123,16 +121,11 @@ class Tracer:
 
     def __init__(self, enabled: bool = True, path: str | Path | None = None, flush_every: int = 1):
         self.enabled = bool(enabled)
-        self.path = None if path is None else Path(path)
-        self.flush_every = int(flush_every)
-        if self.flush_every < 0:
-            raise ValidationError("flush_every must be non-negative")
+        self._journal = JsonlWriter(path, flush_every)
         self.records: list[SpanRecord] = []
         self._epoch = time.perf_counter()
         self._next_id = 0
         self._local = threading.local()
-        self._handle = None
-        self._since_flush = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -212,24 +205,22 @@ class Tracer:
             stack.pop()
             with self._lock:
                 self.records.append(record)
-                self._write(record)
+                if self._journal.path is not None:
+                    self._journal.append(json.dumps(record.to_dict()) + "\n")
 
-    def _write(self, record: SpanRecord) -> None:
-        if self.path is None:
-            return
-        if self._handle is None:
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(record.to_dict()) + "\n")
-        self._since_flush += 1
-        if self.flush_every and self._since_flush >= self.flush_every:
-            self._handle.flush()
-            self._since_flush = 0
+    @property
+    def path(self) -> Path | None:
+        """The JSONL file completed spans are appended to (``None``: memory only)."""
+        return self._journal.path
+
+    @path.setter
+    def path(self, path: str | Path | None) -> None:
+        self.close()
+        self._journal.path = None if path is None else Path(path)
 
     def close(self) -> None:
         """Flush and close the backing file (in-memory records stay)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._journal.close()
 
     def __enter__(self) -> "Tracer":
         return self
@@ -246,25 +237,10 @@ class Tracer:
     def read(path: str | Path) -> list[SpanRecord]:
         """Load a recorded JSONL trace back into :class:`SpanRecord` objects.
 
-        A corrupt *trailing* line is dropped silently (process killed
-        mid-append); corrupt interior lines raise — the same contract as
-        :meth:`repro.serve.log.ServiceLog.read`.
+        A torn trailing line is dropped; interior damage raises
+        :class:`json.JSONDecodeError`.
         """
-        lines = [
-            line
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        records = []
-        for position, line in enumerate(lines):
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    break
-                raise
-            records.append(SpanRecord.from_dict(data))
-        return records
+        return [SpanRecord.from_dict(data) for data in read_jsonl(path)]
 
     # ------------------------------------------------------------------
     def _children(self) -> dict[int | None, list[SpanRecord]]:
@@ -335,9 +311,7 @@ class Tracer:
 # ----------------------------------------------------------------------
 def _env_tracer() -> Tracer:
     path = os.environ.get("REPRO_TRACE", "").strip()
-    if path:
-        return Tracer(enabled=True, path=path)
-    return Tracer(enabled=False)
+    return Tracer(enabled=bool(path), path=path or None)
 
 
 _default_tracer = _env_tracer()
@@ -351,8 +325,7 @@ def get_tracer() -> Tracer:
 def enable_tracing(path: str | Path | None = None) -> Tracer:
     """Enable the default tracer, optionally (re)pointing it at a JSONL path."""
     if path is not None:
-        _default_tracer.close()
-        _default_tracer.path = Path(path)
+        _default_tracer.path = path
     return _default_tracer.enable()
 
 

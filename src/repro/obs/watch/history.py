@@ -18,11 +18,10 @@ test contributes e.g. ``(test, "throughput")`` and ``(test, "elapsed")``
 independently and a record missing a metric simply contributes no point to
 that series.
 
-:class:`BenchHistory` also reads/appends crash-tolerant JSONL (one raw
-record per line) in the ``ResultStore``/``ServiceLog`` style — a truncated
-trailing line (killed mid-append) is dropped silently, a corrupt interior
-line raises — and supports first-write-wins :meth:`BenchHistory.merge` so
-CI can accumulate history across runs from cached artifacts.
+:class:`BenchHistory` also reads/appends JSONL (one raw record per line)
+under the library's crash-recovery contract (:mod:`repro.utils.jsonl`), and
+supports first-write-wins :meth:`BenchHistory.merge` so CI can accumulate
+history across runs from cached artifacts.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from repro.runtime.events import _stripped_lines
+from repro.utils.jsonl import JsonlWriter, read_jsonl
 
 #: Keys that are provenance/metadata, never metric values.
 _PROVENANCE_KEYS = frozenset({"name", "timestamp", "timing_disabled", "git_sha", "git_dirty"})
@@ -174,28 +173,20 @@ class BenchHistory:
             added += self.load_file(path)
         return added
 
-    # -- JSONL append/merge (ResultStore/ServiceLog style) --------------
+    # -- JSONL append/merge ---------------------------------------------
 
     def load_jsonl(self, path: str | Path) -> int:
         """Load an accumulated JSONL history; returns records added.
 
-        Crash-tolerant in the ``ServiceLog`` style: a truncated *trailing*
-        line is dropped silently; a corrupt *interior* line raises
-        ``ValueError`` because it means the file was damaged, not merely
-        cut short by a crash mid-append.
+        A missing file loads nothing and a torn trailing line is dropped; a
+        corrupt *interior* line raises :class:`json.JSONDecodeError` (a
+        ``ValueError``) because the file was damaged, not merely cut short
+        by a crash mid-append.
         """
-        path = Path(path)
-        if not path.exists():
+        if not Path(path).exists():
             return 0
-        lines = _stripped_lines(path)
         added = 0
-        for i, line in enumerate(lines):
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break
-                raise ValueError(f"corrupt interior line {i + 1} in {path}") from None
+        for raw in read_jsonl(path):
             if isinstance(raw, dict):
                 added += self.add(BenchRecord.from_raw(raw))
         return added
@@ -213,9 +204,8 @@ class BenchHistory:
         if not fresh:
             return 0
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as handle:
-            for record in fresh:
-                handle.write(json.dumps(record.to_raw(), sort_keys=True) + "\n")
+        with JsonlWriter(path) as journal:
+            journal.append("".join(json.dumps(r.to_raw(), sort_keys=True) + "\n" for r in fresh))
         return len(fresh)
 
     def merge(self, other: "BenchHistory") -> int:

@@ -259,11 +259,6 @@ def get_noise_model(name: str, **kwargs):
     return NOISE_MODELS.create(name, **kwargs)
 
 
-def get_detector(name: str, **kwargs):
-    """Instantiate the detector class registered under ``name``."""
-    return DETECTORS.create(name, **kwargs)
-
-
 def get_synthesizer(name: str, **kwargs):
     """Instantiate the synthesizer registered under ``name``."""
     return SYNTHESIZERS.create(name, **kwargs)
@@ -272,8 +267,3 @@ def get_synthesizer(name: str, **kwargs):
 def get_attack_template(name: str, **kwargs):
     """Instantiate the attack template registered under ``name``."""
     return ATTACK_TEMPLATES.create(name, **kwargs)
-
-
-def get_sampler(name: str, **kwargs):
-    """Instantiate the design-space sampler registered under ``name``."""
-    return SAMPLERS.create(name, **kwargs)

@@ -29,13 +29,14 @@ import abc
 import json
 import operator
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.utils.jsonl import JsonlWriter, read_jsonl
 from repro.utils.validation import ValidationError
 
 
@@ -262,55 +263,28 @@ class JSONLSink(EventSink):
 
     def __init__(self, path: str | Path, flush_every: int = 1):
         self.path = Path(path)
-        self.flush_every = int(flush_every)
-        if self.flush_every < 0:
-            raise ValidationError("flush_every must be non-negative")
-        self._handle = None
-        self._emits_since_flush = 0
+        self._journal = JsonlWriter(self.path, flush_every)
 
     def emit(self, events: Sequence[AlarmEvent]) -> None:
-        if not events:
-            return
-        if self._handle is None:
-            self._handle = self.path.open("a", encoding="utf-8")
-        for event in events:
-            self._handle.write(json.dumps(event.to_dict()) + "\n")
-        self._emits_since_flush += 1
-        if self.flush_every and self._emits_since_flush >= self.flush_every:
-            self._handle.flush()
-            self._emits_since_flush = 0
+        if events:
+            self._journal.append("".join(json.dumps(e.to_dict()) + "\n" for e in events))
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._journal.close()
 
     @staticmethod
     def read(path: str | Path) -> list[AlarmEvent]:
         """Load a JSONL event file back into :class:`AlarmEvent` objects.
 
-        Mirrors :class:`~repro.explore.store.ResultStore`'s partial-write
-        handling: a truncated/corrupt *trailing* line — the signature of a
-        service killed mid-append — is dropped silently, while a corrupt
-        *interior* line still raises (the file was tampered with, not merely
-        cut short).
+        Each record comes back as the :class:`AlarmEvent` class, or the
+        direct subclass such as a watcher's ``RegressionEvent``, whose
+        fields it carries.
         """
-        events = []
-        for position, line in enumerate(lines := _stripped_lines(path)):
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    break
-                raise
-            events.append(AlarmEvent(**data))
-        return events
-
-
-def _stripped_lines(path: str | Path) -> list[str]:
-    """Non-empty stripped lines of a text file."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return [line.strip() for line in handle if line.strip()]
+        by_fields = {
+            frozenset(field.name for field in fields(cls)): cls
+            for cls in (AlarmEvent, *AlarmEvent.__subclasses__())
+        }
+        return [by_fields.get(frozenset(data), AlarmEvent)(**data) for data in read_jsonl(path)]
 
 
 __all__ = ["AlarmBatch", "AlarmEvent", "EventSink", "InMemorySink", "JSONLSink"]

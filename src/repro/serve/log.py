@@ -20,9 +20,8 @@ alarm, and any measurement payload handed in as a dict) is kept whole as a
 :class:`ServiceEvent` tuple.  :attr:`ServiceLog.events` rebuilds the full
 stream on first read and caches it until the next append.
 
-The on-disk form is JSON Lines, one :class:`ServiceEvent` per line, with the
-same crash-recovery contract as :meth:`repro.runtime.events.JSONLSink.read`:
-a truncated trailing line is dropped, interior corruption raises.
+The on-disk form is JSON Lines, one :class:`ServiceEvent` per line, under
+the library's crash-recovery contract (:mod:`repro.utils.jsonl`).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Iterator
 
-from repro.runtime.events import _stripped_lines
+from repro.utils.jsonl import JsonlWriter, read_jsonl
 from repro.utils.validation import ValidationError
 
 #: The event kinds a service emits, in the roles replay relies on.
@@ -185,16 +184,12 @@ class ServiceLog:
 
     def __init__(self, path: str | Path | None = None, flush_every: int = 1):
         self.path = None if path is None else Path(path)
-        self.flush_every = int(flush_every)
-        if self.flush_every < 0:
-            raise ValidationError("flush_every must be non-negative")
+        self._journal = JsonlWriter(self.path, flush_every)
         self._codes = bytearray()  # one entry code per event
         self._whole: list[ServiceEvent] = []  # the events kept whole, in order
         self._instances = array("q")  # one per column entry
         self._floats = array("d")  # the column entries' floats, back to back
         self._view: EventView | None = None
-        self._handle = None
-        self._since_flush = 0
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -263,7 +258,7 @@ class ServiceLog:
         self._codes.append(_WHOLE)
         self._view = None
         if self.path is not None:
-            self._write(event.to_dict())
+            self._journal.append(json.dumps(event.to_dict()) + "\n")
         return event
 
     def append_sample(self, instance: int, values: list, with_residue: bool) -> None:
@@ -287,23 +282,12 @@ class ServiceLog:
             seq = len(self._codes) - 1  # only the file needs it
             record = {"seq": seq, "kind": "measurement", "instance": instance, "step": None}
             record["data"] = sample_data(values, with_residue)
-            self._write(record)
-
-    def _write(self, record: dict) -> None:
-        if self._handle is None:
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(record) + "\n")
-        self._since_flush += 1
-        if self.flush_every and self._since_flush >= self.flush_every:
-            self._handle.flush()
-            self._since_flush = 0
+            self._journal.append(json.dumps(record) + "\n")
 
     def close(self) -> None:
         """Flush and close the backing file, drop the cached :attr:`events` (the stream stays)."""
         self._view = None
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._journal.close()
 
     def __enter__(self) -> "ServiceLog":
         return self
@@ -315,19 +299,10 @@ class ServiceLog:
     def read(path: str | Path) -> list[ServiceEvent]:
         """Load a recorded JSONL event stream back into :class:`ServiceEvent` objects.
 
-        A corrupt *trailing* line — the signature of a service killed
-        mid-append — is dropped silently; corrupt interior lines raise.
+        A torn trailing line is dropped; interior damage raises
+        :class:`json.JSONDecodeError`.
         """
-        events = []
-        for position, line in enumerate(lines := _stripped_lines(path)):
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    break
-                raise
-            events.append(ServiceEvent.from_dict(data))
-        return events
+        return [ServiceEvent.from_dict(data) for data in read_jsonl(path)]
 
 
 __all__ = ["EVENT_KINDS", "EventView", "ServiceEvent", "ServiceLog"]

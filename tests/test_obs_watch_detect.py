@@ -153,6 +153,24 @@ class TestSeriesWatcher:
         restored = RegressionEvent.from_dict(json.loads(lines[0]))
         assert restored == memory.events[0]
 
+    def test_jsonl_sink_reads_regression_events_back_typed(self, tmp_path):
+        path = tmp_path / "watch-alarms.jsonl"
+        memory, jsonl = InMemorySink(), JSONLSink(path)
+        watcher = SeriesWatcher(
+            "t/throughput",
+            metric="throughput",
+            orientation="higher-better",
+            policy=WatchPolicy(window=10, confirm=2),
+            sinks=[memory, jsonl],
+        )
+        watcher.observe_many(BENIGN + [50.0] * 4)
+        plain = AlarmEvent(3, 7, "static", first=True)
+        jsonl.emit([plain])
+        jsonl.close()
+        restored = JSONLSink.read(path)
+        assert restored == [*memory.events, plain]
+        assert [type(e) for e in restored] == [RegressionEvent] * 4 + [AlarmEvent]
+
     def test_regression_event_is_an_alarm_event(self):
         event = RegressionEvent(instance=0, step=3, detector="watch:x")
         assert isinstance(event, AlarmEvent)

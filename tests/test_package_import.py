@@ -70,6 +70,8 @@ REMOVED_NAMES = (
     "repro.core.static_synthesis.verify_no_attack",
     "repro.explore.problem_fingerprint",
     "repro.explore.store.problem_fingerprint",
+    "repro.registry.get_detector",
+    "repro.registry.get_sampler",
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"

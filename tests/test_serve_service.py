@@ -1,17 +1,18 @@
 """Tests for the always-on monitoring service: ingest, membership, hot swap."""
 
+import functools
 import gc
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.detectors.chi_square import ChiSquareDetector
 from repro.detectors.cusum import CusumDetector
 from repro.detectors.threshold import ThresholdVector
-from repro.registry import ATTACK_TEMPLATES
+from repro.registry import ATTACK_TEMPLATES, CASE_STUDIES
 from repro.runtime.engine import _innovation_covariance
 from repro.runtime.events import AlarmEvent, InMemorySink
 from repro.runtime.fleet import FleetSimulator, ScheduledAttack
@@ -271,43 +272,82 @@ class TestOverflowPolicies:
         assert service.drain() == 1
 
 
+_BANK_LABELS = ("static", "cusum", "chi", "mdc")
+
+_PINNED_SCENARIO = {
+    "case": "dcmotor",
+    "n_instances": 6,
+    "horizon": 30,
+    "seed": 7,
+    "attacked": (1, 4),
+    "start": 3,
+    "labels": list(_BANK_LABELS),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _equivalence_case(case: str):
+    """A case study's problem and a bank of every detector kind on it."""
+    problem = CASE_STUDIES.create(case).problem
+    bank = {
+        "static": problem.static_threshold(0.4),
+        "cusum": CusumDetector(bias=0.1, threshold=1.0, norm=2),
+        "chi": ChiSquareDetector(innovation_cov=_innovation_covariance(problem), threshold=5.0),
+        "mdc": problem.mdc,
+    }
+    return problem, bank
+
+
+@st.composite
+def _equivalence_scenarios(draw):
+    """A fixed-membership fleet run: case study, size, seed, attack and bank."""
+    n_instances = draw(st.integers(1, 6))
+    horizon = draw(st.integers(1, 30))
+    return {
+        "case": draw(st.sampled_from(["dcmotor", "quadtank"])),
+        "n_instances": n_instances,
+        "horizon": horizon,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "attacked": tuple(sorted(draw(st.sets(st.integers(0, n_instances - 1))))),
+        "start": draw(st.integers(0, horizon - 1)),
+        "labels": sorted(draw(st.sets(st.sampled_from(_BANK_LABELS), min_size=1))),
+    }
+
+
 class TestOfflineEquivalence:
     """The service must reproduce FleetSimulator's alarms bit for bit."""
 
-    def _fleet_run(self, problem, bank, n_instances=6):
+    def _fleet_run(
+        self, problem, bank, n_instances=6, horizon=None, seed=7, attacked=(1, 4), start=3
+    ):
         sink = InMemorySink()
+        ramp = ATTACK_TEMPLATES.create("ramp", slope=0.4)
         simulator = FleetSimulator(
             problem.system,
             n_instances,
-            problem.horizon,
+            problem.horizon if horizon is None else horizon,
             detectors={label: obj for label, obj in bank.items()},
-            attacks=[
-                ScheduledAttack(
-                    template=ATTACK_TEMPLATES.create("ramp", slope=0.4),
-                    start=3,
-                    instances=(1, 4),
-                )
-            ],
+            attacks=[ScheduledAttack(ramp, start, attacked)] if attacked else [],
             sinks=[sink],
-            seed=7,
+            seed=seed,
             record_traces=True,
             x0=problem.x0,
         )
         simulator.run()
         return simulator.trace, list(sink.events)
 
-    def test_observer_service_is_bit_identical_to_fleet(self, dcmotor_problem):
-        problem = dcmotor_problem
-        bank = {
-            "static": problem.static_threshold(0.4),
-            "cusum": CusumDetector(bias=0.1, threshold=1.0, norm=2),
-            "chi": ChiSquareDetector(
-                innovation_cov=_innovation_covariance(problem), threshold=5.0
-            ),
-            "mdc": problem.mdc,
-        }
-        trace, fleet_events = self._fleet_run(problem, bank)
-        assert fleet_events, "the scenario must actually raise alarms"
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(scenario=_equivalence_scenarios())
+    @example(scenario=_PINNED_SCENARIO)
+    def test_observer_service_is_bit_identical_to_fleet(self, scenario):
+        # An observer-mode service fed the fleet's recorded measurements in
+        # round order emits exactly the fleet sink's events.
+        run = dict(scenario)
+        problem, full_bank = _equivalence_case(run.pop("case"))
+        bank = {label: full_bank[label] for label in run.pop("labels")}
+        trace, fleet_events = self._fleet_run(problem, bank, **run)
+        if scenario == _PINNED_SCENARIO:
+            assert fleet_events, "the scenario must actually raise alarms"
 
         sink = InMemorySink()
         service = MonitorService(problem.system, dict(bank), sinks=[sink])
