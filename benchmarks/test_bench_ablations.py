@@ -19,11 +19,11 @@ from benchmarks.conftest import run_once
 from repro import (
     PivotThresholdSynthesizer,
     StepwiseThresholdSynthesizer,
-    available_backends,
     get_case_study,
     synthesize_attack,
 )
 from repro.falsification.lp_backend import LPAttackBackend
+from repro.registry import BACKENDS
 from repro.utils.results import SolveStatus
 
 
@@ -33,7 +33,7 @@ def test_backend_ablation(benchmark):
 
     def run_all():
         rows = {}
-        for backend in available_backends():
+        for backend in BACKENDS.available():
             start = time.monotonic()
             result = synthesize_attack(problem, threshold=None, backend=backend)
             rows[backend] = (result.status, time.monotonic() - start, result.verified)

@@ -65,14 +65,26 @@ def _session_stepwise_workload(problem, floor):
     return vulnerability, synthesizer.synthesize(problem, session=session)
 
 
-def _timed(fn, repeats):
-    best, out = None, None
-    for _ in range(repeats):
-        start = time.monotonic()
-        out = fn()
-        elapsed = time.monotonic() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, out
+def _timed_interleaved(legacy, session, repeats):
+    """Best-of-``repeats`` time, last output and builds per call of each side.
+
+    The two sides alternate within every repeat, and which one runs first
+    alternates between repeats, so a host slowing down or speeding up
+    mid-measurement reaches both sides alike instead of the one timed last.
+    """
+    sides = {"legacy": legacy, "session": session}
+    best = dict.fromkeys(sides, float("inf"))
+    out = dict.fromkeys(sides)
+    builds = dict.fromkeys(sides, 0)
+    for repeat in range(repeats):
+        order = ("legacy", "session") if repeat % 2 == 0 else ("session", "legacy")
+        for side in order:
+            before = encoding_module.encoding_build_count()
+            start = time.monotonic()
+            out[side] = sides[side]()
+            best[side] = min(best[side], time.monotonic() - start)
+            builds[side] += encoding_module.encoding_build_count() - before
+    return {side: (best[side], out[side], builds[side] // repeats) for side in sides}
 
 
 def test_incremental_session_vs_legacy_cegis(benchmark):
@@ -103,20 +115,13 @@ def test_incremental_session_vs_legacy_cegis(benchmark):
             _legacy_stepwise_workload(problem, floor)
             _session_stepwise_workload(problem, floor)
 
-            before = encoding_module.encoding_build_count()
-            legacy_time, (legacy_vuln, legacy) = _timed(
-                lambda: _legacy_stepwise_workload(problem, floor), repeats
+            timed = _timed_interleaved(
+                lambda: _legacy_stepwise_workload(problem, floor),
+                lambda: _session_stepwise_workload(problem, floor),
+                repeats,
             )
-            legacy_builds = (
-                encoding_module.encoding_build_count() - before
-            ) // repeats
-            before = encoding_module.encoding_build_count()
-            session_time, (session_vuln, incremental) = _timed(
-                lambda: _session_stepwise_workload(problem, floor), repeats
-            )
-            session_builds = (
-                encoding_module.encoding_build_count() - before
-            ) // repeats
+            legacy_time, (legacy_vuln, legacy), legacy_builds = timed["legacy"]
+            session_time, (session_vuln, incremental), session_builds = timed["session"]
             rows.append(
                 {
                     "case": name,

@@ -24,17 +24,17 @@ from repro import (
     FalseAlarmEvaluator,
     StaticThresholdSynthesizer,
     StepwiseThresholdSynthesizer,
-    available_backends,
     get_case_study,
     synthesize_attack,
 )
+from repro.registry import BACKENDS
 
 
 def main() -> None:
     case = get_case_study("dcmotor")
     problem = case.problem
     print(f"case study      : {case.name}")
-    print(f"solver backends : {', '.join(available_backends())}")
+    print(f"solver backends : {', '.join(BACKENDS.available())}")
     print(f"plant           : {problem.system.plant!r}")
     print(f"analysis horizon: {problem.horizon} samples")
 

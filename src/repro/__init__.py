@@ -25,7 +25,7 @@ Quick start (a sweep)::
     print(result.to_json())
 
 Every component is resolved by name through the plugin registries in
-:mod:`repro.registry` (``available_backends()``, ``available_case_studies()``,
+:mod:`repro.registry` (``BACKENDS.available()``, ``CASE_STUDIES.available()``,
 ...); register your own backends, synthesizers, detectors, noise models and
 case studies there and sweep them with the same API.
 
@@ -127,26 +127,8 @@ from repro.runtime import (
     ScheduledAttack,
     batch_simulate,
 )
-from repro.registry import (
-    Registry,
-    RegistryError,
-    register,
-    register_sampler,
-    get_registry,
-    available_backends,
-    available_synthesizers,
-    available_detectors,
-    available_noise_models,
-    available_case_studies,
-    available_attack_templates,
-    available_samplers,
-    available_engines,
-    get_case_study,
-    get_noise_model,
-    get_synthesizer,
-    get_attack_template,
-)
-from repro.falsification.registry import get_backend
+from repro.registry import Registry, RegistryError, get_case_study
+from repro.falsification.base import get_backend
 from repro.detectors import ThresholdVector, ResidueDetector, ChiSquareDetector, CusumDetector
 from repro.attacks import FDIAttack, AttackChannelMask
 from repro.lti import StateSpace, ClosedLoopSystem, SimulationOptions, simulate_closed_loop, discretize
@@ -219,22 +201,8 @@ __all__ = [
     # registries
     "Registry",
     "RegistryError",
-    "register",
-    "get_registry",
-    "available_backends",
-    "available_synthesizers",
-    "available_detectors",
-    "available_noise_models",
-    "available_case_studies",
-    "available_attack_templates",
-    "available_samplers",
-    "available_engines",
-    "register_sampler",
     "get_backend",
     "get_case_study",
-    "get_noise_model",
-    "get_synthesizer",
-    "get_attack_template",
     # core algorithms
     "SynthesisProblem",
     "ReachSetCriterion",

@@ -566,8 +566,6 @@ class BatchRunner:
             presynthesized=presynthesized,
             on_result=persist,
         )
-        if self.store is not None:
-            self.store.flush()
         return [(keys[index], rows[index]) for index in range(len(units))]
 
     # ------------------------------------------------------------------

@@ -85,10 +85,6 @@ class StealthTemplate:
         """Per-row threshold bound for one effective threshold vector."""
         return effective[self.sample_index]
 
-    def finite_mask(self, effective: np.ndarray) -> np.ndarray:
-        """Rows whose instance carries a finite threshold (emitted rows)."""
-        return np.isfinite(self.bounds_per_row(effective))
-
 
 @dataclass
 class AttackEncoding:

@@ -41,7 +41,7 @@ from repro.attacks.fdi import FDIAttack
 from repro.core.encoding import AttackEncoding
 from repro.core.problem import SynthesisProblem
 from repro.detectors.threshold import ThresholdVector
-from repro.falsification.registry import get_backend
+from repro.falsification.base import get_backend
 from repro.lti.simulate import SimulationTrace
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import get_registry, timed

@@ -62,11 +62,6 @@ class ThresholdSynthesisResult:
     total_solver_time: float = 0.0
     algorithm: str = ""
 
-    @property
-    def is_secure(self) -> bool:
-        """True when the synthesized detector provably blocks all stealthy attacks."""
-        return self.converged
-
 
 class SynthesisRun:
     """One synthesis loop's Algorithm 1 rounds: session, counters, history, result.

@@ -238,12 +238,6 @@ class ThresholdVector:
             self.values.copy(), norm=self.norm, weights=weights, metadata=dict(self.metadata)
         )
 
-    def with_value(self, index: int, value: float) -> "ThresholdVector":
-        """Copy with ``values[index] = value`` (no monotonicity repair)."""
-        updated = self.copy()
-        updated.values[index] = float(value)
-        return updated
-
     def set_value(self, index: int, value: float) -> None:
         """In-place ``values[index] = value``."""
         self.values[int(index)] = float(value)

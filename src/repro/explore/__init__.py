@@ -31,7 +31,7 @@ Quick start::
     for row in report.front():
         print(row["min_threshold"], row["false_alarm_rate"], row["stealth_margin"])
 
-Samplers are plugins: ``@repro.registry.register_sampler("my-sampler")``.
+Samplers are plugins: ``@repro.registry.SAMPLERS.register("my-sampler")``.
 """
 
 from repro.explore.pareto import (

@@ -262,7 +262,6 @@ class Explorer:
             # Units that missed as full rows but found their synthesis half
             # on disk: executed with zero solver calls (evaluation only).
             stats["synthesis_reused"] = runner.synthesis_reused
-            self.store.flush()
         return ExplorationReport(
             name=self.name,
             space=self.space,

@@ -14,7 +14,7 @@ extracted, but does not change the computation, so points differing only in
 budget share one content-addressed store entry.
 
 Samplers decide which points to evaluate and in what order.  They are
-plugins (``@register_sampler`` / ``available_samplers()`` in
+plugins (``@SAMPLERS.register`` / ``SAMPLERS.available()`` in
 :mod:`repro.registry`); two ship with the library:
 
 * ``grid`` — exhaustive enumeration of the full cartesian product;
@@ -38,8 +38,8 @@ from repro.registry import (
     BACKENDS,
     CASE_STUDIES,
     DETECTORS,
+    SAMPLERS,
     SYNTHESIZERS,
-    register_sampler,
 )
 from repro.utils.validation import ValidationError
 
@@ -326,7 +326,7 @@ class Sampler:
         raise NotImplementedError
 
 
-@register_sampler("grid")
+@SAMPLERS.register("grid")
 class GridSampler(Sampler):
     """Exhaustive enumeration of the full cartesian product."""
 
@@ -342,7 +342,7 @@ _NUMERIC_AXES = ("horizon", "noise_scale", "min_threshold")
 _CATEGORICAL_AXES = ("case_study", "synthesizer", "backend", "detector")
 
 
-@register_sampler("adaptive-bisection")
+@SAMPLERS.register("adaptive-bisection")
 class AdaptiveBisectionSampler(Sampler):
     """Recursive interval bisection along the numeric grid axes.
 

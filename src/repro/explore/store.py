@@ -7,23 +7,16 @@ recomputes an already-solved point and can resume after an interruption.
 This is the library's one result cache: every key is derived from an
 :class:`~repro.api.config.ExperimentUnit` by :func:`split_unit_keys`.
 
-Layout (one directory per store)::
+Layout (one directory per store, one file)::
 
     <path>/results.jsonl   one JSON object per line: {"key", "config", "row"}
-    <path>/index.json      {"version", "count", "size", "keys": {key: offset}}
 
-``results.jsonl`` is the single source of truth and is strictly append-only;
-``index.json`` is a rebuildable sidecar mapping every key to its record's
-byte offset — the store itself replays the log on open (rows live in
-memory), so the index exists for external tooling and future partial
-readers to seek records without a full replay, and as cheap staleness
-metadata (``size``/``count``).  On open the JSONL log is replayed line by
-line:
+``results.jsonl`` is the single source of truth and is strictly append-only.
+The store replays it on open (rows live in memory), line by line:
 
 * a truncated/corrupt *trailing* line (the signature of a crash mid-append)
   is dropped and the file truncated back to the last good record;
-* a corrupt *interior* line is skipped (its key simply re-computes);
-* a missing or stale ``index.json`` is rebuilt from the replay.
+* a corrupt *interior* line is skipped (its key simply re-computes).
 
 Cache-key stability guarantees
 ------------------------------
@@ -73,12 +66,9 @@ import os
 import warnings
 from pathlib import Path
 
-from repro.utils.jsonl import JsonlWriter, replace_text
+from repro.utils.jsonl import JsonlWriter
 from repro.utils.rng import STREAM_VERSION
 from repro.utils.validation import ValidationError
-
-_INDEX_VERSION = 1
-_INDEX_FLUSH_EVERY = 64
 
 
 def canonical_config_key(config: dict) -> str:
@@ -160,8 +150,7 @@ class ResultStore:
     Parameters
     ----------
     path:
-        Directory holding ``results.jsonl`` and ``index.json``; created on
-        first use.
+        Directory holding ``results.jsonl``; created on first use.
 
     Notes
     -----
@@ -176,10 +165,7 @@ class ResultStore:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.results_path = self.path / "results.jsonl"
-        self.index_path = self.path / "index.json"
         self._rows: dict[str, dict] = {}
-        self._offsets: dict[str, int] = {}
-        self._dirty = 0
         self.hits = 0
         self.misses = 0
         self._load()
@@ -187,14 +173,13 @@ class ResultStore:
     # ------------------------------------------------------------------
     def _load(self) -> None:
         if not self.results_path.exists():
-            self._write_index()
             return
         dropped = 0
         good_end = 0
         with self.results_path.open("rb") as handle:
             offset = 0
             for line in handle:
-                next_offset = offset + len(line)
+                offset += len(line)
                 try:
                     # A record not terminated by its newline is the partial
                     # write of an interrupted append — even when the bytes
@@ -209,13 +194,9 @@ class ResultStore:
                         raise ValueError("malformed record")
                 except (ValueError, KeyError, UnicodeDecodeError):
                     dropped += 1
-                    offset = next_offset
                     continue
-                if key not in self._rows:  # first write wins
-                    self._rows[key] = row
-                    self._offsets[key] = offset
-                good_end = next_offset
-                offset = next_offset
+                self._rows.setdefault(key, row)  # first write wins
+                good_end = offset
         size = self.results_path.stat().st_size
         if dropped:
             warnings.warn(
@@ -229,37 +210,6 @@ class ResultStore:
             # from a clean record boundary.
             with self.results_path.open("r+b") as handle:
                 handle.truncate(good_end)
-        if not self._index_current():
-            self._write_index()
-
-    # ------------------------------------------------------------------
-    def _index_current(self) -> bool:
-        """Whether the on-disk index matches the replayed log (skip rewrite)."""
-        try:
-            index = json.loads(self.index_path.read_text())
-        except (OSError, ValueError):
-            return False
-        size = self.results_path.stat().st_size if self.results_path.exists() else 0
-        return (
-            index.get("version") == _INDEX_VERSION
-            and index.get("size") == size
-            and index.get("keys") == self._offsets
-        )
-
-    def _write_index(self) -> None:
-        payload = {
-            "version": _INDEX_VERSION,
-            "count": len(self._rows),
-            "size": self.results_path.stat().st_size if self.results_path.exists() else 0,
-            "keys": self._offsets,
-        }
-        replace_text(self.index_path, json.dumps(payload, sort_keys=True))
-        self._dirty = 0
-
-    def flush(self) -> None:
-        """Persist the index sidecar (the JSONL log is always up to date)."""
-        if self._dirty:
-            self._write_index()
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> dict | None:
@@ -287,14 +237,9 @@ class ResultStore:
             return False
         record = {"key": key, "config": config, "row": row}
         line = json.dumps(record, sort_keys=True) + "\n"
-        offset = self.results_path.stat().st_size if self.results_path.exists() else 0
         with JsonlWriter(self.results_path) as journal:
             journal.append(line)
         self._rows[key] = json.loads(json.dumps(row))
-        self._offsets[key] = offset
-        self._dirty += 1
-        if self._dirty >= _INDEX_FLUSH_EVERY:
-            self._write_index()
         return True
 
     # ------------------------------------------------------------------
@@ -307,12 +252,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.flush()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore({str(self.path)!r}, entries={len(self)})"

@@ -16,10 +16,9 @@ stealthy-yet-successful attack exist?":
   and as an ablation.
 """
 
-from repro.falsification.base import AttackBackend, BackendAnswer
+from repro.falsification.base import AttackBackend, BackendAnswer, get_backend
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.falsification.optimizer import OptimizationFalsifier
-from repro.falsification.registry import get_backend, available_backends
 
 __all__ = [
     "AttackBackend",
@@ -27,5 +26,4 @@ __all__ = [
     "LPAttackBackend",
     "OptimizationFalsifier",
     "get_backend",
-    "available_backends",
 ]

@@ -8,6 +8,10 @@ counterexample-guided synthesis loop.  The base session simply rebinds the
 shared encoding (already skipping the horizon unrolling and static constraint
 rebuilds); the LP backend overrides it to additionally cache its assembled
 constraint matrices.
+
+Backends register themselves in :data:`repro.registry.BACKENDS` where they
+are defined (``@BACKENDS.register("lp")``); :func:`get_backend` turns a
+registered name or an instance into an instance.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from repro.core.encoding import AttackEncoding
 from repro.detectors.threshold import ThresholdVector
+from repro.registry import BACKENDS
 from repro.utils.results import SolveStatus
 
 
@@ -101,3 +106,22 @@ class AttackBackend(abc.ABC):
         encoding across rounds.
         """
         return BackendSession(self, encoding)
+
+
+def get_backend(name_or_backend, **kwargs) -> AttackBackend:
+    """Resolve a backend instance from a name or pass through an instance.
+
+    Parameters
+    ----------
+    name_or_backend:
+        Either an :class:`AttackBackend` instance (returned unchanged) or a
+        name registered in :data:`repro.registry.BACKENDS` (built-ins:
+        ``"lp"``, ``"optimizer"``).  Unknown names raise a
+        :class:`~repro.registry.RegistryError` listing the currently
+        registered names.
+    kwargs:
+        Constructor arguments forwarded when a name is given.
+    """
+    if isinstance(name_or_backend, AttackBackend):
+        return name_or_backend
+    return BACKENDS.create(str(name_or_backend), **kwargs)

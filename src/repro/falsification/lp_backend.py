@@ -63,6 +63,7 @@ from repro.falsification._highs import HIGHS_SOLVERS, solve_lp
 from repro.falsification.base import AttackBackend, BackendAnswer, BackendSession
 from repro.obs.clock import Stopwatch
 from repro.obs.metrics import get_registry
+from repro.registry import BACKENDS
 from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError
 
@@ -256,6 +257,7 @@ class LPBackendSession(BackendSession):
         return BackendAnswer(status=status, theta=theta, diagnostics=diagnostics)
 
 
+@BACKENDS.register("lp")
 class LPAttackBackend(AttackBackend):
     """Branch-enumerating LP backend that hands each LP straight to HiGHS.
 

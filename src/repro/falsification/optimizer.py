@@ -28,10 +28,12 @@ import numpy as np
 
 from repro.core.encoding import AttackEncoding
 from repro.falsification.base import AttackBackend, BackendAnswer
+from repro.registry import BACKENDS
 from repro.utils.results import SolveStatus
 from repro.utils.rng import ensure_rng
 
 
+@BACKENDS.register("optimizer")
 class OptimizationFalsifier(AttackBackend):
     """Random-restart + Nelder–Mead falsification over the decision vector."""
 

@@ -1,10 +1,11 @@
 """Plugin-registry rule: REP004 — registrations are unique and reachable.
 
-The library's seven string-resolved extension points (``BACKENDS``,
+The library's eight string-resolved extension points (``BACKENDS``,
 ``SYNTHESIZERS``, ``DETECTORS``, ``NOISE_MODELS``, ``CASE_STUDIES``,
-``ATTACK_TEMPLATES``, ``SAMPLERS`` in :mod:`repro.registry`) populate
-themselves when their defining modules are imported.  Two invariants keep
-that working:
+``ATTACK_TEMPLATES``, ``SAMPLERS``, ``ENGINES`` in :mod:`repro.registry`)
+populate themselves when their defining modules are imported, through the
+one registration spelling ``<REGISTRY>.register(name, ...)`` (call or
+decorator).  Two invariants keep that working:
 
 * **Uniqueness** — one name, one registration site.  A duplicate name
   would either raise :class:`~repro.registry.RegistryError` at import time
@@ -40,25 +41,6 @@ REGISTRY_VARS = frozenset(
     }
 )
 
-#: Helper decorators that register into a fixed registry.
-HELPER_FUNCS = {"register_sampler": "SAMPLERS"}
-
-#: ``register(kind, name)`` kind strings → registry variable.
-KIND_TO_VAR = {
-    "backend": "BACKENDS",
-    "synthesizer": "SYNTHESIZERS",
-    "detector": "DETECTORS",
-    "noise_model": "NOISE_MODELS",
-    "noise model": "NOISE_MODELS",
-    "case_study": "CASE_STUDIES",
-    "case study": "CASE_STUDIES",
-    "attack_template": "ATTACK_TEMPLATES",
-    "attack template": "ATTACK_TEMPLATES",
-    "sampler": "SAMPLERS",
-    "engine": "ENGINES",
-}
-
-
 @dataclass(frozen=True)
 class Registration:
     """One statically visible ``<registry>.register(<name>)`` site."""
@@ -72,7 +54,7 @@ class Registration:
 
 
 def _registration_target(call: ast.Call) -> str | None:
-    """The registry a ``register`` call targets, or ``None`` when unrelated."""
+    """The registry a ``<REGISTRY>.register`` call targets, else ``None``."""
     func = call.func
     if (
         isinstance(func, ast.Attribute)
@@ -81,22 +63,14 @@ def _registration_target(call: ast.Call) -> str | None:
         and func.value.id in REGISTRY_VARS
     ):
         return func.value.id
-    if isinstance(func, ast.Name):
-        if func.id in HELPER_FUNCS:
-            return HELPER_FUNCS[func.id]
-        if func.id == "register" and len(call.args) >= 2:
-            kind = call.args[0]
-            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
-                return KIND_TO_VAR.get(kind.value)
     return None
 
 
-def _plugin_name(call: ast.Call, registry: str) -> str | None:
+def _plugin_name(call: ast.Call) -> str | None:
     """The constant plugin name of a register call (``None`` when dynamic)."""
-    index = 1 if isinstance(call.func, ast.Name) and call.func.id == "register" else 0
-    if len(call.args) <= index:
+    if not call.args:
         return None
-    name = call.args[index]
+    name = call.args[0]
     if isinstance(name, ast.Constant) and isinstance(name.value, str):
         return name.value
     return None
@@ -108,7 +82,7 @@ class RegistryRule(LintRule):
     code = "REP004"
     name = "registry-integrity"
     description = (
-        "Every @register*-decorated plugin lives in a module imported by its "
+        "Every <REGISTRY>.register(...) plugin lives in a module imported by its "
         "package __init__, and registry names are unique across the tree."
     )
 
@@ -132,7 +106,7 @@ class RegistryRule(LintRule):
             registry = _registration_target(call)
             if registry is None:
                 continue
-            plugin = _plugin_name(call, registry)
+            plugin = _plugin_name(call)
             if plugin is None:
                 continue
             self._registrations.append(

@@ -1,11 +1,10 @@
 """Shared plugin registries for every pluggable component of the library.
 
-Historically each extension point had its own ad-hoc name table (the backend
-dict in :mod:`repro.falsification.registry`, a hard-coded algorithm tuple,
-the hard-wired ``build_*_case_study`` imports).
-This module replaces them with one mechanism: a :class:`Registry` per
-component kind, populated by ``@register`` decorators at class/function
-definition time, with dynamic error messages and introspection helpers.
+Every extension point is one :class:`Registry`, populated by
+``@<REGISTRY>.register(name)`` decorators at class/function definition time.
+The registry object is the one way in: ``X.register(name)``, ``X.get(name)``,
+``X.create(name, **kwargs)``, ``X.available()`` and ``name in X``.
+Lookup errors list the currently registered names.
 
 Eight registries ship with the library:
 
@@ -36,7 +35,9 @@ Downstream users extend any of them::
         ...
 
 and every string-accepting entry point (``ExperimentSpec``, ``run_pipeline``,
-``get_backend``, ...) resolves the new name immediately.
+:func:`repro.falsification.base.get_backend`, ...) resolves the new name
+immediately.  :func:`get_case_study` is the one module-level shortcut: it
+builds a case study by name.
 
 Built-in entries register themselves when their defining module is imported;
 each registry lazily imports its built-in modules on first lookup so the
@@ -156,7 +157,9 @@ class Registry:
 # ----------------------------------------------------------------------
 # The library's extension points.
 # ----------------------------------------------------------------------
-BACKENDS = Registry("backend", ("repro.falsification.registry",))
+BACKENDS = Registry(
+    "backend", ("repro.falsification.lp_backend", "repro.falsification.optimizer")
+)
 SYNTHESIZERS = Registry(
     "synthesizer",
     ("repro.core.pivot", "repro.core.stepwise", "repro.core.static_synthesis"),
@@ -175,95 +178,8 @@ ATTACK_TEMPLATES = Registry("attack template", ("repro.attacks.templates",))
 SAMPLERS = Registry("sampler", ("repro.explore.space",))
 ENGINES = Registry("engine", ("repro.runtime.kernel.runner",))
 
-REGISTRIES: dict[str, Registry] = {
-    "backend": BACKENDS,
-    "synthesizer": SYNTHESIZERS,
-    "detector": DETECTORS,
-    "noise_model": NOISE_MODELS,
-    "case_study": CASE_STUDIES,
-    "attack_template": ATTACK_TEMPLATES,
-    "sampler": SAMPLERS,
-    "engine": ENGINES,
-}
-
-
-def get_registry(kind: str) -> Registry:
-    """Look up one of the library registries by kind name."""
-    try:
-        return REGISTRIES[kind]
-    except KeyError:
-        available = ", ".join(sorted(REGISTRIES))
-        raise RegistryError(f"unknown registry kind {kind!r}; available: {available}") from None
-
-
-def register(kind: str, name: str, obj: object | None = None, *, overwrite: bool = False):
-    """Generic registration decorator: ``@register("backend", "my-solver")``."""
-    return get_registry(kind).register(name, obj, overwrite=overwrite)
-
-
-# ----------------------------------------------------------------------
-# Introspection helpers (one per registry) and factory conveniences.
-# ----------------------------------------------------------------------
-def available_backends() -> list[str]:
-    """Names of the registered attack-synthesis backends."""
-    return BACKENDS.available()
-
-
-def available_synthesizers() -> list[str]:
-    """Names of the registered threshold-synthesis algorithms."""
-    return SYNTHESIZERS.available()
-
-
-def available_detectors() -> list[str]:
-    """Names of the registered residue-detector classes."""
-    return DETECTORS.available()
-
-
-def available_noise_models() -> list[str]:
-    """Names of the registered noise models."""
-    return NOISE_MODELS.available()
-
-
-def available_case_studies() -> list[str]:
-    """Names of the registered case-study builders."""
-    return CASE_STUDIES.available()
-
-
-def available_attack_templates() -> list[str]:
-    """Names of the registered parametric attack templates."""
-    return ATTACK_TEMPLATES.available()
-
-
-def available_samplers() -> list[str]:
-    """Names of the registered design-space samplers."""
-    return SAMPLERS.available()
-
-
-def available_engines() -> list[str]:
-    """Names of the registered fleet execution engines."""
-    return ENGINES.available()
-
-
-def register_sampler(name: str, obj: object | None = None, *, overwrite: bool = False):
-    """Register a design-space sampler: ``@register_sampler("my-sampler")``."""
-    return SAMPLERS.register(name, obj, overwrite=overwrite)
-
 
 def get_case_study(name: str, **kwargs):
     """Build the case study registered under ``name`` (kwargs go to its builder)."""
     return CASE_STUDIES.create(name, **kwargs)
 
-
-def get_noise_model(name: str, **kwargs):
-    """Instantiate the noise model registered under ``name``."""
-    return NOISE_MODELS.create(name, **kwargs)
-
-
-def get_synthesizer(name: str, **kwargs):
-    """Instantiate the synthesizer registered under ``name``."""
-    return SYNTHESIZERS.create(name, **kwargs)
-
-
-def get_attack_template(name: str, **kwargs):
-    """Instantiate the attack template registered under ``name``."""
-    return ATTACK_TEMPLATES.create(name, **kwargs)

@@ -239,7 +239,7 @@ class TestRemovedSmtBackend:
             SearchSpace.from_dict({"backends": ["smt"]})
 
     def test_get_backend(self):
-        from repro.falsification.registry import get_backend
+        from repro.falsification.base import get_backend
 
         with pytest.raises(ValidationError, match="available: lp, optimizer"):
             get_backend("smt")

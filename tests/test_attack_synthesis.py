@@ -7,16 +7,17 @@ import pytest
 
 from repro import get_case_study
 from repro.core.attack_synthesis import synthesize_attack
+from repro.falsification.base import get_backend
 from repro.falsification.lp_backend import LPAttackBackend
 from repro.falsification.optimizer import OptimizationFalsifier
-from repro.falsification.registry import available_backends, get_backend
+from repro.registry import BACKENDS
 from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError
 
 
 class TestRegistry:
     def test_available(self):
-        assert available_backends() == ["lp", "optimizer"]
+        assert BACKENDS.available() == ["lp", "optimizer"]
 
     def test_get_by_name_and_instance(self):
         backend = get_backend("lp")

@@ -6,7 +6,7 @@ import pytest
 from repro.estimation.innovation import innovation_covariance
 from repro.estimation.kalman import steady_state_kalman
 from repro.lti.simulate import ClosedLoopSystem, SimulationOptions, simulate_closed_loop
-from repro.registry import available_case_studies, get_case_study
+from repro.registry import CASE_STUDIES, get_case_study
 from repro.utils.validation import ValidationError
 
 
@@ -66,7 +66,7 @@ class TestRiccatiRecursion:
         L, _ = steady_state_kalman(double_integrator)
         np.testing.assert_allclose(_riccati_limit(double_integrator), L, rtol=1e-6, atol=1e-9)
 
-    @pytest.mark.parametrize("name", available_case_studies())
+    @pytest.mark.parametrize("name", CASE_STUDIES.available())
     def test_case_study_plant(self, name):
         plant = get_case_study(name).problem.system.plant
         L, _ = steady_state_kalman(plant)

@@ -99,11 +99,11 @@ class TestExplorer:
     def test_sampler_receives_run_objectives(self):
         """Metric-aware samplers must refine over the front's objectives."""
         from repro.explore import GridSampler
-        from repro.registry import SAMPLERS, register_sampler
+        from repro.registry import SAMPLERS
 
         captured = {}
 
-        @register_sampler("test-capture-objectives")
+        @SAMPLERS.register("test-capture-objectives")
         class CaptureSampler(GridSampler):
             def __init__(self, objectives=None):
                 captured["objectives"] = objectives

@@ -8,7 +8,7 @@ from repro.explore import (
     GridSampler,
     SearchSpace,
 )
-from repro.registry import SAMPLERS, available_samplers, register_sampler
+from repro.registry import SAMPLERS
 from repro.utils.validation import ValidationError
 
 
@@ -81,11 +81,11 @@ class TestSearchSpace:
 
 class TestSamplers:
     def test_registered(self):
-        assert "grid" in available_samplers()
-        assert "adaptive-bisection" in available_samplers()
+        assert "grid" in SAMPLERS.available()
+        assert "adaptive-bisection" in SAMPLERS.available()
 
     def test_custom_sampler_registration(self):
-        @register_sampler("test-one-point")
+        @SAMPLERS.register("test-one-point")
         class OnePoint(GridSampler):
             def initial(self, space):
                 return space.points()[:1]

@@ -49,9 +49,9 @@ class TestResultStore:
 
     def test_persistence_across_opens(self, tmp_path):
         path = tmp_path / "s"
-        with ResultStore(path) as store:
-            store.put("k1", {"c": 1}, {"v": 1})
-            store.put("k2", {"c": 2}, {"v": 2})
+        store = ResultStore(path)
+        store.put("k1", {"c": 1}, {"v": 1})
+        store.put("k2", {"c": 2}, {"v": 2})
         reopened = ResultStore(path)
         assert len(reopened) == 2
         assert reopened.get("k2") == {"v": 2}
@@ -61,7 +61,6 @@ class TestResultStore:
         store = ResultStore(path)
         store.put("k1", {}, {"v": 1})
         store.put("k2", {}, {"v": 2})
-        store.flush()
         # Simulate a crash mid-append: a record cut off without newline.
         with (path / "results.jsonl").open("a", encoding="utf-8") as handle:
             handle.write('{"key": "k3", "row": {"v"')
@@ -80,7 +79,6 @@ class TestResultStore:
         path = tmp_path / "s"
         store = ResultStore(path)
         store.put("k1", {}, {"v": 1})
-        store.flush()
         with (path / "results.jsonl").open("a", encoding="utf-8") as handle:
             handle.write(json.dumps({"key": "k2", "config": {}, "row": {"v": 2}}))
         with pytest.warns(StoreCorruptionWarning):
@@ -96,7 +94,6 @@ class TestResultStore:
         store = ResultStore(path)
         store.put("k1", {}, {"v": 1})
         store.put("k2", {}, {"v": 2})
-        store.flush()
         lines = (path / "results.jsonl").read_text().splitlines()
         lines[0] = "this is not json"
         (path / "results.jsonl").write_text("\n".join(lines) + "\n")
@@ -104,13 +101,11 @@ class TestResultStore:
             recovered = ResultStore(path)
         assert recovered.keys() == ["k2"]
 
-    def test_stale_or_missing_index_rebuilt(self, tmp_path):
+    def test_store_directory_holds_only_the_results_log(self, tmp_path):
         path = tmp_path / "s"
         store = ResultStore(path)
         store.put("k1", {}, {"v": 1})
-        store.flush()
-        (path / "index.json").unlink()
+        store.put("k2", {}, {"v": 2})
         reopened = ResultStore(path)
-        assert reopened.keys() == ["k1"]
-        index = json.loads((path / "index.json").read_text())
-        assert index["count"] == 1 and "k1" in index["keys"]
+        assert reopened.keys() == ["k1", "k2"]
+        assert [p.name for p in path.iterdir()] == ["results.jsonl"]

@@ -84,7 +84,6 @@ class _Store:
         store = self._open(path.parent)
         for i in ids:
             store.put(f"k{i}", {}, {"v": i})
-        store.flush()
 
     def read(self, path):
         # Opening repairs the file, so read a copy.

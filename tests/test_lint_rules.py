@@ -210,7 +210,7 @@ def test_rep004_clean_unique_and_reachable(tmp_path):
         {
             "pkg/__init__.py": '"""pkg."""\nfrom .mod_a import Solo\n',
             "pkg/mod_a.py": (
-                "from repro.registry import SYNTHESIZERS, register_sampler\n"
+                "from repro.registry import SYNTHESIZERS\n"
                 "@SYNTHESIZERS.register('solo')\n"
                 "class Solo:\n"
                 "    pass\n"
@@ -221,7 +221,7 @@ def test_rep004_clean_unique_and_reachable(tmp_path):
     assert codes_of(result) == []
 
 
-def test_rep004_sees_module_level_and_generic_register_calls(tmp_path):
+def test_rep004_sees_module_level_register_calls(tmp_path):
     _write_package(
         tmp_path,
         {
@@ -233,10 +233,10 @@ def test_rep004_sees_module_level_and_generic_register_calls(tmp_path):
                 "BACKENDS.register('twin', A)\n"
             ),
             "pkg/mod_b.py": (
-                "from repro.registry import register\n"
+                "from repro.registry import BACKENDS\n"
                 "class B:\n"
                 "    pass\n"
-                "register('backend', 'twin', B)\n"
+                "BACKENDS.register('twin', B)\n"
             ),
         },
     )

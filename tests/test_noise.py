@@ -13,7 +13,7 @@ from repro.noise.models import (
     TruncatedGaussianNoise,
     ZeroNoise,
 )
-from repro.registry import available_noise_models, get_noise_model
+from repro.registry import NOISE_MODELS
 from repro.utils.rng import STREAM_VERSION
 from repro.utils.validation import ValidationError
 
@@ -35,7 +35,7 @@ class _RowNoise(NoiseModel):
         return np.random.default_rng(rng).exponential(size=(horizon, 2))
 
 
-MODELS = {name: get_noise_model(name, **options) for name, options in REGISTERED.items()}
+MODELS = {name: NOISE_MODELS.create(name, **options) for name, options in REGISTERED.items()}
 MODELS["user"] = _RowNoise()
 
 block_shapes = given(
@@ -122,7 +122,7 @@ class TestTruncatedGaussian:
 
 class TestSampleBlock:
     def test_every_registered_model_is_covered(self):
-        assert set(REGISTERED) == set(available_noise_models())
+        assert set(REGISTERED) == set(NOISE_MODELS.available())
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     @settings(max_examples=25, deadline=None)

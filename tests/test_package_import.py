@@ -10,6 +10,7 @@ import pytest
 from scipy import linalg as sla
 
 import repro
+from repro.registry import CASE_STUDIES
 
 #: Modules deleted because no entry point called them (see README.md,
 #: "Removed helpers and what to use instead").
@@ -20,6 +21,7 @@ REMOVED_MODULES = (
     "repro.estimation.luenberger",
     "repro.detectors.evaluation",
     "repro.attacks.injector",
+    "repro.falsification.registry",
 )
 
 #: Public names deleted with them (and the helpers no entry point called),
@@ -72,6 +74,36 @@ REMOVED_NAMES = (
     "repro.explore.store.problem_fingerprint",
     "repro.registry.get_detector",
     "repro.registry.get_sampler",
+    "repro.registry.REGISTRIES",
+    "repro.registry.get_registry",
+    "repro.get_registry",
+    "repro.registry.register",
+    "repro.register",
+    "repro.registry.register_sampler",
+    "repro.register_sampler",
+    "repro.registry.available_backends",
+    "repro.available_backends",
+    "repro.falsification.available_backends",
+    "repro.registry.available_synthesizers",
+    "repro.available_synthesizers",
+    "repro.registry.available_detectors",
+    "repro.available_detectors",
+    "repro.registry.available_noise_models",
+    "repro.available_noise_models",
+    "repro.registry.available_case_studies",
+    "repro.available_case_studies",
+    "repro.registry.available_attack_templates",
+    "repro.available_attack_templates",
+    "repro.registry.available_samplers",
+    "repro.available_samplers",
+    "repro.registry.available_engines",
+    "repro.available_engines",
+    "repro.registry.get_noise_model",
+    "repro.get_noise_model",
+    "repro.registry.get_synthesizer",
+    "repro.get_synthesizer",
+    "repro.registry.get_attack_template",
+    "repro.get_attack_template",
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -146,7 +178,7 @@ def _zoh_reference(model, dt):
     return expm[:n, :n], expm[:n, n:], model.Q_w * dt, model.R_v / dt
 
 
-@pytest.mark.parametrize("name", repro.available_case_studies())
+@pytest.mark.parametrize("name", CASE_STUDIES.available())
 def test_discretize_is_the_zoh_bit_for_bit_on_every_case_study(name, monkeypatch):
     module = importlib.import_module(f"repro.systems.{name}")
     calls = []

@@ -6,9 +6,8 @@ import sys
 import pytest
 
 import repro
-from repro.falsification.base import AttackBackend
+from repro.falsification.base import AttackBackend, get_backend
 from repro.falsification.lp_backend import LPAttackBackend
-from repro.falsification.registry import get_backend
 from repro.registry import (
     ATTACK_TEMPLATES,
     BACKENDS,
@@ -18,23 +17,15 @@ from repro.registry import (
     SYNTHESIZERS,
     Registry,
     RegistryError,
-    available_attack_templates,
-    available_backends,
-    available_case_studies,
-    available_detectors,
-    available_noise_models,
-    available_synthesizers,
-    get_registry,
-    register,
 )
 from repro.utils.validation import ValidationError
 
 
 class TestBuiltinRegistrations:
     def test_all_six_registries_resolve_the_builtin_names(self):
-        assert set(available_backends()) == {"lp", "optimizer"}
-        assert set(available_synthesizers()) == {"pivot", "stepwise", "static"}
-        assert set(available_detectors()) == {
+        assert set(BACKENDS.available()) == {"lp", "optimizer"}
+        assert set(SYNTHESIZERS.available()) == {"pivot", "stepwise", "static"}
+        assert set(DETECTORS.available()) == {
             "residue",
             "chi-square",
             "cusum",
@@ -42,13 +33,13 @@ class TestBuiltinRegistrations:
             "online-chi-square",
             "online-cusum",
         }
-        assert set(available_noise_models()) == {
+        assert set(NOISE_MODELS.available()) == {
             "zero",
             "gaussian",
             "bounded-uniform",
             "truncated-gaussian",
         }
-        assert set(available_case_studies()) == {
+        assert set(CASE_STUDIES.available()) == {
             "vsc",
             "trajectory",
             "dcmotor",
@@ -56,7 +47,7 @@ class TestBuiltinRegistrations:
             "cruise",
             "pendulum",
         }
-        assert set(available_attack_templates()) == {
+        assert set(ATTACK_TEMPLATES.available()) == {
             "none",
             "bias",
             "ramp",
@@ -66,7 +57,7 @@ class TestBuiltinRegistrations:
         }
 
     def test_fused_is_the_only_engine_in_a_fresh_process(self):
-        code = "import repro; print(repro.available_engines())"
+        code = "from repro.registry import ENGINES; print(ENGINES.available())"
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
@@ -87,8 +78,8 @@ class TestBuiltinRegistrations:
 
     def test_classical_baselines_listed_and_constructible(self):
         # The classical baseline detectors are first-class registry citizens:
-        # available_detectors() lists them and create() builds working instances.
-        assert {"cusum", "chi-square"} <= set(available_detectors())
+        # DETECTORS.available() lists them and create() builds working instances.
+        assert {"cusum", "chi-square"} <= set(DETECTORS.available())
         cusum = DETECTORS.create("cusum", bias=0.1, threshold=1.0)
         assert cusum.detects([[5.0], [5.0], [5.0], [5.0], [5.0], [5.0], [5.0], [5.0]])
         import numpy as np
@@ -132,7 +123,7 @@ class TestBuiltinRegistrations:
         attack = template.generate(10, 2)
         assert attack.values.shape == (10, 2)
         assert attack.support().min() == 3
-        assert repro.get_attack_template("none").generate(4, 1).is_zero()
+        assert ATTACK_TEMPLATES.create("none").generate(4, 1).is_zero()
 
     def test_create_forwards_kwargs(self):
         case = CASE_STUDIES.create("dcmotor", horizon=12)
@@ -142,13 +133,9 @@ class TestBuiltinRegistrations:
 
     def test_factory_conveniences(self):
         assert repro.get_case_study("trajectory").name
-        assert repro.get_noise_model("zero", size=3).dimension == 3
-        synthesizer = repro.get_synthesizer("pivot", max_rounds=7)
+        assert NOISE_MODELS.create("zero", size=3).dimension == 3
+        synthesizer = SYNTHESIZERS.create("pivot", max_rounds=7)
         assert synthesizer.max_rounds == 7
-
-    def test_introspection_exported_from_top_level(self):
-        assert repro.available_backends() == available_backends()
-        assert repro.available_case_studies() == available_case_studies()
 
 
 class TestRegistryMechanics:
@@ -197,20 +184,17 @@ class TestRegistryMechanics:
         with pytest.raises(RegistryError):
             registry.unregister("a")
 
-    def test_get_registry_and_generic_register(self):
-        assert get_registry("backend") is BACKENDS
-        assert get_registry("case_study") is CASE_STUDIES
-        with pytest.raises(RegistryError):
-            get_registry("widgets")
-
+    def test_register_on_a_library_registry(self):
         class Dummy:
             pass
 
-        register("detector", "test-dummy-detector", Dummy)
+        DETECTORS.register("test-dummy-detector", Dummy)
         try:
             assert DETECTORS.get("test-dummy-detector") is Dummy
+            assert "test-dummy-detector" in DETECTORS
         finally:
             DETECTORS.unregister("test-dummy-detector")
+        assert "test-dummy-detector" not in DETECTORS
 
 
 class TestBackendResolution:
@@ -218,6 +202,9 @@ class TestBackendResolution:
         backend = get_backend("lp")
         assert isinstance(backend, LPAttackBackend)
         assert get_backend(backend) is backend
+        # The one resolver is reachable from the package and the subpackage.
+        assert repro.get_backend is get_backend
+        assert repro.falsification.get_backend is get_backend
 
     def test_user_registered_backend_resolves_everywhere(self, dcmotor_problem):
         class EchoBackend(AttackBackend):
@@ -226,11 +213,11 @@ class TestBackendResolution:
 
         BACKENDS.register("test-echo", EchoBackend)
         try:
-            assert "test-echo" in available_backends()
+            assert "test-echo" in BACKENDS.available()
             assert isinstance(get_backend("test-echo"), EchoBackend)
             # The dynamic error message now includes the new name too.
             with pytest.raises(RegistryError, match="test-echo"):
                 get_backend("nope")
         finally:
             BACKENDS.unregister("test-echo")
-        assert "test-echo" not in available_backends()
+        assert "test-echo" not in BACKENDS.available()

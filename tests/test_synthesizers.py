@@ -10,7 +10,7 @@ from repro.core.session import SynthesisSession
 from repro.core.static_synthesis import StaticThresholdSynthesizer
 from repro.core.stepwise import StepwiseThresholdSynthesizer, min_area_rectangle
 from repro.detectors.threshold import ThresholdVector
-from repro.registry import available_case_studies, get_case_study
+from repro.registry import CASE_STUDIES, get_case_study
 from repro.utils.results import SolveStatus
 from repro.utils.validation import ValidationError
 from synthesis_oracle import verify_no_attack
@@ -185,7 +185,7 @@ class TestStaticSynthesis:
 class TestRoundCap:
     """A loop stopped by ``max_rounds`` reports UNKNOWN wherever the cap falls."""
 
-    @pytest.mark.parametrize("name", available_case_studies())
+    @pytest.mark.parametrize("name", CASE_STUDIES.available())
     @pytest.mark.parametrize(
         "synthesizer",
         [PivotThresholdSynthesizer, StepwiseThresholdSynthesizer, StaticThresholdSynthesizer],
